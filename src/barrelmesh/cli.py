@@ -46,7 +46,14 @@ from .relay_selection import (
     save_assignment_csv,
     validate_assignment,
 )
-from .sim_engine import ChannelConfig, RepeatPolicy, ScenarioConfig, SimResult, run
+from .sim_engine import (
+    ChannelConfig,
+    RepeatPolicy,
+    ScenarioConfig,
+    SimResult,
+    SimulationError,
+    run,
+)
 from .topology import (
     LAYOUT_PRESETS,
     LayoutSpec,
@@ -609,7 +616,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PlanError, ValueError, OSError) as exc:
+    except (PlanError, SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

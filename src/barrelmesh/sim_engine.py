@@ -11,6 +11,25 @@ pure function of (topology, assignment, config):
    and each receiver's loss draw (when the model has one) and forward
    jitter/channel draws complete before the next receiver is considered.
 
+Every bounded draw is CPython 3.11's `randrange`: `_randbelow` reproduces its
+`_randbelow_with_getrandbits` bit for bit (draw n.bit_length() bits until
+the value is below n). A test checks the two against each other on the
+running interpreter, so an interpreter whose `randrange` differs fails there
+instead of silently drawing a different stream than the reference engine.
+
+Events run in (time, seq) order, seq counting pushes onto the event heap. A
+frame whose radio is still on air waits in its node's pending queue. When the
+radio frees at busy_until, the node's waiting frames are served in
+(busy_until, original seq) order: each takes its place among that
+instant's events, the node's own frame end and frames due at the same
+microsecond included, by the seq it was first given, exactly as if it had
+been re-pushed at busy_until. Waiting consumes no seq and no draw.
+processed_events, and the max_events budget, count entries popped from the
+event heap: originations, scheduled frame starts (whether the frame starts,
+waits or falls past the horizon), frame ends and radio-free entries, stale ones
+included. A waiting frame is never re-pushed, so the count does not grow
+with how long frames wait.
+
 Radio model: frames have one fixed duration and one advertising channel.
 A frame is received by an in-range listener unless a same-channel frame
 from another in-range transmitter overlaps it in time (collision), the
@@ -37,7 +56,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .relay_selection import RelayAssignment
 from .topology import Topology
@@ -50,7 +69,7 @@ REPEAT_MODES = ("distance_scaled", "fixed")
 DEFAULT_MAX_EVENTS = 100_000_000
 EVENT_LOG_CAP = 1_000_000
 
-_ORIGIN, _TX_START, _FRAME_END = 0, 1, 2
+_ORIGIN, _TX_START, _FRAME_END, _RADIO_FREE = 0, 1, 2, 3
 
 
 class SimulationError(RuntimeError):
@@ -104,7 +123,8 @@ class SimResult:
     Tuples are indexed by node id (sink last). events is empty unless the
     scenario asked for a trace; entries are (time_us, node, kind, source,
     packet, channel) with kind in origin/tx/rx/deliver and channel -1 where
-    not applicable.
+    not applicable. processed_events counts popped heap entries (see the
+    module docstring); it is engine bookkeeping, not a model output.
     """
 
     sim_time_us: int
@@ -123,18 +143,18 @@ class SimResult:
     events: tuple[tuple, ...] = ()
 
 
-class Frame:
-    __slots__ = ("start", "end", "tx", "channel", "source", "pkt", "ttl", "hops")
+class Frame(NamedTuple):
+    """One frame on air. The engine builds these as plain tuples in this
+    field order; resolve_receptions reads them by name."""
 
-    def __init__(self, start, end, tx, channel, source, pkt, ttl, hops):
-        self.start = start
-        self.end = end
-        self.tx = tx
-        self.channel = channel
-        self.source = source
-        self.pkt = pkt
-        self.ttl = ttl
-        self.hops = hops
+    start: int
+    end: int
+    tx: int
+    channel: int
+    source: int
+    pkt: int
+    ttl: int
+    hops: int
 
 
 def plan_transmissions(topology: Topology, policy: RepeatPolicy) -> tuple[int, ...]:
@@ -164,6 +184,10 @@ def resolve_receptions(
     (clear, jammed, busy): jammed listeners saw a same-channel overlap from
     another in-range transmitter, busy listeners were themselves on air, and
     the rest hear the frame cleanly. Jam wins when both apply.
+
+    This is the reference classifier. The engine applies the same rules
+    inline, from per-channel lists of frames on air and each listener's last
+    two frame starts, without building the busy mask.
     """
     jam = 0
     on_air = 0
@@ -178,11 +202,17 @@ def resolve_receptions(
     return reach & ~jam & ~on_air, reach & jam, reach & on_air & ~jam
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _randbelow(getrandbits, n: int) -> int:
+    """CPython 3.11's Random._randbelow_with_getrandbits, bit for bit.
+
+    randrange(n) is this draw, and randrange(a, b) is a + this draw over
+    b - a. n must be positive; n == 1 still consumes random bits.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig):
@@ -227,6 +257,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     nch = config.channel.n_adv_channels
     lossy = config.channel.reception_model == "independent_loss"
     loss_p = config.channel.loss_p
+    max_events = config.max_events
     listener_mask = assignment.relay_mask() | (1 << sink)
     copies = plan_transmissions(topology, config.repeat_policy)
     interval = round(1e6 / config.app_rate_pps)
@@ -234,13 +265,19 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         raise ValueError("app rate too high for the microsecond clock")
 
     rng = random.Random(config.seed)
-    seq = itertools.count()
+    getrandbits = rng.getrandbits
+    random_ = rng.random
+    next_seq = itertools.count().__next__
     heap: list = []
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    jit_bits = jit_max.bit_length()
+    ch_bits = nch.bit_length()
 
     # Drawn up front in the contract order. The phase keeps packet k of a
     # source strictly inside (k*interval, (k+1)*interval), so every source
     # originates exactly rate*sim_time packets when the interval divides T.
-    phases = [rng.randrange(1, interval) for _ in range(sink)]
+    phases = [1 + _randbelow(getrandbits, interval - 1) for _ in range(sink)]
     wake: list[list[list]] = [[] for _ in range(n)]
     for src in range(sink):
         is_listener = bool(listener_mask >> src & 1)
@@ -251,24 +288,36 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             if not is_listener:
                 rec = [t_pkt, t_pkt, copies[src]]
                 wake[src].append(rec)
-            heapq.heappush(heap, (t_pkt, next(seq), _ORIGIN, (src, pkt, rec)))
+            heappush(heap, (t_pkt, next_seq(), _ORIGIN, (src, pkt, rec)))
+            # a frame start's payload: (node, channel, source, packet, ttl,
+            # hops, is_forward, duty-cycle record or None)
             for _ in range(copies[src]):
-                jitter = rng.randrange(jit_max) if jit_max > 0 else 0
-                channel = rng.randrange(nch)
-                heapq.heappush(
+                jitter = _randbelow(getrandbits, jit_max) if jit_max > 0 else 0
+                channel = _randbelow(getrandbits, nch)
+                heappush(
                     heap,
                     (
                         t_pkt + jitter,
-                        next(seq),
+                        next_seq(),
                         _TX_START,
-                        (src, src, pkt, config.ttl, 1, channel, False, rec),
+                        (src, channel, src, pkt, config.ttl, 1, False, rec),
                     ),
                 )
             t_pkt += interval
             pkt += 1
 
     busy_until = [0] * n
-    caches: list[set] = [set() for _ in range(n)]
+    # Frames that found their radio busy, per node, as (seq, payload). The
+    # main heap holds a _RADIO_FREE entry keyed (busy_until, least pending
+    # seq) for the node; one whose key no longer matches is stale.
+    pending: list[list] = [[] for _ in range(n)]
+    # Each node's last two frame starts: enough to tell whether it was on
+    # air during any frame, since its own frames never overlap.
+    last_start = [-2 * dur] * n
+    prev_start = [-2 * dur] * n
+    reach_of = [a & listener_mask for a in adj]
+    recent = [deque() for _ in range(nch)]  # frames on air, per channel
+    heard: dict = {}  # (source, packet) -> mask of nodes that hold it
     airtime = [0] * n
     app_sent = [0] * n
     net_tx = [0] * n
@@ -277,12 +326,9 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     deliveries: list[tuple[int, int, int, int]] = []
     max_hops = 0
     events: Optional[list] = [] if config.emit_events else None
-    recent: deque = deque()
     processed = 0
 
     def log(time_us, node, kind, source, pkt, channel):
-        if events is None:
-            return
         if len(events) >= EVENT_LOG_CAP:
             raise SimulationError(
                 f"event trace exceeded {EVENT_LOG_CAP} entries; run without "
@@ -290,84 +336,129 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             )
         events.append((time_us, node, kind, source, pkt, channel))
 
-    while heap and heap[0][0] <= T:
-        t, s, kind, payload = heapq.heappop(heap)
+    while heap:
+        t, s, kind, payload = heappop(heap)
+        if t > T:
+            break
         processed += 1
-        if processed > config.max_events:
+        if processed > max_events:
             raise SimulationError(
-                f"exceeded {config.max_events} events at t={t}us; the scenario "
+                f"exceeded {max_events} events at t={t}us; the scenario "
                 "is likely runaway"
             )
+        if kind == _FRAME_END:
+            frame = payload
+            tx = frame[2]
+            channel = frame[3]
+            on_channel = recent[channel]
+            cutoff = t - dur
+            while on_channel[0][1] <= cutoff:
+                on_channel.popleft()
+            reach = reach_of[tx]
+            if not reach:
+                continue
+            # Every frame left on the channel ends after this one starts;
+            # those that started before it ends overlap it.
+            jam = 0
+            for g in on_channel:
+                if g[0] < t and g is not frame:
+                    jam |= adj[g[2]]
+            fresh = reach & ~jam
+            source, pkt, ttl, hops = frame[4], frame[5], frame[6], frame[7]
+            key = (source, pkt)
+            held = heard[key]
+            if not lossy:
+                # no loss draw to keep in order: drop duplicates up front
+                fresh &= ~held
+            earliest = t - 2 * dur
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                r = low.bit_length() - 1
+                # half-duplex: r had a frame of its own overlapping this one
+                if earliest < last_start[r] < t or earliest < prev_start[r] < t:
+                    continue
+                if lossy and (random_() < loss_p or held & low):
+                    continue
+                held |= low
+                if r == sink:
+                    delivered_by[source] += 1
+                    deliveries.append((source, pkt, t, hops))
+                    if hops > max_hops:
+                        max_hops = hops
+                    if events is not None:
+                        log(t, r, "deliver", source, pkt, channel)
+                    continue
+                if events is not None:
+                    log(t, r, "rx", source, pkt, channel)
+                if ttl > 1:
+                    # _randbelow, inlined
+                    jitter = 0
+                    if jit_max > 0:
+                        jitter = getrandbits(jit_bits)
+                        while jitter >= jit_max:
+                            jitter = getrandbits(jit_bits)
+                    fwd_channel = getrandbits(ch_bits)
+                    while fwd_channel >= nch:
+                        fwd_channel = getrandbits(ch_bits)
+                    heappush(
+                        heap,
+                        (
+                            t + jitter,
+                            next_seq(),
+                            _TX_START,
+                            (r, fwd_channel, source, pkt, ttl - 1, hops + 1, True, None),
+                        ),
+                    )
+            heard[key] = held
+            continue
         if kind == _ORIGIN:
             src, pkt, rec = payload
             app_sent[src] += 1
-            caches[src].add((src, pkt))
-            log(t, src, "origin", src, pkt, -1)
-        elif kind == _TX_START:
+            heard[src, pkt] = 1 << src
+            if events is not None:
+                log(t, src, "origin", src, pkt, -1)
+            continue
+        if kind == _TX_START:
             node = payload[0]
-            if busy_until[node] > t:
-                # radio still on air; keep the original sequence number so
-                # a node's queued frames stay first-come-first-served
-                heapq.heappush(heap, (busy_until[node], s, kind, payload))
+            end = busy_until[node]
+            if end > t:
+                # radio on air: wait in the node's queue under this seq
+                queue = pending[node]
+                if not queue or s < queue[0][0]:
+                    heappush(heap, (end, s, _RADIO_FREE, node))
+                heappush(queue, (s, payload))
                 continue
             if t >= T:
                 continue
-            _, src, pkt, ttl, hops, channel, is_forward, rec = payload
-            end = t + dur
-            busy_until[node] = end
-            airtime[node] += min(end, T) - t
-            net_tx[node] += 1
-            if is_forward:
-                relayed[node] += 1
-            if rec is not None:
-                rec[1] = max(rec[1], min(end, T))
-                rec[2] -= 1
-            frame = Frame(t, end, node, channel, src, pkt, ttl, hops)
-            recent.append(frame)
-            heapq.heappush(heap, (end, next(seq), _FRAME_END, frame))
+        else:  # _RADIO_FREE: serve the node's earliest waiting frame
+            node = payload
+            queue = pending[node]
+            if not queue or queue[0][0] != s or busy_until[node] != t:
+                continue
+            if t >= T:
+                continue
+            payload = heappop(queue)[1]
+        _, channel, src, pkt, ttl, hops, is_forward, rec = payload
+        end = t + dur
+        busy_until[node] = end
+        airtime[node] += (end if end < T else T) - t
+        net_tx[node] += 1
+        if is_forward:
+            relayed[node] += 1
+        if rec is not None:
+            rec[1] = max(rec[1], min(end, T))
+            rec[2] -= 1
+        frame = (t, end, node, channel, src, pkt, ttl, hops)
+        recent[channel].append(frame)
+        prev_start[node] = last_start[node]
+        last_start[node] = t
+        heappush(heap, (end, next_seq(), _FRAME_END, frame))
+        queue = pending[node]
+        if queue:
+            heappush(heap, (end, queue[0][0], _RADIO_FREE, node))
+        if events is not None:
             log(t, node, "tx", src, pkt, channel)
-        else:
-            frame = payload
-            cutoff = t - dur
-            while recent and recent[0].end <= cutoff:
-                recent.popleft()
-            clear, _, _ = resolve_receptions(adj, listener_mask, frame, recent)
-            key = (frame.source, frame.pkt)
-            for r in _bits(clear):
-                if lossy and rng.random() < loss_p:
-                    continue
-                if key in caches[r]:
-                    continue
-                caches[r].add(key)
-                if r == sink:
-                    delivered_by[frame.source] += 1
-                    deliveries.append((frame.source, frame.pkt, t, frame.hops))
-                    if frame.hops > max_hops:
-                        max_hops = frame.hops
-                    log(t, r, "deliver", frame.source, frame.pkt, frame.channel)
-                else:
-                    log(t, r, "rx", frame.source, frame.pkt, frame.channel)
-                    if frame.ttl > 1:
-                        jitter = rng.randrange(jit_max) if jit_max > 0 else 0
-                        channel = rng.randrange(nch)
-                        heapq.heappush(
-                            heap,
-                            (
-                                t + jitter,
-                                next(seq),
-                                _TX_START,
-                                (
-                                    r,
-                                    frame.source,
-                                    frame.pkt,
-                                    frame.ttl - 1,
-                                    frame.hops + 1,
-                                    channel,
-                                    True,
-                                    None,
-                                ),
-                            ),
-                        )
 
     # Duty cycle. Listeners (relays, sink) are awake for the whole run:
     # whatever is not their own airtime is listening. A plain barrel wakes

@@ -5,6 +5,7 @@ One test per release claim, each printing a single PASS/FAIL line (run with
 twenty-seed matrix on the shipped layout, runs once as a session fixture and
 feeds every statistical check.
 """
+import hashlib
 import math
 import random
 import statistics
@@ -21,6 +22,7 @@ from barrelmesh.cli import (
     execute_cell,
     materialize,
     run_matrix,
+    write_outputs,
 )
 from barrelmesh.metrics import (
     PowerProfile,
@@ -37,6 +39,13 @@ from barrelmesh.topology import build_layout, topology_from_positions
 
 N_SEEDS = 20
 RATES = (1.0, 4.0)
+
+# sha256 of the shipped matrix's outputs; "runs" is `cat runs/*.csv | sha256sum`
+GOLDEN_DIGESTS = {
+    "summary.csv": "22ef372620571c8a16e459a9292efb1e9e78e43249861e844ca2612350b4eb93",
+    "comparison.csv": "f906feac05157d1f611a9354be5623d726c1c0639541f393e3f971843f3afb5f",
+    "runs": "2b8e6993571a17becd5af514e6ad0bfb8ba2fd1553a5716e1c8c4e1fd1aedff1",
+}
 
 
 def check(tag, label, ok, detail):
@@ -57,7 +66,7 @@ def matrix():
     for algorithm, rate, seed, result in results:
         by_cell.setdefault((algorithm, rate), []).append(result)
     assert all(len(v) == N_SEEDS for v in by_cell.values())
-    return {"plan": plan, "cells": by_cell, "elapsed_s": elapsed}
+    return {"plan": plan, "results": results, "cells": by_cell, "elapsed_s": elapsed}
 
 
 def mean_pdr(cells, algorithm, rate):
@@ -241,6 +250,30 @@ def test_reruns_are_bit_identical(matrix, tmp_path):
         "bit-identical reruns and byte-identical CSVs",
         ok,
         f"result equality {first == second == cell == stored}, csv {same_bytes}",
+    )
+
+
+def test_outputs_match_golden_digests(matrix, tmp_path):
+    """A9: the shipped matrix writes exactly the pinned output bytes."""
+    write_outputs(matrix["plan"], matrix["results"], tmp_path, 0.0, 1)
+
+    def sha(paths):
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(path.read_bytes())
+        return digest.hexdigest()
+
+    got = {
+        "summary.csv": sha([tmp_path / "summary.csv"]),
+        "comparison.csv": sha([tmp_path / "comparison.csv"]),
+        "runs": sha(sorted((tmp_path / "runs").glob("*.csv"))),
+    }
+    differ = [name for name in GOLDEN_DIGESTS if got[name] != GOLDEN_DIGESTS[name]]
+    check(
+        "A9",
+        "shipped matrix reproduces the golden digests",
+        not differ,
+        f"differing: {differ or 'none'}",
     )
 
 

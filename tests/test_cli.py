@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import barrelmesh.sim_engine as se
 from barrelmesh.cli import (
     EXPERIMENT_PRESETS,
     ExperimentPlan,
@@ -329,3 +330,16 @@ class TestVerbs:
     def test_unknown_layout_preset_in_select(self, capsys):
         assert main(["select", "--preset", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_trace_overflow_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(se, "EVENT_LOG_CAP", 10)
+        ini = write_ini(
+            tmp_path,
+            "[layout]\nsegments = row:270:90\n"
+            "[scenario]\nalgorithms = crns\nrates = 1\nseeds = 1\nsim_time_s = 2\n",
+        )
+        argv = ["run", "--config", str(ini), "--out", str(tmp_path / "out"), "--emit-events"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: event trace exceeded 10 entries")
+        assert "Traceback" not in err

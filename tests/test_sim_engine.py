@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import barrelmesh.sim_engine as se
@@ -385,3 +387,24 @@ class TestCollisions:
         )
         result = run(topo, a, cfg)
         assert sum(result.delivered_by_source) > 0
+
+
+class TestBoundedDraw:
+    """The engine draws through its own copy of CPython's randrange; a
+    change to the interpreter's randrange must fail here, not shift outputs."""
+
+    BOUNDS = [1, 2, 3, 4, 5, 12000, 2**14, 2**14 + 1]
+
+    @pytest.mark.parametrize("m", BOUNDS)
+    def test_matches_randrange(self, m):
+        ours, theirs = random.Random(m), random.Random(m)
+        got = [se._randbelow(ours.getrandbits, m) for _ in range(300)]
+        assert got == [theirs.randrange(m) for _ in range(300)]
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("interval", [m for m in BOUNDS if m > 1])
+    def test_phase_draw_matches_randrange_from_one(self, interval):
+        ours, theirs = random.Random(interval), random.Random(interval)
+        got = [1 + se._randbelow(ours.getrandbits, interval - 1) for _ in range(300)]
+        assert got == [theirs.randrange(1, interval) for _ in range(300)]
+        assert ours.getstate() == theirs.getstate()
