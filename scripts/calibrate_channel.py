@@ -22,13 +22,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 import time
 from dataclasses import replace
 
 from barrelmesh.cli import EXPERIMENT_PRESETS, run_matrix
-from barrelmesh.metrics import mean_relay_current_ma, network_pdr, relay_load_stats
+from barrelmesh.metrics import cell_stats
 from barrelmesh.sim_engine import ChannelConfig
 
 BAND_LO, BAND_HI = 66.5, 96.5
@@ -48,25 +47,8 @@ def evaluate(duration_us, jitter_ms, loss_p, n_seeds, base_seed=1000):
     results = run_matrix(plan)
     elapsed = time.perf_counter() - started
 
-    cells = {}
-    for algorithm, rate, seed, result in results:
-        cells.setdefault((algorithm, rate), []).append(result)
-
-    def mean_pdr(algorithm, rate):
-        return statistics.fmean(network_pdr(r) or 0.0 for r in cells[(algorithm, rate)])
-
-    def mean_cv(algorithm, rate):
-        cvs = [relay_load_stats(r)["cv"] for r in cells[(algorithm, rate)]]
-        cvs = [c for c in cvs if c is not None]
-        return statistics.fmean(cvs) if cvs else float("nan")
-
-    def mean_current(algorithm, rate):
-        plan_power = plan.power
-        vals = [mean_relay_current_ma(r, plan_power) for r in cells[(algorithm, rate)]]
-        vals = [v for v in vals if v is not None]
-        return statistics.fmean(vals) if vals else float("nan")
-
-    pdr = {(a, r): mean_pdr(a, r) for a in plan.algorithms for r in plan.rates_pps}
+    cells = cell_stats(results, plan.power)
+    pdr = {key: cell.pdr_mean for key, cell in cells.items()}
     margins = {
         "crns>rand@4": pdr[("crns", 4.0)] - pdr[("random", 4.0)],
         "rand>knn@4": pdr[("random", 4.0)] - pdr[("knn", 4.0)],
@@ -77,12 +59,12 @@ def evaluate(duration_us, jitter_ms, loss_p, n_seeds, base_seed=1000):
         "band@1": min(pdr[("crns", 1.0)] - BAND_LO, BAND_HI - pdr[("crns", 1.0)]),
     }
     extras = {
-        "cv_crns@4": mean_cv("crns", 4.0),
-        "cv_rand@4": mean_cv("random", 4.0),
-        "i_crns@4": mean_current("crns", 4.0),
-        "i_all@4": mean_current("all", 4.0),
-        "i_rand@4": mean_current("random", 4.0),
-        "i_knn@4": mean_current("knn", 4.0),
+        "cv_crns@4": cells["crns", 4.0].cv_mean,
+        "cv_rand@4": cells["random", 4.0].cv_mean,
+        "i_crns@4": cells["crns", 4.0].relay_current_ma,
+        "i_all@4": cells["all", 4.0].relay_current_ma,
+        "i_rand@4": cells["random", 4.0].relay_current_ma,
+        "i_knn@4": cells["knn", 4.0].relay_current_ma,
     }
     return pdr, margins, extras, elapsed
 

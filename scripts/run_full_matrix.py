@@ -13,13 +13,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 import time
 from dataclasses import replace
 
 from barrelmesh.cli import EXPERIMENT_PRESETS, run_matrix, write_outputs
-from barrelmesh.metrics import mean_relay_current_ma, network_pdr, relay_load_stats
+from barrelmesh.metrics import cell_stats
 
 
 def main() -> int:
@@ -36,24 +35,16 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     write_outputs(plan, results, args.out, elapsed, args.workers)
 
-    cells: dict[tuple[str, float], list] = {}
-    for algorithm, rate, _seed, result in results:
-        cells.setdefault((algorithm, rate), []).append(result)
-
+    cells = cell_stats(results, plan.power)
     print(f"{len(results)} runs in {elapsed:.1f}s -> {args.out}/")
     header = f"{'strategy':8s} {'rate':>4s} {'pdr%':>6s} {'load cv':>8s} {'relay mA':>9s}"
     print(header)
     for rate in plan.rates_pps:
         for algorithm in plan.algorithms:
-            rs = cells[(algorithm, rate)]
-            pdr = statistics.fmean(network_pdr(r) or 0.0 for r in rs)
-            cvs = [relay_load_stats(r)["cv"] for r in rs]
-            cvs = [c for c in cvs if c is not None]
-            cur = [mean_relay_current_ma(r, plan.power) for r in rs]
-            cur = [c for c in cur if c is not None]
+            cell = cells[algorithm, rate]
             print(
-                f"{algorithm:8s} {rate:4g} {pdr:6.2f} "
-                f"{statistics.fmean(cvs):8.3f} {statistics.fmean(cur):9.3f}"
+                f"{algorithm:8s} {rate:4g} {cell.pdr_mean:6.2f} "
+                f"{cell.cv_mean:8.3f} {cell.relay_current_ma:9.3f}"
             )
     return 0
 

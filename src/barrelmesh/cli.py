@@ -18,7 +18,6 @@ import argparse
 import configparser
 import csv
 import json
-import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,14 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .metrics import (
-    PowerProfile,
-    mean_relay_current_ma,
-    network_pdr,
-    relay_load_stats,
-    summarize,
-    write_node_csv,
-)
+from .metrics import PowerProfile, cell_stats, summarize, write_node_csv
 from .relay_selection import (
     RelayAssignment,
     all_relays,
@@ -64,7 +56,16 @@ from .topology import (
     topology_from_positions,
 )
 
-ALGORITHMS = ("crns", "all", "random", "knn")
+# Strategy name -> assignment for (topology, plan, seed). Entries look their
+# functions up when called, so a rebound module name (a tracer, a test
+# double) takes effect. The order fixes the row order of every output.
+STRATEGIES = {
+    "crns": lambda topo, plan, seed: crns_select(topo),
+    "all": lambda topo, plan, seed: all_relays(topo),
+    "random": lambda topo, plan, seed: random_relays(topo, relay_budget(plan), seed=seed),
+    "knn": lambda topo, plan, seed: knn_relays(topo, relay_budget(plan), seed=seed),
+}
+ALGORITHMS = tuple(STRATEGIES)
 
 
 class PlanError(ValueError):
@@ -86,7 +87,6 @@ class ExperimentPlan:
     # the everyone-forwards baseline is usually quoted with a hotter radio,
     # so its range is configured separately
     all_relays_range_m: float = 150.0
-    tx_power_dbm: float = 20.0
     repeat_policy: RepeatPolicy = field(default_factory=RepeatPolicy)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     power: PowerProfile = field(default_factory=PowerProfile)
@@ -142,7 +142,6 @@ _SCHEMA = {
         "ttl",
         "range",
         "all_relays_range",
-        "tx_power_dbm",
     },
     "channel": {
         "n_adv_channels",
@@ -206,10 +205,10 @@ def parse_plan(path) -> ExperimentPlan:
 
     try:
         algorithms = tuple(
-            a.strip() for a in get("scenario", "algorithms", "crns,all,random,knn").split(",")
+            a.strip() for a in get("scenario", "algorithms", ",".join(ALGORITHMS)).split(",")
         )
         for a in algorithms:
-            if a not in ALGORITHMS:
+            if a not in STRATEGIES:
                 raise PlanError(f"unknown algorithm {a!r}")
         rates = tuple(float(r) for r in get("scenario", "rates", "1,4").split(","))
         budget_text = get("plan", "relay_budget", "auto").strip().lower()
@@ -223,7 +222,6 @@ def parse_plan(path) -> ExperimentPlan:
             ttl=int(get("scenario", "ttl", "127")),
             range_r_m=parse_length(get("scenario", "range", "100")),
             all_relays_range_m=parse_length(get("scenario", "all_relays_range", "150")),
-            tx_power_dbm=float(get("scenario", "tx_power_dbm", "20")),
             repeat_policy=RepeatPolicy(
                 mode=get("plan", "mode", "distance_scaled"),
                 fixed_count=int(get("plan", "fixed_count", "1")),
@@ -250,6 +248,8 @@ def parse_plan(path) -> ExperimentPlan:
         raise
     except ValueError as exc:
         raise PlanError(f"bad value in plan: {exc}") from None
+    if plan.n_seeds < 1:
+        raise PlanError(f"scenario.seeds must be at least 1, got {plan.n_seeds}")
     return plan
 
 
@@ -263,35 +263,34 @@ def relay_budget(plan: ExperimentPlan) -> int:
 
 def materialize(plan: ExperimentPlan, algorithm: str, seed: int) -> tuple[Topology, RelayAssignment]:
     """Topology plus relay assignment for one cell of the matrix."""
+    if algorithm not in STRATEGIES:
+        raise PlanError(f"unknown algorithm {algorithm!r}")
     range_m = plan.all_relays_range_m if algorithm == "all" else plan.range_r_m
     topo = build_layout(plan.layout, range_m)
-    if algorithm == "crns":
-        return topo, crns_select(topo)
-    if algorithm == "all":
-        return topo, all_relays(topo)
-    budget = relay_budget(plan)
-    if algorithm == "random":
-        return topo, random_relays(topo, budget, seed=seed)
-    if algorithm == "knn":
-        return topo, knn_relays(topo, budget, seed=seed)
-    raise PlanError(f"unknown algorithm {algorithm!r}")
+    return topo, STRATEGIES[algorithm](topo, plan, seed)
+
+
+def scenario_for(
+    plan: ExperimentPlan, topo: Topology, rate: float, seed: int, emit_events: bool = False
+) -> ScenarioConfig:
+    """Engine configuration for one run of the plan on `topo`."""
+    return ScenarioConfig(
+        app_rate_pps=rate,
+        sim_time_s=plan.sim_time_s,
+        seed=seed,
+        ttl=plan.ttl,
+        range_r_m=topo.range_r,
+        repeat_policy=plan.repeat_policy,
+        channel=plan.channel,
+        emit_events=emit_events,
+    )
 
 
 def execute_cell(job) -> tuple[str, float, int, SimResult]:
     """One simulation run; module-level so worker processes can unpickle it."""
     plan, algorithm, rate, seed, emit_events = job
     topo, assignment = materialize(plan, algorithm, seed)
-    config = ScenarioConfig(
-        app_rate_pps=rate,
-        sim_time_s=plan.sim_time_s,
-        seed=seed,
-        ttl=plan.ttl,
-        range_r_m=topo.range_r,
-        tx_power_dbm=plan.tx_power_dbm,
-        repeat_policy=plan.repeat_policy,
-        channel=plan.channel,
-        emit_events=emit_events,
-    )
+    config = scenario_for(plan, topo, rate, seed, emit_events)
     return algorithm, rate, seed, run(topo, assignment, config)
 
 
@@ -371,84 +370,57 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
                 writer.writerow(["time_us", "node", "kind", "source", "packet", "channel"])
                 writer.writerows(result.events)
 
-    cells: dict[tuple[str, float], list[SimResult]] = {}
-    for algorithm, rate, seed, result in results:
-        cells.setdefault((algorithm, rate), []).append(result)
-
-    def cell_mean_pdr(algorithm, rate):
-        pdrs = [network_pdr(r) for r in cells[(algorithm, rate)]]
-        pdrs = [p for p in pdrs if p is not None]
-        return statistics.fmean(pdrs) if pdrs else None
+    stats = cell_stats(results, plan.power)
+    cells = [
+        (algorithm, rate, stats[algorithm, rate])
+        for algorithm in plan.algorithms
+        for rate in plan.rates_pps
+    ]
 
     with open(out / "comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["algorithm", "rate_pps", "mean_pdr_pct", "pdr_change_vs_all_pct"]
         )
-        for algorithm in plan.algorithms:
-            for rate in plan.rates_pps:
-                mean_pdr = cell_mean_pdr(algorithm, rate)
-                change = ""
-                if "all" in plan.algorithms:
-                    base = cell_mean_pdr("all", rate)
-                    if base and mean_pdr is not None:
-                        change = f"{100.0 * (mean_pdr - base) / base:+.1f}"
-                writer.writerow([algorithm, _fmt(rate), _fmt(mean_pdr), change])
+        for algorithm, rate, cell in cells:
+            base = stats[("all", rate)].pdr_mean if "all" in plan.algorithms else None
+            change = ""
+            if base and cell.pdr_mean is not None:
+                change = f"{100.0 * (cell.pdr_mean - base) / base:+.1f}"
+            writer.writerow([algorithm, _fmt(rate), _fmt(cell.pdr_mean), change])
 
     with open(plot_dir / "pdr_density.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "rate_pps", "mean_pdr_pct", "stdev_pdr_pct"])
-        for algorithm in plan.algorithms:
-            for rate in plan.rates_pps:
-                pdrs = [network_pdr(r) or 0.0 for r in cells[(algorithm, rate)]]
-                writer.writerow(
-                    [
-                        algorithm,
-                        _fmt(rate),
-                        _fmt(statistics.fmean(pdrs)),
-                        _fmt(statistics.pstdev(pdrs)),
-                    ]
-                )
+        for algorithm, rate, cell in cells:
+            writer.writerow(
+                [algorithm, _fmt(rate), _fmt(cell.pdr_mean), _fmt(cell.pdr_stdev)]
+            )
 
     with open(plot_dir / "relay_load_hist.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "rate_pps", "bin_lo", "bin_hi", "count"])
-        for algorithm in plan.algorithms:
-            for rate in plan.rates_pps:
-                loads = []
-                for r in cells[(algorithm, rate)]:
-                    loads.extend(relay_load_stats(r)["loads"])
-                if not loads:
-                    continue
-                width = max(1, -(-(max(loads) + 1) // 10))
-                counts = [0] * 10
-                for load in loads:
-                    counts[min(load // width, 9)] += 1
-                for b, count in enumerate(counts):
-                    writer.writerow(
-                        [algorithm, _fmt(rate), b * width, (b + 1) * width, count]
-                    )
+        for algorithm, rate, cell in cells:
+            if not cell.loads:
+                continue
+            width = max(1, -(-(max(cell.loads) + 1) // 10))
+            counts = [0] * 10
+            for load in cell.loads:
+                counts[min(load // width, 9)] += 1
+            for b, count in enumerate(counts):
+                writer.writerow(
+                    [algorithm, _fmt(rate), b * width, (b + 1) * width, count]
+                )
 
     with open(plot_dir / "power_vs_pdr.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["algorithm", "rate_pps", "mean_relay_current_ma", "mean_pdr_pct"]
         )
-        for algorithm in plan.algorithms:
-            for rate in plan.rates_pps:
-                currents = [
-                    mean_relay_current_ma(r, plan.power)
-                    for r in cells[(algorithm, rate)]
-                ]
-                currents = [c for c in currents if c is not None]
-                writer.writerow(
-                    [
-                        algorithm,
-                        _fmt(rate),
-                        _fmt(statistics.fmean(currents) if currents else None),
-                        _fmt(cell_mean_pdr(algorithm, rate)),
-                    ]
-                )
+        for algorithm, rate, cell in cells:
+            writer.writerow(
+                [algorithm, _fmt(rate), _fmt(cell.relay_current_ma), _fmt(cell.pdr_mean)]
+            )
 
     metadata = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -487,42 +459,26 @@ def _cmd_run(args) -> int:
     results = run_matrix(plan, workers=args.workers, emit_events=args.emit_events)
     elapsed = time.perf_counter() - started
     write_outputs(plan, results, args.out, elapsed, args.workers)
-    by_cell: dict[tuple[str, float], list[float]] = {}
-    for algorithm, rate, _, result in results:
-        pdr = network_pdr(result)
-        if pdr is not None:
-            by_cell.setdefault((algorithm, rate), []).append(pdr)
     print(f"{len(results)} runs in {elapsed:.1f}s -> {args.out}")
-    for (algorithm, rate), pdrs in sorted(by_cell.items()):
-        print(f"  {algorithm:>6} @ {rate:g}/s: mean PDR {statistics.fmean(pdrs):.1f}%")
+    for (algorithm, rate), cell in sorted(cell_stats(results, plan.power).items()):
+        if cell.pdr_mean is not None:
+            print(f"  {algorithm:>6} @ {rate:g}/s: mean PDR {cell.pdr_mean:.1f}%")
     return 0
 
 
 def _cmd_select(args) -> int:
     if args.config:
         plan = parse_plan(args.config)
-        layout, range_m = plan.layout, plan.range_r_m
     else:
         preset = args.preset or "fdot_45mph"
         if preset not in LAYOUT_PRESETS:
-            print(f"unknown layout preset {preset!r}", file=sys.stderr)
-            return 2
-        layout, range_m = LAYOUT_PRESETS[preset], 100.0
-    if args.range is not None:
-        range_m = parse_length(args.range)
-    topo = build_layout(layout, range_m)
-    if args.algorithm == "crns":
-        assignment = crns_select(topo)
-    elif args.algorithm == "all":
-        assignment = all_relays(topo)
-    else:
-        count = args.count
-        if count is None:
-            count = len(crns_select(topo).relays)
-        if args.algorithm == "random":
-            assignment = random_relays(topo, count, seed=args.seed or 0)
-        else:
-            assignment = knn_relays(topo, count, seed=args.seed or 0)
+            raise PlanError(f"unknown layout preset {preset!r}")
+        plan = ExperimentPlan(layout=LAYOUT_PRESETS[preset])
+    range_m = plan.range_r_m if args.range is None else parse_length(args.range)
+    # every strategy, `all` included, selects at the one range, and a missing
+    # --count sizes random/knn like crns at that range
+    plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m, relay_budget=args.count)
+    topo, assignment = materialize(plan, args.algorithm, args.seed or 0)
     issues = validate_assignment(topo, assignment)
     print(
         f"{args.algorithm}: {len(assignment.relays)} relays of "

@@ -103,6 +103,47 @@ def mean_relay_current_ma(result: SimResult, profile: PowerProfile) -> Optional[
     return statistics.fmean(currents[r] for r in result.relays)
 
 
+@dataclass(frozen=True)
+class CellStats:
+    """Aggregates over the seeds of one (algorithm, rate) cell.
+
+    Means and the PDR stdev skip runs whose value is undefined (no packet
+    offered, no relay) and are None when no run of the cell defines one.
+    loads pools every run's per-relay forwarding counts, in run order.
+    """
+
+    pdr_mean: Optional[float]
+    pdr_stdev: Optional[float]
+    loads: list[int]
+    cv_mean: Optional[float]
+    relay_current_ma: Optional[float]
+
+
+def _mean(values) -> Optional[float]:
+    defined = [v for v in values if v is not None]
+    return statistics.fmean(defined) if defined else None
+
+
+def cell_stats(results, profile: PowerProfile) -> dict[tuple[str, float], CellStats]:
+    """Per-cell statistics of (algorithm, rate, seed, SimResult) runs, keyed
+    by (algorithm, rate) in the order the cells first appear."""
+    cells: dict[tuple[str, float], list[SimResult]] = {}
+    for algorithm, rate, _seed, result in results:
+        cells.setdefault((algorithm, rate), []).append(result)
+    out = {}
+    for key, runs in cells.items():
+        pdrs = [p for p in map(network_pdr, runs) if p is not None]
+        loads = [relay_load_stats(r) for r in runs]
+        out[key] = CellStats(
+            pdr_mean=statistics.fmean(pdrs) if pdrs else None,
+            pdr_stdev=statistics.pstdev(pdrs) if pdrs else None,
+            loads=[n for load in loads for n in load["loads"]],
+            cv_mean=_mean(load["cv"] for load in loads),
+            relay_current_ma=_mean(mean_relay_current_ma(r, profile) for r in runs),
+        )
+    return out
+
+
 def summarize(result: SimResult, profile: Optional[PowerProfile] = None) -> dict:
     """Flat summary of one run, ready for a CSV row."""
     profile = profile or PowerProfile()

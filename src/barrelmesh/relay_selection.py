@@ -53,18 +53,8 @@ class RelayAssignment:
             mask |= 1 << r
         return mask
 
-    def client_counts(self) -> dict[int, int]:
-        """Number of nodes attached to each relay (relays with none included)."""
-        counts = {r: 0 for r in self.relays}
-        for target in self.chosen:
-            if target is not None:
-                counts[target] += 1
-        return counts
 
-
-def crns_select(
-    topology: Topology, *, persistent_distance_penalty: bool = False
-) -> RelayAssignment:
+def crns_select(topology: Topology) -> RelayAssignment:
     """Connectivity-ranked neighbor selection.
 
     Every node starts with a score equal to its in-range neighbor count (the
@@ -73,12 +63,6 @@ def crns_select(
     the maximum, ties to the lowest id. The winner becomes a relay and
     permanently loses one point, so a node that has already absorbed a
     nomination is less attractive to the next chooser.
-
-    The distance discount is normally recomputed fresh for each chooser.
-    With persistent_distance_penalty=True the discount is instead written
-    back into the running scores (every rated neighbor keeps the deduction),
-    an alternative reading kept for comparison runs; it can only differ once
-    nodes share neighbors.
     """
     n = topology.node_count
     sink = topology.sink
@@ -92,15 +76,10 @@ def crns_select(
         neighbors = topology.neighbors_of(i)
         if not neighbors:
             continue
-        if persistent_distance_penalty:
-            for j in neighbors:
-                score[j] -= topology.distance(i, j) / topology.range_r
-            rating = {j: score[j] for j in neighbors}
-        else:
-            rating = {
-                j: score[j] - topology.distance(i, j) / topology.range_r
-                for j in neighbors
-            }
+        rating = {
+            j: score[j] - topology.distance(i, j) / topology.range_r
+            for j in neighbors
+        }
         best_value = max(rating.values())
         best = min(j for j, v in rating.items() if v >= best_value - TIE_EPS)
         is_relay[best] = True

@@ -109,7 +109,6 @@ class ScenarioConfig:
     seed: int = 0
     ttl: int = 127
     range_r_m: float = 100.0
-    tx_power_dbm: float = 20.0  # recorded for provenance; unit disk ignores it
     repeat_policy: RepeatPolicy = field(default_factory=RepeatPolicy)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     emit_events: bool = False

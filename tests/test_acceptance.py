@@ -22,6 +22,7 @@ from barrelmesh.cli import (
     execute_cell,
     materialize,
     run_matrix,
+    scenario_for,
     write_outputs,
 )
 from barrelmesh.metrics import (
@@ -34,7 +35,7 @@ from barrelmesh.metrics import (
     write_node_csv,
 )
 from barrelmesh.relay_selection import crns_select, validate_assignment
-from barrelmesh.sim_engine import ScenarioConfig, run
+from barrelmesh.sim_engine import run
 from barrelmesh.topology import build_layout, topology_from_positions
 
 N_SEEDS = 20
@@ -226,16 +227,7 @@ def test_reruns_are_bit_identical(matrix, tmp_path):
     plan = matrix["plan"]
     seed = plan.base_seed + 3
     topo, assignment = materialize(plan, "crns", seed)
-    config = ScenarioConfig(
-        app_rate_pps=4.0,
-        sim_time_s=plan.sim_time_s,
-        seed=seed,
-        ttl=plan.ttl,
-        range_r_m=topo.range_r,
-        tx_power_dbm=plan.tx_power_dbm,
-        repeat_policy=plan.repeat_policy,
-        channel=plan.channel,
-    )
+    config = scenario_for(plan, topo, 4.0, seed)
     first = run(topo, assignment, config)
     second = run(topo, assignment, config)
     cell = execute_cell((plan, "crns", 4.0, seed, False))[3]

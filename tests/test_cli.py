@@ -6,6 +6,7 @@ import pytest
 
 import barrelmesh.sim_engine as se
 from barrelmesh.cli import (
+    ALGORITHMS,
     EXPERIMENT_PRESETS,
     ExperimentPlan,
     PlanError,
@@ -17,8 +18,8 @@ from barrelmesh.cli import (
     run_matrix,
     write_outputs,
 )
-from barrelmesh.relay_selection import load_assignment_csv
-from barrelmesh.topology import LayoutSpec, Segment, feet
+from barrelmesh.relay_selection import all_relays, load_assignment_csv, save_assignment_csv
+from barrelmesh.topology import FDOT_45MPH, LayoutSpec, Segment, build_layout, feet
 
 
 def tiny_plan(**kw):
@@ -127,7 +128,7 @@ class TestParsePlan:
             tmp_path,
             "[scenario]\nalgorithms = crns\nrates = 2,8\nseeds = 3\n"
             "base_seed = 55\nsim_time_s = 5\nttl = 9\nrange = 60m\n"
-            "all_relays_range = 90\ntx_power_dbm = 4\n"
+            "all_relays_range = 90\n"
             "[channel]\nn_adv_channels = 2\nframe_duration_us = 700\n"
             "adv_jitter_ms = 5.5\nreception_model = independent_loss\nloss_p = 0.25\n"
             "[power]\ni_tx_ma = 11\ni_listen_ma = 5\ni_sleep_ma = 0.01\n"
@@ -139,7 +140,6 @@ class TestParsePlan:
         assert (plan.n_seeds, plan.base_seed) == (3, 55)
         assert (plan.sim_time_s, plan.ttl) == (5.0, 9)
         assert (plan.range_r_m, plan.all_relays_range_m) == (60.0, 90.0)
-        assert plan.tx_power_dbm == 4.0
         assert plan.channel.n_adv_channels == 2
         assert plan.channel.frame_duration_us == 700
         assert plan.channel.adv_jitter_ms == 5.5
@@ -250,6 +250,27 @@ class TestWriteOutputs:
         assert table["crns"][3] == expected
         assert table["all"][3] == "+0.0"
 
+    def test_files_agree_on_cell_mean_pdr(self, tmp_path):
+        # seed 8 offers no packet within 0.15 s; its run has no PDR and must
+        # not count as 0% in any file
+        plan = tiny_plan(algorithms=("crns", "all"), sim_time_s=0.15)
+        write_outputs(plan, run_matrix(plan), tmp_path, 1.0, workers=1)
+        tables = [
+            (tmp_path / name).read_text().splitlines()[1:]
+            for name in ("comparison.csv", "plotdata/pdr_density.csv")
+        ]
+        assert tables[0] == ["crns,1.0,0.0,-100.0", "all,1.0,100.0,+0.0"]
+        assert tables[1] == ["crns,1.0,0.0,0.0", "all,1.0,100.0,0.0"]
+        power = (tmp_path / "plotdata" / "power_vs_pdr.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in power] == ["0.0", "100.0"]
+
+    def test_undefined_pdr_leaves_fields_empty(self, tmp_path):
+        plan = tiny_plan(algorithms=("crns", "all"), sim_time_s=0.12)
+        write_outputs(plan, run_matrix(plan), tmp_path, 1.0, workers=1)
+        for name in ("comparison.csv", "plotdata/pdr_density.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert rows == ["crns,1.0,,", "all,1.0,,"], name
+
     def test_metadata_fields(self, matrix, tmp_path):
         plan, results = matrix
         write_outputs(plan, results, tmp_path, 1.5, workers=3)
@@ -275,6 +296,31 @@ class TestVerbs:
         positions, sink, assignment = load_assignment_csv(out_csv)
         assert sink == 30
         assert assignment.relays == tuple(range(7, 25))
+
+    @pytest.mark.parametrize(
+        "range_args, range_m", [([], 100.0), (["--range", "130m"], 130.0)]
+    )
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_select_writes_materialized_assignment(
+        self, algorithm, range_args, range_m, tmp_path
+    ):
+        got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
+        argv = ["select", "--algorithm", algorithm, "--seed", "4", "--out", str(got)]
+        assert main(argv + range_args) == 0
+        plan = ExperimentPlan(
+            layout=FDOT_45MPH, range_r_m=range_m, all_relays_range_m=range_m
+        )
+        save_assignment_csv(*materialize(plan, algorithm, seed=4), want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_select_all_uses_given_range(self, capsys, tmp_path):
+        got, ref = tmp_path / "select.csv", tmp_path / "ref.csv"
+        assert main(["select", "--algorithm", "all", "--range", "130m", "--out", str(got)]) == 0
+        assert "at range 130m" in capsys.readouterr().out
+        for range_m, same in ((130.0, True), (150.0, False)):
+            topo = build_layout(FDOT_45MPH, range_m)
+            save_assignment_csv(topo, all_relays(topo), ref)
+            assert (got.read_bytes() == ref.read_bytes()) is same
 
     def test_select_random_honors_count(self, capsys):
         assert main(["select", "--algorithm", "random", "--count", "5",
@@ -329,7 +375,16 @@ class TestVerbs:
 
     def test_unknown_layout_preset_in_select(self, capsys):
         assert main(["select", "--preset", "bogus"]) == 2
-        assert "bogus" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown layout preset 'bogus'\n"
+
+    def test_zero_seeds_exits_2(self, capsys, tmp_path):
+        ini = write_ini(tmp_path, "[scenario]\nseeds = 0\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.seeds")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_trace_overflow_exits_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(se, "EVENT_LOG_CAP", 10)

@@ -270,8 +270,6 @@ def test_attachment_laws(topo, seed, data):
                 assert target in got.relays
                 assert target != i
                 assert topo.distance(i, target) < topo.range_r
-        counts = got.client_counts()
-        assert sum(counts.values()) == sum(1 for t in got.chosen if t is not None)
 
 
 @settings(max_examples=EXAMPLES["chain_connectivity"])

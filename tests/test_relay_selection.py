@@ -39,13 +39,6 @@ class TestCrns:
         assert a.chosen == (None, 0, 1, None)
         assert a.scores == (1.0, 1.0, 1.0, 1.0)
 
-    def test_three_barrel_line_trace_with_persisted_discount(self):
-        topo = line_topology(90.0, 180.0, 270.0)
-        a = crns_select(topo, persistent_distance_penalty=True)
-        assert a.relays == (0, 1)
-        assert a.chosen == (None, 0, 1, None)
-        assert a.scores == pytest.approx((0.1, 0.1, 0.1, 1.0))
-
     def test_shipped_layout_matches_reference(self, preset):
         a = crns_select(preset)
         is_relay, chosen, score = crns_oracle(
@@ -82,10 +75,6 @@ class TestCrns:
         a = crns_select(topo)
         assert a.relays == ()
         assert all(c is None for c in a.chosen)
-
-    def test_client_counts(self):
-        topo = line_topology(90.0, 180.0, 270.0)
-        assert crns_select(topo).client_counts() == {0: 1, 1: 1}
 
     def test_relay_mask(self):
         topo = line_topology(90.0, 180.0, 270.0)

@@ -1,0 +1,43 @@
+"""Smoke runs of the scripts in scripts/ on the shipped preset at one seed."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from barrelmesh.cli import ALGORITHMS, EXPERIMENT_PRESETS
+
+ROOT = Path(__file__).resolve().parent.parent
+RATES = EXPERIMENT_PRESETS["paper"].rates_pps
+
+
+def run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_run_full_matrix_prints_one_row_per_cell(tmp_path):
+    lines = run_script("run_full_matrix.py", "--seeds", "1", "--out", str(tmp_path))
+    assert lines[1].split() == ["strategy", "rate", "pdr%", "load", "cv", "relay", "mA"]
+    rows = [line.split() for line in lines[2:]]
+    assert [(row[0], float(row[1])) for row in rows] == [
+        (algorithm, rate) for rate in RATES for algorithm in ALGORITHMS
+    ]
+    assert all(len(row) == 5 for row in rows)
+    assert (tmp_path / "comparison.csv").exists()
+
+
+def test_calibrate_channel_reports_every_cell():
+    lines = run_script("calibrate_channel.py", "--refine", "1100:12", "--seeds", "1")
+    row = lines[0]
+    assert row.startswith("dur= 1100 jit=12.0 p=0.00 ")
+    for rate in RATES:
+        for algorithm in ALGORITHMS:
+            assert row.count(f" {algorithm}@{rate:g}=") == 1, (algorithm, rate)
+    assert "best candidates" in lines[2]
