@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -210,6 +211,8 @@ def parse_plan(path) -> ExperimentPlan:
         for a in algorithms:
             if a not in STRATEGIES:
                 raise PlanError(f"unknown algorithm {a!r}")
+            if algorithms.count(a) > 1:
+                raise PlanError(f"scenario.algorithms lists {a!r} twice")
         rates = tuple(float(r) for r in get("scenario", "rates", "1,4").split(","))
         budget_text = get("plan", "relay_budget", "auto").strip().lower()
         plan = ExperimentPlan(
@@ -250,6 +253,23 @@ def parse_plan(path) -> ExperimentPlan:
         raise PlanError(f"bad value in plan: {exc}") from None
     if plan.n_seeds < 1:
         raise PlanError(f"scenario.seeds must be at least 1, got {plan.n_seeds}")
+    if not (math.isfinite(plan.sim_time_s) and plan.sim_time_s > 0):
+        raise PlanError(
+            f"scenario.sim_time_s must be finite and positive, got {plan.sim_time_s!r}"
+        )
+    labels: dict[str, float] = {}
+    for rate in rates:
+        if not (math.isfinite(rate) and rate > 0):
+            raise PlanError(f"scenario.rates must be finite and positive, got {rate!r}")
+        # two rates must not write the same run files
+        label = _rate_label(rate)
+        if label in labels:
+            if labels[label] == rate:
+                raise PlanError(f"scenario.rates lists {rate!r} twice")
+            raise PlanError(
+                f"scenario.rates {labels[label]!r} and {rate!r} both name their runs {label}"
+            )
+        labels[label] = rate
     return plan
 
 
@@ -322,8 +342,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _rate_label(rate: float) -> str:
+    return f"{rate:g}"
+
+
 def _run_name(algorithm: str, rate: float, seed: int) -> str:
-    return f"{algorithm}_{rate:g}_{seed}"
+    return f"{algorithm}_{_rate_label(rate)}_{seed}"
 
 
 _SUMMARY_FIELDS = [
@@ -426,6 +450,8 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_s": round(elapsed_s, 3),
         "version": __version__,
+        # the determinism contract holds per CPython version
+        "python": sys.version,
         "workers": workers,
         "algorithms": list(plan.algorithms),
         "rates_pps": list(plan.rates_pps),
@@ -474,15 +500,19 @@ def _cmd_select(args) -> int:
         if preset not in LAYOUT_PRESETS:
             raise PlanError(f"unknown layout preset {preset!r}")
         plan = ExperimentPlan(layout=LAYOUT_PRESETS[preset])
-    range_m = plan.range_r_m if args.range is None else parse_length(args.range)
-    # every strategy, `all` included, selects at the one range, and a missing
-    # --count sizes random/knn like crns at that range
-    plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m, relay_budget=args.count)
+        # without a plan file every strategy, `all` included, selects at the
+        # one range, and random/knn are sized like crns there
+        plan = replace(plan, all_relays_range_m=plan.range_r_m)
+    if args.range is not None:
+        range_m = parse_length(args.range)
+        plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
+    if args.count is not None:
+        plan = replace(plan, relay_budget=args.count)
     topo, assignment = materialize(plan, args.algorithm, args.seed or 0)
     issues = validate_assignment(topo, assignment)
     print(
         f"{args.algorithm}: {len(assignment.relays)} relays of "
-        f"{topo.sink} barrels at range {range_m:g}m"
+        f"{topo.sink} barrels at range {topo.range_r:g}m"
     )
     print("relays:", " ".join(str(r) for r in assignment.relays))
     for issue in issues:

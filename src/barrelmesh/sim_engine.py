@@ -17,18 +17,25 @@ the value is below n). A test checks the two against each other on the
 running interpreter, so an interpreter whose `randrange` differs fails there
 instead of silently drawing a different stream than the reference engine.
 
-Events run in (time, seq) order, seq counting pushes onto the event heap. A
-frame whose radio is still on air waits in its node's pending queue. When the
-radio frees at busy_until, the node's waiting frames are served in
-(busy_until, original seq) order: each takes its place among that
-instant's events, the node's own frame end and frames due at the same
-microsecond included, by the seq it was first given, exactly as if it had
-been re-pushed at busy_until. Waiting consumes no seq and no draw.
-processed_events, and the max_events budget, count entries popped from the
-event heap: originations, scheduled frame starts (whether the frame starts,
-waits or falls past the horizon), frame ends and radio-free entries, stale ones
-included. A waiting frame is never re-pushed, so the count does not grow
-with how long frames wait.
+Events run in (time, seq) order. seq counts events as they are created:
+originations and origin copies up front, in the draw order above, then each
+forward when it is drawn and each frame end when its frame starts. The
+engine keeps three streams, each in (time, seq) order, and always takes the
+least head among them: the up-front schedule (a list sorted once), the frames
+on air (a FIFO: every frame lasts the same time and frames start in order, so
+they end in order), and a heap of forwards and radio-free entries. That is
+exactly the order one heap of all events would give. A frame whose radio is
+still on air waits in its node's pending queue. When the radio frees at
+busy_until, the node's waiting frames are served in (busy_until, original
+seq) order: each takes its place among that instant's events, the node's own
+frame end and frames due at the same microsecond included, by the seq it was
+first given, exactly as if it had been re-pushed at busy_until. Waiting
+consumes no seq and no draw. processed_events, and the max_events budget,
+count events taken from the three streams: originations, scheduled frame
+starts (whether the frame starts, waits or falls past the horizon), frame
+ends and radio-free entries, stale ones included. The count is the same as
+when every event went through one heap. A waiting frame is never re-taken,
+so the count does not grow with how long frames wait.
 
 Radio model: frames have one fixed duration and one advertising channel.
 A frame is received by an in-range listener unless a same-channel frame
@@ -69,7 +76,10 @@ REPEAT_MODES = ("distance_scaled", "fixed")
 DEFAULT_MAX_EVENTS = 100_000_000
 EVENT_LOG_CAP = 1_000_000
 
-_ORIGIN, _TX_START, _FRAME_END, _RADIO_FREE = 0, 1, 2, 3
+_ORIGIN, _TX_START, _RADIO_FREE = 0, 1, 2
+# Ends the schedule and the heap: later than any event, so the event loop
+# needs no emptiness test on either.
+_NEVER = (math.inf, math.inf, None, None)
 
 
 class SimulationError(RuntimeError):
@@ -122,8 +132,8 @@ class SimResult:
     Tuples are indexed by node id (sink last). events is empty unless the
     scenario asked for a trace; entries are (time_us, node, kind, source,
     packet, channel) with kind in origin/tx/rx/deliver and channel -1 where
-    not applicable. processed_events counts popped heap entries (see the
-    module docstring); it is engine bookkeeping, not a model output.
+    not applicable. processed_events counts the events taken (see the module
+    docstring); it is engine bookkeeping, not a model output.
     """
 
     sim_time_us: int
@@ -143,8 +153,9 @@ class SimResult:
 
 
 class Frame(NamedTuple):
-    """One frame on air. The engine builds these as plain tuples in this
-    field order; resolve_receptions reads them by name."""
+    """One frame on air, as the reference classifier resolve_receptions
+    reads it. The engine keeps its own plain tuples, ordered for its event
+    loop, and does not use this type."""
 
     start: int
     end: int
@@ -186,7 +197,8 @@ def resolve_receptions(
 
     This is the reference classifier. The engine applies the same rules
     inline, from per-channel lists of frames on air and each listener's last
-    two frame starts, without building the busy mask.
+    two frame starts, without building the busy mask, and skips the jam scan
+    when every listener in range already holds the packet.
     """
     jam = 0
     on_air = 0
@@ -267,9 +279,6 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     getrandbits = rng.getrandbits
     random_ = rng.random
     next_seq = itertools.count().__next__
-    heap: list = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
     jit_bits = jit_max.bit_length()
     ch_bits = nch.bit_length()
 
@@ -278,6 +287,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # originates exactly rate*sim_time packets when the interval divides T.
     phases = [1 + _randbelow(getrandbits, interval - 1) for _ in range(sink)]
     wake: list[list[list]] = [[] for _ in range(n)]
+    schedule: list = []
+    add = schedule.append
     for src in range(sink):
         is_listener = bool(listener_mask >> src & 1)
         t_pkt = phases[src]
@@ -287,35 +298,46 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             if not is_listener:
                 rec = [t_pkt, t_pkt, copies[src]]
                 wake[src].append(rec)
-            heappush(heap, (t_pkt, next_seq(), _ORIGIN, (src, pkt, rec)))
+            add((t_pkt, next_seq(), _ORIGIN, (src, pkt, rec)))
             # a frame start's payload: (node, channel, source, packet, ttl,
             # hops, is_forward, duty-cycle record or None)
             for _ in range(copies[src]):
                 jitter = _randbelow(getrandbits, jit_max) if jit_max > 0 else 0
                 channel = _randbelow(getrandbits, nch)
-                heappush(
-                    heap,
+                add(
                     (
                         t_pkt + jitter,
                         next_seq(),
                         _TX_START,
                         (src, channel, src, pkt, config.ttl, 1, False, rec),
-                    ),
+                    )
                 )
             t_pkt += interval
             pkt += 1
+    # (time, seq) is unique, so sorting never compares payloads
+    schedule.sort()
+    schedule.append(_NEVER)
+    # Forwards and radio-free entries; frame ends live in `air`.
+    heap: list = [_NEVER]
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
     busy_until = [0] * n
     # Frames that found their radio busy, per node, as (seq, payload). The
-    # main heap holds a _RADIO_FREE entry keyed (busy_until, least pending
-    # seq) for the node; one whose key no longer matches is stale.
+    # heap holds a _RADIO_FREE entry keyed (busy_until, least pending seq)
+    # for the node; one whose key no longer matches is stale.
     pending: list[list] = [[] for _ in range(n)]
     # Each node's last two frame starts: enough to tell whether it was on
     # air during any frame, since its own frames never overlap.
     last_start = [-2 * dur] * n
     prev_start = [-2 * dur] * n
     reach_of = [a & listener_mask for a in adj]
-    recent = [deque() for _ in range(nch)]  # frames on air, per channel
+    # Frames on air as (end, seq, start, tx, channel, source, packet, ttl,
+    # hops): all of them in `air`, which is in (end, seq) order because every
+    # frame lasts dur and frames start in (time, seq) order, and per channel
+    # in `recent`.
+    air: deque = deque()
+    recent = [deque() for _ in range(nch)]
     heard: dict = {}  # (source, packet) -> mask of nodes that hold it
     airtime = [0] * n
     app_sent = [0] * n
@@ -335,8 +357,17 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             )
         events.append((time_us, node, kind, source, pkt, channel))
 
-    while heap:
-        t, s, kind, payload = heappop(heap)
+    i = 0
+    due = schedule[0]
+    while True:
+        # the least (time, seq) head of the schedule, the heap and `air`
+        ev = heap[0]
+        if due < ev:
+            ev = due
+        frame_end = air and air[0] < ev
+        if frame_end:
+            ev = air[0]
+        t = ev[0]
         if t > T:
             break
         processed += 1
@@ -345,30 +376,34 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 f"exceeded {max_events} events at t={t}us; the scenario "
                 "is likely runaway"
             )
-        if kind == _FRAME_END:
-            frame = payload
-            tx = frame[2]
-            channel = frame[3]
-            on_channel = recent[channel]
+        if frame_end:
+            frame = air.popleft()
+            on_channel = recent[frame[4]]
             cutoff = t - dur
-            while on_channel[0][1] <= cutoff:
+            while on_channel[0][0] <= cutoff:
                 on_channel.popleft()
-            reach = reach_of[tx]
+            reach = reach_of[frame[3]]
             if not reach:
                 continue
+            source, pkt = frame[5], frame[6]
+            key = (source, pkt)
+            held = heard[key]
+            if lossy:
+                fresh = reach
+            else:
+                # no loss draw to keep in order: drop duplicates up front,
+                # and with no listener left to jam, skip the jam scan
+                fresh = reach & ~held
+                if not fresh:
+                    continue
             # Every frame left on the channel ends after this one starts;
             # those that started before it ends overlap it.
             jam = 0
             for g in on_channel:
-                if g[0] < t and g is not frame:
-                    jam |= adj[g[2]]
-            fresh = reach & ~jam
-            source, pkt, ttl, hops = frame[4], frame[5], frame[6], frame[7]
-            key = (source, pkt)
-            held = heard[key]
-            if not lossy:
-                # no loss draw to keep in order: drop duplicates up front
-                fresh &= ~held
+                if g[2] < t and g is not frame:
+                    jam |= adj[g[3]]
+            fresh &= ~jam
+            channel, ttl, hops = frame[4], frame[7], frame[8]
             earliest = t - 2 * dur
             while fresh:
                 low = fresh & -fresh
@@ -411,6 +446,12 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     )
             heard[key] = held
             continue
+        _, s, kind, payload = ev
+        if ev is due:
+            i += 1
+            due = schedule[i]
+        else:
+            heappop(heap)
         if kind == _ORIGIN:
             src, pkt, rec = payload
             app_sent[src] += 1
@@ -448,11 +489,11 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         if rec is not None:
             rec[1] = max(rec[1], min(end, T))
             rec[2] -= 1
-        frame = (t, end, node, channel, src, pkt, ttl, hops)
+        frame = (end, next_seq(), t, node, channel, src, pkt, ttl, hops)
+        air.append(frame)
         recent[channel].append(frame)
         prev_start[node] = last_start[node]
         last_start[node] = t
-        heappush(heap, (end, next_seq(), _FRAME_END, frame))
         queue = pending[node]
         if queue:
             heappush(heap, (end, queue[0][0], _RADIO_FREE, node))

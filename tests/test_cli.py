@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -279,6 +280,7 @@ class TestWriteOutputs:
         assert meta["workers"] == 3
         assert meta["seeds"] == [7, 8]
         assert "created_utc" in meta
+        assert meta["python"] == sys.version
 
 
 class TestVerbs:
@@ -385,6 +387,59 @@ class TestVerbs:
         assert err.startswith("error: scenario.seeds")
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("rates = 1, 1", "scenario.rates"),
+            ("algorithms = crns, crns", "scenario.algorithms"),
+            ("rates = 0.1234567, 0.1234568", "scenario.rates"),
+            ("rates = nan", "scenario.rates"),
+            ("rates = inf", "scenario.rates"),
+            ("rates = 1, -inf", "scenario.rates"),
+            ("rates = 0", "scenario.rates"),
+            ("sim_time_s = nan", "scenario.sim_time_s"),
+            ("sim_time_s = inf", "scenario.sim_time_s"),
+            ("sim_time_s = 0", "scenario.sim_time_s"),
+        ],
+    )
+    def test_bad_scenario_entry_exits_2(self, capsys, tmp_path, line, key):
+        # duplicates would run twice and collide in runs/ and comparison.csv;
+        # non-finite values used to fail deep in the engine without a key
+        ini = write_ini(tmp_path, f"[layout]\nsegments = row:270:90\n[scenario]\n{line}\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("algorithm", ["random", "all"])
+    def test_select_config_honors_budget_and_all_range(self, algorithm, tmp_path):
+        ini = write_ini(
+            tmp_path,
+            "[scenario]\nrange = 80m\nall_relays_range = 170\n[plan]\nrelay_budget = 3\n",
+        )
+        got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
+        argv = ["select", "--config", str(ini), "--algorithm", algorithm, "--seed", "4"]
+        assert main(argv + ["--out", str(got)]) == 0
+        topo, assignment = materialize(parse_plan(ini), algorithm, seed=4)
+        save_assignment_csv(topo, assignment, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert topo.range_r == (170.0 if algorithm == "all" else 80.0)
+        if algorithm == "random":
+            assert len(assignment.relays) == 3
+
+    def test_select_config_overrides(self, capsys, tmp_path):
+        ini = write_ini(
+            tmp_path,
+            "[scenario]\nall_relays_range = 170\n[plan]\nrelay_budget = 3\n",
+        )
+        argv = ["select", "--config", str(ini), "--algorithm"]
+        assert main(argv + ["all", "--range", "130m"]) == 0
+        assert "at range 130m" in capsys.readouterr().out
+        assert main(argv + ["random", "--count", "5"]) == 0
+        assert "5 relays of 30 barrels at range 100m" in capsys.readouterr().out
 
     def test_trace_overflow_exits_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(se, "EVENT_LOG_CAP", 10)

@@ -518,9 +518,9 @@ def congested_cases(draw):
     return topo, assignment, config
 
 
-def tie_case(xs, picker, rate, horizon, seed, copies, nch):
-    """A congested row with 100 us frames and 0.2 ms jitter, where frame
-    starts land on the microsecond another frame ends."""
+def tie_case(xs, picker, rate, horizon, seed, copies, nch, dur=100, jitter_ms=0.2):
+    """A congested row with short frames and little or no jitter, where
+    frame starts land on the microsecond another frame ends."""
     topo = topology_from_positions([(x, 0.0) for x in xs], (-20.0, 0.0), 100.0)
     config = ScenarioConfig(
         app_rate_pps=rate,
@@ -528,7 +528,7 @@ def tie_case(xs, picker, rate, horizon, seed, copies, nch):
         seed=seed,
         repeat_policy=RepeatPolicy(mode="fixed", fixed_count=copies),
         channel=ChannelConfig(
-            n_adv_channels=nch, frame_duration_us=100, adv_jitter_ms=0.2
+            n_adv_channels=nch, frame_duration_us=dur, adv_jitter_ms=jitter_ms
         ),
     )
     return topo, picker(topo), config
@@ -541,9 +541,12 @@ def tie_case(xs, picker, rate, horizon, seed, copies, nch):
 @example(tie_case([0.0, 89.0, 140.0, 214.0, 284.0], all_relays, 1024.0, 0.01, 673130, 1, 2))
 # a node whose radio frees up exactly at the horizon sends nothing more
 @example(tie_case([0.0, 75.0, 133.0, 182.0, 259.0], crns_select, 2048.0, 0.02, 328357, 2, 1))
+# no jitter, one channel, and frames that divide the packet interval: frame
+# ends, forwards and scheduled starts share microseconds
+@example(tie_case([0.0, 60.0, 130.0, 190.0, 260.0], all_relays, 1000.0, 0.05, 11, 2, 1, 250, 0.0))
 def test_engine_vs_reference(case):
     """The engine returns what the frozen reference engine returns, traces
-    included; only the count of processed heap entries may differ."""
+    included; only the count of processed events may differ."""
     topo, assignment, config = case
     got = run(topo, assignment, config)
     want = reference_run(topo, assignment, config)

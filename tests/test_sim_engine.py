@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -265,6 +266,18 @@ class TestGuards:
         topo = build_layout(FDOT_45MPH)
         with pytest.raises(SimulationError):
             run(topo, crns_select(topo), scenario(seed=1, max_events=50))
+
+    def test_processed_event_count_is_pinned(self):
+        # processed_events and the max_events budget count every event
+        # taken, frame ends and stale radio-free entries included, so the
+        # figure does not depend on how the engine stores its events
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(app_rate_pps=4.0, sim_time_s=2.0, seed=7)
+        result = run(topo, crns_select(topo), config)
+        assert result.processed_events == 7135
+        with pytest.raises(SimulationError):
+            run(topo, crns_select(topo), replace(config, max_events=7134))
+        assert run(topo, crns_select(topo), replace(config, max_events=7135)) == result
 
     def test_range_mismatch_rejected(self):
         topo = build_layout(FDOT_45MPH, range_r=150.0)
