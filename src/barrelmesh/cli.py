@@ -45,6 +45,7 @@ from .sim_engine import (
     ScenarioConfig,
     SimResult,
     SimulationError,
+    packet_interval_us,
     run,
 )
 from .topology import (
@@ -261,6 +262,10 @@ def parse_plan(path) -> ExperimentPlan:
     for rate in rates:
         if not (math.isfinite(rate) and rate > 0):
             raise PlanError(f"scenario.rates must be finite and positive, got {rate!r}")
+        try:
+            packet_interval_us(rate)
+        except ValueError as exc:
+            raise PlanError(f"scenario.rates {rate!r}: {exc}") from None
         # two rates must not write the same run files
         label = _rate_label(rate)
         if label in labels:

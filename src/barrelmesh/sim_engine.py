@@ -46,6 +46,18 @@ non-relay barrel wakes to transmit its own packets and sleeps otherwise,
 so receptions at non-relays are not modeled. Collision beats half-duplex
 beats loss beats the duplicate cache when classifying an attempt.
 
+Frames on air are indexed by zone along x. The x extent is cut into the
+most equal zones that are each at least 2 * range wide, and every frame
+joins the lane of its transmitter's zone and channel. A jammer must be in
+range of a listener that is in range of the transmitter, so it lies within
+2 * range of the transmitter and, as |dx| never exceeds the distance, in
+its zone or a neighbouring one. A frame end scans its own lane and the
+lanes that the adjacency masks name for its zone, never every frame on
+air. A layout shorter than 4 * range (the shipped one) is one zone, whose
+frame ends scan the one lane of their channel. Which frames are scanned
+changes no result, only the cost: the jam mask is an OR over the frames
+that can jam.
+
 Dissemination: a source transmits each packet as one or more identical
 copies (its repeat plan), each copy independently jittered. A relay hearing
 a packet for the first time forwards it exactly once, one jittered frame
@@ -196,9 +208,12 @@ def resolve_receptions(
     the rest hear the frame cleanly. Jam wins when both apply.
 
     This is the reference classifier. The engine applies the same rules
-    inline, from per-channel lists of frames on air and each listener's last
-    two frame starts, without building the busy mask, and skips the jam scan
-    when every listener in range already holds the packet.
+    inline, without building the busy mask: the jam mask from the frames on
+    air in the lanes of the frame's channel in its transmitter's zone and
+    the neighbouring zones (only a transmitter within 2 * range_r of the
+    frame's can jam one of its listeners), the busy test from each
+    listener's last two frame starts. It skips the jam scan when every
+    listener in range already holds the packet.
     """
     jam = 0
     on_air = 0
@@ -226,6 +241,64 @@ def _randbelow(getrandbits, n: int) -> int:
     return r
 
 
+def packet_interval_us(app_rate_pps: float) -> int:
+    """A source's packet interval on the microsecond clock.
+
+    Raises ValueError below 2 us, which leaves no room for the phase draw
+    in [1, interval).
+    """
+    interval = round(1e6 / app_rate_pps)
+    if interval < 2:
+        raise ValueError("app rate too high for the microsecond clock")
+    return interval
+
+
+def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[tuple]]:
+    """Each node's lane per channel, (on_air, sides, channel): the deque of
+    frames on air, in (end, seq) order, that its frames on that channel
+    join; the deques of that channel in other zones that a frame end from
+    it must also scan for jammers; and the channel number.
+
+    Zones are the most equal stretches of the x extent that are each at
+    least 2 * range_r wide, and no more than there are nodes (see the module
+    docstring). The sides of a lane come from the adjacency masks, not from
+    that bound, so float rounding at a zone edge cannot drop a jammer.
+    """
+    xs = [x for x, _ in topology.positions]
+    x0 = min(xs)
+    extent = max(xs) - x0
+    zones = max(1, min(len(xs), int(extent // (2 * topology.range_r))))
+    if zones == 1:
+        zone_of = [0] * len(xs)
+    else:
+        zone_of = [min(zones - 1, int((x - x0) * zones / extent)) for x in xs]
+    heard = [0] * zones  # listeners in range of a transmitter in the zone
+    for node, zone in enumerate(zone_of):
+        heard[zone] |= reach_of[node]
+    on_air = [[deque() for _ in range(nch)] for _ in range(zones)]
+    lanes = []
+    for zone in range(zones):
+        # adjacency is symmetric: whoever a listener hears can jam it. The
+        # sink never transmits, so it jams nothing.
+        jammers = 0
+        for listener in _bits(heard[zone]):
+            jammers |= topology.adjacency[listener]
+        jammers &= ~(1 << topology.sink)
+        sides = sorted({zone_of[node] for node in _bits(jammers)} - {zone})
+        lanes.append(
+            [(on_air[zone][c], tuple(on_air[z][c] for z in sides), c) for c in range(nch)]
+        )
+    return [lanes[zone] for zone in zone_of]
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig):
     if topology.range_r != config.range_r_m:
         raise ValueError(
@@ -241,6 +314,7 @@ def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioC
         raise ValueError("sim_time_s must be positive")
     if config.app_rate_pps <= 0:
         raise ValueError("app_rate_pps must be positive")
+    packet_interval_us(config.app_rate_pps)
     if config.ttl < 1:
         raise ValueError("ttl must be >= 1")
     ch = config.channel
@@ -271,9 +345,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     max_events = config.max_events
     listener_mask = assignment.relay_mask() | (1 << sink)
     copies = plan_transmissions(topology, config.repeat_policy)
-    interval = round(1e6 / config.app_rate_pps)
-    if interval < 2:
-        raise ValueError("app rate too high for the microsecond clock")
+    interval = packet_interval_us(config.app_rate_pps)
 
     rng = random.Random(config.seed)
     getrandbits = rng.getrandbits
@@ -281,6 +353,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     next_seq = itertools.count().__next__
     jit_bits = jit_max.bit_length()
     ch_bits = nch.bit_length()
+    reach_of = [a & listener_mask for a in adj]
+    lanes = _zone_lanes(topology, reach_of, nch)
 
     # Drawn up front in the contract order. The phase keeps packet k of a
     # source strictly inside (k*interval, (k+1)*interval), so every source
@@ -291,6 +365,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     add = schedule.append
     for src in range(sink):
         is_listener = bool(listener_mask >> src & 1)
+        src_lanes = lanes[src]
         t_pkt = phases[src]
         pkt = 0
         while t_pkt < T:
@@ -298,20 +373,21 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             if not is_listener:
                 rec = [t_pkt, t_pkt, copies[src]]
                 wake[src].append(rec)
-            add((t_pkt, next_seq(), _ORIGIN, (src, pkt, rec)))
-            # a frame start's payload: (node, channel, source, packet, ttl,
-            # hops, is_forward, duty-cycle record or None)
+            key = (src, pkt)
+            add((t_pkt, next_seq(), _ORIGIN, (key, rec)))
+            # a frame start's payload: (node, lane of its channel, (source,
+            # packet), ttl, hops, is_forward, duty-cycle record or None). The
+            # copies of a packet on one channel share it.
+            made = [None] * nch
             for _ in range(copies[src]):
                 jitter = _randbelow(getrandbits, jit_max) if jit_max > 0 else 0
                 channel = _randbelow(getrandbits, nch)
-                add(
-                    (
-                        t_pkt + jitter,
-                        next_seq(),
-                        _TX_START,
-                        (src, channel, src, pkt, config.ttl, 1, False, rec),
+                payload = made[channel]
+                if payload is None:
+                    payload = made[channel] = (
+                        src, src_lanes[channel], key, config.ttl, 1, False, rec
                     )
-                )
+                add((t_pkt + jitter, next_seq(), _TX_START, payload))
             t_pkt += interval
             pkt += 1
     # (time, seq) is unique, so sorting never compares payloads
@@ -331,13 +407,12 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # air during any frame, since its own frames never overlap.
     last_start = [-2 * dur] * n
     prev_start = [-2 * dur] * n
-    reach_of = [a & listener_mask for a in adj]
-    # Frames on air as (end, seq, start, tx, channel, source, packet, ttl,
-    # hops): all of them in `air`, which is in (end, seq) order because every
-    # frame lasts dur and frames start in (time, seq) order, and per channel
-    # in `recent`.
+    # Frames on air as (end, seq, start, tx, lane, (source, packet), ttl,
+    # hops, the adjacency mask of tx): all of them in `air`, which is in
+    # (end, seq) order because every frame lasts dur and frames start in
+    # (time, seq) order, and each in the lane of its transmitter's zone and
+    # channel.
     air: deque = deque()
-    recent = [deque() for _ in range(nch)]
     heard: dict = {}  # (source, packet) -> mask of nodes that hold it
     airtime = [0] * n
     app_sent = [0] * n
@@ -378,15 +453,16 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             )
         if frame_end:
             frame = air.popleft()
-            on_channel = recent[frame[4]]
+            # pruned at each of its own frame ends, so no lane grows without
+            # bound, whether or not another frame end ever scans it
+            on_air = frame[4][0]
             cutoff = t - dur
-            while on_channel[0][0] <= cutoff:
-                on_channel.popleft()
+            while on_air[0][0] <= cutoff:
+                on_air.popleft()
             reach = reach_of[frame[3]]
             if not reach:
                 continue
-            source, pkt = frame[5], frame[6]
-            key = (source, pkt)
+            key = frame[5]
             held = heard[key]
             if lossy:
                 fresh = reach
@@ -396,14 +472,21 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 fresh = reach & ~held
                 if not fresh:
                     continue
-            # Every frame left on the channel ends after this one starts;
+            # Every frame left in a pruned lane ends after this one starts;
             # those that started before it ends overlap it.
             jam = 0
-            for g in on_channel:
+            for g in on_air:
                 if g[2] < t and g is not frame:
-                    jam |= adj[g[3]]
+                    jam |= g[8]
+            if frame[4][1]:  # a one-zone layout has no sides to iterate
+                for side in frame[4][1]:
+                    while side and side[0][0] <= cutoff:
+                        side.popleft()
+                    for g in side:
+                        if g[2] < t:
+                            jam |= g[8]
             fresh &= ~jam
-            channel, ttl, hops = frame[4], frame[7], frame[8]
+            ttl, hops = frame[6], frame[7]
             earliest = t - 2 * dur
             while fresh:
                 low = fresh & -fresh
@@ -416,15 +499,16 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     continue
                 held |= low
                 if r == sink:
+                    source, pkt = key
                     delivered_by[source] += 1
                     deliveries.append((source, pkt, t, hops))
                     if hops > max_hops:
                         max_hops = hops
                     if events is not None:
-                        log(t, r, "deliver", source, pkt, channel)
+                        log(t, r, "deliver", source, pkt, frame[4][2])
                     continue
                 if events is not None:
-                    log(t, r, "rx", source, pkt, channel)
+                    log(t, r, "rx", *key, frame[4][2])
                 if ttl > 1:
                     # _randbelow, inlined
                     jitter = 0
@@ -441,7 +525,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                             t + jitter,
                             next_seq(),
                             _TX_START,
-                            (r, fwd_channel, source, pkt, ttl - 1, hops + 1, True, None),
+                            (r, lanes[r][fwd_channel], key, ttl - 1, hops + 1, True, None),
                         ),
                     )
             heard[key] = held
@@ -453,11 +537,12 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         else:
             heappop(heap)
         if kind == _ORIGIN:
-            src, pkt, rec = payload
+            key, rec = payload
+            src = key[0]
             app_sent[src] += 1
-            heard[src, pkt] = 1 << src
+            heard[key] = 1 << src
             if events is not None:
-                log(t, src, "origin", src, pkt, -1)
+                log(t, src, "origin", *key, -1)
             continue
         if kind == _TX_START:
             node = payload[0]
@@ -479,7 +564,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             if t >= T:
                 continue
             payload = heappop(queue)[1]
-        _, channel, src, pkt, ttl, hops, is_forward, rec = payload
+        _, lane, key, ttl, hops, is_forward, rec = payload
         end = t + dur
         busy_until[node] = end
         airtime[node] += (end if end < T else T) - t
@@ -489,16 +574,16 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         if rec is not None:
             rec[1] = max(rec[1], min(end, T))
             rec[2] -= 1
-        frame = (end, next_seq(), t, node, channel, src, pkt, ttl, hops)
+        frame = (end, next_seq(), t, node, lane, key, ttl, hops, adj[node])
         air.append(frame)
-        recent[channel].append(frame)
+        lane[0].append(frame)
         prev_start[node] = last_start[node]
         last_start[node] = t
         queue = pending[node]
         if queue:
             heappush(heap, (end, queue[0][0], _RADIO_FREE, node))
         if events is not None:
-            log(t, node, "tx", src, pkt, channel)
+            log(t, node, "tx", *key, lane[2])
 
     # Duty cycle. Listeners (relays, sink) are awake for the whole run:
     # whatever is not their own airtime is listening. A plain barrel wakes

@@ -398,6 +398,7 @@ class TestVerbs:
             ("rates = inf", "scenario.rates"),
             ("rates = 1, -inf", "scenario.rates"),
             ("rates = 0", "scenario.rates"),
+            ("rates = 1000000", "scenario.rates"),
             ("sim_time_s = nan", "scenario.sim_time_s"),
             ("sim_time_s = inf", "scenario.sim_time_s"),
             ("sim_time_s = 0", "scenario.sim_time_s"),

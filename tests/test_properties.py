@@ -38,6 +38,7 @@ from barrelmesh.sim_engine import (
     RepeatPolicy,
     ScenarioConfig,
     SimResult,
+    _zone_lanes,
     plan_transmissions,
     resolve_receptions,
     run,
@@ -66,6 +67,8 @@ EXAMPLES = {
     "engine_accounting": 18,
     "engine_determinism": 10,
     "engine_vs_reference": 60,
+    "engine_vs_reference_wide": 40,
+    "lanes_cover_every_jammer": 60,
     "sole_source_delivery": 14,
     "two_hop_delivery": 14,
     "pdr_definitions_agree": 80,
@@ -117,6 +120,36 @@ def chain_topologies(draw, max_barrels=5):
     return topology_from_positions(
         [(x, 0.0) for x in xs], (-float(standoff), 0.0), 100.0
     )
+
+
+@st.composite
+def wide_topologies(draw):
+    """2-D scatter on the grid over two to five 2R zones along x, with the
+    sink at the start or the end of the row, mid-row or off the row."""
+    r = draw(st.sampled_from(RANGES[:2]))
+    span = math.ceil(draw(st.integers(2, 5)) * 2 * r / GRID_M)
+    n = draw(st.integers(5, 12))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, span), st.integers(0, 2)),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    xs = [x for x, _ in cells]
+    where = draw(st.sampled_from(["start", "end", "mid", "off"]))
+    if where == "start":
+        sink = (min(xs) - 1, 0)
+    elif where == "end":
+        sink = (max(xs) + 1, 0)
+    elif where == "mid":
+        x = (min(xs) + max(xs)) // 2
+        sink = (x, min({0, 1, 2, 3} - {y for cx, y in cells if cx == x}))
+    else:
+        sink = (draw(st.integers(min(xs), max(xs))), draw(st.integers(4, 6)))
+    pts = [(GRID_M * x, GRID_M * y) for x, y in cells + [sink]]
+    return topology_from_positions(pts[:-1], pts[-1], r)
 
 
 @st.composite
@@ -486,9 +519,9 @@ def test_engine_determinism(case):
 
 
 @st.composite
-def congested_cases(draw):
+def congested_cases(draw, topologies=chain_topologies(max_barrels=12)):
     """Short, busy runs: queues at every radio, frames cut by the horizon."""
-    topo = draw(chain_topologies(max_barrels=12))
+    topo = draw(topologies)
     assignment = draw_assignment(draw, topo)
     rate = draw(st.sampled_from([64.0, 256.0, 1024.0, 2048.0]))
     # at most ~50 packets a source: the reference re-pushes every waiting
@@ -500,6 +533,7 @@ def congested_cases(draw):
         sim_time_s=horizon,
         seed=draw(st.integers(0, 2**20)),
         ttl=draw(st.sampled_from([1, 2, 127])),
+        range_r_m=topo.range_r,
         repeat_policy=RepeatPolicy(
             mode=draw(st.sampled_from(["fixed", "distance_scaled"])),
             fixed_count=draw(st.integers(1, 3)),
@@ -547,10 +581,83 @@ def tie_case(xs, picker, rate, horizon, seed, copies, nch, dur=100, jitter_ms=0.
 def test_engine_vs_reference(case):
     """The engine returns what the frozen reference engine returns, traces
     included; only the count of processed events may differ."""
-    topo, assignment, config = case
+    assert_matches_reference(*case)
+
+
+def assert_matches_reference(topo, assignment, config):
     got = run(topo, assignment, config)
     want = reference_run(topo, assignment, config)
     assert replace(got, processed_events=0) == replace(want, processed_events=0)
+
+
+def zone_case(barrels, sink, range_r, seed):
+    """A busy single-channel run on an explicit layout at a short range,
+    every barrel a relay, so frames collide across zone edges."""
+    topo = topology_from_positions(barrels, sink, range_r)
+    config = ScenarioConfig(
+        app_rate_pps=256.0,
+        sim_time_s=0.1,
+        seed=seed,
+        range_r_m=range_r,
+        repeat_policy=RepeatPolicy(mode="fixed", fixed_count=2),
+        channel=ChannelConfig(n_adv_channels=1, frame_duration_us=300, adv_jitter_ms=0.5),
+    )
+    return topo, all_relays(topo), config
+
+
+@settings(max_examples=EXAMPLES["engine_vs_reference_wide"])
+@given(congested_cases(wide_topologies()))
+# four zones 60 m wide, with barrels on the edges at 60, 120 and 180 m
+@example(
+    zone_case(
+        [(x, 0.0) for x in (12, 36, 60, 84, 108, 120, 144, 168, 180, 204, 228, 240)],
+        (0.0, 0.0),
+        30.0,
+        5,
+    )
+)
+# every node at one x: zero extent, one zone
+@example(zone_case([(0.0, 12.0 * k) for k in range(1, 7)], (0.0, 0.0), 30.0, 6))
+# three zones, the middle one holding only the sink
+@example(
+    zone_case([(x, 0.0) for x in (0, 24, 48, 132, 156, 180)], (66.0, 0.0), 30.0, 7)
+)
+# extents just below and just above 4R: one zone, then two
+@example(
+    zone_case([(x, 0.0) for x in (0, 20, 40, 60, 80, 100, 119.5)], (50.0, 10.0), 30.0, 8)
+)
+@example(
+    zone_case([(x, 0.0) for x in (0, 20, 40, 60, 80, 100, 120.5)], (50.0, 10.0), 30.0, 8)
+)
+def test_engine_vs_reference_wide(case):
+    """As test_engine_vs_reference, on layouts several 2R zones wide, where
+    a frame end scans the frames on air in its own zone and its neighbours'."""
+    assert_matches_reference(*case)
+
+
+@settings(max_examples=EXAMPLES["lanes_cover_every_jammer"])
+@given(st.one_of(wide_topologies(), small_topologies()))
+def test_lanes_cover_every_jammer(topo):
+    """A frame end scans its transmitter's lane and that lane's sides. Every
+    transmitter in range of one of its listeners must be in one of them,
+    those lanes lie in at most three zones, and a layout narrower than 4R is
+    one zone."""
+    nch = 2
+    lanes = _zone_lanes(topo, list(topo.adjacency), nch)
+    for tx in topo.barrels:
+        for c in range(nch):
+            on_air, sides, channel = lanes[tx][c]
+            assert channel == c
+            scanned = [on_air, *sides]
+            assert len(scanned) <= 3
+            for g in topo.barrels:
+                if topo.adjacency[g] & topo.adjacency[tx]:
+                    assert any(lanes[g][c][0] is d for d in scanned)
+                    assert lanes[g][c][2] == c
+    xs = [x for x, _ in topo.positions]
+    if max(xs) - min(xs) < 4 * topo.range_r:
+        assert all(lanes[node] is lanes[0] for node in range(topo.node_count))
+        assert all(sides == () for _, sides, _ in lanes[0])
 
 
 @settings(max_examples=EXAMPLES["sole_source_delivery"])
