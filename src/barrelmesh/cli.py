@@ -40,6 +40,8 @@ from .relay_selection import (
     validate_assignment,
 )
 from .sim_engine import (
+    RECEPTION_MODELS,
+    REPEAT_MODES,
     ChannelConfig,
     RepeatPolicy,
     ScenarioConfig,
@@ -53,6 +55,7 @@ from .topology import (
     LayoutSpec,
     Segment,
     Topology,
+    barrel_chainages,
     build_layout,
     feet,
     topology_from_positions,
@@ -115,45 +118,113 @@ def parse_length(text: str) -> float:
         raise PlanError(f"cannot parse length {text!r}") from None
 
 
-def _parse_segments(text: str) -> tuple[Segment, ...]:
+def _reader(convert, ok, rule: str):
+    """Reader of a plan value: convert the text, then reject it unless ok."""
+
+    def read(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+
+    return read
+
+
+def _choice(options):
+    return _reader(str, options.__contains__, "one of " + ", ".join(options))
+
+
+_COUNT = _reader(int, lambda v: v >= 1, "at least 1")
+_POSITIVE = _reader(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_NON_NEGATIVE = _reader(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_POSITIVE_LENGTH = _reader(parse_length, lambda v: 0 < v < math.inf, "a finite length > 0")
+_LENGTH = _reader(parse_length, lambda v: 0 <= v < math.inf, "a finite length >= 0")
+_OFFSET = _reader(parse_length, math.isfinite, "a finite length")
+
+
+def _segments(text: str) -> LayoutSpec:
     segments = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, text.split(","))):
         pieces = part.split(":")
         if len(pieces) != 3:
-            raise PlanError(
-                f"segment {part!r} must be name:length:spacing, e.g. taper:540ft:30ft"
-            )
+            raise ValueError(f"segment {part!r} must be name:length:spacing, e.g. taper:540ft:30ft")
         name, length, spacing = pieces
-        segments.append(Segment(name.strip(), parse_length(length), parse_length(spacing)))
+        segments.append(Segment(name.strip(), _LENGTH(length), _POSITIVE_LENGTH(spacing)))
     if not segments:
-        raise PlanError("segments list is empty")
-    return tuple(segments)
+        raise ValueError("segments list is empty")
+    return LayoutSpec(segments=tuple(segments))
 
 
-_SCHEMA = {
-    "layout": {"preset", "segments", "sink_placement", "sink_standoff", "lateral_offset"},
+def _algorithms(text: str) -> tuple[str, ...]:
+    algorithms = tuple(a.strip() for a in text.split(","))
+    for a in algorithms:
+        if a not in STRATEGIES:
+            raise ValueError(f"unknown algorithm {a!r}")
+        if algorithms.count(a) > 1:
+            raise ValueError(f"lists {a!r} twice")
+    return algorithms
+
+
+def _rates(text: str) -> tuple[float, ...]:
+    rates = tuple(_POSITIVE(r) for r in text.split(","))
+    labels: dict[str, float] = {}
+    for rate in rates:
+        packet_interval_us(rate)
+        # two rates must not write the same run files
+        label = _rate_label(rate)
+        if label in labels:
+            if labels[label] == rate:
+                raise ValueError(f"lists {rate!r} twice")
+            raise ValueError(f"{labels[label]!r} and {rate!r} both name their runs {label}")
+        labels[label] = rate
+    return rates
+
+
+# section -> key -> (part, field, reader). The part is "plan" for a field of
+# ExperimentPlan, else the name of its nested dataclass; a key left out keeps
+# the dataclass default. Field None is the whole part: layout.preset and
+# layout.segments give the layout that the other [layout] keys amend.
+PLAN_KEYS = {
+    "layout": {
+        "preset": ("layout", None, _reader(
+            LAYOUT_PRESETS.get, lambda v: v is not None, "one of " + ", ".join(LAYOUT_PRESETS)
+        )),
+        "segments": ("layout", None, _segments),
+        "sink_placement": ("layout", "sink_placement", lambda text: (
+            text if text in ("start", "end") else _OFFSET(text)
+        )),
+        "sink_standoff": ("layout", "sink_standoff_m", _LENGTH),
+        "lateral_offset": ("layout", "lateral_offset_m", _OFFSET),
+    },
     "scenario": {
-        "algorithms",
-        "rates",
-        "seeds",
-        "base_seed",
-        "sim_time_s",
-        "ttl",
-        "range",
-        "all_relays_range",
+        "algorithms": ("plan", "algorithms", _algorithms),
+        "rates": ("plan", "rates_pps", _rates),
+        "seeds": ("plan", "n_seeds", _COUNT),
+        "base_seed": ("plan", "base_seed", int),
+        "sim_time_s": ("plan", "sim_time_s", _POSITIVE),
+        "ttl": ("plan", "ttl", _COUNT),
+        "range": ("plan", "range_r_m", _POSITIVE_LENGTH),
+        "all_relays_range": ("plan", "all_relays_range_m", _POSITIVE_LENGTH),
     },
     "channel": {
-        "n_adv_channels",
-        "frame_duration_us",
-        "adv_jitter_ms",
-        "reception_model",
-        "loss_p",
+        "n_adv_channels": ("channel", "n_adv_channels", _COUNT),
+        "frame_duration_us": ("channel", "frame_duration_us", _COUNT),
+        "adv_jitter_ms": ("channel", "adv_jitter_ms", _NON_NEGATIVE),
+        "reception_model": ("channel", "reception_model", _choice(RECEPTION_MODELS)),
+        "loss_p": ("channel", "loss_p", _reader(float, lambda v: 0 <= v <= 1, "in [0, 1]")),
     },
-    "power": {"i_tx_ma", "i_listen_ma", "i_sleep_ma"},
-    "plan": {"mode", "fixed_count", "relay_budget"},
+    "power": {
+        "i_tx_ma": ("power", "i_tx_ma", _NON_NEGATIVE),
+        "i_listen_ma": ("power", "i_listen_ma", _NON_NEGATIVE),
+        "i_sleep_ma": ("power", "i_sleep_ma", _NON_NEGATIVE),
+    },
+    "plan": {
+        "mode": ("repeat_policy", "mode", _choice(REPEAT_MODES)),
+        "fixed_count": ("repeat_policy", "fixed_count", _COUNT),
+        "relay_budget": ("plan", "relay_budget", lambda text: (
+            None if text.lower() == "auto" else _COUNT(text)
+        )),
+    },
 }
 
 
@@ -161,120 +232,43 @@ def parse_plan(path) -> ExperimentPlan:
     """Read an experiment plan from an INI file.
 
     Unknown sections or keys are errors (a typo silently falling back to a
-    default would invalidate a whole study). Lengths accept ft/m suffixes.
+    default would invalidate a whole study), and so is a value its reader in
+    PLAN_KEYS rejects; each such error names its section.key. Lengths accept
+    ft/m suffixes.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise PlanError(f"cannot read plan file {path}")
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise PlanError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise PlanError(f"unknown key {section}.{key}")
-
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    layout_preset = get("layout", "preset")
-    segments_text = get("layout", "segments")
-    if layout_preset and segments_text:
-        raise PlanError("give layout.preset or layout.segments, not both")
-    if layout_preset:
-        if layout_preset not in LAYOUT_PRESETS:
-            raise PlanError(f"unknown layout preset {layout_preset!r}")
-        layout = LAYOUT_PRESETS[layout_preset]
-    elif segments_text:
-        layout = LayoutSpec(segments=_parse_segments(segments_text))
-    else:
-        layout = LAYOUT_PRESETS["fdot_45mph"]
-    placement = get("layout", "sink_placement")
-    if placement is not None:
-        placement = placement.strip()
-        sink_placement = (
-            placement if placement in ("start", "end") else parse_length(placement)
-        )
-        layout = replace(layout, sink_placement=sink_placement)
-    standoff = get("layout", "sink_standoff")
-    if standoff is not None:
-        layout = replace(layout, sink_standoff_m=parse_length(standoff))
-    lateral = get("layout", "lateral_offset")
-    if lateral is not None:
-        layout = replace(layout, lateral_offset_m=parse_length(lateral))
-
+    # no header can name the section "", so [DEFAULT] is an unknown section
+    # rather than a source of defaults for the others
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        algorithms = tuple(
-            a.strip() for a in get("scenario", "algorithms", ",".join(ALGORITHMS)).split(",")
-        )
-        for a in algorithms:
-            if a not in STRATEGIES:
-                raise PlanError(f"unknown algorithm {a!r}")
-            if algorithms.count(a) > 1:
-                raise PlanError(f"scenario.algorithms lists {a!r} twice")
-        rates = tuple(float(r) for r in get("scenario", "rates", "1,4").split(","))
-        budget_text = get("plan", "relay_budget", "auto").strip().lower()
-        plan = ExperimentPlan(
-            layout=layout,
-            algorithms=algorithms,
-            rates_pps=rates,
-            n_seeds=int(get("scenario", "seeds", "20")),
-            base_seed=int(get("scenario", "base_seed", "1000")),
-            sim_time_s=float(get("scenario", "sim_time_s", "20")),
-            ttl=int(get("scenario", "ttl", "127")),
-            range_r_m=parse_length(get("scenario", "range", "100")),
-            all_relays_range_m=parse_length(get("scenario", "all_relays_range", "150")),
-            repeat_policy=RepeatPolicy(
-                mode=get("plan", "mode", "distance_scaled"),
-                fixed_count=int(get("plan", "fixed_count", "1")),
-            ),
-            channel=ChannelConfig(
-                n_adv_channels=int(get("channel", "n_adv_channels", "3")),
-                frame_duration_us=int(
-                    get("channel", "frame_duration_us", str(ChannelConfig().frame_duration_us))
-                ),
-                adv_jitter_ms=float(
-                    get("channel", "adv_jitter_ms", repr(ChannelConfig().adv_jitter_ms))
-                ),
-                reception_model=get("channel", "reception_model", "collision_only"),
-                loss_p=float(get("channel", "loss_p", "0")),
-            ),
-            power=PowerProfile(
-                i_tx_ma=float(get("power", "i_tx_ma", "10")),
-                i_listen_ma=float(get("power", "i_listen_ma", "6")),
-                i_sleep_ma=float(get("power", "i_sleep_ma", "0.003")),
-            ),
-            relay_budget=None if budget_text == "auto" else int(budget_text),
-        )
-    except PlanError:
-        raise
-    except ValueError as exc:
-        raise PlanError(f"bad value in plan: {exc}") from None
-    if plan.n_seeds < 1:
-        raise PlanError(f"scenario.seeds must be at least 1, got {plan.n_seeds}")
-    if not (math.isfinite(plan.sim_time_s) and plan.sim_time_s > 0):
+        if not parser.read(path):
+            raise PlanError(f"cannot read plan file {path}")
+    except configparser.Error as exc:
+        raise PlanError(" ".join(str(exc).split())) from None
+    if parser.has_option("layout", "preset") and parser.has_option("layout", "segments"):
+        raise PlanError("give layout.preset or layout.segments, not both")
+    given: dict[str, dict] = {"plan": {}}
+    for section in parser.sections():
+        if section not in PLAN_KEYS:
+            raise PlanError(f"unknown section [{section}]")
+        for key, text in parser[section].items():
+            if key not in PLAN_KEYS[section]:
+                raise PlanError(f"unknown key {section}.{key}")
+            part, name, read = PLAN_KEYS[section][key]
+            try:
+                given.setdefault(part, {})[name] = read(text)
+            except ValueError as exc:
+                raise PlanError(f"{section}.{key} = {text!r}: bad value, {exc}") from None
+    plan = ExperimentPlan(layout=LAYOUT_PRESETS["fdot_45mph"])
+    plan = replace(plan, **given.pop("plan"), **{
+        part: replace(values.pop(None, getattr(plan, part)), **values)
+        for part, values in given.items()
+    })
+    barrels = len(barrel_chainages(plan.layout))
+    if plan.relay_budget is not None and plan.relay_budget > barrels:
         raise PlanError(
-            f"scenario.sim_time_s must be finite and positive, got {plan.sim_time_s!r}"
+            f"plan.relay_budget = {plan.relay_budget}: bad value, "
+            f"more than the {barrels} barrels of the layout"
         )
-    labels: dict[str, float] = {}
-    for rate in rates:
-        if not (math.isfinite(rate) and rate > 0):
-            raise PlanError(f"scenario.rates must be finite and positive, got {rate!r}")
-        try:
-            packet_interval_us(rate)
-        except ValueError as exc:
-            raise PlanError(f"scenario.rates {rate!r}: {exc}") from None
-        # two rates must not write the same run files
-        label = _rate_label(rate)
-        if label in labels:
-            if labels[label] == rate:
-                raise PlanError(f"scenario.rates lists {rate!r} twice")
-            raise PlanError(
-                f"scenario.rates {labels[label]!r} and {rate!r} both name their runs {label}"
-            )
-        labels[label] = rate
     return plan
 
 
@@ -373,7 +367,8 @@ _SUMMARY_FIELDS = [
 
 
 def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, workers: int):
-    """Write the full output tree for one experiment."""
+    """Write the full output tree for one experiment, and return its
+    (algorithm, rate, CellStats) cells in plan order."""
     out = Path(out_dir)
     runs_dir = out / "runs"
     plot_dir = out / "plotdata"
@@ -466,34 +461,35 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
     with open(out / "metadata.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _load_plan(args) -> ExperimentPlan:
-    if args.config:
-        plan = parse_plan(args.config)
-    else:
-        preset = getattr(args, "preset", None) or "paper"
-        if preset not in EXPERIMENT_PRESETS:
-            raise PlanError(
-                f"unknown experiment preset {preset!r}; available: "
-                + ", ".join(sorted(EXPERIMENT_PRESETS))
-            )
-        plan = EXPERIMENT_PRESETS[preset]
-    if getattr(args, "seed", None) is not None:
-        plan = replace(plan, base_seed=args.seed)
-    return plan
+    return cells
 
 
 def _cmd_run(args) -> int:
-    plan = _load_plan(args)
+    preset = args.preset or "paper"
+    if args.config:
+        plan = parse_plan(args.config)
+    elif preset in EXPERIMENT_PRESETS:
+        plan = EXPERIMENT_PRESETS[preset]
+    else:
+        raise PlanError(
+            f"unknown experiment preset {preset!r}; available: "
+            + ", ".join(sorted(EXPERIMENT_PRESETS))
+        )
+    if args.seed is not None:
+        plan = replace(plan, base_seed=args.seed)
     started = time.perf_counter()
     results = run_matrix(plan, workers=args.workers, emit_events=args.emit_events)
     elapsed = time.perf_counter() - started
-    write_outputs(plan, results, args.out, elapsed, args.workers)
+    cells = write_outputs(plan, results, args.out, elapsed, args.workers)
     print(f"{len(results)} runs in {elapsed:.1f}s -> {args.out}")
-    for (algorithm, rate), cell in sorted(cell_stats(results, plan.power).items()):
-        if cell.pdr_mean is not None:
-            print(f"  {algorithm:>6} @ {rate:g}/s: mean PDR {cell.pdr_mean:.1f}%")
+    print(f"{'strategy':8s} {'rate':>6s} {'pdr%':>6s} {'load cv':>8s} {'relay mA':>9s}")
+    for algorithm, rate, cell in cells:
+        # blank where no run defines the value (no packet offered, say)
+        pdr, cv, ma = (
+            "" if value is None else f"{value:.{digits}f}"
+            for value, digits in ((cell.pdr_mean, 2), (cell.cv_mean, 3), (cell.relay_current_ma, 3))
+        )
+        print(f"{algorithm:8s} {rate:6g} {pdr:>6s} {cv:>8s} {ma:>9s}")
     return 0
 
 

@@ -44,7 +44,12 @@ listener is itself transmitting during the frame (half-duplex), or an
 independent loss draw discards it. Only relays and the sink listen; a
 non-relay barrel wakes to transmit its own packets and sleeps otherwise,
 so receptions at non-relays are not modeled. Collision beats half-duplex
-beats loss beats the duplicate cache when classifying an attempt.
+beats loss beats the duplicate cache when classifying an attempt. The
+reference classifier of these rules is `resolve_receptions` in
+`tests/oracles.py`. The engine applies them inline, without building its
+busy mask: the jam mask from the frames on air in the zone lanes below, the
+half-duplex test from each listener's last two frame starts. It skips the
+jam scan when every listener in range already holds the packet.
 
 Frames on air are indexed by zone along x. The x extent is cut into the
 most equal zones that are each at least 2 * range wide, and every frame
@@ -75,7 +80,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .relay_selection import RelayAssignment
 from .topology import Topology
@@ -164,21 +169,6 @@ class SimResult:
     events: tuple[tuple, ...] = ()
 
 
-class Frame(NamedTuple):
-    """One frame on air, as the reference classifier resolve_receptions
-    reads it. The engine keeps its own plain tuples, ordered for its event
-    loop, and does not use this type."""
-
-    start: int
-    end: int
-    tx: int
-    channel: int
-    source: int
-    pkt: int
-    ttl: int
-    hops: int
-
-
 def plan_transmissions(topology: Topology, policy: RepeatPolicy) -> tuple[int, ...]:
     """Copies per packet for every barrel under the given repeat policy."""
     if policy.mode == "fixed":
@@ -191,41 +181,6 @@ def plan_transmissions(topology: Topology, policy: RepeatPolicy) -> tuple[int, .
         max(1, math.ceil(topology.distance(i, topology.sink) / topology.range_r))
         for i in topology.barrels
     )
-
-
-def resolve_receptions(
-    adjacency: tuple[int, ...],
-    listener_mask: int,
-    frame: Frame,
-    concurrent,
-) -> tuple[int, int, int]:
-    """Classify the in-range listeners of a finished frame.
-
-    concurrent is an iterable of frames (any channel) that may overlap it;
-    non-overlapping entries are filtered here. Returns bitmasks
-    (clear, jammed, busy): jammed listeners saw a same-channel overlap from
-    another in-range transmitter, busy listeners were themselves on air, and
-    the rest hear the frame cleanly. Jam wins when both apply.
-
-    This is the reference classifier. The engine applies the same rules
-    inline, without building the busy mask: the jam mask from the frames on
-    air in the lanes of the frame's channel in its transmitter's zone and
-    the neighbouring zones (only a transmitter within 2 * range_r of the
-    frame's can jam one of its listeners), the busy test from each
-    listener's last two frame starts. It skips the jam scan when every
-    listener in range already holds the packet.
-    """
-    jam = 0
-    on_air = 0
-    for g in concurrent:
-        if g is frame:
-            continue
-        if g.start < frame.end and g.end > frame.start:
-            on_air |= 1 << g.tx
-            if g.channel == frame.channel:
-                jam |= adjacency[g.tx]
-    reach = adjacency[frame.tx] & listener_mask
-    return reach & ~jam & ~on_air, reach & jam, reach & on_air & ~jam
 
 
 def _randbelow(getrandbits, n: int) -> int:

@@ -4,8 +4,9 @@ Everything here is written for legibility, not speed, and deliberately avoids
 sharing code with the package under test: plain lists, explicit loops, no
 adjacency masks. Tests compare package output against these. The exception is
 reference_run, a frozen copy of the event engine as it was before its hot
-loop was rewritten; it shares only the result type, validation and repeat
-plan with the package.
+loop was rewritten, with its reception classifier resolve_receptions; they
+work on adjacency masks and share only the result type, validation and
+repeat plan with the package.
 """
 from __future__ import annotations
 
@@ -105,7 +106,9 @@ def kmeans_oracle(xs, k, seed):
 _ORIGIN, _TX_START, _FRAME_END = 0, 1, 2
 
 
-class _Frame:
+class Frame:
+    """One frame on air, as resolve_receptions reads it."""
+
     __slots__ = ("start", "end", "tx", "channel", "source", "pkt", "ttl", "hops")
 
     def __init__(self, start, end, tx, channel, source, pkt, ttl, hops):
@@ -119,7 +122,17 @@ class _Frame:
         self.hops = hops
 
 
-def _resolve(adjacency, listener_mask, frame, concurrent):
+def resolve_receptions(adjacency, listener_mask, frame, concurrent):
+    """Classify the in-range listeners of a finished frame.
+
+    concurrent is an iterable of frames (any channel) that may overlap it;
+    non-overlapping entries and the frame itself are skipped. Returns
+    bitmasks (clear, jammed, busy): jammed listeners saw a same-channel
+    overlap from another in-range transmitter, busy listeners were
+    themselves on air, and the rest hear the frame cleanly. Jam wins when
+    both apply. This is the reference classifier of the engine's radio
+    model (see the barrelmesh.sim_engine docstring).
+    """
     jam = 0
     on_air = 0
     for g in concurrent:
@@ -253,7 +266,7 @@ def reference_run(topology, assignment, config) -> SimResult:
             if rec is not None:
                 rec[1] = max(rec[1], min(end, T))
                 rec[2] -= 1
-            frame = _Frame(t, end, node, channel, src, pkt, ttl, hops)
+            frame = Frame(t, end, node, channel, src, pkt, ttl, hops)
             recent.append(frame)
             heapq.heappush(heap, (end, next(seq), _FRAME_END, frame))
             log(t, node, "tx", src, pkt, channel)
@@ -262,7 +275,7 @@ def reference_run(topology, assignment, config) -> SimResult:
             cutoff = t - dur
             while recent and recent[0].end <= cutoff:
                 recent.popleft()
-            clear, _, _ = _resolve(adj, listener_mask, frame, recent)
+            clear, _, _ = resolve_receptions(adj, listener_mask, frame, recent)
             key = (frame.source, frame.pkt)
             for r in _bits(clear):
                 if lossy and rng.random() < loss_p:

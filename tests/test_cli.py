@@ -1,6 +1,7 @@
 import json
 import sys
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import barrelmesh.sim_engine as se
 from barrelmesh.cli import (
     ALGORITHMS,
     EXPERIMENT_PRESETS,
+    PLAN_KEYS,
     ExperimentPlan,
     PlanError,
     main,
@@ -19,7 +21,9 @@ from barrelmesh.cli import (
     run_matrix,
     write_outputs,
 )
+from barrelmesh.metrics import PowerProfile
 from barrelmesh.relay_selection import all_relays, load_assignment_csv, save_assignment_csv
+from barrelmesh.sim_engine import ChannelConfig, RepeatPolicy
 from barrelmesh.topology import FDOT_45MPH, LayoutSpec, Segment, build_layout, feet
 
 
@@ -152,6 +156,27 @@ class TestParsePlan:
         assert plan.repeat_policy.fixed_count == 2
         assert plan.relay_budget == 4
 
+    def test_every_config_field_has_one_plan_key(self):
+        set_by = Counter(
+            (part, name) for keys in PLAN_KEYS.values() for part, name, _ in keys.values()
+        )
+        # layout.preset and layout.segments each give the whole layout
+        assert set_by.pop(("layout", None)) == 2
+        parts = {
+            "plan": ExperimentPlan,
+            "layout": LayoutSpec,
+            "repeat_policy": RepeatPolicy,
+            "channel": ChannelConfig,
+            "power": PowerProfile,
+        }
+        want = {
+            (part, f.name)
+            for part, cls in parts.items()
+            for f in fields(cls)
+            if f.name not in parts  # a nested dataclass is set key by key
+        }
+        assert set_by == Counter(want - {("layout", "segments")})
+
     def test_bad_int_reported_as_plan_error(self, tmp_path):
         path = write_ini(tmp_path, "[scenario]\nttl = many\n")
         with pytest.raises(PlanError, match="bad value"):
@@ -283,6 +308,56 @@ class TestWriteOutputs:
         assert meta["python"] == sys.version
 
 
+# (section, line, key): a plan holding `line` in [section] must fail naming
+# section.key. Without a key, the file itself is malformed (without a
+# section, `line` is the whole file) and the error names the file or the
+# section it rejects.
+BAD_ENTRIES = [
+    ("scenario", "rates = 1, 1", "rates"),
+    ("scenario", "algorithms = crns, crns", "algorithms"),
+    ("scenario", "rates = 0.1234567, 0.1234568", "rates"),
+    ("scenario", "rates = nan", "rates"),
+    ("scenario", "rates = inf", "rates"),
+    ("scenario", "rates = 1, -inf", "rates"),
+    ("scenario", "rates = 0", "rates"),
+    ("scenario", "rates = 1000000", "rates"),
+    ("scenario", "sim_time_s = nan", "sim_time_s"),
+    ("scenario", "sim_time_s = inf", "sim_time_s"),
+    ("scenario", "sim_time_s = 0", "sim_time_s"),
+    ("scenario", "sim_time_s = 5%", "sim_time_s"),
+    ("scenario", "ttl = 0", "ttl"),
+    ("scenario", "ttl = many", "ttl"),
+    ("scenario", "base_seed = 1.5", "base_seed"),
+    ("scenario", "range = 0", "range"),
+    ("scenario", "all_relays_range = inf", "all_relays_range"),
+    ("channel", "n_adv_channels = 0", "n_adv_channels"),
+    ("channel", "frame_duration_us = 0", "frame_duration_us"),
+    ("channel", "adv_jitter_ms = nan", "adv_jitter_ms"),
+    ("channel", "reception_model = rayleigh", "reception_model"),
+    ("channel", "loss_p = 1.5", "loss_p"),
+    ("power", "i_tx_ma = -1", "i_tx_ma"),
+    ("power", "i_listen_ma = inf", "i_listen_ma"),
+    ("power", "i_sleep_ma = nan", "i_sleep_ma"),
+    ("plan", "mode = always", "mode"),
+    ("plan", "fixed_count = 0", "fixed_count"),
+    ("plan", "relay_budget = 0", "relay_budget"),
+    ("plan", "relay_budget = 99", "relay_budget"),  # fdot_45mph has 30 barrels
+    ("layout", "preset = interstate", "preset"),
+    ("layout", "segments = row:270:0", "segments"),
+    ("layout", "segments = row:inf:90", "segments"),
+    ("layout", "sink_placement = nan", "sink_placement"),
+    ("layout", "sink_standoff = -1", "sink_standoff"),
+    ("layout", "lateral_offset = inf", "lateral_offset"),
+    (None, "ttl = 3", None),
+    ("scenario", "ttl = 3\nttl = 4", None),
+    ("scenario", "ttl = 3\n[scenario]\nseeds = 1", None),
+    ("scenario", "ttl = 3\nno equals sign", None),
+    ("DEFAULT", "ttl = 3", None),
+    ("DEFAULT", "ttl = 3\n[scenario]\nseeds = 1", None),
+    ("DEFAULT", "ttl = 3\n[layout]\npreset = fdot_45mph", None),
+]
+
+
 class TestVerbs:
     def test_presets_lists_both_kinds(self, capsys):
         assert main(["presets"]) == 0
@@ -389,31 +464,48 @@ class TestVerbs:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "line, key",
-        [
-            ("rates = 1, 1", "scenario.rates"),
-            ("algorithms = crns, crns", "scenario.algorithms"),
-            ("rates = 0.1234567, 0.1234568", "scenario.rates"),
-            ("rates = nan", "scenario.rates"),
-            ("rates = inf", "scenario.rates"),
-            ("rates = 1, -inf", "scenario.rates"),
-            ("rates = 0", "scenario.rates"),
-            ("rates = 1000000", "scenario.rates"),
-            ("sim_time_s = nan", "scenario.sim_time_s"),
-            ("sim_time_s = inf", "scenario.sim_time_s"),
-            ("sim_time_s = 0", "scenario.sim_time_s"),
-        ],
+        "section, line, key",
+        BAD_ENTRIES,
+        ids=[f"{line}-{section}" + (f".{key}" if key else "") for section, line, key in BAD_ENTRIES],
     )
-    def test_bad_scenario_entry_exits_2(self, capsys, tmp_path, line, key):
-        # duplicates would run twice and collide in runs/ and comparison.csv;
-        # non-finite values used to fail deep in the engine without a key
-        ini = write_ini(tmp_path, f"[layout]\nsegments = row:270:90\n[scenario]\n{line}\n")
+    def test_bad_scenario_entry_exits_2(self, capsys, tmp_path, section, line, key):
+        # each used to pass parsing and fail in the engine or in selection
+        # without naming its key, or end in a configparser traceback
+        ini = write_ini(tmp_path, f"[{section}]\n{line}\n" if section else f"{line}\n")
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} ")
+        if key:
+            assert err.startswith(f"error: {section}.{key} ")
+        else:  # a malformed file: the error names the file or the section
+            assert str(ini) in err or f"[{section}]" in err
+        assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert not out_dir.exists()
+
+    def test_run_prints_cell_table(self, capsys, tmp_path):
+        # within 0.12 s no source offers a packet at 1 pkt/s (seed 7), so
+        # those cells have no PDR and print a blank
+        ini = write_ini(
+            tmp_path,
+            "[layout]\nsegments = row:270:90\n"
+            "[scenario]\nalgorithms = crns, all\nrates = 100, 1\nseeds = 1\nsim_time_s = 0.12\n",
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--seed", "7", "--out", str(out_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("4 runs in ")
+        assert lines[1] == "strategy   rate   pdr%  load cv  relay mA"
+        comparison = (out_dir / "comparison.csv").read_text().splitlines()[1:]
+        assert [line.split()[:2] for line in lines[2:]] == [
+            ["crns", "100"], ["crns", "1"], ["all", "100"], ["all", "1"]
+        ]
+        pdrs = [row.split(",")[2] for row in comparison]
+        assert [line[16:22] for line in lines[2:]] == [
+            f"{float(pdr):6.2f}" if pdr else " " * 6 for pdr in pdrs
+        ]
+        assert pdrs[1] == pdrs[3] == "" and pdrs[0] and pdrs[2]
+        assert all(len(line) == len(lines[1]) for line in lines[2:])
 
     @pytest.mark.parametrize("algorithm", ["random", "all"])
     def test_select_config_honors_budget_and_all_range(self, algorithm, tmp_path):

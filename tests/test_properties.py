@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import crns_oracle, reference_run
+from oracles import Frame, crns_oracle, reference_run, resolve_receptions
 from barrelmesh.metrics import (
     PowerProfile,
     network_current_ma,
@@ -34,13 +34,11 @@ from barrelmesh.relay_selection import (
 from barrelmesh.sim_engine import (
     RECEPTION_MODELS,
     ChannelConfig,
-    Frame,
     RepeatPolicy,
     ScenarioConfig,
     SimResult,
     _zone_lanes,
     plan_transmissions,
-    resolve_receptions,
     run,
 )
 from barrelmesh.topology import (

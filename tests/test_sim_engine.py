@@ -12,12 +12,10 @@ from barrelmesh.relay_selection import (
 )
 from barrelmesh.sim_engine import (
     ChannelConfig,
-    Frame,
     RepeatPolicy,
     ScenarioConfig,
     SimulationError,
     plan_transmissions,
-    resolve_receptions,
     run,
 )
 from barrelmesh.topology import (
@@ -27,7 +25,7 @@ from barrelmesh.topology import (
     build_layout,
     topology_from_positions,
 )
-from oracles import reference_run
+from oracles import Frame, reference_run, resolve_receptions
 
 
 def line_topology(*barrel_xs, sink_x=0.0, range_r=100.0):
