@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import sys
@@ -28,7 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .metrics import PowerProfile, cell_stats, summarize, write_node_csv
+from .metrics import PowerProfile, cell_stats, summarize, write_csv, write_node_csv
 from .relay_selection import (
     RelayAssignment,
     all_relays,
@@ -51,6 +50,7 @@ from .sim_engine import (
     run,
 )
 from .topology import (
+    COORD_EPS,
     LAYOUT_PRESETS,
     LayoutSpec,
     Segment,
@@ -263,12 +263,24 @@ def parse_plan(path) -> ExperimentPlan:
         part: replace(values.pop(None, getattr(plan, part)), **values)
         for part, values in given.items()
     })
-    barrels = len(barrel_chainages(plan.layout))
-    if plan.relay_budget is not None and plan.relay_budget > barrels:
+    chainages = barrel_chainages(plan.layout)
+    if plan.relay_budget is not None and plan.relay_budget > len(chainages):
         raise PlanError(
             f"plan.relay_budget = {plan.relay_budget}: bad value, "
-            f"more than the {barrels} barrels of the layout"
+            f"more than the {len(chainages)} barrels of the layout"
         )
+    sink_x = plan.layout.sink_x()
+    for x in chainages:
+        if abs(x - sink_x) <= COORD_EPS:
+            # start/end place the sink by its standoff, a chainage by itself
+            key, value = (
+                ("sink_standoff", plan.layout.sink_standoff_m)
+                if isinstance(plan.layout.sink_placement, str)
+                else ("sink_placement", plan.layout.sink_placement)
+            )
+            raise PlanError(
+                f"layout.{key} = {value:g}: bad value, puts the sink on the barrel at {x:g} m"
+            )
     return plan
 
 
@@ -290,15 +302,14 @@ def materialize(plan: ExperimentPlan, algorithm: str, seed: int) -> tuple[Topolo
 
 
 def scenario_for(
-    plan: ExperimentPlan, topo: Topology, rate: float, seed: int, emit_events: bool = False
+    plan: ExperimentPlan, rate: float, seed: int, emit_events: bool = False
 ) -> ScenarioConfig:
-    """Engine configuration for one run of the plan on `topo`."""
+    """Engine configuration for one run of the plan."""
     return ScenarioConfig(
         app_rate_pps=rate,
         sim_time_s=plan.sim_time_s,
         seed=seed,
         ttl=plan.ttl,
-        range_r_m=topo.range_r,
         repeat_policy=plan.repeat_policy,
         channel=plan.channel,
         emit_events=emit_events,
@@ -309,7 +320,7 @@ def execute_cell(job) -> tuple[str, float, int, SimResult]:
     """One simulation run; module-level so worker processes can unpickle it."""
     plan, algorithm, rate, seed, emit_events = job
     topo, assignment = materialize(plan, algorithm, seed)
-    config = scenario_for(plan, topo, rate, seed, emit_events)
+    config = scenario_for(plan, rate, seed, emit_events)
     return algorithm, rate, seed, run(topo, assignment, config)
 
 
@@ -331,14 +342,6 @@ def run_matrix(
     order = {a: i for i, a in enumerate(plan.algorithms)}
     results.sort(key=lambda item: (order[item[0]], item[1], item[2]))
     return results
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _rate_label(rate: float) -> str:
@@ -375,24 +378,18 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
     runs_dir.mkdir(parents=True, exist_ok=True)
     plot_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_FIELDS)
-        for algorithm, rate, seed, result in results:
-            row = summarize(result, plan.power)
-            writer.writerow(
-                [algorithm, _fmt(rate), seed]
-                + [_fmt(row[k]) for k in _SUMMARY_FIELDS[3:]]
-            )
+    summary = []
+    for algorithm, rate, seed, result in results:
+        row = summarize(result, plan.power)
+        summary.append([algorithm, rate, seed] + [row[k] for k in _SUMMARY_FIELDS[3:]])
+    write_csv(out / "summary.csv", _SUMMARY_FIELDS, summary)
 
     for algorithm, rate, seed, result in results:
         name = _run_name(algorithm, rate, seed)
         write_node_csv(result, plan.power, runs_dir / f"{name}.csv")
         if result.events:
-            with open(runs_dir / f"{name}_events.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["time_us", "node", "kind", "source", "packet", "channel"])
-                writer.writerows(result.events)
+            header = ["time_us", "node", "kind", "source", "packet", "channel"]
+            write_csv(runs_dir / f"{name}_events.csv", header, result.events)
 
     stats = cell_stats(results, plan.power)
     cells = [
@@ -401,50 +398,29 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
         for rate in plan.rates_pps
     ]
 
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["algorithm", "rate_pps", "mean_pdr_pct", "pdr_change_vs_all_pct"]
-        )
-        for algorithm, rate, cell in cells:
-            base = stats[("all", rate)].pdr_mean if "all" in plan.algorithms else None
-            change = ""
-            if base and cell.pdr_mean is not None:
-                change = f"{100.0 * (cell.pdr_mean - base) / base:+.1f}"
-            writer.writerow([algorithm, _fmt(rate), _fmt(cell.pdr_mean), change])
-
-    with open(plot_dir / "pdr_density.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "rate_pps", "mean_pdr_pct", "stdev_pdr_pct"])
-        for algorithm, rate, cell in cells:
-            writer.writerow(
-                [algorithm, _fmt(rate), _fmt(cell.pdr_mean), _fmt(cell.pdr_stdev)]
-            )
-
-    with open(plot_dir / "relay_load_hist.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "rate_pps", "bin_lo", "bin_hi", "count"])
-        for algorithm, rate, cell in cells:
-            if not cell.loads:
-                continue
+    comparison, density, hist, power = [], [], [], []
+    for algorithm, rate, cell in cells:
+        base = stats[("all", rate)].pdr_mean if "all" in plan.algorithms else None
+        change = None
+        if base and cell.pdr_mean is not None:
+            change = f"{100.0 * (cell.pdr_mean - base) / base:+.1f}"
+        comparison.append([algorithm, rate, cell.pdr_mean, change])
+        density.append([algorithm, rate, cell.pdr_mean, cell.pdr_stdev])
+        power.append([algorithm, rate, cell.relay_current_ma, cell.pdr_mean])
+        if cell.loads:
             width = max(1, -(-(max(cell.loads) + 1) // 10))
             counts = [0] * 10
             for load in cell.loads:
                 counts[min(load // width, 9)] += 1
-            for b, count in enumerate(counts):
-                writer.writerow(
-                    [algorithm, _fmt(rate), b * width, (b + 1) * width, count]
-                )
-
-    with open(plot_dir / "power_vs_pdr.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["algorithm", "rate_pps", "mean_relay_current_ma", "mean_pdr_pct"]
-        )
-        for algorithm, rate, cell in cells:
-            writer.writerow(
-                [algorithm, _fmt(rate), _fmt(cell.relay_current_ma), _fmt(cell.pdr_mean)]
-            )
+            for b, n in enumerate(counts):
+                hist.append([algorithm, rate, b * width, (b + 1) * width, n])
+    for path, columns, rows in (
+        (out / "comparison.csv", ["mean_pdr_pct", "pdr_change_vs_all_pct"], comparison),
+        (plot_dir / "pdr_density.csv", ["mean_pdr_pct", "stdev_pdr_pct"], density),
+        (plot_dir / "relay_load_hist.csv", ["bin_lo", "bin_hi", "count"], hist),
+        (plot_dir / "power_vs_pdr.csv", ["mean_relay_current_ma", "mean_pdr_pct"], power),
+    ):
+        write_csv(path, ["algorithm", "rate_pps", *columns], rows)
 
     metadata = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -493,6 +469,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _flag(flag: str, read, text: str):
+    """A flag's value through a plan-key reader; a rejected value names the flag."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise PlanError(f"{flag} = {text!r}: bad value, {exc}") from None
+
+
 def _cmd_select(args) -> int:
     if args.config:
         plan = parse_plan(args.config)
@@ -505,9 +489,15 @@ def _cmd_select(args) -> int:
         # one range, and random/knn are sized like crns there
         plan = replace(plan, all_relays_range_m=plan.range_r_m)
     if args.range is not None:
-        range_m = parse_length(args.range)
+        range_m = _flag("--range", _POSITIVE_LENGTH, args.range)
         plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
     if args.count is not None:
+        barrels = len(barrel_chainages(plan.layout))
+        if not 0 <= args.count <= barrels:
+            raise PlanError(
+                f"--count = {args.count}: bad value, must be in [0, {barrels}], "
+                "the barrels of the layout"
+            )
         plan = replace(plan, relay_budget=args.count)
     topo, assignment = materialize(plan, args.algorithm, args.seed or 0)
     issues = validate_assignment(topo, assignment)
@@ -525,8 +515,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    range_m = 100.0 if args.range is None else _flag("--range", _POSITIVE_LENGTH, args.range)
     positions, sink, assignment = load_assignment_csv(args.assignment)
-    range_m = parse_length(args.range) if args.range else 100.0
     topo = topology_from_positions(positions[:-1], positions[-1], range_m)
     issues = validate_assignment(topo, assignment)
     if issues:
@@ -566,8 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment matrix")
-    p_run.add_argument("--config", help="experiment plan INI file")
-    p_run.add_argument("--preset", help="experiment preset name (default: paper)")
+    source = p_run.add_mutually_exclusive_group()
+    source.add_argument("--config", help="experiment plan INI file")
+    source.add_argument("--preset", help="experiment preset name (default: paper)")
     p_run.add_argument("--seed", type=int, help="override the base seed")
     p_run.add_argument("--workers", type=int, default=1, help="parallel processes")
     p_run.add_argument("--out", default="results", help="output directory")
@@ -577,8 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sel = sub.add_parser("select", help="compute a relay assignment")
-    p_sel.add_argument("--config", help="experiment plan INI file")
-    p_sel.add_argument("--preset", help="layout preset name (default: fdot_45mph)")
+    source = p_sel.add_mutually_exclusive_group()
+    source.add_argument("--config", help="experiment plan INI file")
+    source.add_argument("--preset", help="layout preset name (default: fdot_45mph)")
     p_sel.add_argument(
         "--algorithm", choices=ALGORITHMS, default="crns", help="selection strategy"
     )

@@ -164,42 +164,31 @@ def summarize(result: SimResult, profile: Optional[PowerProfile] = None) -> dict
     }
 
 
-_NODE_FIELDS = [
-    "node",
-    "is_relay",
-    "app_sent",
-    "delivered",
-    "pdr_pct",
-    "net_transmissions",
-    "relayed",
-    "t_tx",
-    "t_listen",
-    "t_sleep",
-    "current_ma",
-]
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then rows of raw values. csv formats each cell:
+    None as an empty field, a float as its shortest round-trip repr, any
+    other value as str; the byte-identical outputs rely on exactly this."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_node_csv(result: SimResult, profile: PowerProfile, path) -> None:
     """Per-node breakdown of one run."""
-    pdrs = per_node_pdr(result)
-    currents = per_node_current_ma(result, profile)
+    nodes = range(len(result.app_sent))
     relay_set = set(result.relays)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_NODE_FIELDS)
-        for i in range(len(result.app_sent)):
-            writer.writerow(
-                [
-                    i,
-                    int(i in relay_set),
-                    result.app_sent[i],
-                    result.delivered_by_source[i],
-                    "" if pdrs[i] is None else repr(pdrs[i]),
-                    result.net_transmissions[i],
-                    result.relayed_count[i],
-                    repr(result.t_tx_frac[i]),
-                    repr(result.t_listen_frac[i]),
-                    repr(result.t_sleep_frac[i]),
-                    repr(currents[i]),
-                ]
-            )
+    columns = {
+        "node": nodes,
+        "is_relay": [int(i in relay_set) for i in nodes],
+        "app_sent": result.app_sent,
+        "delivered": result.delivered_by_source,
+        "pdr_pct": per_node_pdr(result),
+        "net_transmissions": result.net_transmissions,
+        "relayed": result.relayed_count,
+        "t_tx": result.t_tx_frac,
+        "t_listen": result.t_listen_frac,
+        "t_sleep": result.t_sleep_frac,
+        "current_ma": per_node_current_ma(result, profile),
+    }
+    write_csv(path, columns, zip(*columns.values()))

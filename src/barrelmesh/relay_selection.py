@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .topology import Topology, neighbor_degrees
+from .topology import Topology, bits, neighbor_degrees
 
 # Scores land on exact float grids except for the distance discount, so
 # equality up to this slack is treated as a tie (broken to the lowest id).
@@ -198,26 +198,14 @@ def isolated_nodes(topology: Topology, relays: tuple[int, ...]) -> list[int]:
     Flood reachability is computed over relays plus the sink with unit-disk
     edges.
     """
+    relay_mask = sum(1 << r for r in set(relays))
     reachable = 1 << topology.sink
     frontier = [topology.sink]
-    relay_mask = 0
-    for r in relays:
-        relay_mask |= 1 << r
     while frontier:
-        node = frontier.pop()
-        fresh = topology.adjacency[node] & relay_mask & ~reachable
-        j = 0
-        while fresh:
-            if fresh & 1:
-                reachable |= 1 << j
-                frontier.append(j)
-            fresh >>= 1
-            j += 1
-    out = []
-    for i in topology.barrels:
-        if topology.adjacency[i] & reachable == 0:
-            out.append(i)
-    return out
+        fresh = topology.adjacency[frontier.pop()] & relay_mask & ~reachable
+        reachable |= fresh
+        frontier.extend(bits(fresh))
+    return [i for i in topology.barrels if topology.adjacency[i] & reachable == 0]
 
 
 def validate_assignment(topology: Topology, assignment: RelayAssignment) -> list[str]:
@@ -256,6 +244,7 @@ _CSV_FIELDS = ["node", "x", "y", "role", "chosen_relay", "score"]
 def save_assignment_csv(topology: Topology, assignment: RelayAssignment, path) -> None:
     """One row per node: id, position, role (sink/relay/barrel), attachment,
     and final score where the strategy produces one."""
+    scores = assignment.scores or [None] * topology.node_count
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
@@ -266,11 +255,7 @@ def save_assignment_csv(topology: Topology, assignment: RelayAssignment, path) -
                 role = "relay"
             else:
                 role = "barrel"
-            chosen = assignment.chosen[i]
-            score = assignment.scores[i] if assignment.scores is not None else ""
-            writer.writerow(
-                [i, repr(x), repr(y), role, "" if chosen is None else chosen, score]
-            )
+            writer.writerow([i, x, y, role, assignment.chosen[i], scores[i]])
 
 
 def load_assignment_csv(path) -> tuple[list[tuple[float, float]], int, RelayAssignment]:

@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .relay_selection import RelayAssignment
-from .topology import Topology
+from .topology import Topology, bits
 
 RECEPTION_MODELS = ("collision_only", "independent_loss")
 REPEAT_MODES = ("distance_scaled", "fixed")
@@ -135,7 +135,6 @@ class ScenarioConfig:
     sim_time_s: float = 20.0
     seed: int = 0
     ttl: int = 127
-    range_r_m: float = 100.0
     repeat_policy: RepeatPolicy = field(default_factory=RepeatPolicy)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     emit_events: bool = False
@@ -236,30 +235,17 @@ def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[
         # adjacency is symmetric: whoever a listener hears can jam it. The
         # sink never transmits, so it jams nothing.
         jammers = 0
-        for listener in _bits(heard[zone]):
+        for listener in bits(heard[zone]):
             jammers |= topology.adjacency[listener]
         jammers &= ~(1 << topology.sink)
-        sides = sorted({zone_of[node] for node in _bits(jammers)} - {zone})
+        sides = sorted({zone_of[node] for node in bits(jammers)} - {zone})
         lanes.append(
             [(on_air[zone][c], tuple(on_air[z][c] for z in sides), c) for c in range(nch)]
         )
     return [lanes[zone] for zone in zone_of]
 
 
-def _bits(mask: int):
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig):
-    if topology.range_r != config.range_r_m:
-        raise ValueError(
-            f"topology built at range {topology.range_r} but scenario says "
-            f"{config.range_r_m}; rebuild the topology at the scenario range"
-        )
     if len(assignment.chosen) != topology.node_count:
         raise ValueError("assignment does not match topology size")
     for r in assignment.relays:

@@ -18,8 +18,9 @@ from typing import Optional, Sequence, Union
 FEET_PER_METER = 1 / 0.3048
 METERS_PER_FOOT = 0.3048
 
-# Dedupe tolerance for barrels that land on a shared segment boundary.
-_COORD_EPS = 1e-9
+# Nodes no farther apart than this on both axes coincide: barrels on a shared
+# segment boundary are placed once, and any other coincident pair is an error.
+COORD_EPS = 1e-9
 
 
 def feet(value: float) -> float:
@@ -57,6 +58,16 @@ class LayoutSpec:
     def total_length_m(self) -> float:
         return sum(s.length_m for s in self.segments)
 
+    def sink_x(self) -> float:
+        """Chainage of the sink."""
+        if self.sink_placement == "start":
+            return -self.sink_standoff_m
+        if self.sink_placement == "end":
+            return self.total_length_m() + self.sink_standoff_m
+        if isinstance(self.sink_placement, str):
+            raise LayoutError(f"unknown sink placement {self.sink_placement!r}")
+        return float(self.sink_placement)
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -88,15 +99,15 @@ class Topology:
         return bool(self.adjacency[i] >> j & 1)
 
     def neighbors_of(self, i: int) -> list[int]:
-        mask = self.adjacency[i]
-        out = []
-        j = 0
-        while mask:
-            if mask & 1:
-                out.append(j)
-            mask >>= 1
-            j += 1
-        return out
+        return list(bits(self.adjacency[i]))
+
+
+def bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _build_adjacency(positions: Sequence[tuple[float, float]], range_r: float) -> tuple[int, ...]:
@@ -126,8 +137,8 @@ def topology_from_positions(
     for a in range(len(positions)):
         for b in range(a + 1, len(positions)):
             if (
-                abs(positions[a][0] - positions[b][0]) <= _COORD_EPS
-                and abs(positions[a][1] - positions[b][1]) <= _COORD_EPS
+                abs(positions[a][0] - positions[b][0]) <= COORD_EPS
+                and abs(positions[a][1] - positions[b][1]) <= COORD_EPS
             ):
                 raise LayoutError(f"nodes {a} and {b} share coordinates {positions[a]}")
     return Topology(
@@ -152,10 +163,10 @@ def barrel_chainages(spec: LayoutSpec) -> list[float]:
             raise LayoutError(f"segment {seg.name!r} length must be >= 0")
         if seg.length_m == 0:
             continue
-        count = int(math.floor(seg.length_m / seg.spacing_m + _COORD_EPS))
+        count = int(math.floor(seg.length_m / seg.spacing_m + COORD_EPS))
         for k in range(count + 1):
             x = seg_start + k * seg.spacing_m
-            if not chainages or x - chainages[-1] > _COORD_EPS:
+            if not chainages or x - chainages[-1] > COORD_EPS:
                 chainages.append(x)
         seg_start += seg.length_m
     return chainages
@@ -163,20 +174,9 @@ def barrel_chainages(spec: LayoutSpec) -> list[float]:
 
 def build_layout(spec: LayoutSpec, range_r: float = 100.0) -> Topology:
     """Materialize a LayoutSpec into a Topology at the given radio range."""
-    chainages = barrel_chainages(spec)
-    total = spec.total_length_m()
-    if isinstance(spec.sink_placement, str):
-        if spec.sink_placement == "start":
-            sink_x = -spec.sink_standoff_m
-        elif spec.sink_placement == "end":
-            sink_x = total + spec.sink_standoff_m
-        else:
-            raise LayoutError(f"unknown sink placement {spec.sink_placement!r}")
-    else:
-        sink_x = float(spec.sink_placement)
     y = spec.lateral_offset_m
-    barrels = [(x, y) for x in chainages]
-    return topology_from_positions(barrels, (sink_x, y), range_r)
+    barrels = [(x, y) for x in barrel_chainages(spec)]
+    return topology_from_positions(barrels, (spec.sink_x(), y), range_r)
 
 
 def neighbor_degrees(topology: Topology) -> list[int]:

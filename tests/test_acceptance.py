@@ -42,10 +42,12 @@ N_SEEDS = 20
 RATES = (1.0, 4.0)
 
 # sha256 of the shipped matrix's outputs; "runs" is `cat runs/*.csv | sha256sum`
+# and "plotdata" is `cat plotdata/*.csv | sha256sum`
 GOLDEN_DIGESTS = {
     "summary.csv": "22ef372620571c8a16e459a9292efb1e9e78e43249861e844ca2612350b4eb93",
     "comparison.csv": "f906feac05157d1f611a9354be5623d726c1c0639541f393e3f971843f3afb5f",
     "runs": "2b8e6993571a17becd5af514e6ad0bfb8ba2fd1553a5716e1c8c4e1fd1aedff1",
+    "plotdata": "da9b1910d622fa407e773f1f7113db3dbdd62f98aeee8020097bc168d5ea1e80",
 }
 
 
@@ -227,7 +229,7 @@ def test_reruns_are_bit_identical(matrix, tmp_path):
     plan = matrix["plan"]
     seed = plan.base_seed + 3
     topo, assignment = materialize(plan, "crns", seed)
-    config = scenario_for(plan, topo, 4.0, seed)
+    config = scenario_for(plan, 4.0, seed)
     first = run(topo, assignment, config)
     second = run(topo, assignment, config)
     cell = execute_cell((plan, "crns", 4.0, seed, False))[3]
@@ -259,6 +261,7 @@ def test_outputs_match_golden_digests(matrix, tmp_path):
         "summary.csv": sha([tmp_path / "summary.csv"]),
         "comparison.csv": sha([tmp_path / "comparison.csv"]),
         "runs": sha(sorted((tmp_path / "runs").glob("*.csv"))),
+        "plotdata": sha(sorted((tmp_path / "plotdata").glob("*.csv"))),
     }
     differ = [name for name in GOLDEN_DIGESTS if got[name] != GOLDEN_DIGESTS[name]]
     check(

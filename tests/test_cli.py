@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -297,6 +298,22 @@ class TestWriteOutputs:
             rows = (tmp_path / name).read_text().splitlines()[1:]
             assert rows == ["crns,1.0,,", "all,1.0,,"], name
 
+    def test_events_and_assignment_bytes_pinned(self, matrix, tmp_path):
+        # the golden digests cover neither the event traces nor `select --out`
+        def sha(paths):
+            return hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
+
+        plan, results = matrix
+        write_outputs(plan, results, tmp_path, 1.0, workers=1)
+        assert sha(sorted((tmp_path / "runs").glob("*_events.csv"))) == (
+            "b82238de8ca54a5ec25f4d34a7b192924c6e81d1739400afb80b4390e349a53d"
+        )
+        selected = [tmp_path / f"{name}.csv" for name in ("crns", "random", "knn", "all")]
+        for path in selected:
+            argv = ["select", "--algorithm", path.stem, "--seed", "4", "--out", str(path)]
+            assert main(argv) == 0
+        assert sha(selected) == "07c6986abae6856f07d6ebf8ba32d0d1596833cc12bc31f0bffd118f0eae468e"
+
     def test_metadata_fields(self, matrix, tmp_path):
         plan, results = matrix
         write_outputs(plan, results, tmp_path, 1.5, workers=3)
@@ -347,6 +364,8 @@ BAD_ENTRIES = [
     ("layout", "segments = row:inf:90", "segments"),
     ("layout", "sink_placement = nan", "sink_placement"),
     ("layout", "sink_standoff = -1", "sink_standoff"),
+    ("layout", "sink_placement = 0", "sink_placement"),  # the first barrel's chainage
+    ("layout", "sink_standoff = 0", "sink_standoff"),
     ("layout", "lateral_offset = inf", "lateral_offset"),
     (None, "ttl = 3", None),
     ("scenario", "ttl = 3\nttl = 4", None),
@@ -355,6 +374,17 @@ BAD_ENTRIES = [
     ("DEFAULT", "ttl = 3", None),
     ("DEFAULT", "ttl = 3\n[scenario]\nseeds = 1", None),
     ("DEFAULT", "ttl = 3\n[layout]\npreset = fdot_45mph", None),
+]
+
+# (argv, flag): a select or validate call that must fail naming the flag
+BAD_FLAGS = [
+    (["select", "--range", "inf"], "--range"),
+    (["select", "--range", "nan"], "--range"),
+    (["select", "--range", "0"], "--range"),
+    (["select", "--algorithm", "random", "--count", "99"], "--count"),
+    (["select", "--algorithm", "random", "--count", "-1"], "--count"),
+    (["validate", "--range", "inf"], "--range"),
+    (["validate", "--range", "nan"], "--range"),
 ]
 
 
@@ -410,6 +440,28 @@ class TestVerbs:
         capsys.readouterr()
         assert main(["validate", "--assignment", str(out_csv)]) == 0
         assert "ok:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
+    def test_bad_flag_exits_2(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "assign.csv"
+        if argv[0] == "validate":
+            save_assignment_csv(*materialize(EXPERIMENT_PRESETS["paper"], "crns", seed=0), path)
+        place = "--assignment" if argv[0] == "validate" else "--out"
+        written = path.read_bytes() if path.exists() else None
+        assert main(argv + [place, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} = ")
+        assert err.count("\n") == 1
+        assert (path.read_bytes() if path.exists() else None) == written
+
+    @pytest.mark.parametrize("verb, preset", [("run", "paper"), ("select", "fdot_45mph")])
+    def test_config_and_preset_conflict(self, capsys, tmp_path, verb, preset):
+        ini = write_ini(tmp_path, "[scenario]\nseeds = 1\n")
+        with pytest.raises(SystemExit) as exit_:
+            main([verb, "--config", str(ini), "--preset", preset, "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert "--preset: not allowed with argument --config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_validate_flags_bad_assignment(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"

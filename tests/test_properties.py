@@ -531,7 +531,6 @@ def congested_cases(draw, topologies=chain_topologies(max_barrels=12)):
         sim_time_s=horizon,
         seed=draw(st.integers(0, 2**20)),
         ttl=draw(st.sampled_from([1, 2, 127])),
-        range_r_m=topo.range_r,
         repeat_policy=RepeatPolicy(
             mode=draw(st.sampled_from(["fixed", "distance_scaled"])),
             fixed_count=draw(st.integers(1, 3)),
@@ -596,7 +595,6 @@ def zone_case(barrels, sink, range_r, seed):
         app_rate_pps=256.0,
         sim_time_s=0.1,
         seed=seed,
-        range_r_m=range_r,
         repeat_policy=RepeatPolicy(mode="fixed", fixed_count=2),
         channel=ChannelConfig(n_adv_channels=1, frame_duration_us=300, adv_jitter_ms=0.5),
     )

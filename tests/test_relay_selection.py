@@ -157,6 +157,11 @@ class TestCoverage:
         topo = line_topology(90.0, 180.0, 380.0)
         assert isolated_nodes(topo, (0, 1)) == [2]
 
+    def test_repeated_relay_ids_count_once(self):
+        # validate_assignment passes a relay list as loaded, repeats included
+        topo = line_topology(90.0, 180.0, 270.0)
+        assert isolated_nodes(topo, (0, 0)) == [2]
+
     def test_sink_adjacent_barrel_never_isolated(self):
         topo = line_topology(50.0, 400.0)
         assert isolated_nodes(topo, ()) == [1]

@@ -295,11 +295,6 @@ class TestGuards:
         want = reference_run(topo, crns_select(topo), config)
         assert replace(got, processed_events=0) == replace(want, processed_events=0)
 
-    def test_range_mismatch_rejected(self):
-        topo = build_layout(FDOT_45MPH, range_r=150.0)
-        with pytest.raises(ValueError, match="range"):
-            run(topo, all_relays(topo), scenario(seed=1, range_r_m=100.0))
-
     def test_bad_reception_model_rejected(self):
         topo = line_topology(50.0)
         cfg = scenario(channel=ChannelConfig(reception_model="psychic"))
@@ -367,7 +362,6 @@ class TestHardStop:
         cfg = scenario(
             seed=2,
             sim_time_s=1.0,
-            range_r_m=60.0,
             repeat_policy=RepeatPolicy("fixed", 3),
             channel=ChannelConfig(frame_duration_us=400_000, adv_jitter_ms=0.0),
         )
