@@ -63,7 +63,7 @@ from .topology import (
 
 # Strategy name -> assignment for (topology, plan, seed). Entries look their
 # functions up when called, so a rebound module name (a tracer, a test
-# double) takes effect. The order fixes the row order of every output.
+# double) takes effect. The order is a plan's default algorithm order.
 STRATEGIES = {
     "crns": lambda topo, plan, seed: crns_select(topo),
     "all": lambda topo, plan, seed: all_relays(topo),
@@ -194,7 +194,6 @@ PLAN_KEYS = {
             text if text in ("start", "end") else _OFFSET(text)
         )),
         "sink_standoff": ("layout", "sink_standoff_m", _LENGTH),
-        "lateral_offset": ("layout", "lateral_offset_m", _OFFSET),
     },
     "scenario": {
         "algorithms": ("plan", "algorithms", _algorithms),
@@ -234,7 +233,8 @@ def parse_plan(path) -> ExperimentPlan:
     Unknown sections or keys are errors (a typo silently falling back to a
     default would invalidate a whole study), and so is a value its reader in
     PLAN_KEYS rejects; each such error names its section.key. Lengths accept
-    ft/m suffixes.
+    ft/m suffixes. The relay budget is checked against the layout by the
+    verb that uses it (_check_budget).
     """
     # no header can name the section "", so [DEFAULT] is an unknown section
     # rather than a source of defaults for the others
@@ -263,14 +263,8 @@ def parse_plan(path) -> ExperimentPlan:
         part: replace(values.pop(None, getattr(plan, part)), **values)
         for part, values in given.items()
     })
-    chainages = barrel_chainages(plan.layout)
-    if plan.relay_budget is not None and plan.relay_budget > len(chainages):
-        raise PlanError(
-            f"plan.relay_budget = {plan.relay_budget}: bad value, "
-            f"more than the {len(chainages)} barrels of the layout"
-        )
     sink_x = plan.layout.sink_x()
-    for x in chainages:
+    for x in barrel_chainages(plan.layout):
         if abs(x - sink_x) <= COORD_EPS:
             # start/end place the sink by its standoff, a chainage by itself
             key, value = (
@@ -282,6 +276,18 @@ def parse_plan(path) -> ExperimentPlan:
                 f"layout.{key} = {value:g}: bad value, puts the sink on the barrel at {x:g} m"
             )
     return plan
+
+
+def _check_budget(plan: ExperimentPlan, source: str) -> None:
+    """Reject a relay budget outside [0, the layout's barrel count], naming its
+    source (plan key or flag). The verbs call it, not parse_plan, so that
+    `select --count` replaces the plan's budget before it is checked."""
+    barrels = len(barrel_chainages(plan.layout))
+    if plan.relay_budget is not None and not 0 <= plan.relay_budget <= barrels:
+        raise PlanError(
+            f"{source} = {plan.relay_budget}: bad value, must be in [0, {barrels}], "
+            "the barrels of the layout"
+        )
 
 
 def relay_budget(plan: ExperimentPlan) -> int:
@@ -327,7 +333,8 @@ def execute_cell(job) -> tuple[str, float, int, SimResult]:
 def run_matrix(
     plan: ExperimentPlan, workers: int = 1, emit_events: bool = False
 ) -> list[tuple[str, float, int, SimResult]]:
-    """All runs of the plan, in deterministic (algorithm, rate, seed) order."""
+    """All runs of the plan in plan order: algorithm, then rate, then seed, each
+    as the plan lists them."""
     jobs = [
         (plan, algorithm, rate, plan.base_seed + i, emit_events)
         for algorithm in plan.algorithms
@@ -335,13 +342,9 @@ def run_matrix(
         for i in range(plan.n_seeds)
     ]
     if workers <= 1:
-        results = [execute_cell(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(execute_cell, jobs, chunksize=4))
-    order = {a: i for i, a in enumerate(plan.algorithms)}
-    results.sort(key=lambda item: (order[item[0]], item[1], item[2]))
-    return results
+        return [execute_cell(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(execute_cell, jobs, chunksize=4))
 
 
 def _rate_label(rate: float) -> str:
@@ -352,37 +355,20 @@ def _run_name(algorithm: str, rate: float, seed: int) -> str:
     return f"{algorithm}_{_rate_label(rate)}_{seed}"
 
 
-_SUMMARY_FIELDS = [
-    "algorithm",
-    "rate_pps",
-    "seed",
-    "n_relays",
-    "app_sent",
-    "delivered",
-    "pdr_pct",
-    "relay_load_mean",
-    "relay_load_cv",
-    "net_transmissions",
-    "mean_current_ma",
-    "mean_relay_current_ma",
-    "max_hops",
-]
-
-
 def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, workers: int):
     """Write the full output tree for one experiment, and return its
-    (algorithm, rate, CellStats) cells in plan order."""
+    cell_stats: CellStats keyed by (algorithm, rate), in the order of results."""
     out = Path(out_dir)
     runs_dir = out / "runs"
     plot_dir = out / "plotdata"
     runs_dir.mkdir(parents=True, exist_ok=True)
     plot_dir.mkdir(parents=True, exist_ok=True)
 
-    summary = []
-    for algorithm, rate, seed, result in results:
-        row = summarize(result, plan.power)
-        summary.append([algorithm, rate, seed] + [row[k] for k in _SUMMARY_FIELDS[3:]])
-    write_csv(out / "summary.csv", _SUMMARY_FIELDS, summary)
+    summary = [
+        {"algorithm": algorithm, "rate_pps": rate, **summarize(result, plan.power)}
+        for algorithm, rate, _seed, result in results
+    ]
+    write_csv(out / "summary.csv", summary[0], (row.values() for row in summary))
 
     for algorithm, rate, seed, result in results:
         name = _run_name(algorithm, rate, seed)
@@ -392,15 +378,9 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
             write_csv(runs_dir / f"{name}_events.csv", header, result.events)
 
     stats = cell_stats(results, plan.power)
-    cells = [
-        (algorithm, rate, stats[algorithm, rate])
-        for algorithm in plan.algorithms
-        for rate in plan.rates_pps
-    ]
-
     comparison, density, hist, power = [], [], [], []
-    for algorithm, rate, cell in cells:
-        base = stats[("all", rate)].pdr_mean if "all" in plan.algorithms else None
+    for (algorithm, rate), cell in stats.items():
+        base = stats["all", rate].pdr_mean if ("all", rate) in stats else None
         change = None
         if base and cell.pdr_mean is not None:
             change = f"{100.0 * (cell.pdr_mean - base) / base:+.1f}"
@@ -437,7 +417,7 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
     with open(out / "metadata.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return cells
+    return stats
 
 
 def _cmd_run(args) -> int:
@@ -453,13 +433,14 @@ def _cmd_run(args) -> int:
         )
     if args.seed is not None:
         plan = replace(plan, base_seed=args.seed)
+    _check_budget(plan, "plan.relay_budget")
     started = time.perf_counter()
     results = run_matrix(plan, workers=args.workers, emit_events=args.emit_events)
     elapsed = time.perf_counter() - started
-    cells = write_outputs(plan, results, args.out, elapsed, args.workers)
+    stats = write_outputs(plan, results, args.out, elapsed, args.workers)
     print(f"{len(results)} runs in {elapsed:.1f}s -> {args.out}")
     print(f"{'strategy':8s} {'rate':>6s} {'pdr%':>6s} {'load cv':>8s} {'relay mA':>9s}")
-    for algorithm, rate, cell in cells:
+    for (algorithm, rate), cell in stats.items():
         # blank where no run defines the value (no packet offered, say)
         pdr, cv, ma = (
             "" if value is None else f"{value:.{digits}f}"
@@ -492,13 +473,8 @@ def _cmd_select(args) -> int:
         range_m = _flag("--range", _POSITIVE_LENGTH, args.range)
         plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
     if args.count is not None:
-        barrels = len(barrel_chainages(plan.layout))
-        if not 0 <= args.count <= barrels:
-            raise PlanError(
-                f"--count = {args.count}: bad value, must be in [0, {barrels}], "
-                "the barrels of the layout"
-            )
         plan = replace(plan, relay_budget=args.count)
+    _check_budget(plan, "plan.relay_budget" if args.count is None else "--count")
     topo, assignment = materialize(plan, args.algorithm, args.seed or 0)
     issues = validate_assignment(topo, assignment)
     print(

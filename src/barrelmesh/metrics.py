@@ -145,12 +145,12 @@ def cell_stats(results, profile: PowerProfile) -> dict[tuple[str, float], CellSt
 
 
 def summarize(result: SimResult, profile: Optional[PowerProfile] = None) -> dict:
-    """Flat summary of one run, ready for a CSV row."""
+    """Flat summary of one run: its keys, in order, are the columns of
+    summary.csv after algorithm and rate_pps."""
     profile = profile or PowerProfile()
     load = relay_load_stats(result)
     return {
         "seed": result.seed,
-        "sim_time_s": result.sim_time_us / 1e6,
         "n_relays": len(result.relays),
         "app_sent": sum(result.app_sent),
         "delivered": sum(result.delivered_by_source),

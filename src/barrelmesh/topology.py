@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-FEET_PER_METER = 1 / 0.3048
 METERS_PER_FOOT = 0.3048
 
 # Nodes no farther apart than this on both axes coincide: barrels on a shared
@@ -53,7 +52,6 @@ class LayoutSpec:
     segments: tuple[Segment, ...]
     sink_placement: Union[str, float] = "start"
     sink_standoff_m: float = 10.0
-    lateral_offset_m: float = 0.0
 
     def total_length_m(self) -> float:
         return sum(s.length_m for s in self.segments)
@@ -174,9 +172,8 @@ def barrel_chainages(spec: LayoutSpec) -> list[float]:
 
 def build_layout(spec: LayoutSpec, range_r: float = 100.0) -> Topology:
     """Materialize a LayoutSpec into a Topology at the given radio range."""
-    y = spec.lateral_offset_m
-    barrels = [(x, y) for x in barrel_chainages(spec)]
-    return topology_from_positions(barrels, (spec.sink_x(), y), range_r)
+    barrels = [(x, 0.0) for x in barrel_chainages(spec)]
+    return topology_from_positions(barrels, (spec.sink_x(), 0.0), range_r)
 
 
 def neighbor_degrees(topology: Topology) -> list[int]:

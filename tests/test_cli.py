@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import fields, replace
@@ -80,9 +81,13 @@ class TestParsePlan:
             parse_plan(path)
 
     def test_unknown_key_named_in_error(self, tmp_path):
-        path = write_ini(tmp_path, "[scenario]\nspeed = 9\n")
-        with pytest.raises(PlanError, match="scenario.speed"):
-            parse_plan(path)
+        # layout.lateral_offset moved every node, the sink included, alike,
+        # so nothing read it; it is no longer a key
+        for section, line in (("scenario", "speed = 9"), ("layout", "lateral_offset = 2")):
+            path = write_ini(tmp_path, f"[{section}]\n{line}\n")
+            key = line.split(" = ")[0]
+            with pytest.raises(PlanError, match=f"^unknown key {section}.{key}$"):
+                parse_plan(path)
 
     def test_preset_and_segments_conflict(self, tmp_path):
         path = write_ini(
@@ -117,12 +122,11 @@ class TestParsePlan:
         path = write_ini(
             tmp_path,
             "[layout]\npreset = fdot_45mph\nsink_placement = 50ft\n"
-            "sink_standoff = 5m\nlateral_offset = 2\n",
+            "sink_standoff = 5m\n",
         )
         layout = parse_plan(path).layout
         assert layout.sink_placement == pytest.approx(feet(50.0))
         assert layout.sink_standoff_m == pytest.approx(5.0)
-        assert layout.lateral_offset_m == pytest.approx(2.0)
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         path = write_ini(tmp_path, "[scenario]\nalgorithms = crns,best\n")
@@ -178,6 +182,12 @@ class TestParsePlan:
         }
         assert set_by == Counter(want - {("layout", "segments")})
 
+    def test_readme_table_lists_every_plan_key(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = [line for line in readme.read_text().splitlines() if line.startswith("| `")]
+        listed = {key for row in rows for key in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])}
+        assert listed == {f"{section}.{key}" for section, keys in PLAN_KEYS.items() for key in keys}
+
     def test_bad_int_reported_as_plan_error(self, tmp_path):
         path = write_ini(tmp_path, "[scenario]\nttl = many\n")
         with pytest.raises(PlanError, match="bad value"):
@@ -217,10 +227,10 @@ class TestRunMatrix:
         results = run_matrix(plan)
         keys = [(a, r, s) for a, r, s, _ in results]
         assert keys == [
-            ("knn", 1.0, 7), ("knn", 1.0, 8),
             ("knn", 4.0, 7), ("knn", 4.0, 8),
-            ("crns", 1.0, 7), ("crns", 1.0, 8),
+            ("knn", 1.0, 7), ("knn", 1.0, 8),
             ("crns", 4.0, 7), ("crns", 4.0, 8),
+            ("crns", 1.0, 7), ("crns", 1.0, 8),
         ]
 
     def test_rerun_is_identical(self):
@@ -366,7 +376,6 @@ BAD_ENTRIES = [
     ("layout", "sink_standoff = -1", "sink_standoff"),
     ("layout", "sink_placement = 0", "sink_placement"),  # the first barrel's chainage
     ("layout", "sink_standoff = 0", "sink_standoff"),
-    ("layout", "lateral_offset = inf", "lateral_offset"),
     (None, "ttl = 3", None),
     ("scenario", "ttl = 3\nttl = 4", None),
     ("scenario", "ttl = 3\n[scenario]\nseeds = 1", None),
@@ -558,6 +567,11 @@ class TestVerbs:
         ]
         assert pdrs[1] == pdrs[3] == "" and pdrs[0] and pdrs[2]
         assert all(len(line) == len(lines[1]) for line in lines[2:])
+        # summary.csv lists its runs in the table's (plan) order, 100 before 1
+        cells = [("crns", "100.0"), ("crns", "1.0"), ("all", "100.0"), ("all", "1.0")]
+        summary = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert list(dict.fromkeys(tuple(row.split(",")[:2]) for row in summary)) == cells
+        assert [tuple(row.split(",")[:2]) for row in comparison] == cells
 
     @pytest.mark.parametrize("algorithm", ["random", "all"])
     def test_select_config_honors_budget_and_all_range(self, algorithm, tmp_path):
@@ -585,6 +599,22 @@ class TestVerbs:
         assert "at range 130m" in capsys.readouterr().out
         assert main(argv + ["random", "--count", "5"]) == 0
         assert "5 relays of 30 barrels at range 100m" in capsys.readouterr().out
+        # --count replaces a budget the layout cannot hold; without it, the
+        # plan's budget is checked and named
+        ini.write_text("[plan]\nrelay_budget = 99\n")
+        assert main(argv + ["random", "--count", "5"]) == 0
+        assert "5 relays of 30 barrels" in capsys.readouterr().out
+        out_dir = tmp_path / "out"
+        for args, named in (
+            (["random", "--count", "31"], "--count = 31"),
+            (["random"], "plan.relay_budget = 99"),
+            (["crns"], "plan.relay_budget = 99"),
+        ):
+            assert main(argv + args) == 2
+            assert capsys.readouterr().err.startswith(f"error: {named}: bad value")
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: plan.relay_budget = 99: bad value")
+        assert not out_dir.exists()
 
     def test_trace_overflow_exits_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(se, "EVENT_LOG_CAP", 10)

@@ -120,7 +120,6 @@ class TestSummaries:
         result = run(topo, crns_select(topo), ScenarioConfig(seed=3))
         s = summarize(result)
         assert s["seed"] == 3
-        assert s["sim_time_s"] == pytest.approx(20.0)
         assert s["n_relays"] == 18
         assert s["app_sent"] == 600
         assert 0 <= s["pdr_pct"] <= 100

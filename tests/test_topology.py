@@ -80,13 +80,6 @@ class TestSinkPlacement:
         with pytest.raises(LayoutError):
             build_layout(spec)
 
-    def test_lateral_offset_applies_to_all_nodes(self):
-        spec = LayoutSpec(
-            segments=(Segment("s", 100.0, 50.0),), lateral_offset_m=3.5
-        )
-        topo = build_layout(spec)
-        assert all(y == 3.5 for _, y in topo.positions)
-
 
 class TestConnectivity:
     def test_neighbor_iff_strictly_inside_range(self):
