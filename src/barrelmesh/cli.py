@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -330,11 +329,26 @@ def execute_cell(job) -> tuple[str, float, int, SimResult]:
     return algorithm, rate, seed, run(topo, assignment, config)
 
 
+def _timed_cell(job) -> tuple[tuple[str, float, int, SimResult], float]:
+    """execute_cell and its wall time, measured in the process that runs it."""
+    start = time.perf_counter()
+    row = execute_cell(job)
+    return row, time.perf_counter() - start
+
+
 def run_matrix(
-    plan: ExperimentPlan, workers: int = 1, emit_events: bool = False
+    plan: ExperimentPlan,
+    workers: int = 1,
+    emit_events: bool = False,
+    cell_seconds: Optional[list] = None,
 ) -> list[tuple[str, float, int, SimResult]]:
     """All runs of the plan in plan order: algorithm, then rate, then seed, each
-    as the plan lists them."""
+    as the plan lists them.
+
+    A list passed as cell_seconds receives each run's wall time, in the same
+    order, as measured where the run ran: their sum is the serial work,
+    however many workers shared it.
+    """
     jobs = [
         (plan, algorithm, rate, plan.base_seed + i, emit_events)
         for algorithm in plan.algorithms
@@ -342,9 +356,17 @@ def run_matrix(
         for i in range(plan.n_seeds)
     ]
     if workers <= 1:
-        return [execute_cell(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(execute_cell, jobs, chunksize=4))
+        timed = [_timed_cell(job) for job in jobs]
+    else:
+        # imported only here: it is a large share of the CLI's import time,
+        # which a serial run does not need
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            timed = list(pool.map(_timed_cell, jobs, chunksize=4))
+    if cell_seconds is not None:
+        cell_seconds.extend(seconds for _, seconds in timed)
+    return [row for row, _ in timed]
 
 
 def _rate_label(rate: float) -> str:
@@ -434,6 +456,10 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         plan = replace(plan, base_seed=args.seed)
     _check_budget(plan, "plan.relay_budget")
+    out = Path(args.out)
+    # every file in the directory must come from this one experiment
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise PlanError(f"--out = {args.out!r}: bad value, must be a new or empty directory")
     started = time.perf_counter()
     results = run_matrix(plan, workers=args.workers, emit_events=args.emit_events)
     elapsed = time.perf_counter() - started

@@ -21,21 +21,38 @@ Events run in (time, seq) order. seq counts events as they are created:
 originations and origin copies up front, in the draw order above, then each
 forward when it is drawn and each frame end when its frame starts. The
 engine keeps three streams, each in (time, seq) order, and always takes the
-least head among them: the up-front schedule (a list sorted once), the frames
-on air (a FIFO: every frame lasts the same time and frames start in order, so
-they end in order), and a heap of forwards and radio-free entries. That is
-exactly the order one heap of all events would give. A frame whose radio is
-still on air waits in its node's pending queue. When the radio frees at
-busy_until, the node's waiting frames are served in (busy_until, original
-seq) order: each takes its place among that instant's events, the node's own
-frame end and frames due at the same microsecond included, by the seq it was
-first given, exactly as if it had been re-pushed at busy_until. Waiting
-consumes no seq and no draw. processed_events, and the max_events budget,
-count events taken from the three streams: originations, scheduled frame
-starts (whether the frame starts, waits or falls past the horizon), frame
-ends and radio-free entries, stale ones included. The count is the same as
-when every event went through one heap. A waiting frame is never re-taken,
-so the count does not grow with how long frames wait.
+least head among them: the up-front schedule (built in batches, below), the
+frames on air (a FIFO: every frame lasts the same time and frames start in
+order, so they end in order), and a heap of forwards and radio-free entries.
+That is exactly the order one heap of all events would give. A frame whose
+radio is still on air waits in its node's pending queue. When the radio
+frees at busy_until, the node's waiting frames are served in (busy_until,
+original seq) order: each takes its place among that instant's events, the
+node's own frame end and frames due at the same microsecond included, by the
+seq it was first given, exactly as if it had been re-pushed at busy_until.
+Waiting consumes no seq and no draw. processed_events, and the max_events
+budget, count events taken from the three streams: originations, scheduled
+frame starts (whether the frame starts, waits or falls past the horizon),
+frame ends and radio-free entries, stale ones included. The count is the
+same as when every event went through one heap. A waiting frame is never
+re-taken, so the count does not grow with how long frames wait.
+
+The up-front schedule is built as the run reaches it, in batches of packet
+rounds, so that it never holds every origination and copy of a run at once.
+The draws of items 1 and 2 still all come first: the copies' jitters and
+channels go into compact arrays before any event. The up-front seqs are
+computed, not counted: a source that sends p packets of c copies owns
+p * (1 + c) seqs from base, the number owned by the sources below it.
+Packet k's origination gets base + k * (1 + c), and its copy j (from 0)
+that plus 1 + j. The event-stream seqs start after the last source's.
+Packet k of every source originates inside (k*interval, (k+1)*interval),
+and its copies no earlier. So once rounds [k0, k1) are built and sorted
+together with the entries carried over from the batch before, no later
+round adds an entry at or before k1*interval, and the batch is final up to
+that limit. The first event past the limit brings in the next batch, which
+carries over the entries not yet taken; the switch is not an event. How the
+rounds are cut into batches changes no result, only the memory. A short
+run is one batch.
 
 Radio model: frames have one fixed duration and one advertising channel.
 A frame is received by an in-range listener unless a same-channel frame
@@ -78,6 +95,7 @@ import heapq
 import itertools
 import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -94,6 +112,10 @@ DEFAULT_MAX_EVENTS = 100_000_000
 EVENT_LOG_CAP = 1_000_000
 
 _ORIGIN, _TX_START, _RADIO_FREE = 0, 1, 2
+# About how many up-front entries a batch of packet rounds builds (see the
+# module docstring): enough to make batch switches rare, few enough that the
+# schedule stays small however many packets a run offers.
+_BATCH_ENTRIES = 4096
 # Ends the schedule and the heap: later than any event, so the event loop
 # needs no emptiness test on either.
 _NEVER = (math.inf, math.inf, None, None)
@@ -245,6 +267,60 @@ def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[
     return [lanes[zone] for zone in zone_of]
 
 
+def _schedule_batches(sources, jitters, channels, interval: int, T: int, ttl: int, nch: int):
+    """The up-front schedule in batches of packet rounds (see the module
+    docstring): yields (entries, limit), the entries in (time, seq) order and
+    closed by _NEVER, final up to time limit; limit is T for the last batch.
+    The caller sends back the entries it has not taken, _NEVER included, and
+    they join the next batch.
+
+    sources holds, per source: (source, phase, packets, copies, first seq,
+    index of its first copy draw in jitters and channels, its lanes, its
+    duty-cycle records, or None for a listener, which is always awake).
+    """
+    per_round = sum(1 + source[3] for source in sources)
+    rounds = max(1, _BATCH_ENTRIES // max(1, per_round))
+    batch: list = []
+    k0 = 0
+    while True:
+        k1 = k0 + rounds
+        add = batch.append
+        for src, phase, packets, n_copies, seq0, draw0, src_lanes, wake in sources:
+            stop = min(k1, packets)
+            step = 1 + n_copies
+            seq = seq0 + k0 * step
+            c = draw0 + k0 * n_copies
+            t_pkt = phase + k0 * interval
+            for pkt in range(k0, stop):
+                rec = None
+                if wake is not None:
+                    rec = [t_pkt, t_pkt, n_copies]
+                    wake.append(rec)
+                key = (src, pkt)
+                add((t_pkt, seq, _ORIGIN, (key, rec)))
+                # a frame start's payload: (node, lane of its channel,
+                # (source, packet), ttl, hops, is_forward, duty-cycle record
+                # or None). The copies of a packet on one channel share it.
+                made = [None] * nch
+                for j in range(1, step):
+                    channel = channels[c]
+                    payload = made[channel]
+                    if payload is None:
+                        payload = made[channel] = (
+                            src, src_lanes[channel], key, ttl, 1, False, rec
+                        )
+                    add((t_pkt + jitters[c], seq + j, _TX_START, payload))
+                    c += 1
+                seq += step
+                t_pkt += interval
+        # (time, seq) is unique, so sorting never compares payloads
+        batch.sort()
+        batch.append(_NEVER)
+        batch = yield batch, min(k1 * interval, T)
+        batch.pop()  # the carried-over _NEVER
+        k0 = k1
+
+
 def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig):
     if len(assignment.chosen) != topology.node_count:
         raise ValueError("assignment does not match topology size")
@@ -291,7 +367,6 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     rng = random.Random(config.seed)
     getrandbits = rng.getrandbits
     random_ = rng.random
-    next_seq = itertools.count().__next__
     jit_bits = jit_max.bit_length()
     ch_bits = nch.bit_length()
     reach_of = [a & listener_mask for a in adj]
@@ -302,38 +377,35 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # originates exactly rate*sim_time packets when the interval divides T.
     phases = [1 + _randbelow(getrandbits, interval - 1) for _ in range(sink)]
     wake: list[list[list]] = [[] for _ in range(n)]
-    schedule: list = []
-    add = schedule.append
-    for src in range(sink):
-        is_listener = bool(listener_mask >> src & 1)
-        src_lanes = lanes[src]
-        t_pkt = phases[src]
-        pkt = 0
-        while t_pkt < T:
-            rec = None
-            if not is_listener:
-                rec = [t_pkt, t_pkt, copies[src]]
-                wake[src].append(rec)
-            key = (src, pkt)
-            add((t_pkt, next_seq(), _ORIGIN, (key, rec)))
-            # a frame start's payload: (node, lane of its channel, (source,
-            # packet), ttl, hops, is_forward, duty-cycle record or None). The
-            # copies of a packet on one channel share it.
-            made = [None] * nch
-            for _ in range(copies[src]):
-                jitter = _randbelow(getrandbits, jit_max) if jit_max > 0 else 0
-                channel = _randbelow(getrandbits, nch)
-                payload = made[channel]
-                if payload is None:
-                    payload = made[channel] = (
-                        src, src_lanes[channel], key, config.ttl, 1, False, rec
-                    )
-                add((t_pkt + jitter, next_seq(), _TX_START, payload))
-            t_pkt += interval
-            pkt += 1
-    # (time, seq) is unique, so sorting never compares payloads
-    schedule.sort()
-    schedule.append(_NEVER)
+    sources = []
+    seq = draws = 0
+    for src, phase in enumerate(phases):
+        packets = max(0, -(-(T - phase) // interval))
+        sources.append((
+            src, phase, packets, copies[src], seq, draws, lanes[src],
+            None if listener_mask >> src & 1 else wake[src],
+        ))
+        seq += packets * (1 + copies[src])
+        draws += packets * copies[src]
+    next_seq = itertools.count(seq).__next__
+    # every copy's jitter then channel, ascending (source, packet, copy); a
+    # list only where a value could overflow the compact array
+    jitters = array("q") if jit_max <= 1 << 63 else []
+    channels = bytearray() if nch <= 256 else []
+    for _ in range(draws):
+        # _randbelow, inlined
+        jitter = 0
+        if jit_max > 0:
+            jitter = getrandbits(jit_bits)
+            while jitter >= jit_max:
+                jitter = getrandbits(jit_bits)
+        channel = getrandbits(ch_bits)
+        while channel >= nch:
+            channel = getrandbits(ch_bits)
+        jitters.append(jitter)
+        channels.append(channel)
+    batches = _schedule_batches(sources, jitters, channels, interval, T, config.ttl, nch)
+    schedule, limit = next(batches)
     # Forwards and radio-free entries; frame ends live in `air`.
     heap: list = [_NEVER]
     heappush = heapq.heappush
@@ -384,8 +456,14 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         if frame_end:
             ev = air[0]
         t = ev[0]
-        if t > T:
-            break
+        if t > limit:
+            if limit == T:
+                break
+            # past what this batch fixes: carry its untaken entries over
+            schedule, limit = batches.send(schedule[i:])
+            i = 0
+            due = schedule[0]
+            continue
         processed += 1
         if processed > max_events:
             raise SimulationError(

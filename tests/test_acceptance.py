@@ -7,6 +7,7 @@ feeds every statistical check.
 """
 import hashlib
 import math
+import os
 import random
 import statistics
 import subprocess
@@ -59,17 +60,18 @@ def check(tag, label, ok, detail):
 
 @pytest.fixture(scope="session")
 def matrix():
-    """All four strategies at both rates on the shipped layout, 20 seeds."""
+    """All four strategies at both rates on the shipped layout, 20 seeds, run
+    in a process pool where there is more than one core. serial_s is the
+    serial work: the sum of the runs' wall times, each measured in its worker."""
     plan = EXPERIMENT_PRESETS["paper"]
     assert plan.n_seeds == N_SEEDS and plan.rates_pps == RATES
-    start = time.perf_counter()
-    results = run_matrix(plan, workers=1)
-    elapsed = time.perf_counter() - start
+    cell_seconds = []
+    results = run_matrix(plan, workers=min(2, os.cpu_count() or 1), cell_seconds=cell_seconds)
     by_cell = {}
     for algorithm, rate, seed, result in results:
         by_cell.setdefault((algorithm, rate), []).append(result)
     assert all(len(v) == N_SEEDS for v in by_cell.values())
-    return {"plan": plan, "results": results, "cells": by_cell, "elapsed_s": elapsed}
+    return {"plan": plan, "results": results, "cells": by_cell, "serial_s": sum(cell_seconds)}
 
 
 def mean_pdr(cells, algorithm, rate):
@@ -131,13 +133,13 @@ def test_delivery_ordering_across_strategies(matrix):
         p["crns", 1.0] > p[a, 1.0] for a in ("random", "knn", "all")
     )
     in_band = all(66.0 <= p["crns", r] <= 97.0 for r in RATES)
-    fast_enough = matrix["elapsed_s"] < 120.0
+    fast_enough = matrix["serial_s"] < 120.0
     detail = (
         "4pps crns/random/knn/all = "
         + "/".join(f"{p[a, 4.0]:.1f}" for a in ("crns", "random", "knn", "all"))
         + "; 1pps = "
         + "/".join(f"{p[a, 1.0]:.1f}" for a in ("crns", "random", "knn", "all"))
-        + f"; matrix {matrix['elapsed_s']:.0f}s"
+        + f"; matrix {matrix['serial_s']:.0f}s serial"
     )
     check(
         "A3",

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields, replace
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import barrelmesh.cli as cli
 import barrelmesh.sim_engine as se
 from barrelmesh.cli import (
     ALGORITHMS,
@@ -239,7 +242,23 @@ class TestRunMatrix:
 
     def test_worker_pool_matches_serial(self):
         plan = tiny_plan(algorithms=("crns", "all"))
-        assert run_matrix(plan, workers=2) == run_matrix(plan, workers=1)
+        pooled, serial = [], []
+        assert run_matrix(plan, workers=2, cell_seconds=pooled) == run_matrix(
+            plan, workers=1, cell_seconds=serial
+        )
+        # one wall time per run, measured where the run ran
+        assert len(pooled) == len(serial) == 4
+        assert all(seconds > 0 for seconds in pooled + serial)
+
+    def test_cli_import_leaves_the_pool_module_unloaded(self):
+        # a serial run never pays for importing the process pool
+        code = "import sys, barrelmesh.cli; print('concurrent.futures' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == "False\n", proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +510,28 @@ class TestVerbs:
         assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 0
         assert "2 runs" in capsys.readouterr().out
         assert (out_dir / "summary.csv").exists()
+
+    def test_run_refuses_a_used_out_dir(self, capsys, monkeypatch, tmp_path):
+        # a second experiment into one directory used to overwrite the first's
+        # files and leave its other run files behind
+        ini = write_ini(
+            tmp_path,
+            "[layout]\nsegments = row:270:90\n"
+            "[scenario]\nalgorithms = crns\nrates = 1\nseeds = 2\nsim_time_s = 2\n",
+        )
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()  # an empty directory is fine
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 0
+        written = {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_matrix", lambda *args, **kw: pytest.fail("ran"))
+        not_a_dir = tmp_path / "plan.ini"
+        for target in (out_dir, not_a_dir):
+            assert main(["run", "--config", str(ini), "--out", str(target)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --out = {str(target)!r}: bad value, must be a new or empty directory\n"
+            )
+        assert {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()} == written
 
     def test_run_seed_override_changes_run_names(self, tmp_path):
         ini = write_ini(

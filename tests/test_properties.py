@@ -11,6 +11,7 @@ import statistics
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import Frame, crns_oracle, reference_run, resolve_receptions
@@ -31,6 +32,7 @@ from barrelmesh.relay_selection import (
     random_relays,
     validate_assignment,
 )
+from barrelmesh import sim_engine
 from barrelmesh.sim_engine import (
     RECEPTION_MODELS,
     ChannelConfig,
@@ -38,6 +40,7 @@ from barrelmesh.sim_engine import (
     ScenarioConfig,
     SimResult,
     _zone_lanes,
+    packet_interval_us,
     plan_transmissions,
     run,
 )
@@ -585,6 +588,43 @@ def assert_matches_reference(topo, assignment, config):
     got = run(topo, assignment, config)
     want = reference_run(topo, assignment, config)
     assert replace(got, processed_events=0) == replace(want, processed_events=0)
+    return got
+
+
+ROW = [0.0, 60.0, 130.0, 190.0, 260.0]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # 3 ms of jitter against a 1 ms interval: copies carry over several
+        # one-round batches, and one starts exactly on a batch limit (11 ms)
+        tie_case(ROW, all_relays, 1000.0, 0.05, 4, 2, 2, 300, 3.0),
+        # no jitter, and frames queued back to back start on batch limits
+        tie_case(ROW, all_relays, 5000.0, 0.01, 1, 2, 1, 131, 0.0),
+        # a horizon inside the first interval: some sources send nothing
+        tie_case(ROW, crns_select, 1.0, 0.4, 3, 2, 2, 1100, 12.0),
+    ],
+    ids=["jitter-over-batches", "no-jitter", "short-horizon"],
+)
+def test_one_round_batches_match_reference(case, monkeypatch):
+    """The engine builds its up-front schedule in batches of packet rounds.
+    With one round a batch, a run crosses every batch edge it has, and it
+    still matches the reference, and the default batching to the last field,
+    processed_events included."""
+    topo, assignment, config = case
+    config = replace(config, emit_events=True)
+    batched = run(topo, assignment, config)
+    monkeypatch.setattr(sim_engine, "_BATCH_ENTRIES", 1)
+    got = assert_matches_reference(topo, assignment, config)
+    assert got == batched
+    interval = packet_interval_us(config.app_rate_pps)
+    if interval < got.sim_time_us:
+        # frames start exactly on a batch limit
+        assert any(t % interval == 0 and kind == "tx" for t, _, kind, *_ in got.events)
+    else:
+        sent = got.app_sent[: topo.sink]
+        assert min(sent) == 0 < max(sent)
 
 
 def zone_case(barrels, sink, range_r, seed):

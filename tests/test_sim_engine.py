@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -283,6 +284,32 @@ class TestGuards:
         with pytest.raises(SimulationError):
             run(topo, crns_select(topo), replace(config, max_events=7134))
         assert run(topo, crns_select(topo), replace(config, max_events=7135)) == result
+
+    def test_processed_event_count_is_pinned_across_batches(self, monkeypatch):
+        # 256 pkt/s for 2 s offers 512 packet rounds, far more than one batch
+        # of the up-front schedule holds; a batch switch is not an event, so
+        # the count is the same with one round a batch
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(app_rate_pps=256.0, sim_time_s=2.0, seed=7)
+        result = run(topo, crns_select(topo), config)
+        assert result.processed_events == 105383
+        monkeypatch.setattr(se, "_BATCH_ENTRIES", 1)
+        assert run(topo, crns_select(topo), config) == result
+
+    def test_saturated_run_memory_is_bounded(self):
+        # the up-front schedule is built in batches as the run reaches them,
+        # so the peak no longer holds every origination and copy at once:
+        # over 12 MiB when the whole schedule was built before the first event
+        topo = build_layout(FDOT_45MPH)
+        assignment = crns_select(topo)
+        config = scenario(app_rate_pps=256.0, sim_time_s=2.0, seed=1)
+        tracemalloc.start()
+        try:
+            run(topo, assignment, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.1 / 2 * 2**20
 
     def test_multi_zone_row_matches_reference(self):
         # 150 barrels at 12 m span eight 2R zones, so frame ends scan their
