@@ -517,7 +517,9 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    range_m = 100.0 if args.range is None else _flag("--range", _POSITIVE_LENGTH, args.range)
+    range_m = ExperimentPlan.range_r_m
+    if args.range is not None:
+        range_m = _flag("--range", _POSITIVE_LENGTH, args.range)
     positions, sink, assignment = load_assignment_csv(args.assignment)
     topo = topology_from_positions(positions[:-1], positions[-1], range_m)
     issues = validate_assignment(topo, assignment)
@@ -584,7 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="validate a saved assignment")
     p_val.add_argument("--assignment", required=True, help="assignment CSV to check")
-    p_val.add_argument("--range", help="radio range to validate at (default 100m)")
+    p_val.add_argument(
+        "--range", help=f"radio range to validate at (default {ExperimentPlan.range_r_m:g}m)"
+    )
     p_val.set_defaults(func=_cmd_validate)
 
     p_pre = sub.add_parser("presets", help="list shipped presets")

@@ -146,14 +146,15 @@ def knn_relays(topology: Topology, k: int, seed: int) -> RelayAssignment:
     until assignments stop moving or 100 rounds pass. A cluster that empties
     keeps its previous centroid. Assignment ties go to the lowest centroid
     index. Duplicate heads collapse, so the relay count can come out below k.
+    k = 0 has no centroid and so no relay.
     """
     n_barrels = topology.sink
-    if k < 1 or k > n_barrels:
-        raise SelectionError(f"k {k} outside [1, {n_barrels}] for this topology")
+    if k < 0 or k > n_barrels:
+        raise SelectionError(f"k {k} outside [0, {n_barrels}] for this topology")
     points = topology.positions[:n_barrels]
     rng = random.Random(seed)
     centroids = [points[i] for i in rng.sample(range(n_barrels), k)]
-    for _ in range(KMEANS_MAX_ROUNDS):
+    for _ in range(KMEANS_MAX_ROUNDS if k else 0):
         clusters: list[list[tuple[float, float]]] = [[] for _ in range(k)]
         for x, y in points:
             best = min(

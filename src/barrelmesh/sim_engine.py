@@ -87,7 +87,11 @@ with ttl-1, while later copies die in the duplicate cache. The sink counts
 the first arrival of each (source, packet).
 
 The engine stops at sim_time: frames that would end after it are never
-resolved and their airtime is clipped for the duty-cycle accounting.
+resolved and their airtime is clipped for the duty-cycle accounting. A plain
+barrel is awake from each packet's origination until that packet's last
+copy leaves the air; the engine folds this into per-node counters as it
+goes, opening a wake period at an origination that finds the barrel asleep
+and extending it to each copy's frame end, so it keeps no per-packet record.
 """
 from __future__ import annotations
 
@@ -275,8 +279,7 @@ def _schedule_batches(sources, jitters, channels, interval: int, T: int, ttl: in
     they join the next batch.
 
     sources holds, per source: (source, phase, packets, copies, first seq,
-    index of its first copy draw in jitters and channels, its lanes, its
-    duty-cycle records, or None for a listener, which is always awake).
+    index of its first copy draw in jitters and channels, its lanes).
     """
     per_round = sum(1 + source[3] for source in sources)
     rounds = max(1, _BATCH_ENTRIES // max(1, per_round))
@@ -285,29 +288,25 @@ def _schedule_batches(sources, jitters, channels, interval: int, T: int, ttl: in
     while True:
         k1 = k0 + rounds
         add = batch.append
-        for src, phase, packets, n_copies, seq0, draw0, src_lanes, wake in sources:
+        for src, phase, packets, n_copies, seq0, draw0, src_lanes in sources:
             stop = min(k1, packets)
             step = 1 + n_copies
             seq = seq0 + k0 * step
             c = draw0 + k0 * n_copies
             t_pkt = phase + k0 * interval
             for pkt in range(k0, stop):
-                rec = None
-                if wake is not None:
-                    rec = [t_pkt, t_pkt, n_copies]
-                    wake.append(rec)
                 key = (src, pkt)
-                add((t_pkt, seq, _ORIGIN, (key, rec)))
+                add((t_pkt, seq, _ORIGIN, key))
                 # a frame start's payload: (node, lane of its channel,
-                # (source, packet), ttl, hops, is_forward, duty-cycle record
-                # or None). The copies of a packet on one channel share it.
+                # (source, packet), ttl, hops, is_forward). The copies of a
+                # packet on one channel share it.
                 made = [None] * nch
                 for j in range(1, step):
                     channel = channels[c]
                     payload = made[channel]
                     if payload is None:
                         payload = made[channel] = (
-                            src, src_lanes[channel], key, ttl, 1, False, rec
+                            src, src_lanes[channel], key, ttl, 1, False
                         )
                     add((t_pkt + jitters[c], seq + j, _TX_START, payload))
                     c += 1
@@ -376,15 +375,13 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # source strictly inside (k*interval, (k+1)*interval), so every source
     # originates exactly rate*sim_time packets when the interval divides T.
     phases = [1 + _randbelow(getrandbits, interval - 1) for _ in range(sink)]
-    wake: list[list[list]] = [[] for _ in range(n)]
+    # every origination lies before T, so each is taken and counted here
+    app_sent = [0] * n
     sources = []
     seq = draws = 0
     for src, phase in enumerate(phases):
-        packets = max(0, -(-(T - phase) // interval))
-        sources.append((
-            src, phase, packets, copies[src], seq, draws, lanes[src],
-            None if listener_mask >> src & 1 else wake[src],
-        ))
+        packets = app_sent[src] = max(0, -(-(T - phase) // interval))
+        sources.append((src, phase, packets, copies[src], seq, draws, lanes[src]))
         seq += packets * (1 + copies[src])
         draws += packets * copies[src]
     next_seq = itertools.count(seq).__next__
@@ -428,7 +425,13 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     air: deque = deque()
     heard: dict = {}  # (source, packet) -> mask of nodes that hold it
     airtime = [0] * n
-    app_sent = [0] * n
+    # A source's wake time, folded as the run goes: awake holds its closed
+    # wake periods, [wake_from, wake_until) the open one, owed the copies of
+    # its packets not yet started.
+    awake = [0] * n
+    wake_from = [0] * n
+    wake_until = [0] * n
+    owed = [0] * n
     net_tx = [0] * n
     relayed = [0] * n
     delivered_by = [0] * n
@@ -544,7 +547,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                             t + jitter,
                             next_seq(),
                             _TX_START,
-                            (r, lanes[r][fwd_channel], key, ttl - 1, hops + 1, True, None),
+                            (r, lanes[r][fwd_channel], key, ttl - 1, hops + 1, True),
                         ),
                     )
             heard[key] = held
@@ -556,12 +559,16 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         else:
             heappop(heap)
         if kind == _ORIGIN:
-            key, rec = payload
-            src = key[0]
-            app_sent[src] += 1
-            heard[key] = 1 << src
+            src = payload[0]
+            heard[payload] = 1 << src
+            # Owed copies all start at or after t, so the open period
+            # reaches past t; otherwise it ended at wake_until.
+            if not owed[src] and t > wake_until[src]:
+                awake[src] += wake_until[src] - wake_from[src]
+                wake_from[src] = t
+            owed[src] += copies[src]
             if events is not None:
-                log(t, src, "origin", *key, -1)
+                log(t, src, "origin", *payload, -1)
             continue
         if kind == _TX_START:
             node = payload[0]
@@ -583,16 +590,17 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             if t >= T:
                 continue
             payload = heappop(queue)[1]
-        _, lane, key, ttl, hops, is_forward, rec = payload
+        _, lane, key, ttl, hops, is_forward = payload
         end = t + dur
         busy_until[node] = end
         airtime[node] += (end if end < T else T) - t
         net_tx[node] += 1
         if is_forward:
             relayed[node] += 1
-        if rec is not None:
-            rec[1] = max(rec[1], min(end, T))
-            rec[2] -= 1
+        else:
+            # a node's frames start in time order: this end is its latest
+            owed[node] -= 1
+            wake_until[node] = end
         frame = (end, next_seq(), t, node, lane, key, ttl, hops, adj[node])
         air.append(frame)
         lane[0].append(frame)
@@ -604,33 +612,15 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         if events is not None:
             log(t, node, "tx", *key, lane[2])
 
-    # Duty cycle. Listeners (relays, sink) are awake for the whole run:
-    # whatever is not their own airtime is listening. A plain barrel wakes
-    # when a packet is due and stays up until its last copy leaves the air
-    # (or the run ends with copies still queued), then sleeps.
-    listen_us = [0] * n
-    sleep_us = [0] * n
-    for node in range(n):
-        if listener_mask >> node & 1 or node == sink:
-            listen_us[node] = T - airtime[node]
-            continue
-        merged = 0
-        cur_start = cur_end = None
-        for rec in wake[node]:
-            start, end, pending = rec
-            if pending > 0:
-                end = T
-            if cur_start is None:
-                cur_start, cur_end = start, end
-            elif start <= cur_end:
-                cur_end = max(cur_end, end)
-            else:
-                merged += cur_end - cur_start
-                cur_start, cur_end = start, end
-        if cur_start is not None:
-            merged += cur_end - cur_start
-        listen_us[node] = merged - airtime[node]
-        sleep_us[node] = T - merged
+    # Listeners (relays, sink) are awake for the whole run. A plain barrel
+    # is awake for its closed periods plus the open one, which lasts to T if
+    # copies are still owed; whatever of its wake time is not airtime is
+    # listening.
+    wake_us = [
+        T if listener_mask >> node & 1
+        else awake[node] + (T if owed[node] else min(wake_until[node], T)) - wake_from[node]
+        for node in range(n)
+    ]
 
     return SimResult(
         sim_time_us=T,
@@ -642,8 +632,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         delivered_by_source=tuple(delivered_by),
         deliveries=tuple(deliveries),
         t_tx_frac=tuple(a / T for a in airtime),
-        t_listen_frac=tuple(l / T for l in listen_us),
-        t_sleep_frac=tuple(s / T for s in sleep_us),
+        t_listen_frac=tuple((w - a) / T for w, a in zip(wake_us, airtime)),
+        t_sleep_frac=tuple((T - w) / T for w in wake_us),
         max_hops=max_hops,
         processed_events=processed,
         events=tuple(events) if events is not None else (),

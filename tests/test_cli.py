@@ -511,6 +511,27 @@ class TestVerbs:
         assert "2 runs" in capsys.readouterr().out
         assert (out_dir / "summary.csv").exists()
 
+    def test_run_with_a_zero_relay_budget(self, capsys, tmp_path):
+        # every barrel of this short row hears the sink, so crns picks no
+        # relay and the auto budget of knn comes out as 0
+        ini = write_ini(
+            tmp_path,
+            "[layout]\nsegments = row:60m:12m\n"
+            "[scenario]\nalgorithms = crns, knn\nrates = 1\nseeds = 1\n"
+            "sim_time_s = 2\n",
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 0
+        assert "2 runs" in capsys.readouterr().out
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["crns", "1.0", "1000", "0"], ["knn", "1.0", "1000", "0"]
+        ]
+
+    def test_select_knn_accepts_a_zero_count(self, capsys):
+        assert main(["select", "--algorithm", "knn", "--count", "0"]) == 0
+        assert "knn: 0 relays of 30 barrels" in capsys.readouterr().out
+
     def test_run_refuses_a_used_out_dir(self, capsys, monkeypatch, tmp_path):
         # a second experiment into one directory used to overwrite the first's
         # files and leave its other run files behind

@@ -114,6 +114,12 @@ class TestBaselines:
         assert random_relays(preset, 0, seed=1).relays == ()
         assert random_relays(preset, 30, seed=1).relays == tuple(range(30))
 
+    def test_knn_accepts_zero_count(self, preset):
+        # a relay budget of 0 is in range, as it is for random
+        a = knn_relays(preset, 0, seed=1)
+        assert a.relays == ()
+        assert a.chosen == (None,) * preset.node_count
+
     def test_random_rejects_out_of_range_counts(self, preset):
         with pytest.raises(SelectionError):
             random_relays(preset, 31, seed=1)
@@ -143,7 +149,7 @@ class TestBaselines:
 
     def test_knn_rejects_bad_k(self, preset):
         with pytest.raises(SelectionError):
-            knn_relays(preset, 0, seed=1)
+            knn_relays(preset, -1, seed=1)
         with pytest.raises(SelectionError):
             knn_relays(preset, 31, seed=1)
 
