@@ -10,7 +10,8 @@ Four strategies share one output type:
 * knn_relays: barrels nearest the k-means cluster centroids of the row.
 
 An assignment also records, per barrel, which relay it leans on (its first
-hop toward the backbone), which feeds the static load accounting.
+hop toward the backbone): `validate` checks it, and `select --out` writes it
+as the `chosen_relay` column.
 """
 from __future__ import annotations
 

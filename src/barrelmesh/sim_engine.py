@@ -84,7 +84,8 @@ Dissemination: a source transmits each packet as one or more identical
 copies (its repeat plan), each copy independently jittered. A relay hearing
 a packet for the first time forwards it exactly once, one jittered frame
 with ttl-1, while later copies die in the duplicate cache. The sink counts
-the first arrival of each (source, packet).
+the first arrival of each (source, packet). Per-packet state, the mask of
+nodes that hold the packet, lives on a record that its frames share.
 
 The engine stops at sim_time: frames that would end after it are never
 resolved and their airtime is clipped for the duty-cycle accounting. A plain
@@ -185,7 +186,6 @@ class SimResult:
     net_transmissions: tuple[int, ...]
     relayed_count: tuple[int, ...]
     delivered_by_source: tuple[int, ...]
-    deliveries: tuple[tuple[int, int, int, int], ...]  # (source, packet, time_us, hops)
     t_tx_frac: tuple[float, ...]
     t_listen_frac: tuple[float, ...]
     t_sleep_frac: tuple[float, ...]
@@ -295,18 +295,19 @@ def _schedule_batches(sources, jitters, channels, interval: int, T: int, ttl: in
             c = draw0 + k0 * n_copies
             t_pkt = phase + k0 * interval
             for pkt in range(k0, stop):
-                key = (src, pkt)
-                add((t_pkt, seq, _ORIGIN, key))
-                # a frame start's payload: (node, lane of its channel,
-                # (source, packet), ttl, hops, is_forward). The copies of a
-                # packet on one channel share it.
+                # the packet's record, [mask of nodes that hold it, source,
+                # packet], rides on its origination and on every frame
+                # start's payload: (node, lane of its channel, record, ttl,
+                # hops, is_forward). The copies on one channel share a payload.
+                rec = [1 << src, src, pkt]
+                add((t_pkt, seq, _ORIGIN, rec))
                 made = [None] * nch
                 for j in range(1, step):
                     channel = channels[c]
                     payload = made[channel]
                     if payload is None:
                         payload = made[channel] = (
-                            src, src_lanes[channel], key, ttl, 1, False
+                            src, src_lanes[channel], rec, ttl, 1, False
                         )
                     add((t_pkt + jitters[c], seq + j, _TX_START, payload))
                     c += 1
@@ -417,13 +418,12 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # air during any frame, since its own frames never overlap.
     last_start = [-2 * dur] * n
     prev_start = [-2 * dur] * n
-    # Frames on air as (end, seq, start, tx, lane, (source, packet), ttl,
-    # hops, the adjacency mask of tx): all of them in `air`, which is in
+    # Frames on air as (end, seq, start, tx, lane, packet record, ttl, hops,
+    # the adjacency mask of tx): all of them in `air`, which is in
     # (end, seq) order because every frame lasts dur and frames start in
     # (time, seq) order, and each in the lane of its transmitter's zone and
     # channel.
     air: deque = deque()
-    heard: dict = {}  # (source, packet) -> mask of nodes that hold it
     airtime = [0] * n
     # A source's wake time, folded as the run goes: awake holds its closed
     # wake periods, [wake_from, wake_until) the open one, owed the copies of
@@ -435,7 +435,6 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     net_tx = [0] * n
     relayed = [0] * n
     delivered_by = [0] * n
-    deliveries: list[tuple[int, int, int, int]] = []
     max_hops = 0
     events: Optional[list] = [] if config.emit_events else None
     processed = 0
@@ -484,8 +483,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             reach = reach_of[frame[3]]
             if not reach:
                 continue
-            key = frame[5]
-            held = heard[key]
+            rec = frame[5]
+            held = rec[0]
             if lossy:
                 fresh = reach
             else:
@@ -521,16 +520,14 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     continue
                 held |= low
                 if r == sink:
-                    source, pkt = key
-                    delivered_by[source] += 1
-                    deliveries.append((source, pkt, t, hops))
+                    delivered_by[rec[1]] += 1
                     if hops > max_hops:
                         max_hops = hops
                     if events is not None:
-                        log(t, r, "deliver", source, pkt, frame[4][2])
+                        log(t, r, "deliver", rec[1], rec[2], frame[4][2])
                     continue
                 if events is not None:
-                    log(t, r, "rx", *key, frame[4][2])
+                    log(t, r, "rx", rec[1], rec[2], frame[4][2])
                 if ttl > 1:
                     # _randbelow, inlined
                     jitter = 0
@@ -547,10 +544,10 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                             t + jitter,
                             next_seq(),
                             _TX_START,
-                            (r, lanes[r][fwd_channel], key, ttl - 1, hops + 1, True),
+                            (r, lanes[r][fwd_channel], rec, ttl - 1, hops + 1, True),
                         ),
                     )
-            heard[key] = held
+            rec[0] = held
             continue
         _, s, kind, payload = ev
         if ev is due:
@@ -559,8 +556,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         else:
             heappop(heap)
         if kind == _ORIGIN:
-            src = payload[0]
-            heard[payload] = 1 << src
+            src = payload[1]
             # Owed copies all start at or after t, so the open period
             # reaches past t; otherwise it ended at wake_until.
             if not owed[src] and t > wake_until[src]:
@@ -568,7 +564,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 wake_from[src] = t
             owed[src] += copies[src]
             if events is not None:
-                log(t, src, "origin", *payload, -1)
+                log(t, src, "origin", src, payload[2], -1)
             continue
         if kind == _TX_START:
             node = payload[0]
@@ -590,7 +586,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             if t >= T:
                 continue
             payload = heappop(queue)[1]
-        _, lane, key, ttl, hops, is_forward = payload
+        _, lane, rec, ttl, hops, is_forward = payload
         end = t + dur
         busy_until[node] = end
         airtime[node] += (end if end < T else T) - t
@@ -601,7 +597,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             # a node's frames start in time order: this end is its latest
             owed[node] -= 1
             wake_until[node] = end
-        frame = (end, next_seq(), t, node, lane, key, ttl, hops, adj[node])
+        frame = (end, next_seq(), t, node, lane, rec, ttl, hops, adj[node])
         air.append(frame)
         lane[0].append(frame)
         prev_start[node] = last_start[node]
@@ -610,7 +606,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         if queue:
             heappush(heap, (end, queue[0][0], _RADIO_FREE, node))
         if events is not None:
-            log(t, node, "tx", *key, lane[2])
+            log(t, node, "tx", rec[1], rec[2], lane[2])
 
     # Listeners (relays, sink) are awake for the whole run. A plain barrel
     # is awake for its closed periods plus the open one, which lasts to T if
@@ -630,7 +626,6 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         net_transmissions=tuple(net_tx),
         relayed_count=tuple(relayed),
         delivered_by_source=tuple(delivered_by),
-        deliveries=tuple(deliveries),
         t_tx_frac=tuple(a / T for a in airtime),
         t_listen_frac=tuple((w - a) / T for w, a in zip(wake_us, airtime)),
         t_sleep_frac=tuple((T - w) / T for w in wake_us),

@@ -218,7 +218,6 @@ def reference_run(topology, assignment, config) -> SimResult:
     net_tx = [0] * n
     relayed = [0] * n
     delivered_by = [0] * n
-    deliveries: list[tuple[int, int, int, int]] = []
     max_hops = 0
     events: Optional[list] = [] if config.emit_events else None
     recent: deque = deque()
@@ -285,7 +284,6 @@ def reference_run(topology, assignment, config) -> SimResult:
                 caches[r].add(key)
                 if r == sink:
                     delivered_by[frame.source] += 1
-                    deliveries.append((frame.source, frame.pkt, t, frame.hops))
                     if frame.hops > max_hops:
                         max_hops = frame.hops
                     log(t, r, "deliver", frame.source, frame.pkt, frame.channel)
@@ -349,7 +347,6 @@ def reference_run(topology, assignment, config) -> SimResult:
         net_transmissions=tuple(net_tx),
         relayed_count=tuple(relayed),
         delivered_by_source=tuple(delivered_by),
-        deliveries=tuple(deliveries),
         t_tx_frac=tuple(a / T for a in airtime),
         t_listen_frac=tuple(l / T for l in listen_us),
         t_sleep_frac=tuple(s / T for s in sleep_us),

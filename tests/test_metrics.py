@@ -29,7 +29,6 @@ def make_result(**kw):
         net_transmissions=tuple([10] * (n - 1) + [0]),
         relayed_count=tuple([0] * n),
         delivered_by_source=tuple([10] * (n - 1) + [0]),
-        deliveries=(),
         t_tx_frac=tuple([0.0] * n),
         t_listen_frac=tuple([0.0] * n),
         t_sleep_frac=tuple([1.0] * n),

@@ -478,17 +478,12 @@ def test_engine_accounting(case):
     for (source, pkt), count in tx_per_packet.items():
         assert count <= copies[source] + len(assignment.relays)
 
-    assert sorted(deliver_events) == sorted(
-        (s, p, t) for s, p, t, _ in result.deliveries
-    )
     by_source = Counter(s for s, _, _ in deliver_events)
     for node in range(n):
         assert result.delivered_by_source[node] == by_source.get(node, 0)
         assert result.delivered_by_source[node] <= result.app_sent[node]
     assert len({(s, p) for s, p, _ in deliver_events}) == len(deliver_events)
 
-    hops = [h for _, _, _, h in result.deliveries]
-    assert result.max_hops == max(hops, default=0)
     assert result.max_hops <= len(assignment.relays) + 1
     assert result.max_hops <= config.ttl
 
@@ -772,11 +767,14 @@ def test_two_hop_delivery(gap, seed, dur):
     # from the horizon complete both hops inside the run
     cutoff = result.sim_time_us - 2 * (3000 + dur)
     if not contested:
+        delivered = {
+            (source, pkt)
+            for _, _, kind, source, pkt, _ in result.events
+            if kind == "deliver"
+        }
         for t, node, kind, source, pkt, _ in result.events:
             if kind == "origin" and t <= cutoff:
-                assert (source, pkt) in {
-                    (s, p) for s, p, _, _ in result.deliveries
-                }
+                assert (source, pkt) in delivered
         assert result.max_hops == 2
 
 
@@ -795,7 +793,6 @@ def synthetic_result(app_sent, delivered, fractions=None, relays=()):
         net_transmissions=(0,) * n,
         relayed_count=(0,) * n,
         delivered_by_source=tuple(delivered),
-        deliveries=(),
         t_tx_frac=tuple(f[0] for f in fractions),
         t_listen_frac=tuple(f[1] for f in fractions),
         t_sleep_frac=tuple(f[2] for f in fractions),
@@ -848,7 +845,6 @@ def test_load_stats_laws(loads):
         net_transmissions=tuple(loads) + (0,),
         relayed_count=tuple(loads) + (0,),
         delivered_by_source=(0,) * (n + 1),
-        deliveries=(),
         t_tx_frac=(0.0,) * (n + 1),
         t_listen_frac=(0.0,) * (n + 1),
         t_sleep_frac=(1.0,) * (n + 1),

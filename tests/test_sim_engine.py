@@ -300,15 +300,25 @@ class TestGuards:
         monkeypatch.setattr(se, "_BATCH_ENTRIES", 1)
         assert run(topo, crns_select(topo), config) == result
 
-    def test_saturated_run_memory_is_bounded(self):
-        # the up-front schedule is built in batches as the run reaches them,
-        # so the peak no longer holds every origination and copy at once:
-        # the peak RSS grew over 12 MiB across this run when the whole
-        # schedule was built before the first event. Measured in a fresh
-        # process as the growth of its peak RSS (Linux VmHWM), since tracing
-        # allocations slows `run` about 60-fold; not by ru_maxrss, which a
-        # child inherits from this test session.
-        code = textwrap.dedent("""
+    @pytest.mark.parametrize(
+        "sim_time_s, bound_mib",
+        [
+            # the up-front schedule is built in batches as the run reaches
+            # them, so the peak no longer holds every origination and copy at
+            # once: the peak RSS grew over 12 MiB across this run when the
+            # whole schedule was built before the first event
+            pytest.param(2.0, 12.1 / 2, id="2s"),
+            # a packet's holder mask lives on a record its frames share, not
+            # in a table kept for the whole run: the growth was about 29 MiB
+            # with one mask per offered packet and a list of its deliveries
+            pytest.param(20.0, 12.0, id="20s"),
+        ],
+    )
+    def test_saturated_run_memory_is_bounded(self, sim_time_s, bound_mib):
+        # Measured in a fresh process as the growth of its peak RSS (Linux
+        # VmHWM), since tracing allocations slows `run` about 60-fold; not by
+        # ru_maxrss, which a child inherits from this test session.
+        code = textwrap.dedent(f"""
             from barrelmesh.relay_selection import crns_select
             from barrelmesh.sim_engine import ScenarioConfig, run
             from barrelmesh.topology import FDOT_45MPH, build_layout
@@ -320,7 +330,7 @@ class TestGuards:
 
             topo = build_layout(FDOT_45MPH)
             assignment = crns_select(topo)
-            config = ScenarioConfig(app_rate_pps=256.0, sim_time_s=2.0, seed=1)
+            config = ScenarioConfig(app_rate_pps=256.0, sim_time_s={sim_time_s}, seed=1)
             before = peak_kib()
             run(topo, assignment, config)
             print(peak_kib() - before)
@@ -331,7 +341,7 @@ class TestGuards:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) * 2**10 < 12.1 / 2 * 2**20
+        assert int(proc.stdout) * 2**10 < bound_mib * 2**20
 
     def test_multi_zone_row_matches_reference(self):
         # 150 barrels at 12 m span eight 2R zones, so frame ends scan their
