@@ -18,6 +18,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -134,6 +135,7 @@ def _choice(options):
 
 
 _COUNT = _reader(int, lambda v: v >= 1, "at least 1")
+_WORKERS = _reader(int, lambda v: v >= 0, "at least 0 (0: one per CPU)")
 _POSITIVE = _reader(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _NON_NEGATIVE = _reader(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _POSITIVE_LENGTH = _reader(parse_length, lambda v: 0 < v < math.inf, "a finite length > 0")
@@ -456,14 +458,15 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         plan = replace(plan, base_seed=args.seed)
     _check_budget(plan, "plan.relay_budget")
+    workers = _flag("--workers", _WORKERS, args.workers) or os.cpu_count() or 1
     out = Path(args.out)
     # every file in the directory must come from this one experiment
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise PlanError(f"--out = {args.out!r}: bad value, must be a new or empty directory")
     started = time.perf_counter()
-    results = run_matrix(plan, workers=args.workers, emit_events=args.emit_events)
+    results = run_matrix(plan, workers=workers, emit_events=args.emit_events)
     elapsed = time.perf_counter() - started
-    stats = write_outputs(plan, results, args.out, elapsed, args.workers)
+    stats = write_outputs(plan, results, args.out, elapsed, workers)
     print(f"{len(results)} runs in {elapsed:.1f}s -> {args.out}")
     print(f"{'strategy':8s} {'rate':>6s} {'pdr%':>6s} {'load cv':>8s} {'relay mA':>9s}")
     for (algorithm, rate), cell in stats.items():
@@ -564,7 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="experiment plan INI file")
     source.add_argument("--preset", help="experiment preset name (default: paper)")
     p_run.add_argument("--seed", type=int, help="override the base seed")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel processes")
+    p_run.add_argument(
+        "--workers", default="1", help="parallel processes (0: one per CPU)"
+    )
     p_run.add_argument("--out", default="results", help="output directory")
     p_run.add_argument(
         "--emit-events", action="store_true", help="write per-run event traces"

@@ -63,10 +63,11 @@ non-relay barrel wakes to transmit its own packets and sleeps otherwise,
 so receptions at non-relays are not modeled. Collision beats half-duplex
 beats loss beats the duplicate cache when classifying an attempt. The
 reference classifier of these rules is `resolve_receptions` in
-`tests/oracles.py`. The engine applies them inline, without building its
-busy mask: the jam mask from the frames on air in the zone lanes below, the
-half-duplex test from each listener's last two frame starts. It skips the
-jam scan when every listener in range already holds the packet.
+`tests/oracles.py`. The engine applies them inline, with no busy or jam
+mask: the frames on air in the zone lanes below clear the listeners they
+jam, the half-duplex test reads each listener's last two frame starts, and
+loss draws are made only for the listeners left. With no loss model, it
+skips the jam scan when every listener in range already holds the packet.
 
 Frames on air are indexed by zone along x. The x extent is cut into the
 most equal zones that are each at least 2 * range wide, and every frame
@@ -77,8 +78,9 @@ its zone or a neighbouring one. A frame end scans its own lane and the
 lanes that the adjacency masks name for its zone, never every frame on
 air. A layout shorter than 4 * range (the shipped one) is one zone, whose
 frame ends scan the one lane of their channel. Which frames are scanned
-changes no result, only the cost: the jam mask is an OR over the frames
-that can jam.
+changes no result, only the cost: the scan clears jammed listeners and
+stops when none is left, before the side lanes if its own lane jams them
+all. A side is pruned before it is scanned.
 
 Dissemination: a source transmits each packet as one or more identical
 copies (its repeat plan), each copy independently jittered. A relay hearing
@@ -88,9 +90,12 @@ the first arrival of each (source, packet). Per-packet state, the mask of
 nodes that hold the packet, lives on a record that its frames share.
 
 The engine stops at sim_time: frames that would end after it are never
-resolved and their airtime is clipped for the duty-cycle accounting. A plain
-barrel is awake from each packet's origination until that packet's last
-copy leaves the air; the engine folds this into per-node counters as it
+resolved and their airtime is clipped for the duty-cycle accounting.
+net_transmissions and tx airtime are derived at the end from owed, relayed
+and busy_until: every origination lies before sim_time and is taken, and a
+node's frames never overlap, so only its last one can run past sim_time. A
+plain barrel is awake from each packet's origination until that packet's
+last copy leaves the air; the engine folds this into per-node counters as it
 goes, opening a wake period at an origination that finds the barrel asleep
 and extending it to each copy's frame end, so it keeps no per-packet record.
 """
@@ -370,6 +375,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     jit_bits = jit_max.bit_length()
     ch_bits = nch.bit_length()
     reach_of = [a & listener_mask for a in adj]
+    # the listeners a frame of each node cannot jam
+    unjammed_by = [listener_mask & ~a for a in adj]
     lanes = _zone_lanes(topology, reach_of, nch)
 
     # Drawn up front in the contract order. The phase keeps packet k of a
@@ -419,12 +426,11 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     last_start = [-2 * dur] * n
     prev_start = [-2 * dur] * n
     # Frames on air as (end, seq, start, tx, lane, packet record, ttl, hops,
-    # the adjacency mask of tx): all of them in `air`, which is in
+    # the listeners tx cannot jam): all of them in `air`, which is in
     # (end, seq) order because every frame lasts dur and frames start in
     # (time, seq) order, and each in the lane of its transmitter's zone and
     # channel.
     air: deque = deque()
-    airtime = [0] * n
     # A source's wake time, folded as the run goes: awake holds its closed
     # wake periods, [wake_from, wake_until) the open one, owed the copies of
     # its packets not yet started.
@@ -432,7 +438,6 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     wake_from = [0] * n
     wake_until = [0] * n
     owed = [0] * n
-    net_tx = [0] * n
     relayed = [0] * n
     delivered_by = [0] * n
     max_hops = 0
@@ -494,19 +499,26 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 if not fresh:
                     continue
             # Every frame left in a pruned lane ends after this one starts;
-            # those that started before it ends overlap it.
-            jam = 0
+            # those that started before it ends overlap it and clear the
+            # listeners they jam. Once none is left, nothing more can jam.
             for g in on_air:
                 if g[2] < t and g is not frame:
-                    jam |= g[8]
-            if frame[4][1]:  # a one-zone layout has no sides to iterate
+                    fresh &= g[8]
+                    if not fresh:
+                        break
+            if fresh and frame[4][1]:  # a one-zone layout has no sides
                 for side in frame[4][1]:
                     while side and side[0][0] <= cutoff:
                         side.popleft()
                     for g in side:
                         if g[2] < t:
-                            jam |= g[8]
-            fresh &= ~jam
+                            fresh &= g[8]
+                            if not fresh:
+                                break
+                    if not fresh:
+                        break
+            if not fresh:
+                continue
             ttl, hops = frame[6], frame[7]
             earliest = t - 2 * dur
             while fresh:
@@ -589,15 +601,13 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         _, lane, rec, ttl, hops, is_forward = payload
         end = t + dur
         busy_until[node] = end
-        airtime[node] += (end if end < T else T) - t
-        net_tx[node] += 1
         if is_forward:
             relayed[node] += 1
         else:
             # a node's frames start in time order: this end is its latest
             owed[node] -= 1
             wake_until[node] = end
-        frame = (end, next_seq(), t, node, lane, rec, ttl, hops, adj[node])
+        frame = (end, next_seq(), t, node, lane, rec, ttl, hops, unjammed_by[node])
         air.append(frame)
         lane[0].append(frame)
         prev_start[node] = last_start[node]
@@ -608,6 +618,10 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         if events is not None:
             log(t, node, "tx", rec[1], rec[2], lane[2])
 
+    # frames started: offered copies less those owed, plus forwards (the
+    # sink offers none); only a node's last frame can be clipped at T
+    net_tx = [k * c - o + r for k, c, o, r in zip(app_sent, copies + (0,), owed, relayed)]
+    airtime = [k * dur - max(0, end - T) for k, end in zip(net_tx, busy_until)]
     # Listeners (relays, sink) are awake for the whole run. A plain barrel
     # is awake for its closed periods plus the open one, which lasts to T if
     # copies are still owed; whatever of its wake time is not airtime is

@@ -554,6 +554,35 @@ class TestVerbs:
             )
         assert {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()} == written
 
+    def test_run_workers_flag(self, capsys, monkeypatch, tmp_path):
+        # --workers 0 takes one process per CPU, and metadata.json records
+        # the count used; a pool writes the same CSV bytes as a serial run
+        ini = write_ini(
+            tmp_path,
+            "[layout]\nsegments = row:270:90\n"
+            "[scenario]\nalgorithms = crns, all\nrates = 4, 1\nseeds = 2\nsim_time_s = 2\n",
+        )
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        trees = []
+        for workers, used in (("1", 1), ("0", 2)):
+            out_dir = tmp_path / f"workers{workers}"
+            argv = ["run", "--config", str(ini), "--workers", workers, "--out", str(out_dir)]
+            assert main(argv) == 0
+            assert json.loads((out_dir / "metadata.json").read_text())["workers"] == used
+            trees.append(
+                {path.relative_to(out_dir): path.read_bytes() for path in out_dir.rglob("*.csv")}
+            )
+        assert trees[0] == trees[1] and len(trees[0]) == 13  # 8 runs, 5 tables
+        capsys.readouterr()
+        out_dir = tmp_path / "bad"
+        for bad in ("-3", "two"):
+            argv = ["run", "--config", str(ini), "--workers", bad, "--out", str(out_dir)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --workers = {bad!r}: bad value, ")
+            assert err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_run_seed_override_changes_run_names(self, tmp_path):
         ini = write_ini(
             tmp_path,

@@ -622,16 +622,56 @@ def test_one_round_batches_match_reference(case, monkeypatch):
         assert min(sent) == 0 < max(sent)
 
 
-def zone_case(barrels, sink, range_r, seed):
+@pytest.mark.parametrize(
+    "case, state",
+    [
+        (tie_case(ROW, crns_select, 256.0, 0.05, 1, 1, 3, 1100, 12.0), "last frame past T"),
+        # no jitter: every copy is due at its origination, before T, so a
+        # copy still owed at T is waiting for its radio
+        (tie_case(ROW, crns_select, 2048.0, 0.02, 3, 2, 1, 300, 0.0), "owed, waiting"),
+        # 30 ms of jitter against a 10 ms interval: a radio free before T
+        # while copies are still owed, which are due at or past T
+        (tie_case(ROW, crns_select, 100.0, 0.1, 1, 2, 2, 1000, 30.0), "owed, due past T"),
+    ],
+    ids=["last-frame-past-T", "owed-waiting", "owed-due-past-T"],
+)
+def test_counters_at_the_horizon_match_reference(case, state):
+    """The engine derives net_transmissions and tx airtime after the run:
+    a node started every copy it was offered but those still owed, plus its
+    forwards, and only its last frame can run past T. Each case puts some
+    node in the named state at T and still matches the reference."""
+    topo, assignment, config = case
+    got = assert_matches_reference(topo, assignment, replace(config, emit_events=True))
+    T, dur = got.sim_time_us, config.channel.frame_duration_us
+    last_end = [0] * topo.sink
+    started = [0] * topo.sink
+    for t, node, kind, source, *_ in got.events:
+        if kind == "tx":
+            last_end[node] = t + dur
+            started[node] += node == source
+    owed = [sent * config.repeat_policy.fixed_count - s for sent, s in zip(got.app_sent, started)]
+    states = {
+        "last frame past T": any(end > T for end in last_end),
+        "owed, waiting": any(o and end > T for o, end in zip(owed, last_end)),
+        "owed, due past T": any(o and end < T for o, end in zip(owed, last_end)),
+    }
+    assert states[state]
+
+
+def zone_case(barrels, sink, range_r, seed, loss_p=None):
     """A busy single-channel run on an explicit layout at a short range,
-    every barrel a relay, so frames collide across zone edges."""
+    every barrel a relay, so frames collide across zone edges; with loss_p,
+    under independent_loss."""
     topo = topology_from_positions(barrels, sink, range_r)
+    channel = ChannelConfig(n_adv_channels=1, frame_duration_us=300, adv_jitter_ms=0.5)
+    if loss_p is not None:
+        channel = replace(channel, reception_model="independent_loss", loss_p=loss_p)
     config = ScenarioConfig(
         app_rate_pps=256.0,
         sim_time_s=0.1,
         seed=seed,
         repeat_policy=RepeatPolicy(mode="fixed", fixed_count=2),
-        channel=ChannelConfig(n_adv_channels=1, frame_duration_us=300, adv_jitter_ms=0.5),
+        channel=channel,
     )
     return topo, all_relays(topo), config
 
@@ -660,6 +700,11 @@ def zone_case(barrels, sink, range_r, seed):
 @example(
     zone_case([(x, 0.0) for x in (0, 20, 40, 60, 80, 100, 120.5)], (50.0, 10.0), 30.0, 8)
 )
+# four zones under loss, where a frame end's scan starts from every listener
+# in reach, holders included: a frame end whose own lane jams them all stops
+# there and leaves its side lanes unpruned, and later frame ends scan those
+# sides while they still hold frames that ended before their own started
+@example(zone_case([(12.0 * k, 0.0) for k in range(1, 21)], (0.0, 0.0), 30.0, 2, 0.3))
 def test_engine_vs_reference_wide(case):
     """As test_engine_vs_reference, on layouts several 2R zones wide, where
     a frame end scans the frames on air in its own zone and its neighbours'."""

@@ -30,6 +30,7 @@ from barrelmesh.topology import (
     build_layout,
     topology_from_positions,
 )
+from opcodes import count_opcodes
 from oracles import Frame, reference_run, resolve_receptions
 
 
@@ -299,6 +300,21 @@ class TestGuards:
         assert result.processed_events == 105383
         monkeypatch.setattr(se, "_BATCH_ENTRIES", 1)
         assert run(topo, crns_select(topo), config) == result
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="the bound counts CPython 3.11 opcodes",
+    )
+    def test_saturated_run_opcodes_per_event_are_bounded(self):
+        # At 256 pkt/s nearly every listener a frame reaches is jammed, and
+        # the jam scan stops once none is left. Counted exactly, `run`
+        # executed 228.6 opcodes per event on this cell when it scanned every
+        # frame in reach and bumped its frame counters at each frame start,
+        # and 168.1 without; the bound sits 20% under the former.
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(app_rate_pps=256.0, sim_time_s=0.2, seed=1)
+        result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
+        assert opcodes / result.processed_events < 182.0
 
     @pytest.mark.parametrize(
         "sim_time_s, bound_mib",
