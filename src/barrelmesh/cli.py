@@ -520,10 +520,14 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    range_m = ExperimentPlan.range_r_m
+    positions, sink, assignment, range_m = load_assignment_csv(args.assignment)
     if args.range is not None:
         range_m = _flag("--range", _POSITIVE_LENGTH, args.range)
-    positions, sink, assignment = load_assignment_csv(args.assignment)
+    elif range_m is None:
+        raise PlanError(
+            f"{args.assignment} stores no range_m column; give the range it "
+            "was selected at with --range"
+        )
     topo = topology_from_positions(positions[:-1], positions[-1], range_m)
     issues = validate_assignment(topo, assignment)
     if issues:
@@ -592,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="validate a saved assignment")
     p_val.add_argument("--assignment", required=True, help="assignment CSV to check")
     p_val.add_argument(
-        "--range", help=f"radio range to validate at (default {ExperimentPlan.range_r_m:g}m)"
+        "--range", help="radio range to validate at (default: the file's range_m column)"
     )
     p_val.set_defaults(func=_cmd_validate)
 

@@ -16,6 +16,7 @@ as the `chosen_relay` column.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -240,12 +241,13 @@ def validate_assignment(topology: Topology, assignment: RelayAssignment) -> list
     return issues
 
 
-_CSV_FIELDS = ["node", "x", "y", "role", "chosen_relay", "score"]
+_CSV_FIELDS = ["node", "x", "y", "role", "chosen_relay", "score", "range_m"]
 
 
 def save_assignment_csv(topology: Topology, assignment: RelayAssignment, path) -> None:
     """One row per node: id, position, role (sink/relay/barrel), attachment,
-    and final score where the strategy produces one."""
+    final score where the strategy produces one, and the radio range the
+    assignment was selected at."""
     scores = assignment.scores or [None] * topology.node_count
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -257,21 +259,26 @@ def save_assignment_csv(topology: Topology, assignment: RelayAssignment, path) -
                 role = "relay"
             else:
                 role = "barrel"
-            writer.writerow([i, x, y, role, assignment.chosen[i], scores[i]])
+            writer.writerow([i, x, y, role, assignment.chosen[i], scores[i], topology.range_r])
 
 
-def load_assignment_csv(path) -> tuple[list[tuple[float, float]], int, RelayAssignment]:
-    """Inverse of save_assignment_csv. Returns (positions, sink_id, assignment);
-    the algorithm name is not stored, so it loads as "file"."""
+def load_assignment_csv(
+    path,
+) -> tuple[list[tuple[float, float]], int, RelayAssignment, Optional[float]]:
+    """Inverse of save_assignment_csv. Returns (positions, sink_id, assignment,
+    range_m); the algorithm name is not stored, so it loads as "file". A file
+    written before the range was stored has no range_m column, and loads with
+    range_m None."""
     positions: list[tuple[float, float]] = []
     relays: list[int] = []
     chosen: list[Optional[int]] = []
     scores: list[float] = []
+    ranges: set[float] = set()
     have_scores = True
     sink = None
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != _CSV_FIELDS:
+        if reader.fieldnames not in (_CSV_FIELDS, _CSV_FIELDS[:-1]):
             raise ValueError(f"unexpected assignment columns {reader.fieldnames}")
         for row in reader:
             i = int(row["node"])
@@ -289,6 +296,10 @@ def load_assignment_csv(path) -> tuple[list[tuple[float, float]], int, RelayAssi
                 scores.append(float(row["score"]))
             else:
                 have_scores = False
+            if "range_m" in row:
+                ranges.add(float(row["range_m"]))
+    if len(ranges) > 1 or not all(0 < r < math.inf for r in ranges):
+        raise ValueError(f"range_m must be one finite length > 0, saw {sorted(ranges)}")
     if sink != len(positions) - 1:
         raise ValueError("sink must be the last node")
     assignment = RelayAssignment(
@@ -297,4 +308,4 @@ def load_assignment_csv(path) -> tuple[list[tuple[float, float]], int, RelayAssi
         chosen=tuple(chosen),
         scores=tuple(scores) if have_scores else None,
     )
-    return positions, sink, assignment
+    return positions, sink, assignment, ranges.pop() if ranges else None

@@ -18,41 +18,36 @@ running interpreter, so an interpreter whose `randrange` differs fails there
 instead of silently drawing a different stream than the reference engine.
 
 Events run in (time, seq) order. seq counts events as they are created:
-originations and origin copies up front, in the draw order above, then each
-forward when it is drawn and each frame end when its frame starts. The
-engine keeps three streams, each in (time, seq) order, and always takes the
-least head among them: the up-front schedule (built in batches, below), the
-frames on air (a FIFO: every frame lasts the same time and frames start in
-order, so they end in order), and a heap of forwards and radio-free entries.
-That is exactly the order one heap of all events would give. A frame whose
-radio is still on air waits in its node's pending queue. When the radio
-frees at busy_until, the node's waiting frames are served in (busy_until,
-original seq) order: each takes its place among that instant's events, the
-node's own frame end and frames due at the same microsecond included, by the
-seq it was first given, exactly as if it had been re-pushed at busy_until.
+originations and origin copies in the draw order above, then each forward
+when it is drawn and each frame end when its frame starts. The engine keeps
+two streams, each in (time, seq) order, and always takes the lesser head:
+the frames on air (a FIFO: every frame lasts the same time and frames start
+in order, so they end in order) and one heap of every other event. That is
+exactly the order one heap of all events would give. A frame whose radio is
+still on air waits in its node's pending queue. When the radio frees at
+busy_until, the node's waiting frames are served in (busy_until, original
+seq) order: each takes its place among that instant's events, the node's
+own frame end and frames due at the same microsecond included, by the seq
+it was first given, exactly as if it had been re-pushed at busy_until.
 Waiting consumes no seq and no draw. processed_events, and the max_events
-budget, count events taken from the three streams: originations, scheduled
+budget, count events taken from the two streams: originations, scheduled
 frame starts (whether the frame starts, waits or falls past the horizon),
 frame ends and radio-free entries, stale ones included. The count is the
 same as when every event went through one heap. A waiting frame is never
 re-taken, so the count does not grow with how long frames wait.
 
-The up-front schedule is built as the run reaches it, in batches of packet
-rounds, so that it never holds every origination and copy of a run at once.
-The draws of items 1 and 2 still all come first: the copies' jitters and
-channels go into compact arrays before any event. The up-front seqs are
-computed, not counted: a source that sends p packets of c copies owns
-p * (1 + c) seqs from base, the number owned by the sources below it.
-Packet k's origination gets base + k * (1 + c), and its copy j (from 0)
-that plus 1 + j. The event-stream seqs start after the last source's.
-Packet k of every source originates inside (k*interval, (k+1)*interval),
-and its copies no earlier. So once rounds [k0, k1) are built and sorted
-together with the entries carried over from the batch before, no later
-round adds an entry at or before k1*interval, and the batch is final up to
-that limit. The first event past the limit brings in the next batch, which
-carries over the entries not yet taken; the switch is not an event. How the
-rounds are cut into batches changes no result, only the memory. A short
-run is one batch.
+The draws of items 1 and 2 all come first: the copies' jitters and channels
+go into compact arrays before any event. The heap starts with each sending
+source's first origination, and each origination pushes its packet's copies
+and the source's next origination, if any. The up-front seqs are computed,
+not counted: a source that sends p packets of c copies owns p * (1 + c)
+seqs from base, the number owned by the sources below it. Packet k's
+origination gets base + k * (1 + c), and its copy j (from 0) that plus
+1 + j. The event-stream seqs start after the last source's. Every entry an
+origination pushes has a later (time, seq) than the origination itself,
+since jitter is never negative and its seq is greater, so it is on the heap
+before it can be due, and the events run in the same order as if every
+origination and copy had been pushed before the first.
 
 Radio model: frames have one fixed duration and one advertising channel.
 A frame is received by an in-range listener unless a same-channel frame
@@ -122,12 +117,8 @@ DEFAULT_MAX_EVENTS = 100_000_000
 EVENT_LOG_CAP = 1_000_000
 
 _ORIGIN, _TX_START, _RADIO_FREE = 0, 1, 2
-# About how many up-front entries a batch of packet rounds builds (see the
-# module docstring): enough to make batch switches rare, few enough that the
-# schedule stays small however many packets a run offers.
-_BATCH_ENTRIES = 4096
-# Ends the schedule and the heap: later than any event, so the event loop
-# needs no emptiness test on either.
+# Ends the heap: later than any event, so the event loop needs no emptiness
+# test on it.
 _NEVER = (math.inf, math.inf, None, None)
 
 
@@ -276,56 +267,6 @@ def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[
     return [lanes[zone] for zone in zone_of]
 
 
-def _schedule_batches(sources, jitters, channels, interval: int, T: int, ttl: int, nch: int):
-    """The up-front schedule in batches of packet rounds (see the module
-    docstring): yields (entries, limit), the entries in (time, seq) order and
-    closed by _NEVER, final up to time limit; limit is T for the last batch.
-    The caller sends back the entries it has not taken, _NEVER included, and
-    they join the next batch.
-
-    sources holds, per source: (source, phase, packets, copies, first seq,
-    index of its first copy draw in jitters and channels, its lanes).
-    """
-    per_round = sum(1 + source[3] for source in sources)
-    rounds = max(1, _BATCH_ENTRIES // max(1, per_round))
-    batch: list = []
-    k0 = 0
-    while True:
-        k1 = k0 + rounds
-        add = batch.append
-        for src, phase, packets, n_copies, seq0, draw0, src_lanes in sources:
-            stop = min(k1, packets)
-            step = 1 + n_copies
-            seq = seq0 + k0 * step
-            c = draw0 + k0 * n_copies
-            t_pkt = phase + k0 * interval
-            for pkt in range(k0, stop):
-                # the packet's record, [mask of nodes that hold it, source,
-                # packet], rides on its origination and on every frame
-                # start's payload: (node, lane of its channel, record, ttl,
-                # hops, is_forward). The copies on one channel share a payload.
-                rec = [1 << src, src, pkt]
-                add((t_pkt, seq, _ORIGIN, rec))
-                made = [None] * nch
-                for j in range(1, step):
-                    channel = channels[c]
-                    payload = made[channel]
-                    if payload is None:
-                        payload = made[channel] = (
-                            src, src_lanes[channel], rec, ttl, 1, False
-                        )
-                    add((t_pkt + jitters[c], seq + j, _TX_START, payload))
-                    c += 1
-                seq += step
-                t_pkt += interval
-        # (time, seq) is unique, so sorting never compares payloads
-        batch.sort()
-        batch.append(_NEVER)
-        batch = yield batch, min(k1 * interval, T)
-        batch.pop()  # the carried-over _NEVER
-        k0 = k1
-
-
 def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig):
     if len(assignment.chosen) != topology.node_count:
         raise ValueError("assignment does not match topology size")
@@ -385,13 +326,23 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     phases = [1 + _randbelow(getrandbits, interval - 1) for _ in range(sink)]
     # every origination lies before T, so each is taken and counted here
     app_sent = [0] * n
-    sources = []
+    # the index of each source's first copy draw in jitters and channels
+    draw0 = [0] * sink
+    # Every event, frame ends aside (they live in `air`), starting from each
+    # sending source's first origination. A packet's record, [mask of nodes
+    # that hold it, source, packet], is its origination's payload and rides
+    # on each of its frame starts: (node, lane of its channel, record, ttl,
+    # hops, is_forward).
+    heap: list = [_NEVER]
     seq = draws = 0
     for src, phase in enumerate(phases):
         packets = app_sent[src] = max(0, -(-(T - phase) // interval))
-        sources.append((src, phase, packets, copies[src], seq, draws, lanes[src]))
+        draw0[src] = draws
+        if packets:
+            heap.append((phase, seq, _ORIGIN, [1 << src, src, 0]))
         seq += packets * (1 + copies[src])
         draws += packets * copies[src]
+    heapq.heapify(heap)
     next_seq = itertools.count(seq).__next__
     # every copy's jitter then channel, ascending (source, packet, copy); a
     # list only where a value could overflow the compact array
@@ -409,10 +360,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             channel = getrandbits(ch_bits)
         jitters.append(jitter)
         channels.append(channel)
-    batches = _schedule_batches(sources, jitters, channels, interval, T, config.ttl, nch)
-    schedule, limit = next(batches)
-    # Forwards and radio-free entries; frame ends live in `air`.
-    heap: list = [_NEVER]
+    origin_ttl = config.ttl
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -452,25 +400,15 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             )
         events.append((time_us, node, kind, source, pkt, channel))
 
-    i = 0
-    due = schedule[0]
     while True:
-        # the least (time, seq) head of the schedule, the heap and `air`
+        # the lesser (time, seq) head of the heap and `air`
         ev = heap[0]
-        if due < ev:
-            ev = due
         frame_end = air and air[0] < ev
         if frame_end:
             ev = air[0]
         t = ev[0]
-        if t > limit:
-            if limit == T:
-                break
-            # past what this batch fixes: carry its untaken entries over
-            schedule, limit = batches.send(schedule[i:])
-            i = 0
-            due = schedule[0]
-            continue
+        if t > T:
+            break
         processed += 1
         if processed > max_events:
             raise SimulationError(
@@ -561,22 +499,33 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     )
             rec[0] = held
             continue
-        _, s, kind, payload = ev
-        if ev is due:
-            i += 1
-            due = schedule[i]
-        else:
-            heappop(heap)
+        _, s, kind, payload = heappop(heap)
         if kind == _ORIGIN:
-            src = payload[1]
+            _, src, pkt = payload
+            n_copies = copies[src]
             # Owed copies all start at or after t, so the open period
             # reaches past t; otherwise it ended at wake_until.
             if not owed[src] and t > wake_until[src]:
                 awake[src] += wake_until[src] - wake_from[src]
                 wake_from[src] = t
-            owed[src] += copies[src]
+            owed[src] += n_copies
             if events is not None:
-                log(t, src, "origin", src, payload[2], -1)
+                log(t, src, "origin", src, pkt, -1)
+            # the packet's copies, then the source's next packet, under the
+            # seqs that follow this origination's
+            src_lanes = lanes[src]
+            c = draw0[src] + pkt * n_copies
+            for j in range(1, n_copies + 1):
+                heappush(
+                    heap,
+                    (t + jitters[c], s + j, _TX_START,
+                     (src, src_lanes[channels[c]], payload, origin_ttl, 1, False)),
+                )
+                c += 1
+            if pkt + 1 < app_sent[src]:
+                heappush(
+                    heap, (t + interval, s + 1 + n_copies, _ORIGIN, [1 << src, src, pkt + 1])
+                )
             continue
         if kind == _TX_START:
             node = payload[0]

@@ -341,7 +341,7 @@ class TestWriteOutputs:
         for path in selected:
             argv = ["select", "--algorithm", path.stem, "--seed", "4", "--out", str(path)]
             assert main(argv) == 0
-        assert sha(selected) == "07c6986abae6856f07d6ebf8ba32d0d1596833cc12bc31f0bffd118f0eae468e"
+        assert sha(selected) == "fb3eb47cd1ec7c77769a3e2d024ff348b5b2f563ddde7d5932e77bf21d77a23e"
 
     def test_metadata_fields(self, matrix, tmp_path):
         plan, results = matrix
@@ -428,9 +428,10 @@ class TestVerbs:
         assert main(["select", "--algorithm", "crns", "--out", str(out_csv)]) == 0
         out = capsys.readouterr().out
         assert "18 relays of 30 barrels" in out
-        positions, sink, assignment = load_assignment_csv(out_csv)
+        positions, sink, assignment, range_m = load_assignment_csv(out_csv)
         assert sink == 30
         assert assignment.relays == tuple(range(7, 25))
+        assert range_m == 100.0
 
     @pytest.mark.parametrize(
         "range_args, range_m", [([], 100.0), (["--range", "130m"], 130.0)]
@@ -490,6 +491,31 @@ class TestVerbs:
         assert exit_.value.code == 2
         assert "--preset: not allowed with argument --config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_validate_uses_the_range_selected_at(self, capsys, tmp_path):
+        # at 200 m node 24 attaches to relay 16, which is out of range at
+        # the default 100 m
+        out_csv = tmp_path / "assign.csv"
+        assert main(["select", "--range", "200m", "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--assignment", str(out_csv)]) == 0
+        assert "at range 200m" in capsys.readouterr().out
+        assert main(["validate", "--assignment", str(out_csv), "--range", "100m"]) == 1
+        assert "node 24 attaches to out-of-range relay 16" in capsys.readouterr().out
+
+    def test_validate_needs_range_for_a_file_without_one(self, capsys, tmp_path):
+        out_csv = tmp_path / "assign.csv"
+        assert main(["select", "--out", str(out_csv)]) == 0
+        lines = out_csv.read_text().splitlines()
+        assert lines[0].endswith(",range_m")
+        out_csv.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(["validate", "--assignment", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "range_m" in err and "--range" in err
+        assert err.count("\n") == 1
+        assert main(["validate", "--assignment", str(out_csv), "--range", "100m"]) == 0
+        assert "at range 100m" in capsys.readouterr().out
 
     def test_validate_flags_bad_assignment(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"

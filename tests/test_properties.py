@@ -32,7 +32,6 @@ from barrelmesh.relay_selection import (
     random_relays,
     validate_assignment,
 )
-from barrelmesh import sim_engine
 from barrelmesh.sim_engine import (
     RECEPTION_MODELS,
     ChannelConfig,
@@ -590,36 +589,45 @@ ROW = [0.0, 60.0, 130.0, 190.0, 260.0]
 
 
 @pytest.mark.parametrize(
-    "case",
+    "case, edges",
     [
-        # 3 ms of jitter against a 1 ms interval: copies carry over several
-        # one-round batches, and one starts exactly on a batch limit (11 ms)
-        tie_case(ROW, all_relays, 1000.0, 0.05, 4, 2, 2, 300, 3.0),
-        # no jitter, and frames queued back to back start on batch limits
-        tie_case(ROW, all_relays, 5000.0, 0.01, 1, 2, 1, 131, 0.0),
+        # 3 ms of jitter against a 1 ms interval: copies start after their
+        # source's next packets originate, and one exactly on an interval
+        # multiple (11 ms)
+        (
+            tie_case(ROW, all_relays, 1000.0, 0.05, 4, 2, 2, 300, 3.0),
+            ("copies outlive the next origination", "frames on interval multiples"),
+        ),
+        # no jitter, and frames queued back to back start on interval multiples
+        (
+            tie_case(ROW, all_relays, 5000.0, 0.01, 1, 2, 1, 131, 0.0),
+            ("frames on interval multiples",),
+        ),
         # a horizon inside the first interval: some sources send nothing
-        tie_case(ROW, crns_select, 1.0, 0.4, 3, 2, 2, 1100, 12.0),
+        (tie_case(ROW, crns_select, 1.0, 0.4, 3, 2, 2, 1100, 12.0), ("silent sources",)),
     ],
-    ids=["jitter-over-batches", "no-jitter", "short-horizon"],
+    ids=["copies-outlive-next-origination", "frames-on-interval-multiples", "silent-sources"],
 )
-def test_one_round_batches_match_reference(case, monkeypatch):
-    """The engine builds its up-front schedule in batches of packet rounds.
-    With one round a batch, a run crosses every batch edge it has, and it
-    still matches the reference, and the default batching to the last field,
-    processed_events included."""
+def test_origination_edges_match_reference(case, edges):
+    """Each origination pushes its packet's copies and its source's next
+    origination onto the engine's heap. Each case puts the run on the named
+    edges of that rule and still matches the reference."""
     topo, assignment, config = case
-    config = replace(config, emit_events=True)
-    batched = run(topo, assignment, config)
-    monkeypatch.setattr(sim_engine, "_BATCH_ENTRIES", 1)
-    got = assert_matches_reference(topo, assignment, config)
-    assert got == batched
+    got = assert_matches_reference(topo, assignment, replace(config, emit_events=True))
     interval = packet_interval_us(config.app_rate_pps)
-    if interval < got.sim_time_us:
-        # frames start exactly on a batch limit
-        assert any(t % interval == 0 and kind == "tx" for t, _, kind, *_ in got.events)
-    else:
-        sent = got.app_sent[: topo.sink]
-        assert min(sent) == 0 < max(sent)
+    origin_at = {(node, pkt): t for t, node, kind, _, pkt, _ in got.events if kind == "origin"}
+    sent = got.app_sent[: topo.sink]
+    found = {
+        "copies outlive the next origination": any(
+            kind == "tx" and node == source and t > origin_at.get((node, pkt + 1), math.inf)
+            for t, node, kind, source, pkt, _ in got.events
+        ),
+        "frames on interval multiples": any(
+            t % interval == 0 and kind == "tx" for t, _, kind, *_ in got.events
+        ),
+        "silent sources": min(sent) == 0 < max(sent),
+    }
+    assert all(found[edge] for edge in edges)
 
 
 @pytest.mark.parametrize(

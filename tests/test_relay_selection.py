@@ -216,20 +216,45 @@ class TestAssignmentFile:
         a = crns_select(preset)
         path = tmp_path / "assignment.csv"
         save_assignment_csv(preset, a, path)
-        positions, sink, loaded = load_assignment_csv(path)
+        positions, sink, loaded, range_m = load_assignment_csv(path)
         assert positions == list(preset.positions)
         assert sink == preset.sink
         assert loaded.relays == a.relays
         assert loaded.chosen == a.chosen
         assert loaded.scores == a.scores
+        assert range_m == preset.range_r
+
+    def test_loads_a_file_without_range(self, tmp_path, preset):
+        a = crns_select(preset)
+        path = tmp_path / "assignment.csv"
+        save_assignment_csv(preset, a, path)
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        positions, sink, loaded, range_m = load_assignment_csv(path)
+        assert (positions, sink, loaded.chosen, range_m) == (
+            list(preset.positions), preset.sink, a.chosen, None
+        )
 
     def test_roundtrip_without_scores(self, tmp_path, preset):
         a = random_relays(preset, 5, seed=8)
         path = tmp_path / "assignment.csv"
         save_assignment_csv(preset, a, path)
-        _, _, loaded = load_assignment_csv(path)
+        _, _, loaded, _ = load_assignment_csv(path)
         assert loaded.relays == a.relays
         assert loaded.scores is None
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-5", "mixed"])
+    def test_rejects_bad_range(self, tmp_path, preset, bad):
+        path = tmp_path / "assignment.csv"
+        save_assignment_csv(preset, crns_select(preset), path)
+        lines = path.read_text().splitlines()
+        body = [
+            line.rsplit(",", 1)[0] + "," + (str(100.0 + i) if bad == "mixed" else bad)
+            for i, line in enumerate(lines[1:])
+        ]
+        path.write_text("\n".join([lines[0], *body]) + "\n")
+        with pytest.raises(ValueError, match="range_m"):
+            load_assignment_csv(path)
 
     def test_rejects_unknown_columns(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -278,28 +278,26 @@ class TestGuards:
         with pytest.raises(SimulationError):
             run(topo, crns_select(topo), scenario(seed=1, max_events=50))
 
-    def test_processed_event_count_is_pinned(self):
+    @pytest.mark.parametrize(
+        "rate, events",
+        [
+            pytest.param(4.0, 7135, id="4pps"),
+            # 512 packet rounds: nearly every listener is jammed, and most
+            # frame starts wait for their radio
+            pytest.param(256.0, 105383, id="256pps"),
+        ],
+    )
+    def test_processed_event_count_is_pinned(self, rate, events):
         # processed_events and the max_events budget count every event
         # taken, frame ends and stale radio-free entries included, so the
         # figure does not depend on how the engine stores its events
         topo = build_layout(FDOT_45MPH)
-        config = scenario(app_rate_pps=4.0, sim_time_s=2.0, seed=7)
+        config = scenario(app_rate_pps=rate, sim_time_s=2.0, seed=7)
         result = run(topo, crns_select(topo), config)
-        assert result.processed_events == 7135
+        assert result.processed_events == events
         with pytest.raises(SimulationError):
-            run(topo, crns_select(topo), replace(config, max_events=7134))
-        assert run(topo, crns_select(topo), replace(config, max_events=7135)) == result
-
-    def test_processed_event_count_is_pinned_across_batches(self, monkeypatch):
-        # 256 pkt/s for 2 s offers 512 packet rounds, far more than one batch
-        # of the up-front schedule holds; a batch switch is not an event, so
-        # the count is the same with one round a batch
-        topo = build_layout(FDOT_45MPH)
-        config = scenario(app_rate_pps=256.0, sim_time_s=2.0, seed=7)
-        result = run(topo, crns_select(topo), config)
-        assert result.processed_events == 105383
-        monkeypatch.setattr(se, "_BATCH_ENTRIES", 1)
-        assert run(topo, crns_select(topo), config) == result
+            run(topo, crns_select(topo), replace(config, max_events=events - 1))
+        assert run(topo, crns_select(topo), replace(config, max_events=events)) == result
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -310,7 +308,11 @@ class TestGuards:
         # the jam scan stops once none is left. Counted exactly, `run`
         # executed 228.6 opcodes per event on this cell when it scanned every
         # frame in reach and bumped its frame counters at each frame start,
-        # and 168.1 without; the bound sits 20% under the former.
+        # and 168.1 without; the bound sits 20% under the former. It now
+        # reads 176.4, because `run` builds each packet's copies in its own
+        # frames as the packet originates. When a separate generator built
+        # them in batches ahead of the run, that work went uncounted; counted
+        # with the generator's frames too, that engine read 188.4.
         topo = build_layout(FDOT_45MPH)
         config = scenario(app_rate_pps=256.0, sim_time_s=0.2, seed=1)
         result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
@@ -324,6 +326,12 @@ class TestGuards:
             # once: the peak RSS grew over 12 MiB across this run when the
             # whole schedule was built before the first event
             pytest.param(2.0, 12.1 / 2, id="2s"),
+            # each origination pushes its own copies and its source's next
+            # packet, so the heap holds only what is due soon and the growth
+            # is mostly the up-front draw arrays: 0.26-0.47 MiB, against
+            # 2.1 MiB when the originations and copies were built ahead in
+            # batches of packet rounds
+            pytest.param(2.0, 1.0, id="2s-heap-only"),
             # a packet's holder mask lives on a record its frames share, not
             # in a table kept for the whole run: the growth was about 29 MiB
             # with one mask per offered packet and a list of its deliveries
