@@ -37,7 +37,6 @@ def evaluate(duration_us, jitter_ms, loss_p, n_seeds, base_seed=1000):
     channel = ChannelConfig(
         frame_duration_us=duration_us,
         adv_jitter_ms=jitter_ms,
-        reception_model="independent_loss" if loss_p > 0 else "collision_only",
         loss_p=loss_p,
     )
     plan = replace(

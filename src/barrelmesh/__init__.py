@@ -29,7 +29,6 @@ from .relay_selection import (
 )
 from .sim_engine import (
     ChannelConfig,
-    RepeatPolicy,
     ScenarioConfig,
     SimResult,
     run,
@@ -61,7 +60,6 @@ __all__ = [
     "random_relays",
     "validate_assignment",
     "ChannelConfig",
-    "RepeatPolicy",
     "ScenarioConfig",
     "SimResult",
     "run",

@@ -39,10 +39,7 @@ from .relay_selection import (
     validate_assignment,
 )
 from .sim_engine import (
-    RECEPTION_MODELS,
-    REPEAT_MODES,
     ChannelConfig,
-    RepeatPolicy,
     ScenarioConfig,
     SimResult,
     SimulationError,
@@ -92,7 +89,8 @@ class ExperimentPlan:
     # the everyone-forwards baseline is usually quoted with a hotter radio,
     # so its range is configured separately
     all_relays_range_m: float = 150.0
-    repeat_policy: RepeatPolicy = field(default_factory=RepeatPolicy)
+    # copies of each packet per barrel; None scales them with distance
+    copies: Optional[int] = None
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     power: PowerProfile = field(default_factory=PowerProfile)
     # relay budget for the random and knn baselines; None matches whatever
@@ -130,10 +128,6 @@ def _reader(convert, ok, rule: str):
     return read
 
 
-def _choice(options):
-    return _reader(str, options.__contains__, "one of " + ", ".join(options))
-
-
 _COUNT = _reader(int, lambda v: v >= 1, "at least 1")
 _WORKERS = _reader(int, lambda v: v >= 0, "at least 0 (0: one per CPU)")
 _POSITIVE = _reader(float, lambda v: 0 < v < math.inf, "finite and > 0")
@@ -141,6 +135,10 @@ _NON_NEGATIVE = _reader(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _POSITIVE_LENGTH = _reader(parse_length, lambda v: 0 < v < math.inf, "a finite length > 0")
 _LENGTH = _reader(parse_length, lambda v: 0 <= v < math.inf, "a finite length >= 0")
 _OFFSET = _reader(parse_length, math.isfinite, "a finite length")
+
+
+def _auto_or_count(text: str) -> Optional[int]:
+    return None if text.lower() == "auto" else _COUNT(text)
 
 
 def _segments(text: str) -> LayoutSpec:
@@ -210,7 +208,6 @@ PLAN_KEYS = {
         "n_adv_channels": ("channel", "n_adv_channels", _COUNT),
         "frame_duration_us": ("channel", "frame_duration_us", _COUNT),
         "adv_jitter_ms": ("channel", "adv_jitter_ms", _NON_NEGATIVE),
-        "reception_model": ("channel", "reception_model", _choice(RECEPTION_MODELS)),
         "loss_p": ("channel", "loss_p", _reader(float, lambda v: 0 <= v <= 1, "in [0, 1]")),
     },
     "power": {
@@ -219,11 +216,8 @@ PLAN_KEYS = {
         "i_sleep_ma": ("power", "i_sleep_ma", _NON_NEGATIVE),
     },
     "plan": {
-        "mode": ("repeat_policy", "mode", _choice(REPEAT_MODES)),
-        "fixed_count": ("repeat_policy", "fixed_count", _COUNT),
-        "relay_budget": ("plan", "relay_budget", lambda text: (
-            None if text.lower() == "auto" else _COUNT(text)
-        )),
+        "copies": ("plan", "copies", _auto_or_count),
+        "relay_budget": ("plan", "relay_budget", _auto_or_count),
     },
 }
 
@@ -232,8 +226,9 @@ def parse_plan(path) -> ExperimentPlan:
     """Read an experiment plan from an INI file.
 
     Unknown sections or keys are errors (a typo silently falling back to a
-    default would invalidate a whole study), and so is a value its reader in
-    PLAN_KEYS rejects; each such error names its section.key. Lengths accept
+    default would invalidate a whole study), and so are a value its reader in
+    PLAN_KEYS rejects and a sink_standoff that a chainage sink_placement
+    leaves unused; each such error names its section.key. Lengths accept
     ft/m suffixes. The relay budget is checked against the layout by the
     verb that uses it (_check_budget).
     """
@@ -264,6 +259,13 @@ def parse_plan(path) -> ExperimentPlan:
         part: replace(values.pop(None, getattr(plan, part)), **values)
         for part, values in given.items()
     })
+    if parser.has_option("layout", "sink_standoff") and not isinstance(
+        plan.layout.sink_placement, str
+    ):
+        raise PlanError(
+            f"layout.sink_standoff = {parser['layout']['sink_standoff']!r}: bad value, "
+            "only sink_placement = start or end uses it"
+        )
     sink_x = plan.layout.sink_x()
     for x in barrel_chainages(plan.layout):
         if abs(x - sink_x) <= COORD_EPS:
@@ -317,7 +319,7 @@ def scenario_for(
         sim_time_s=plan.sim_time_s,
         seed=seed,
         ttl=plan.ttl,
-        repeat_policy=plan.repeat_policy,
+        copies=plan.copies,
         channel=plan.channel,
         emit_events=emit_events,
     )

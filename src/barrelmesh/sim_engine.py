@@ -8,7 +8,7 @@ pure function of (topology, assignment, config):
 2. jitter and channel for every origination copy, ascending (source, packet,
    copy);
 3. event-stream draws at frame ends: receivers are visited in ascending id,
-   and each receiver's loss draw (when the model has one) and forward
+   and each receiver's loss draw (when loss_p > 0) and forward
    jitter/channel draws complete before the next receiver is considered.
 
 Every bounded draw is CPython 3.11's `randrange`: `_randbelow` reproduces its
@@ -53,16 +53,16 @@ Radio model: frames have one fixed duration and one advertising channel.
 A frame is received by an in-range listener unless a same-channel frame
 from another in-range transmitter overlaps it in time (collision), the
 listener is itself transmitting during the frame (half-duplex), or an
-independent loss draw discards it. Only relays and the sink listen; a
-non-relay barrel wakes to transmit its own packets and sleeps otherwise,
-so receptions at non-relays are not modeled. Collision beats half-duplex
+independent loss draw, made only when loss_p > 0, discards it. Only relays
+and the sink listen; a non-relay barrel wakes to transmit its own packets
+and sleeps otherwise, so receptions at non-relays are not modeled. Collision beats half-duplex
 beats loss beats the duplicate cache when classifying an attempt. The
 reference classifier of these rules is `resolve_receptions` in
 `tests/oracles.py`. The engine applies them inline, with no busy or jam
 mask: the frames on air in the zone lanes below clear the listeners they
 jam, the half-duplex test reads each listener's last two frame starts, and
-loss draws are made only for the listeners left. With no loss model, it
-skips the jam scan when every listener in range already holds the packet.
+loss draws are made only for the listeners left. At loss_p = 0, it skips
+the jam scan when every listener in range already holds the packet.
 
 Frames on air are indexed by zone along x. The x extent is cut into the
 most equal zones that are each at least 2 * range wide, and every frame
@@ -78,11 +78,11 @@ stops when none is left, before the side lanes if its own lane jams them
 all. A side is pruned before it is scanned.
 
 Dissemination: a source transmits each packet as one or more identical
-copies (its repeat plan), each copy independently jittered. A relay hearing
-a packet for the first time forwards it exactly once, one jittered frame
-with ttl-1, while later copies die in the duplicate cache. The sink counts
-the first arrival of each (source, packet). Per-packet state, the mask of
-nodes that hold the packet, lives on a record that its frames share.
+copies (plan_transmissions), each copy independently jittered. A relay
+hearing a packet for the first time forwards it exactly once, one jittered
+frame with ttl-1, while later copies die in the duplicate cache. The sink
+counts the first arrival of each (source, packet). Per-packet state, the
+mask of nodes that hold the packet, lives on a record that its frames share.
 
 The engine stops at sim_time: frames that would end after it are never
 resolved and their airtime is clipped for the duty-cycle accounting.
@@ -108,9 +108,6 @@ from typing import Optional
 from .relay_selection import RelayAssignment
 from .topology import Topology, bits
 
-RECEPTION_MODELS = ("collision_only", "independent_loss")
-REPEAT_MODES = ("distance_scaled", "fixed")
-
 # Refuse runs that would spin forever (misconfigured feedback loops), and
 # refuse silently truncating an event trace the caller asked for.
 DEFAULT_MAX_EVENTS = 100_000_000
@@ -127,38 +124,32 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RepeatPolicy:
-    """How many copies of each packet a source transmits.
-
-    distance_scaled: ceil(distance-to-sink / range), minimum 1, so far nodes
-    push harder against the thinner delivery odds of a long flood path.
-    fixed: the same count everywhere.
-    """
-
-    mode: str = "distance_scaled"
-    fixed_count: int = 1
-
-
-@dataclass(frozen=True)
 class ChannelConfig:
-    """Link-layer timing and reception model for advertising frames."""
+    """Link-layer timing and reception model for advertising frames.
+
+    Collisions and half-duplex always apply. loss_p > 0 adds an independent
+    loss draw for every listener left after them; at 0 no draw is made.
+    """
 
     n_adv_channels: int = 3
     frame_duration_us: int = 1100
     adv_jitter_ms: float = 12.0
-    reception_model: str = "collision_only"
     loss_p: float = 0.0
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation run: traffic, radio, and replication settings."""
+    """One simulation run: traffic, radio, and replication settings.
+
+    copies is the number of copies every barrel sends of each packet; None
+    scales it with distance (see plan_transmissions).
+    """
 
     app_rate_pps: float = 1.0
     sim_time_s: float = 20.0
     seed: int = 0
     ttl: int = 127
-    repeat_policy: RepeatPolicy = field(default_factory=RepeatPolicy)
+    copies: Optional[int] = None
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     emit_events: bool = False
     max_events: int = DEFAULT_MAX_EVENTS
@@ -190,14 +181,14 @@ class SimResult:
     events: tuple[tuple, ...] = ()
 
 
-def plan_transmissions(topology: Topology, policy: RepeatPolicy) -> tuple[int, ...]:
-    """Copies per packet for every barrel under the given repeat policy."""
-    if policy.mode == "fixed":
-        if policy.fixed_count < 1:
-            raise ValueError("fixed_count must be >= 1")
-        return tuple(policy.fixed_count for _ in topology.barrels)
-    if policy.mode != "distance_scaled":
-        raise ValueError(f"unknown repeat mode {policy.mode!r}")
+def plan_transmissions(topology: Topology, copies: Optional[int]) -> tuple[int, ...]:
+    """Copies per packet for every barrel: the given count everywhere, or with
+    None ceil(distance-to-sink / range), minimum 1, so far barrels push
+    harder against the thinner delivery odds of a long flood path."""
+    if copies is not None:
+        if copies < 1:
+            raise ValueError("copies must be >= 1")
+        return (copies,) * topology.sink
     return tuple(
         max(1, math.ceil(topology.distance(i, topology.sink) / topology.range_r))
         for i in topology.barrels
@@ -273,10 +264,10 @@ def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioC
     for r in assignment.relays:
         if not (0 <= r < topology.sink):
             raise ValueError(f"relay {r} is not a barrel")
-    if config.sim_time_s <= 0:
-        raise ValueError("sim_time_s must be positive")
-    if config.app_rate_pps <= 0:
-        raise ValueError("app_rate_pps must be positive")
+    if not 0 < config.sim_time_s < math.inf:
+        raise ValueError("sim_time_s must be finite and > 0")
+    if not 0 < config.app_rate_pps < math.inf:
+        raise ValueError("app_rate_pps must be finite and > 0")
     packet_interval_us(config.app_rate_pps)
     if config.ttl < 1:
         raise ValueError("ttl must be >= 1")
@@ -285,10 +276,8 @@ def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioC
         raise ValueError("frame_duration_us must be >= 1")
     if ch.n_adv_channels < 1:
         raise ValueError("n_adv_channels must be >= 1")
-    if ch.adv_jitter_ms < 0:
-        raise ValueError("adv_jitter_ms must be >= 0")
-    if ch.reception_model not in RECEPTION_MODELS:
-        raise ValueError(f"unknown reception model {ch.reception_model!r}")
+    if not 0 <= ch.adv_jitter_ms < math.inf:
+        raise ValueError("adv_jitter_ms must be finite and >= 0")
     if not (0.0 <= ch.loss_p <= 1.0):
         raise ValueError("loss_p must be in [0, 1]")
 
@@ -303,11 +292,11 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     dur = config.channel.frame_duration_us
     jit_max = round(config.channel.adv_jitter_ms * 1000)
     nch = config.channel.n_adv_channels
-    lossy = config.channel.reception_model == "independent_loss"
     loss_p = config.channel.loss_p
+    lossy = loss_p > 0
     max_events = config.max_events
     listener_mask = assignment.relay_mask() | (1 << sink)
-    copies = plan_transmissions(topology, config.repeat_policy)
+    copies = plan_transmissions(topology, config.copies)
     interval = packet_interval_us(config.app_rate_pps)
 
     rng = random.Random(config.seed)

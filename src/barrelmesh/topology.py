@@ -43,10 +43,10 @@ class LayoutSpec:
     """Geometry of one closed lane: ordered segments plus sink placement.
 
     sink_placement is "start", "end", or an explicit chainage in meters.
-    For start/end the sink sits sink_standoff_m upstream/downstream of the
-    barrel row (roadside equipment is staged off the row, and a zero standoff
-    would collide with the boundary barrel). An explicit chainage is used
-    as-is.
+    For start/end the sink sits sink_standoff_m (finite, >= 0) upstream/
+    downstream of the barrel row (roadside equipment is staged off the row,
+    and a zero standoff would collide with the boundary barrel). An explicit
+    chainage is used as-is.
     """
 
     segments: tuple[Segment, ...]
@@ -58,13 +58,15 @@ class LayoutSpec:
 
     def sink_x(self) -> float:
         """Chainage of the sink."""
+        if not isinstance(self.sink_placement, str):
+            return float(self.sink_placement)
+        if self.sink_placement not in ("start", "end"):
+            raise LayoutError(f"unknown sink placement {self.sink_placement!r}")
+        if not 0 <= self.sink_standoff_m < math.inf:
+            raise LayoutError("sink_standoff_m must be finite and >= 0")
         if self.sink_placement == "start":
             return -self.sink_standoff_m
-        if self.sink_placement == "end":
-            return self.total_length_m() + self.sink_standoff_m
-        if isinstance(self.sink_placement, str):
-            raise LayoutError(f"unknown sink placement {self.sink_placement!r}")
-        return float(self.sink_placement)
+        return self.total_length_m() + self.sink_standoff_m
 
 
 @dataclass(frozen=True)

@@ -169,10 +169,10 @@ def reference_run(topology, assignment, config) -> SimResult:
     dur = config.channel.frame_duration_us
     jit_max = round(config.channel.adv_jitter_ms * 1000)
     nch = config.channel.n_adv_channels
-    lossy = config.channel.reception_model == "independent_loss"
     loss_p = config.channel.loss_p
+    lossy = loss_p > 0
     listener_mask = assignment.relay_mask() | (1 << sink)
-    copies = plan_transmissions(topology, config.repeat_policy)
+    copies = plan_transmissions(topology, config.copies)
     interval = round(1e6 / config.app_rate_pps)
     if interval < 2:
         raise ValueError("app rate too high for the microsecond clock")

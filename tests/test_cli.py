@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from barrelmesh.cli import (
 )
 from barrelmesh.metrics import PowerProfile
 from barrelmesh.relay_selection import all_relays, load_assignment_csv, save_assignment_csv
-from barrelmesh.sim_engine import ChannelConfig, RepeatPolicy
+from barrelmesh.sim_engine import ChannelConfig
 from barrelmesh.topology import FDOT_45MPH, LayoutSpec, Segment, build_layout, feet
 
 
@@ -86,7 +87,14 @@ class TestParsePlan:
     def test_unknown_key_named_in_error(self, tmp_path):
         # layout.lateral_offset moved every node, the sink included, alike,
         # so nothing read it; it is no longer a key
-        for section, line in (("scenario", "speed = 9"), ("layout", "lateral_offset = 2")):
+        # nor are the switches that loss_p and plan.copies make redundant
+        for section, line in (
+            ("scenario", "speed = 9"),
+            ("layout", "lateral_offset = 2"),
+            ("channel", "reception_model = independent_loss"),
+            ("plan", "mode = fixed"),
+            ("plan", "fixed_count = 5"),
+        ):
             path = write_ini(tmp_path, f"[{section}]\n{line}\n")
             key = line.split(" = ")[0]
             with pytest.raises(PlanError, match=f"^unknown key {section}.{key}$"):
@@ -122,13 +130,12 @@ class TestParsePlan:
             parse_plan(path)
 
     def test_sink_placement_and_offsets(self, tmp_path):
-        path = write_ini(
-            tmp_path,
-            "[layout]\npreset = fdot_45mph\nsink_placement = 50ft\n"
-            "sink_standoff = 5m\n",
-        )
+        # a chainage places the sink by itself; start and end use the standoff
+        path = write_ini(tmp_path, "[layout]\npreset = fdot_45mph\nsink_placement = 50ft\n")
+        assert parse_plan(path).layout.sink_placement == pytest.approx(feet(50.0))
+        path = write_ini(tmp_path, "[layout]\nsink_placement = end\nsink_standoff = 5m\n")
         layout = parse_plan(path).layout
-        assert layout.sink_placement == pytest.approx(feet(50.0))
+        assert layout.sink_placement == "end"
         assert layout.sink_standoff_m == pytest.approx(5.0)
 
     def test_unknown_algorithm_rejected(self, tmp_path):
@@ -143,9 +150,9 @@ class TestParsePlan:
             "base_seed = 55\nsim_time_s = 5\nttl = 9\nrange = 60m\n"
             "all_relays_range = 90\n"
             "[channel]\nn_adv_channels = 2\nframe_duration_us = 700\n"
-            "adv_jitter_ms = 5.5\nreception_model = independent_loss\nloss_p = 0.25\n"
+            "adv_jitter_ms = 5.5\nloss_p = 0.25\n"
             "[power]\ni_tx_ma = 11\ni_listen_ma = 5\ni_sleep_ma = 0.01\n"
-            "[plan]\nmode = fixed\nfixed_count = 2\nrelay_budget = 4\n",
+            "[plan]\ncopies = 2\nrelay_budget = 4\n",
         )
         plan = parse_plan(path)
         assert plan.algorithms == ("crns",)
@@ -156,12 +163,10 @@ class TestParsePlan:
         assert plan.channel.n_adv_channels == 2
         assert plan.channel.frame_duration_us == 700
         assert plan.channel.adv_jitter_ms == 5.5
-        assert plan.channel.reception_model == "independent_loss"
         assert plan.channel.loss_p == 0.25
         assert (plan.power.i_tx_ma, plan.power.i_listen_ma) == (11.0, 5.0)
         assert plan.power.i_sleep_ma == 0.01
-        assert plan.repeat_policy.mode == "fixed"
-        assert plan.repeat_policy.fixed_count == 2
+        assert plan.copies == 2
         assert plan.relay_budget == 4
 
     def test_every_config_field_has_one_plan_key(self):
@@ -173,7 +178,6 @@ class TestParsePlan:
         parts = {
             "plan": ExperimentPlan,
             "layout": LayoutSpec,
-            "repeat_policy": RepeatPolicy,
             "channel": ChannelConfig,
             "power": PowerProfile,
         }
@@ -190,6 +194,13 @@ class TestParsePlan:
         rows = [line for line in readme.read_text().splitlines() if line.startswith("| `")]
         listed = {key for row in rows for key in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])}
         assert listed == {f"{section}.{key}" for section, keys in PLAN_KEYS.items() for key in keys}
+
+    def test_readme_example_plans_parse(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme.read_text(), re.S | re.M)
+        assert len(blocks) == 2
+        for block in blocks:
+            parse_plan(write_ini(tmp_path, block))
 
     def test_bad_int_reported_as_plan_error(self, tmp_path):
         path = write_ini(tmp_path, "[scenario]\nttl = many\n")
@@ -379,22 +390,24 @@ BAD_ENTRIES = [
     ("channel", "n_adv_channels = 0", "n_adv_channels"),
     ("channel", "frame_duration_us = 0", "frame_duration_us"),
     ("channel", "adv_jitter_ms = nan", "adv_jitter_ms"),
-    ("channel", "reception_model = rayleigh", "reception_model"),
     ("channel", "loss_p = 1.5", "loss_p"),
     ("power", "i_tx_ma = -1", "i_tx_ma"),
     ("power", "i_listen_ma = inf", "i_listen_ma"),
     ("power", "i_sleep_ma = nan", "i_sleep_ma"),
-    ("plan", "mode = always", "mode"),
-    ("plan", "fixed_count = 0", "fixed_count"),
+    ("plan", "copies = always", "copies"),
+    ("plan", "copies = 0", "copies"),
     ("plan", "relay_budget = 0", "relay_budget"),
     ("plan", "relay_budget = 99", "relay_budget"),  # fdot_45mph has 30 barrels
     ("layout", "preset = interstate", "preset"),
     ("layout", "segments = row:270:0", "segments"),
     ("layout", "segments = row:inf:90", "segments"),
+    ("layout", "segments = ,", "segments"),
     ("layout", "sink_placement = nan", "sink_placement"),
     ("layout", "sink_standoff = -1", "sink_standoff"),
     ("layout", "sink_placement = 0", "sink_placement"),  # the first barrel's chainage
     ("layout", "sink_standoff = 0", "sink_standoff"),
+    # a chainage places the sink by itself, so the standoff would go unused
+    ("layout", "sink_placement = 5\nsink_standoff = 60", "sink_standoff"),
     (None, "ttl = 3", None),
     ("scenario", "ttl = 3\nttl = 4", None),
     ("scenario", "ttl = 3\n[scenario]\nseeds = 1", None),
@@ -536,6 +549,25 @@ class TestVerbs:
         assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 0
         assert "2 runs" in capsys.readouterr().out
         assert (out_dir / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, line, column, sign",
+        [("channel", "loss_p = 0.9", "pdr_pct", -1), ("plan", "copies = 5", "net_transmissions", 1)],
+    )
+    def test_one_key_changes_the_model(self, section, line, column, sign, tmp_path):
+        # one key alone switches its model on; no second key is needed
+        base = (
+            "[layout]\nsegments = row:270:90\n"
+            "[scenario]\nalgorithms = crns\nrates = 4\nseeds = 1\nsim_time_s = 2\n"
+        )
+        values = []
+        for text in (base, f"{base}[{section}]\n{line}\n"):
+            ini = write_ini(tmp_path, text)
+            out_dir = tmp_path / f"out{len(values)}"
+            assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 0
+            with open(out_dir / "summary.csv", newline="") as fh:
+                values.append(float(next(csv.DictReader(fh))[column]))
+        assert (values[1] - values[0]) * sign > 0
 
     def test_run_with_a_zero_relay_budget(self, capsys, tmp_path):
         # every barrel of this short row hears the sink, so crns picks no

@@ -33,9 +33,7 @@ from barrelmesh.relay_selection import (
     validate_assignment,
 )
 from barrelmesh.sim_engine import (
-    RECEPTION_MODELS,
     ChannelConfig,
-    RepeatPolicy,
     ScenarioConfig,
     SimResult,
     _zone_lanes,
@@ -415,10 +413,7 @@ def engine_cases(draw):
         app_rate_pps=draw(st.sampled_from([1.0, 2.0])),
         sim_time_s=2.0,
         seed=draw(st.integers(0, 2**20)),
-        repeat_policy=RepeatPolicy(
-            mode=draw(st.sampled_from(["fixed", "distance_scaled"])),
-            fixed_count=draw(st.integers(1, 2)),
-        ),
+        copies=draw(st.sampled_from([None, 1, 2])),
         channel=ChannelConfig(
             n_adv_channels=draw(st.integers(1, 3)),
             frame_duration_us=draw(st.sampled_from([300, 900])),
@@ -436,7 +431,7 @@ def test_engine_accounting(case):
     topo, assignment, config = case
     result = run(topo, assignment, config)
     n = topo.node_count
-    copies = plan_transmissions(topo, config.repeat_policy)
+    copies = plan_transmissions(topo, config.copies)
 
     origins = Counter()
     tx_by_node = Counter()
@@ -528,17 +523,13 @@ def congested_cases(draw, topologies=chain_topologies(max_barrels=12)):
         sim_time_s=horizon,
         seed=draw(st.integers(0, 2**20)),
         ttl=draw(st.sampled_from([1, 2, 127])),
-        repeat_policy=RepeatPolicy(
-            mode=draw(st.sampled_from(["fixed", "distance_scaled"])),
-            fixed_count=draw(st.integers(1, 3)),
-        ),
+        copies=draw(st.sampled_from([None, 1, 2, 3])),
         channel=ChannelConfig(
             n_adv_channels=draw(st.integers(1, 3)),
             frame_duration_us=draw(st.sampled_from([100, 300, 1100])),
             # short or zero jitter puts frame starts on the microsecond
             # another frame ends, or on the horizon
             adv_jitter_ms=draw(st.sampled_from([0.0, 0.2, 0.5, 3.0])),
-            reception_model=draw(st.sampled_from(RECEPTION_MODELS)),
             loss_p=draw(st.sampled_from([0.0, 0.3, 1.0])),
         ),
         emit_events=draw(st.booleans()),
@@ -554,7 +545,7 @@ def tie_case(xs, picker, rate, horizon, seed, copies, nch, dur=100, jitter_ms=0.
         app_rate_pps=rate,
         sim_time_s=horizon,
         seed=seed,
-        repeat_policy=RepeatPolicy(mode="fixed", fixed_count=copies),
+        copies=copies,
         channel=ChannelConfig(
             n_adv_channels=nch, frame_duration_us=dur, adv_jitter_ms=jitter_ms
         ),
@@ -657,7 +648,7 @@ def test_counters_at_the_horizon_match_reference(case, state):
         if kind == "tx":
             last_end[node] = t + dur
             started[node] += node == source
-    owed = [sent * config.repeat_policy.fixed_count - s for sent, s in zip(got.app_sent, started)]
+    owed = [sent * config.copies - s for sent, s in zip(got.app_sent, started)]
     states = {
         "last frame past T": any(end > T for end in last_end),
         "owed, waiting": any(o and end > T for o, end in zip(owed, last_end)),
@@ -666,20 +657,19 @@ def test_counters_at_the_horizon_match_reference(case, state):
     assert states[state]
 
 
-def zone_case(barrels, sink, range_r, seed, loss_p=None):
+def zone_case(barrels, sink, range_r, seed, loss_p=0.0):
     """A busy single-channel run on an explicit layout at a short range,
-    every barrel a relay, so frames collide across zone edges; with loss_p,
-    under independent_loss."""
+    every barrel a relay, so frames collide across zone edges; loss_p > 0
+    adds the loss draw."""
     topo = topology_from_positions(barrels, sink, range_r)
-    channel = ChannelConfig(n_adv_channels=1, frame_duration_us=300, adv_jitter_ms=0.5)
-    if loss_p is not None:
-        channel = replace(channel, reception_model="independent_loss", loss_p=loss_p)
     config = ScenarioConfig(
         app_rate_pps=256.0,
         sim_time_s=0.1,
         seed=seed,
-        repeat_policy=RepeatPolicy(mode="fixed", fixed_count=2),
-        channel=channel,
+        copies=2,
+        channel=ChannelConfig(
+            n_adv_channels=1, frame_duration_us=300, adv_jitter_ms=0.5, loss_p=loss_p
+        ),
     )
     return topo, all_relays(topo), config
 
@@ -758,7 +748,7 @@ def test_sole_source_delivery(standoff, seed, dur, copies):
         app_rate_pps=1.0,
         sim_time_s=2.0,
         seed=seed,
-        repeat_policy=RepeatPolicy(mode="fixed", fixed_count=copies),
+        copies=copies,
         channel=ChannelConfig(frame_duration_us=dur, adv_jitter_ms=2.0),
         emit_events=True,
     )
@@ -798,7 +788,7 @@ def test_two_hop_delivery(gap, seed, dur):
         app_rate_pps=1.0,
         sim_time_s=2.0,
         seed=seed,
-        repeat_policy=RepeatPolicy(mode="fixed", fixed_count=1),
+        copies=1,
         channel=ChannelConfig(frame_duration_us=dur, adv_jitter_ms=3.0),
         emit_events=True,
     )

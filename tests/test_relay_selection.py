@@ -1,9 +1,11 @@
+import csv
 import random
 
 import pytest
 
 from oracles import crns_oracle, kmeans_oracle
 from barrelmesh.relay_selection import (
+    RelayAssignment,
     SelectionError,
     all_relays,
     crns_select,
@@ -204,6 +206,20 @@ class TestCoverage:
         )
         assert any("out-of-range" in msg for msg in validate_assignment(preset, bad))
 
+    @pytest.mark.parametrize(
+        "relays, chosen, message",
+        [
+            ((0, 1), (None, 0, 1), "chosen has 3 entries for 4 nodes"),
+            ((1, 0), (None, 0, 1, None), "relay list is not sorted and distinct"),
+            ((0, 1), (None, 0, 1, 0), "sink has a chosen relay"),
+            ((0,), (None, 0, 1, None), "node 2 attaches to 1, which is not a relay"),
+        ],
+    )
+    def test_validate_flags_inconsistent_assignment(self, relays, chosen, message):
+        topo = line_topology(90.0, 180.0, 270.0)
+        a = RelayAssignment(algorithm="manual", relays=relays, chosen=chosen)
+        assert message in validate_assignment(topo, a)
+
     def test_validate_flags_isolation(self):
         topo = line_topology(90.0, 180.0, 380.0)
         a = crns_select(topo)
@@ -254,6 +270,31 @@ class TestAssignmentFile:
         ]
         path.write_text("\n".join([lines[0], *body]) + "\n")
         with pytest.raises(ValueError, match="range_m"):
+            load_assignment_csv(path)
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            ({3: ("node", "7")}, "contiguous"),
+            ({3: ("role", "gateway")}, "unknown role 'gateway'"),
+            ({0: ("role", "sink"), 3: ("role", "barrel")}, "sink must be the last node"),
+        ],
+        ids=["ids-not-contiguous", "unknown-role", "sink-not-last"],
+    )
+    def test_rejects_malformed_rows(self, tmp_path, edits, error):
+        # a sound file with the given (column, text) edits by row
+        topo = line_topology(90.0, 180.0, 270.0)
+        path = tmp_path / "assignment.csv"
+        save_assignment_csv(topo, crns_select(topo), path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, (column, text) in edits.items():
+            rows[row][column] = text
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(ValueError, match=error):
             load_assignment_csv(path)
 
     def test_rejects_unknown_columns(self, tmp_path):

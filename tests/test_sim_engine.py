@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -17,7 +18,6 @@ from barrelmesh.relay_selection import (
 )
 from barrelmesh.sim_engine import (
     ChannelConfig,
-    RepeatPolicy,
     ScenarioConfig,
     SimulationError,
     plan_transmissions,
@@ -47,25 +47,20 @@ def scenario(**kw):
 class TestRepeatPlan:
     def test_distance_scaled_rounds_up_per_hop(self):
         topo = line_topology(90.0, 180.0, 270.0)
-        assert plan_transmissions(topo, RepeatPolicy()) == (1, 2, 3)
+        assert plan_transmissions(topo, None) == (1, 2, 3)
 
     def test_exact_multiples_do_not_round_up(self):
         topo = line_topology(100.0, 200.0)
-        assert plan_transmissions(topo, RepeatPolicy()) == (1, 2)
+        assert plan_transmissions(topo, None) == (1, 2)
 
     def test_fixed(self):
         topo = line_topology(90.0, 180.0, 270.0)
-        assert plan_transmissions(topo, RepeatPolicy("fixed", 2)) == (2, 2, 2)
+        assert plan_transmissions(topo, 2) == (2, 2, 2)
 
     def test_fixed_requires_at_least_one(self):
         topo = line_topology(90.0)
         with pytest.raises(ValueError):
-            plan_transmissions(topo, RepeatPolicy("fixed", 0))
-
-    def test_unknown_mode_rejected(self):
-        topo = line_topology(90.0)
-        with pytest.raises(ValueError):
-            plan_transmissions(topo, RepeatPolicy("always", 1))
+            plan_transmissions(topo, 0)
 
 
 class TestResolveReceptions:
@@ -173,7 +168,7 @@ class TestChainForwarding:
         # the relay at one forward per packet
         topo = line_topology(90.0, 180.0)
         result = run(topo, crns_select(topo), scenario(seed=11))
-        assert plan_transmissions(topo, RepeatPolicy())[1] == 2
+        assert plan_transmissions(topo, None)[1] == 2
         assert result.net_transmissions[1] == 40
         assert result.relayed_count[0] == 20
 
@@ -388,7 +383,7 @@ class TestGuards:
             seed=1,
             app_rate_pps=100.0,
             sim_time_s=0.1,
-            repeat_policy=RepeatPolicy("fixed", 2),
+            copies=2,
             channel=ChannelConfig(frame_duration_us=1000, adv_jitter_ms=30.0),
             emit_events=True,
         )
@@ -404,12 +399,6 @@ class TestGuards:
         assert result.t_listen_frac == want.t_listen_frac
         assert result.t_sleep_frac == want.t_sleep_frac
 
-    def test_bad_reception_model_rejected(self):
-        topo = line_topology(50.0)
-        cfg = scenario(channel=ChannelConfig(reception_model="psychic"))
-        with pytest.raises(ValueError):
-            run(topo, crns_select(topo), cfg)
-
     def test_bad_ttl_rejected(self):
         topo = line_topology(50.0)
         with pytest.raises(ValueError):
@@ -420,13 +409,48 @@ class TestGuards:
         with pytest.raises(ValueError, match="microsecond"):
             run(topo, crns_select(topo), scenario(app_rate_pps=1e6))
 
+    @pytest.mark.parametrize(
+        "assignment, config, name",
+        [
+            pytest.param(
+                RelayAssignment("manual", (), (None,)), {}, "assignment", id="short-chosen"
+            ),
+            pytest.param(
+                RelayAssignment("manual", (1,), (None, None)), {}, "relay 1", id="sink-relay"
+            ),
+            *[
+                pytest.param(None, {key: value}, key, id=f"{key}={value}")
+                for key in ("sim_time_s", "app_rate_pps")
+                for value in (0.0, -1.0, math.inf, math.nan)
+            ],
+            *[
+                pytest.param(
+                    None, {"channel": ChannelConfig(**{key: value})}, key, id=f"{key}={value}"
+                )
+                for key, value in (
+                    ("frame_duration_us", 0),
+                    ("n_adv_channels", 0),
+                    ("adv_jitter_ms", -1.0),
+                    ("adv_jitter_ms", math.inf),
+                    ("adv_jitter_ms", math.nan),
+                    ("loss_p", -0.1),
+                    ("loss_p", 1.5),
+                    ("loss_p", math.nan),
+                )
+            ],
+        ],
+    )
+    def test_invalid_run_rejected_naming_its_field(self, assignment, config, name):
+        # the checks a plan's readers make, so a library caller gets a
+        # ValueError naming the field, never an OverflowError from the clock
+        topo = line_topology(50.0)
+        with pytest.raises(ValueError, match=name):
+            run(topo, assignment or crns_select(topo), scenario(**config))
+
 
 class TestLossModel:
     def cfg(self, p, seed=5):
-        return scenario(
-            seed=seed,
-            channel=ChannelConfig(reception_model="independent_loss", loss_p=p),
-        )
+        return scenario(seed=seed, channel=ChannelConfig(loss_p=p))
 
     def test_certain_loss_delivers_nothing(self):
         topo = line_topology(50.0)
@@ -471,7 +495,7 @@ class TestHardStop:
         cfg = scenario(
             seed=2,
             sim_time_s=1.0,
-            repeat_policy=RepeatPolicy("fixed", 3),
+            copies=3,
             channel=ChannelConfig(frame_duration_us=400_000, adv_jitter_ms=0.0),
         )
         result = run(topo, crns_select(topo), cfg)

@@ -75,6 +75,18 @@ class TestSinkPlacement:
         topo = build_layout(spec)
         assert topo.positions[topo.sink] == (37.5, 0.0)
 
+    @pytest.mark.parametrize("standoff", [-5.0, math.inf, math.nan])
+    @pytest.mark.parametrize("placement", ["start", "end"])
+    def test_bad_standoff_rejected(self, placement, standoff):
+        # a negative standoff would put the sink inside the row
+        spec = LayoutSpec(
+            segments=(Segment("s", 100.0, 50.0),),
+            sink_placement=placement,
+            sink_standoff_m=standoff,
+        )
+        with pytest.raises(LayoutError, match="sink_standoff_m"):
+            spec.sink_x()
+
     def test_sink_on_a_barrel_rejected(self):
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=50.0)
         with pytest.raises(LayoutError):
