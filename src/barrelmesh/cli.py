@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 import time
@@ -43,17 +42,18 @@ from .sim_engine import (
     ScenarioConfig,
     SimResult,
     SimulationError,
-    packet_interval_us,
+    check_config,
+    check_count,
     run,
 )
 from .topology import (
-    COORD_EPS,
     LAYOUT_PRESETS,
     LayoutSpec,
     Segment,
     Topology,
     barrel_chainages,
     build_layout,
+    check_range,
     feet,
     topology_from_positions,
 )
@@ -76,7 +76,8 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything an experiment needs: geometry, matrix, radio, power."""
+    """Everything an experiment needs: geometry, matrix, radio, power. Made or
+    replaced, it checks its values by the rules of the library that uses them."""
 
     layout: LayoutSpec
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -97,10 +98,21 @@ class ExperimentPlan:
     # size the connectivity-ranked strategy produces on this layout
     relay_budget: Optional[int] = None
 
-
-EXPERIMENT_PRESETS: dict[str, ExperimentPlan] = {
-    "paper": ExperimentPlan(layout=LAYOUT_PRESETS["fdot_45mph"]),
-}
+    def __post_init__(self):
+        for a in self.algorithms:
+            if a not in STRATEGIES:
+                raise ValueError(f"unknown algorithm {a!r}")
+            if self.algorithms.count(a) > 1:
+                raise ValueError(f"lists {a!r} twice")
+        labels = [_rate_label(rate) for rate in self.rates_pps]
+        for rate, label in zip(self.rates_pps, labels):
+            check_config(scenario_for(self, rate, self.base_seed))
+            if labels.count(label) > 1:  # they would write the same run files
+                raise ValueError(f"two rates name their runs {label}")
+        check_count("n_seeds", self.n_seeds)
+        check_range(self.range_r_m)
+        check_range(self.all_relays_range_m)
+        self.layout.sink_x()
 
 
 def parse_length(text: str) -> float:
@@ -116,29 +128,14 @@ def parse_length(text: str) -> float:
         raise PlanError(f"cannot parse length {text!r}") from None
 
 
-def _reader(convert, ok, rule: str):
-    """Reader of a plan value: convert the text, then reject it unless ok."""
-
-    def read(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise ValueError(f"must be {rule}")
-        return value
-
-    return read
+def _auto_or_int(text: str) -> Optional[int]:
+    return None if text.lower() == "auto" else int(text)
 
 
-_COUNT = _reader(int, lambda v: v >= 1, "at least 1")
-_WORKERS = _reader(int, lambda v: v >= 0, "at least 0 (0: one per CPU)")
-_POSITIVE = _reader(float, lambda v: 0 < v < math.inf, "finite and > 0")
-_NON_NEGATIVE = _reader(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
-_POSITIVE_LENGTH = _reader(parse_length, lambda v: 0 < v < math.inf, "a finite length > 0")
-_LENGTH = _reader(parse_length, lambda v: 0 <= v < math.inf, "a finite length >= 0")
-_OFFSET = _reader(parse_length, math.isfinite, "a finite length")
-
-
-def _auto_or_count(text: str) -> Optional[int]:
-    return None if text.lower() == "auto" else _COUNT(text)
+def _preset(text: str) -> LayoutSpec:
+    if text not in LAYOUT_PRESETS:
+        raise ValueError("must be one of " + ", ".join(LAYOUT_PRESETS))
+    return LAYOUT_PRESETS[text]
 
 
 def _segments(text: str) -> LayoutSpec:
@@ -148,76 +145,50 @@ def _segments(text: str) -> LayoutSpec:
         if len(pieces) != 3:
             raise ValueError(f"segment {part!r} must be name:length:spacing, e.g. taper:540ft:30ft")
         name, length, spacing = pieces
-        segments.append(Segment(name.strip(), _LENGTH(length), _POSITIVE_LENGTH(spacing)))
+        segments.append(Segment(name.strip(), parse_length(length), parse_length(spacing)))
     if not segments:
         raise ValueError("segments list is empty")
     return LayoutSpec(segments=tuple(segments))
 
 
-def _algorithms(text: str) -> tuple[str, ...]:
-    algorithms = tuple(a.strip() for a in text.split(","))
-    for a in algorithms:
-        if a not in STRATEGIES:
-            raise ValueError(f"unknown algorithm {a!r}")
-        if algorithms.count(a) > 1:
-            raise ValueError(f"lists {a!r} twice")
-    return algorithms
-
-
-def _rates(text: str) -> tuple[float, ...]:
-    rates = tuple(_POSITIVE(r) for r in text.split(","))
-    labels: dict[str, float] = {}
-    for rate in rates:
-        packet_interval_us(rate)
-        # two rates must not write the same run files
-        label = _rate_label(rate)
-        if label in labels:
-            if labels[label] == rate:
-                raise ValueError(f"lists {rate!r} twice")
-            raise ValueError(f"{labels[label]!r} and {rate!r} both name their runs {label}")
-        labels[label] = rate
-    return rates
-
-
-# section -> key -> (part, field, reader). The part is "plan" for a field of
-# ExperimentPlan, else the name of its nested dataclass; a key left out keeps
-# the dataclass default. Field None is the whole part: layout.preset and
-# layout.segments give the layout that the other [layout] keys amend.
+# section -> key -> (part, field, converter from text). The part is "plan"
+# for a field of ExperimentPlan, else its nested dataclass; a key left out
+# keeps the default. Field None is the whole part. parse_plan applies keys in
+# this order: preset or segments before the [layout] keys that amend their
+# layout, and sink_placement before the sink_standoff it may use.
 PLAN_KEYS = {
     "layout": {
-        "preset": ("layout", None, _reader(
-            LAYOUT_PRESETS.get, lambda v: v is not None, "one of " + ", ".join(LAYOUT_PRESETS)
-        )),
+        "preset": ("layout", None, _preset),
         "segments": ("layout", None, _segments),
         "sink_placement": ("layout", "sink_placement", lambda text: (
-            text if text in ("start", "end") else _OFFSET(text)
+            text if text in ("start", "end") else parse_length(text)
         )),
-        "sink_standoff": ("layout", "sink_standoff_m", _LENGTH),
+        "sink_standoff": ("layout", "sink_standoff_m", parse_length),
     },
     "scenario": {
-        "algorithms": ("plan", "algorithms", _algorithms),
-        "rates": ("plan", "rates_pps", _rates),
-        "seeds": ("plan", "n_seeds", _COUNT),
+        "algorithms": ("plan", "algorithms", lambda text: tuple(a.strip() for a in text.split(","))),
+        "rates": ("plan", "rates_pps", lambda text: tuple(map(float, text.split(",")))),
+        "seeds": ("plan", "n_seeds", int),
         "base_seed": ("plan", "base_seed", int),
-        "sim_time_s": ("plan", "sim_time_s", _POSITIVE),
-        "ttl": ("plan", "ttl", _COUNT),
-        "range": ("plan", "range_r_m", _POSITIVE_LENGTH),
-        "all_relays_range": ("plan", "all_relays_range_m", _POSITIVE_LENGTH),
+        "sim_time_s": ("plan", "sim_time_s", float),
+        "ttl": ("plan", "ttl", int),
+        "range": ("plan", "range_r_m", parse_length),
+        "all_relays_range": ("plan", "all_relays_range_m", parse_length),
     },
     "channel": {
-        "n_adv_channels": ("channel", "n_adv_channels", _COUNT),
-        "frame_duration_us": ("channel", "frame_duration_us", _COUNT),
-        "adv_jitter_ms": ("channel", "adv_jitter_ms", _NON_NEGATIVE),
-        "loss_p": ("channel", "loss_p", _reader(float, lambda v: 0 <= v <= 1, "in [0, 1]")),
+        "n_adv_channels": ("channel", "n_adv_channels", int),
+        "frame_duration_us": ("channel", "frame_duration_us", int),
+        "adv_jitter_ms": ("channel", "adv_jitter_ms", float),
+        "loss_p": ("channel", "loss_p", float),
     },
     "power": {
-        "i_tx_ma": ("power", "i_tx_ma", _NON_NEGATIVE),
-        "i_listen_ma": ("power", "i_listen_ma", _NON_NEGATIVE),
-        "i_sleep_ma": ("power", "i_sleep_ma", _NON_NEGATIVE),
+        "i_tx_ma": ("power", "i_tx_ma", float),
+        "i_listen_ma": ("power", "i_listen_ma", float),
+        "i_sleep_ma": ("power", "i_sleep_ma", float),
     },
     "plan": {
-        "copies": ("plan", "copies", _auto_or_count),
-        "relay_budget": ("plan", "relay_budget", _auto_or_count),
+        "copies": ("plan", "copies", _auto_or_int),
+        "relay_budget": ("plan", "relay_budget", _auto_or_int),
     },
 }
 
@@ -226,11 +197,11 @@ def parse_plan(path) -> ExperimentPlan:
     """Read an experiment plan from an INI file.
 
     Unknown sections or keys are errors (a typo silently falling back to a
-    default would invalidate a whole study), and so are a value its reader in
-    PLAN_KEYS rejects and a sink_standoff that a chainage sink_placement
-    leaves unused; each such error names its section.key. Lengths accept
-    ft/m suffixes. The relay budget is checked against the layout by the
-    verb that uses it (_check_budget).
+    default would invalidate a whole study). Keys go one at a time onto a
+    plan that checks itself, so a value it rejects, and a sink_standoff that
+    a chainage sink_placement leaves unused, is named by its section.key.
+    Lengths accept ft/m suffixes. The relay budget is checked against the
+    layout by the verb that uses it (_check_budget).
     """
     # no header can name the section "", so [DEFAULT] is an unknown section
     # rather than a source of defaults for the others
@@ -242,23 +213,26 @@ def parse_plan(path) -> ExperimentPlan:
         raise PlanError(" ".join(str(exc).split())) from None
     if parser.has_option("layout", "preset") and parser.has_option("layout", "segments"):
         raise PlanError("give layout.preset or layout.segments, not both")
-    given: dict[str, dict] = {"plan": {}}
     for section in parser.sections():
         if section not in PLAN_KEYS:
             raise PlanError(f"unknown section [{section}]")
-        for key, text in parser[section].items():
+        for key in parser[section]:
             if key not in PLAN_KEYS[section]:
                 raise PlanError(f"unknown key {section}.{key}")
-            part, name, read = PLAN_KEYS[section][key]
+    plan = ExperimentPlan(layout=LAYOUT_PRESETS["fdot_45mph"])
+    for section, keys in PLAN_KEYS.items():
+        for key, (part, name, convert) in keys.items():
+            if not parser.has_option(section, key):
+                continue
+            text = parser[section][key]
             try:
-                given.setdefault(part, {})[name] = read(text)
+                value = convert(text)
+                if part != "plan":  # a nested dataclass: amend it, or replace it whole
+                    value = value if name is None else replace(getattr(plan, part), **{name: value})
+                    name = part
+                plan = replace(plan, **{name: value})
             except ValueError as exc:
                 raise PlanError(f"{section}.{key} = {text!r}: bad value, {exc}") from None
-    plan = ExperimentPlan(layout=LAYOUT_PRESETS["fdot_45mph"])
-    plan = replace(plan, **given.pop("plan"), **{
-        part: replace(values.pop(None, getattr(plan, part)), **values)
-        for part, values in given.items()
-    })
     if parser.has_option("layout", "sink_standoff") and not isinstance(
         plan.layout.sink_placement, str
     ):
@@ -266,29 +240,17 @@ def parse_plan(path) -> ExperimentPlan:
             f"layout.sink_standoff = {parser['layout']['sink_standoff']!r}: bad value, "
             "only sink_placement = start or end uses it"
         )
-    sink_x = plan.layout.sink_x()
-    for x in barrel_chainages(plan.layout):
-        if abs(x - sink_x) <= COORD_EPS:
-            # start/end place the sink by its standoff, a chainage by itself
-            key, value = (
-                ("sink_standoff", plan.layout.sink_standoff_m)
-                if isinstance(plan.layout.sink_placement, str)
-                else ("sink_placement", plan.layout.sink_placement)
-            )
-            raise PlanError(
-                f"layout.{key} = {value:g}: bad value, puts the sink on the barrel at {x:g} m"
-            )
     return plan
 
 
-def _check_budget(plan: ExperimentPlan, source: str) -> None:
-    """Reject a relay budget outside [0, the layout's barrel count], naming its
-    source (plan key or flag). The verbs call it, not parse_plan, so that
-    `select --count` replaces the plan's budget before it is checked."""
+def _check_budget(plan: ExperimentPlan, source: str, least: int = 1) -> None:
+    """Reject a relay budget outside [least, the layout's barrel count], naming
+    its source (plan key or flag). The verbs call it, not parse_plan, so that
+    `select --count`, which may be 0, replaces the plan's budget first."""
     barrels = len(barrel_chainages(plan.layout))
-    if plan.relay_budget is not None and not 0 <= plan.relay_budget <= barrels:
+    if plan.relay_budget is not None and not least <= plan.relay_budget <= barrels:
         raise PlanError(
-            f"{source} = {plan.relay_budget}: bad value, must be in [0, {barrels}], "
+            f"{source} = {plan.relay_budget}: bad value, must be in [{least}, {barrels}], "
             "the barrels of the layout"
         )
 
@@ -377,6 +339,12 @@ def _rate_label(rate: float) -> str:
     return f"{rate:g}"
 
 
+# made after the functions ExperimentPlan's checks call
+EXPERIMENT_PRESETS: dict[str, ExperimentPlan] = {
+    "paper": ExperimentPlan(layout=LAYOUT_PRESETS["fdot_45mph"]),
+}
+
+
 def _run_name(algorithm: str, rate: float, seed: int) -> str:
     return f"{algorithm}_{_rate_label(rate)}_{seed}"
 
@@ -460,7 +428,10 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         plan = replace(plan, base_seed=args.seed)
     _check_budget(plan, "plan.relay_budget")
-    workers = _flag("--workers", _WORKERS, args.workers) or os.cpu_count() or 1
+    workers = _flag("--workers", int, args.workers)
+    if workers < 0:
+        raise PlanError(f"--workers = {args.workers!r}: bad value, must be at least 0")
+    workers = workers or os.cpu_count() or 1
     out = Path(args.out)
     # every file in the directory must come from this one experiment
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
@@ -482,7 +453,7 @@ def _cmd_run(args) -> int:
 
 
 def _flag(flag: str, read, text: str):
-    """A flag's value through a plan-key reader; a rejected value names the flag."""
+    """A flag's value through read; a ValueError it raises names the flag."""
     try:
         return read(text)
     except ValueError as exc:
@@ -501,11 +472,13 @@ def _cmd_select(args) -> int:
         # one range, and random/knn are sized like crns there
         plan = replace(plan, all_relays_range_m=plan.range_r_m)
     if args.range is not None:
-        range_m = _flag("--range", _POSITIVE_LENGTH, args.range)
+        range_m = _flag("--range", lambda text: check_range(parse_length(text)), args.range)
         plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
-    if args.count is not None:
+    if args.count is None:
+        _check_budget(plan, "plan.relay_budget")
+    else:
         plan = replace(plan, relay_budget=args.count)
-    _check_budget(plan, "plan.relay_budget" if args.count is None else "--count")
+        _check_budget(plan, "--count", least=0)
     topo, assignment = materialize(plan, args.algorithm, args.seed or 0)
     issues = validate_assignment(topo, assignment)
     print(
@@ -524,7 +497,7 @@ def _cmd_select(args) -> int:
 def _cmd_validate(args) -> int:
     positions, sink, assignment, range_m = load_assignment_csv(args.assignment)
     if args.range is not None:
-        range_m = _flag("--range", _POSITIVE_LENGTH, args.range)
+        range_m = _flag("--range", lambda text: check_range(parse_length(text)), args.range)
     elif range_m is None:
         raise PlanError(
             f"{args.assignment} stores no range_m column; give the range it "

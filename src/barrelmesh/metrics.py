@@ -9,6 +9,7 @@ kept consistent.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Optional
@@ -20,11 +21,16 @@ STATE_SUM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Radio current draw per state, in mA."""
+    """Radio current draw per state, in mA, each finite and >= 0."""
 
     i_tx_ma: float = 10.0
     i_listen_ma: float = 6.0
     i_sleep_ma: float = 0.003
+
+    def __post_init__(self):
+        for name in ("i_tx_ma", "i_listen_ma", "i_sleep_ma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def network_pdr(result: SimResult) -> Optional[float]:

@@ -186,8 +186,7 @@ def plan_transmissions(topology: Topology, copies: Optional[int]) -> tuple[int, 
     None ceil(distance-to-sink / range), minimum 1, so far barrels push
     harder against the thinner delivery odds of a long flood path."""
     if copies is not None:
-        if copies < 1:
-            raise ValueError("copies must be >= 1")
+        check_count("copies", copies)
         return (copies,) * topology.sink
     return tuple(
         max(1, math.ceil(topology.distance(i, topology.sink) / topology.range_r))
@@ -264,21 +263,30 @@ def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioC
     for r in assignment.relays:
         if not (0 <= r < topology.sink):
             raise ValueError(f"relay {r} is not a barrel")
+    check_config(config)
+
+
+def check_count(name: str, value) -> None:
+    """Raise a ValueError naming the value unless it is an integer >= 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
+def check_config(config: ScenarioConfig) -> None:
+    """Raise a ValueError naming the field of a config that run cannot simulate."""
     if not 0 < config.sim_time_s < math.inf:
         raise ValueError("sim_time_s must be finite and > 0")
     if not 0 < config.app_rate_pps < math.inf:
         raise ValueError("app_rate_pps must be finite and > 0")
     packet_interval_us(config.app_rate_pps)
-    if config.ttl < 1:
-        raise ValueError("ttl must be >= 1")
-    ch = config.channel
-    if ch.frame_duration_us < 1:
-        raise ValueError("frame_duration_us must be >= 1")
-    if ch.n_adv_channels < 1:
-        raise ValueError("n_adv_channels must be >= 1")
-    if not 0 <= ch.adv_jitter_ms < math.inf:
+    check_count("ttl", config.ttl)
+    if config.copies is not None:
+        check_count("copies", config.copies)
+    check_count("frame_duration_us", config.channel.frame_duration_us)
+    check_count("n_adv_channels", config.channel.n_adv_channels)
+    if not 0 <= config.channel.adv_jitter_ms < math.inf:
         raise ValueError("adv_jitter_ms must be finite and >= 0")
-    if not (0.0 <= ch.loss_p <= 1.0):
+    if not (0.0 <= config.channel.loss_p <= 1.0):
         raise ValueError("loss_p must be in [0, 1]")
 
 

@@ -42,11 +42,11 @@ class Segment:
 class LayoutSpec:
     """Geometry of one closed lane: ordered segments plus sink placement.
 
-    sink_placement is "start", "end", or an explicit chainage in meters.
-    For start/end the sink sits sink_standoff_m (finite, >= 0) upstream/
-    downstream of the barrel row (roadside equipment is staged off the row,
-    and a zero standoff would collide with the boundary barrel). An explicit
-    chainage is used as-is.
+    sink_placement is "start", "end", or an explicit finite chainage in
+    meters. For start/end the sink sits sink_standoff_m (finite, >= 0)
+    upstream/downstream of the barrel row (roadside equipment is staged off
+    the row). Either way it must not sit on a barrel; barrel_chainages and
+    sink_x check the spec where it is used.
     """
 
     segments: tuple[Segment, ...]
@@ -57,16 +57,20 @@ class LayoutSpec:
         return sum(s.length_m for s in self.segments)
 
     def sink_x(self) -> float:
-        """Chainage of the sink."""
-        if not isinstance(self.sink_placement, str):
-            return float(self.sink_placement)
-        if self.sink_placement not in ("start", "end"):
-            raise LayoutError(f"unknown sink placement {self.sink_placement!r}")
-        if not 0 <= self.sink_standoff_m < math.inf:
-            raise LayoutError("sink_standoff_m must be finite and >= 0")
-        if self.sink_placement == "start":
-            return -self.sink_standoff_m
-        return self.total_length_m() + self.sink_standoff_m
+        """Chainage of the sink; raises LayoutError unless it is finite and off every barrel."""
+        x = self.sink_placement
+        if x in ("start", "end"):
+            if not 0 <= self.sink_standoff_m < math.inf:
+                raise LayoutError("sink_standoff_m must be finite and >= 0")
+            x = -self.sink_standoff_m if x == "start" else self.total_length_m() + self.sink_standoff_m
+        elif isinstance(x, str):
+            raise LayoutError(f"unknown sink placement {x!r}")
+        elif not math.isfinite(x):
+            raise LayoutError(f"sink_placement must be finite, got {x}")
+        for barrel in barrel_chainages(self):
+            if abs(barrel - x) <= COORD_EPS:
+                raise LayoutError(f"the sink sits on the barrel at {barrel:g} m")
+        return x
 
 
 @dataclass(frozen=True)
@@ -124,17 +128,25 @@ def _build_adjacency(positions: Sequence[tuple[float, float]], range_r: float) -
     return tuple(masks)
 
 
+def check_range(range_r: float) -> float:
+    """range_r itself; raises LayoutError unless it is finite and > 0."""
+    if not 0 < range_r < math.inf:
+        raise LayoutError(f"range must be finite and > 0, got {range_r}")
+    return range_r
+
+
 def topology_from_positions(
     barrel_positions: Sequence[tuple[float, float]],
     sink_position: tuple[float, float],
     range_r: float,
 ) -> Topology:
-    """Build a topology from explicit coordinates (barrels first, sink last)."""
-    if range_r <= 0:
-        raise LayoutError(f"range_r must be positive, got {range_r}")
+    """Build a topology from explicit, finite coordinates (barrels first, sink last)."""
+    check_range(range_r)
     positions = [tuple(map(float, p)) for p in barrel_positions]
     positions.append(tuple(map(float, sink_position)))
     for a in range(len(positions)):
+        if not all(map(math.isfinite, positions[a])):
+            raise LayoutError(f"node {a} has non-finite coordinates {positions[a]}")
         for b in range(a + 1, len(positions)):
             if (
                 abs(positions[a][0] - positions[b][0]) <= COORD_EPS
@@ -157,10 +169,10 @@ def barrel_chainages(spec: LayoutSpec) -> list[float]:
     chainages: list[float] = []
     seg_start = 0.0
     for seg in spec.segments:
-        if seg.spacing_m <= 0:
-            raise LayoutError(f"segment {seg.name!r} spacing must be positive")
-        if seg.length_m < 0:
-            raise LayoutError(f"segment {seg.name!r} length must be >= 0")
+        if not 0 < seg.spacing_m < math.inf:
+            raise LayoutError(f"segment {seg.name!r} spacing must be finite and > 0")
+        if not 0 <= seg.length_m < math.inf:
+            raise LayoutError(f"segment {seg.name!r} length must be finite and >= 0")
         if seg.length_m == 0:
             continue
         count = int(math.floor(seg.length_m / seg.spacing_m + COORD_EPS))

@@ -429,6 +429,36 @@ BAD_FLAGS = [
 ]
 
 
+def _entries_for_replace():
+    """BAD_ENTRIES whose text converts but whose value breaks a rule, as
+    (part, field, value). Left out: syntax errors, which do not convert; the
+    cross-key sink_standoff rule; and relay_budget, which the verbs check
+    against the layout."""
+    for section, line, key in BAD_ENTRIES:
+        if key is None or "\n" in line or key == "relay_budget":
+            continue
+        part, name, convert = PLAN_KEYS[section][key]
+        try:
+            value = convert(line.split("=", 1)[1].strip())
+        except ValueError:
+            continue
+        yield pytest.param(part, name, value, id=f"{section}.{line}")
+
+
+@pytest.mark.parametrize("part, name, value", list(_entries_for_replace()))
+def test_replace_applies_the_plan_file_rules(part, name, value):
+    # library callers (perfbench among them) build plans with replace, so a
+    # value a plan file may not hold must fail there too
+    paper = EXPERIMENT_PRESETS["paper"]
+    with pytest.raises(ValueError):
+        if name is None:
+            replace(paper, **{part: value})
+        elif part == "plan":
+            replace(paper, **{name: value})
+        else:
+            replace(paper, **{part: replace(getattr(paper, part), **{name: value})})
+
+
 class TestVerbs:
     def test_presets_lists_both_kinds(self, capsys):
         assert main(["presets"]) == 0
@@ -537,6 +567,19 @@ class TestVerbs:
         capsys.readouterr()
         assert main(["validate", "--assignment", str(out_csv)]) == 1
         assert "isolated" in capsys.readouterr().out
+        # a non-finite coordinate used to read as an isolated node, exit 1
+        assert main(["select", "--out", str(tmp_path / "good.csv")]) == 0
+        capsys.readouterr()
+        rows = list(csv.DictReader((tmp_path / "good.csv").read_text().splitlines()))
+        for x in ("nan", "inf"):
+            rows[2]["x"] = x
+            with open(out_csv, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+            assert main(["validate", "--assignment", str(out_csv)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: node 2 ") and err.count("\n") == 1
 
     def test_run_with_config(self, capsys, tmp_path):
         ini = write_ini(

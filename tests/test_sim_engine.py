@@ -423,13 +423,19 @@ class TestGuards:
                 for key in ("sim_time_s", "app_rate_pps")
                 for value in (0.0, -1.0, math.inf, math.nan)
             ],
+            # a non-integer count used to run (ttl) or end in a TypeError
+            *[
+                pytest.param(None, {key: 1.5}, key, id=f"{key}=1.5") for key in ("ttl", "copies")
+            ],
             *[
                 pytest.param(
                     None, {"channel": ChannelConfig(**{key: value})}, key, id=f"{key}={value}"
                 )
                 for key, value in (
                     ("frame_duration_us", 0),
+                    ("frame_duration_us", 1.5),
                     ("n_adv_channels", 0),
+                    ("n_adv_channels", 1.5),
                     ("adv_jitter_ms", -1.0),
                     ("adv_jitter_ms", math.inf),
                     ("adv_jitter_ms", math.nan),

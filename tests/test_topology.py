@@ -49,14 +49,19 @@ class TestBarrelPlacement:
         assert topo.positions[0] == (-10.0, 0.0)
 
     def test_nonpositive_spacing_rejected(self):
-        spec = LayoutSpec(segments=(Segment("a", 10.0, 0.0),))
-        with pytest.raises(LayoutError):
-            barrel_chainages(spec)
+        # a NaN spacing used to fail converting the barrel count to an int,
+        # naming no field, and an infinite one to place a lone barrel
+        for spacing in (0.0, math.nan, math.inf):
+            spec = LayoutSpec(segments=(Segment("a", 10.0, spacing),))
+            with pytest.raises(LayoutError, match="spacing"):
+                barrel_chainages(spec)
 
     def test_negative_length_rejected(self):
-        spec = LayoutSpec(segments=(Segment("a", -1.0, 5.0),))
-        with pytest.raises(LayoutError):
-            barrel_chainages(spec)
+        # an infinite length used to end in an OverflowError
+        for length in (-1.0, math.nan, math.inf):
+            spec = LayoutSpec(segments=(Segment("a", length, 5.0),))
+            with pytest.raises(LayoutError, match="length"):
+                barrel_chainages(spec)
 
 
 class TestSinkPlacement:
@@ -90,6 +95,10 @@ class TestSinkPlacement:
     def test_sink_on_a_barrel_rejected(self):
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=50.0)
         with pytest.raises(LayoutError):
+            build_layout(spec)
+        # a NaN chainage used to build a sink at (nan, 0) that hears no one
+        spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=math.nan)
+        with pytest.raises(LayoutError, match="sink_placement"):
             build_layout(spec)
 
 
@@ -127,8 +136,10 @@ class TestConnectivity:
             topology_from_positions([(0.0, 0.0), (0.0, 0.0)], (10.0, 0.0), 50.0)
 
     def test_nonpositive_range_rejected(self):
-        with pytest.raises(LayoutError):
-            topology_from_positions([(0.0, 0.0)], (10.0, 0.0), 0.0)
+        # a NaN range used to build a topology without a single link
+        for range_r in (0.0, math.nan):
+            with pytest.raises(LayoutError, match="range"):
+                topology_from_positions([(0.0, 0.0)], (10.0, 0.0), range_r)
 
     def test_neighbors_of_lists_set_bits(self):
         topo = topology_from_positions(
