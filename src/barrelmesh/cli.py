@@ -99,6 +99,11 @@ class ExperimentPlan:
     relay_budget: Optional[int] = None
 
     def __post_init__(self):
+        # an empty matrix runs nothing, and checks no rate's config
+        if not self.algorithms:
+            raise ValueError("algorithms must name at least one algorithm")
+        if not self.rates_pps:
+            raise ValueError("rates_pps must list at least one rate")
         for a in self.algorithms:
             if a not in STRATEGIES:
                 raise ValueError(f"unknown algorithm {a!r}")

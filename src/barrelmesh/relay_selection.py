@@ -16,12 +16,11 @@ as the `chosen_relay` column.
 from __future__ import annotations
 
 import csv
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .topology import Topology, bits, neighbor_degrees
+from .topology import LayoutError, Topology, bits, check_range, neighbor_degrees
 
 # Scores land on exact float grids except for the distance discount, so
 # equality up to this slack is treated as a tie (broken to the lowest id).
@@ -298,8 +297,13 @@ def load_assignment_csv(
                 have_scores = False
             if "range_m" in row:
                 ranges.add(float(row["range_m"]))
-    if len(ranges) > 1 or not all(0 < r < math.inf for r in ranges):
-        raise ValueError(f"range_m must be one finite length > 0, saw {sorted(ranges)}")
+    for range_m in ranges:
+        try:
+            check_range(range_m)
+        except LayoutError as exc:
+            raise ValueError(f"range_m: {exc}") from None
+    if len(ranges) > 1:
+        raise ValueError(f"range_m must be one value, saw {sorted(ranges)}")
     if sink != len(positions) - 1:
         raise ValueError("sink must be the last node")
     assignment = RelayAssignment(

@@ -23,18 +23,29 @@ when it is drawn and each frame end when its frame starts. The engine keeps
 two streams, each in (time, seq) order, and always takes the lesser head:
 the frames on air (a FIFO: every frame lasts the same time and frames start
 in order, so they end in order) and one heap of every other event. That is
-exactly the order one heap of all events would give. A frame whose radio is
-still on air waits in its node's pending queue. When the radio frees at
-busy_until, the node's waiting frames are served in (busy_until, original
-seq) order: each takes its place among that instant's events, the node's
-own frame end and frames due at the same microsecond included, by the seq
-it was first given, exactly as if it had been re-pushed at busy_until.
-Waiting consumes no seq and no draw. processed_events, and the max_events
-budget, count events taken from the two streams: originations, scheduled
-frame starts (whether the frame starts, waits or falls past the horizon),
-frame ends and radio-free entries, stale ones included. The count is the
-same as when every event went through one heap. A waiting frame is never
-re-taken, so the count does not grow with how long frames wait.
+exactly the order one heap of all events would give. At loss_p = 0, a
+frame whose listeners in range all hold its packet as it starts is dead:
+the holder mask only grows, so its end could deliver nothing, and it is not
+queued on the FIFO. It still jams other frames and occupies its radio. A
+lossy run queues every frame that reaches a listener, so its loss draws
+keep their order. A frame whose radio is still on air waits in its node's
+pending queue. When the radio frees at busy_until, the node's waiting
+frames are served in (busy_until, original seq) order: each takes its
+place among that instant's events, the node's own frame end and frames due
+at the same microsecond included, by the seq it was first given, exactly
+as if it had been re-pushed at busy_until. Waiting consumes no seq and no
+draw.
+
+processed_events counts the events one heap of all events would take by
+sim_time: originations, scheduled frame starts (whether the frame starts,
+waits or falls past the horizon), frame ends, dead or not, and radio-free
+entries, stale ones included. A waiting frame is never re-taken, so the
+count does not grow with how long frames wait. The loop counts only heap
+pops. Frame ends are derived after it, like net_transmissions: the frames
+started, less those that end past sim_time. The max_events budget is
+checked against the pops as they are taken, so a runaway run stops within
+about twice its budget, and once, exactly, against the whole count after
+the loop.
 
 The draws of items 1 and 2 all come first: the copies' jitters and channels
 go into compact arrays before any event. The heap starts with each sending
@@ -60,9 +71,10 @@ beats loss beats the duplicate cache when classifying an attempt. The
 reference classifier of these rules is `resolve_receptions` in
 `tests/oracles.py`. The engine applies them inline, with no busy or jam
 mask: the frames on air in the zone lanes below clear the listeners they
-jam, the half-duplex test reads each listener's last two frame starts, and
-loss draws are made only for the listeners left. At loss_p = 0, it skips
-the jam scan when every listener in range already holds the packet.
+jam, the half-duplex test reads the ends of each listener's last two
+frames, and loss draws are made only for the listeners left. At
+loss_p = 0, it skips the jam scan when every listener in range already
+holds the packet.
 
 Frames on air are indexed by zone along x. The x extent is cut into the
 most equal zones that are each at least 2 * range wide, and every frame
@@ -75,7 +87,8 @@ air. A layout shorter than 4 * range (the shipped one) is one zone, whose
 frame ends scan the one lane of their channel. Which frames are scanned
 changes no result, only the cost: the scan clears jammed listeners and
 stops when none is left, before the side lanes if its own lane jams them
-all. A side is pruned before it is scanned.
+all. A side is pruned before it is scanned, and a lane at the end of each
+of its live frames and the start of each of its dead ones.
 
 Dissemination: a source transmits each packet as one or more identical
 copies (plan_transmissions), each copy independently jittered. A relay
@@ -162,7 +175,8 @@ class SimResult:
     Tuples are indexed by node id (sink last). events is empty unless the
     scenario asked for a trace; entries are (time_us, node, kind, source,
     packet, channel) with kind in origin/tx/rx/deliver and channel -1 where
-    not applicable. processed_events counts the events taken (see the module
+    not applicable. processed_events counts the events that one heap of all
+    events would take, the ends of dead frames included (see the module
     docstring); it is engine bookkeeping, not a model output.
     """
 
@@ -313,6 +327,10 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     jit_bits = jit_max.bit_length()
     ch_bits = nch.bit_length()
     reach_of = [a & listener_mask for a in adj]
+    # A frame of tx is live, and queued in `air`, if some listener in
+    # live_of[tx] lacks its packet as it starts (see the module docstring).
+    # A lossy run adds a bit that no packet holds.
+    live_of = reach_of if not lossy else [a and a | 1 << n for a in reach_of]
     # the listeners a frame of each node cannot jam
     unjammed_by = [listener_mask & ~a for a in adj]
     lanes = _zone_lanes(topology, reach_of, nch)
@@ -325,10 +343,10 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     app_sent = [0] * n
     # the index of each source's first copy draw in jitters and channels
     draw0 = [0] * sink
-    # Every event, frame ends aside (they live in `air`), starting from each
-    # sending source's first origination. A packet's record, [mask of nodes
-    # that hold it, source, packet], is its origination's payload and rides
-    # on each of its frame starts: (node, lane of its channel, record, ttl,
+    # Every event but frame ends (see `air`), starting from each sending
+    # source's first origination. A packet's record, [mask of nodes that
+    # hold it, source, packet], is its origination's payload and rides on
+    # each of its frame starts: (node, lane of its channel, record, ttl,
     # hops, is_forward).
     heap: list = [_NEVER]
     seq = draws = 0
@@ -366,15 +384,15 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # heap holds a _RADIO_FREE entry keyed (busy_until, least pending seq)
     # for the node; one whose key no longer matches is stale.
     pending: list[list] = [[] for _ in range(n)]
-    # Each node's last two frame starts: enough to tell whether it was on
-    # air during any frame, since its own frames never overlap.
-    last_start = [-2 * dur] * n
-    prev_start = [-2 * dur] * n
+    # The end of each node's frame before the one that ends at busy_until:
+    # with it, enough to tell whether the node was on air during any frame,
+    # since its own frames never overlap.
+    prev_end = [0] * n
     # Frames on air as (end, seq, start, tx, lane, packet record, ttl, hops,
-    # the listeners tx cannot jam): all of them in `air`, which is in
-    # (end, seq) order because every frame lasts dur and frames start in
-    # (time, seq) order, and each in the lane of its transmitter's zone and
-    # channel.
+    # the listeners tx cannot jam): each in the lane of its transmitter's
+    # zone and channel, and the live ones in `air`, which is in (end, seq)
+    # order because every frame lasts dur and frames start in (time, seq)
+    # order.
     air: deque = deque()
     # A source's wake time, folded as the run goes: awake holds its closed
     # wake periods, [wake_from, wake_until) the open one, owed the copies of
@@ -387,7 +405,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     delivered_by = [0] * n
     max_hops = 0
     events: Optional[list] = [] if config.emit_events else None
-    processed = 0
+    pops = 0
 
     def log(time_us, node, kind, source, pkt, channel):
         if len(events) >= EVENT_LOG_CAP:
@@ -400,29 +418,19 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     while True:
         # the lesser (time, seq) head of the heap and `air`
         ev = heap[0]
-        frame_end = air and air[0] < ev
-        if frame_end:
-            ev = air[0]
-        t = ev[0]
-        if t > T:
-            break
-        processed += 1
-        if processed > max_events:
-            raise SimulationError(
-                f"exceeded {max_events} events at t={t}us; the scenario "
-                "is likely runaway"
-            )
-        if frame_end:
+        if air and air[0] < ev:
             frame = air.popleft()
-            # pruned at each of its own frame ends, so no lane grows without
-            # bound, whether or not another frame end ever scans it
+            t = frame[0]
+            if t > T:
+                break
+            # a lane is pruned at the end of each of its live frames and the
+            # start of each of its dead ones, so none grows without bound,
+            # whether or not another frame end ever scans it
             on_air = frame[4][0]
             cutoff = t - dur
             while on_air[0][0] <= cutoff:
                 on_air.popleft()
             reach = reach_of[frame[3]]
-            if not reach:
-                continue
             rec = frame[5]
             held = rec[0]
             if lossy:
@@ -455,13 +463,14 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             if not fresh:
                 continue
             ttl, hops = frame[6], frame[7]
-            earliest = t - 2 * dur
             while fresh:
                 low = fresh & -fresh
                 fresh ^= low
                 r = low.bit_length() - 1
-                # half-duplex: r had a frame of its own overlapping this one
-                if earliest < last_start[r] < t or earliest < prev_start[r] < t:
+                # half-duplex: r had a frame of its own overlapping this one,
+                # its latest (which started by t) or the one before
+                r_end = busy_until[r]
+                if r_end > cutoff and (r_end < t + dur or prev_end[r] > cutoff):
                     continue
                 if lossy and (random_() < loss_p or held & low):
                     continue
@@ -496,7 +505,15 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     )
             rec[0] = held
             continue
-        _, s, kind, payload = heappop(heap)
+        t, s, kind, payload = heappop(heap)
+        if t > T:
+            break
+        pops += 1
+        if pops > max_events:
+            raise SimulationError(
+                f"exceeded {max_events} events at t={t}us; the scenario "
+                "is likely runaway"
+            )
         if kind == _ORIGIN:
             _, src, pkt = payload
             n_copies = copies[src]
@@ -546,6 +563,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             payload = heappop(queue)[1]
         _, lane, rec, ttl, hops, is_forward = payload
         end = t + dur
+        prev_end[node] = busy_until[node]
         busy_until[node] = end
         if is_forward:
             relayed[node] += 1
@@ -554,10 +572,16 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             owed[node] -= 1
             wake_until[node] = end
         frame = (end, next_seq(), t, node, lane, rec, ttl, hops, unjammed_by[node])
-        air.append(frame)
         lane[0].append(frame)
-        prev_start[node] = last_start[node]
-        last_start[node] = t
+        if live_of[node] & ~rec[0]:
+            air.append(frame)
+        else:
+            # a dead frame still jams, but has no end of its own to prune
+            # its lane: drop now what every later frame end would
+            on_air = lane[0]
+            cutoff = t - dur
+            while on_air[0][0] <= cutoff:
+                on_air.popleft()
         queue = pending[node]
         if queue:
             heappush(heap, (end, queue[0][0], _RADIO_FREE, node))
@@ -568,6 +592,13 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # sink offers none); only a node's last frame can be clipped at T
     net_tx = [k * c - o + r for k, c, o, r in zip(app_sent, copies + (0,), owed, relayed)]
     airtime = [k * dur - max(0, end - T) for k, end in zip(net_tx, busy_until)]
+    # events taken: heap pops, plus the end of every frame started but those
+    # that end past T, whether or not it was queued
+    processed = pops + sum(net_tx) - sum(end > T for end in busy_until)
+    if processed > max_events:
+        raise SimulationError(
+            f"exceeded {max_events} events by t={T}us; the scenario is likely runaway"
+        )
     # Listeners (relays, sink) are awake for the whole run. A plain barrel
     # is awake for its closed periods plus the open one, which lasts to T if
     # copies are still owed; whatever of its wake time is not airtime is

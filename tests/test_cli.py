@@ -459,6 +459,15 @@ def test_replace_applies_the_plan_file_rules(part, name, value):
             replace(paper, **{part: replace(getattr(paper, part), **{name: value})})
 
 
+@pytest.mark.parametrize("name", ["algorithms", "rates_pps"])
+def test_replace_rejects_an_empty_matrix(name):
+    # a plan file cannot leave either list empty, since an empty value does
+    # not convert; a plan built with replace could, and then ran no cell,
+    # checked no rate's ttl, and failed writing its summary
+    with pytest.raises(ValueError, match=name):
+        replace(EXPERIMENT_PRESETS["paper"], **{name: ()}, ttl=0)
+
+
 class TestVerbs:
     def test_presets_lists_both_kinds(self, capsys):
         assert main(["presets"]) == 0
