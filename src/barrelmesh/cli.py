@@ -431,7 +431,7 @@ def _cmd_run(args) -> int:
             + ", ".join(sorted(EXPERIMENT_PRESETS))
         )
     if args.seed is not None:
-        plan = replace(plan, base_seed=args.seed)
+        plan = replace(plan, base_seed=_flag("--seed", _seed, args.seed))
     _check_budget(plan, "plan.relay_budget")
     workers = _flag("--workers", int, args.workers)
     if workers < 0:
@@ -465,6 +465,10 @@ def _flag(flag: str, read, text: str):
         raise PlanError(f"{flag} = {text!r}: bad value, {exc}") from None
 
 
+def _seed(text: str) -> int:
+    return check_count("seed", int(text), least=0)
+
+
 def _cmd_select(args) -> int:
     if args.config:
         plan = parse_plan(args.config)
@@ -484,7 +488,11 @@ def _cmd_select(args) -> int:
     else:
         plan = replace(plan, relay_budget=args.count)
         _check_budget(plan, "--count", least=0)
-    topo, assignment = materialize(plan, args.algorithm, args.seed or 0)
+    seed = 0 if args.seed is None else _flag("--seed", _seed, args.seed)
+    # like run --out, never overwrite what an earlier call wrote
+    if args.out and Path(args.out).exists():
+        raise PlanError(f"--out = {args.out!r}: bad value, must be a new file")
+    topo, assignment = materialize(plan, args.algorithm, seed)
     issues = validate_assignment(topo, assignment)
     print(
         f"{args.algorithm}: {len(assignment.relays)} relays of "
@@ -550,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_run.add_mutually_exclusive_group()
     source.add_argument("--config", help="experiment plan INI file")
     source.add_argument("--preset", help="experiment preset name (default: paper)")
-    p_run.add_argument("--seed", type=int, help="override the base seed")
+    p_run.add_argument("--seed", help="override the base seed")
     p_run.add_argument(
         "--workers", default="1", help="parallel processes (0: one per CPU)"
     )
@@ -569,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sel.add_argument("--range", help="radio range, e.g. 100m or 330ft")
     p_sel.add_argument("--count", type=int, help="relay budget for random/knn")
-    p_sel.add_argument("--seed", type=int, help="sampling seed for random/knn")
+    p_sel.add_argument("--seed", help="sampling seed for random/knn")
     p_sel.add_argument("--out", help="write the assignment CSV here")
     p_sel.set_defaults(func=_cmd_select)
 

@@ -285,6 +285,8 @@ def load_assignment_csv(
                 raise ValueError(f"node ids must be contiguous, saw {i}")
             positions.append((float(row["x"]), float(row["y"])))
             if row["role"] == "sink":
+                if sink is not None:
+                    raise ValueError(f"node {i} is a second sink, after node {sink}")
                 sink = i
             elif row["role"] == "relay":
                 relays.append(i)

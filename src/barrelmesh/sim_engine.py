@@ -280,10 +280,13 @@ def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioC
     check_config(config)
 
 
-def check_count(name: str, value) -> None:
-    """Raise a ValueError naming the value unless it is an integer >= 1."""
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
+def check_count(name: str, value, least: int = 1) -> int:
+    """value itself; raises a ValueError naming it unless it is an integer >=
+    least. A seed takes least 0: random.Random seeds with abs(seed), so a
+    negative seed would repeat the sample of its positive twin."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return value
 
 
 def check_config(config: ScenarioConfig) -> None:
@@ -293,6 +296,7 @@ def check_config(config: ScenarioConfig) -> None:
     if not 0 < config.app_rate_pps < math.inf:
         raise ValueError("app_rate_pps must be finite and > 0")
     packet_interval_us(config.app_rate_pps)
+    check_count("seed", config.seed, least=0)
     check_count("ttl", config.ttl)
     if config.copies is not None:
         check_count("copies", config.copies)

@@ -385,6 +385,7 @@ BAD_ENTRIES = [
     ("scenario", "ttl = 0", "ttl"),
     ("scenario", "ttl = many", "ttl"),
     ("scenario", "base_seed = 1.5", "base_seed"),
+    ("scenario", "base_seed = -1", "base_seed"),  # would repeat seed 1's sample
     ("scenario", "range = 0", "range"),
     ("scenario", "all_relays_range = inf", "all_relays_range"),
     ("channel", "n_adv_channels = 0", "n_adv_channels"),
@@ -417,8 +418,10 @@ BAD_ENTRIES = [
     ("DEFAULT", "ttl = 3\n[layout]\npreset = fdot_45mph", None),
 ]
 
-# (argv, flag): a select or validate call that must fail naming the flag
+# (argv, flag): a run, select or validate call that must fail naming the flag
 BAD_FLAGS = [
+    (["run", "--seed", "-1"], "--seed"),
+    (["select", "--algorithm", "random", "--seed", "-1"], "--seed"),
     (["select", "--range", "inf"], "--range"),
     (["select", "--range", "nan"], "--range"),
     (["select", "--range", "0"], "--range"),
@@ -514,6 +517,15 @@ class TestVerbs:
         assert main(["select", "--algorithm", "random", "--count", "5",
                      "--seed", "11"]) == 0
         assert "5 relays of 30 barrels" in capsys.readouterr().out
+
+    def test_select_refuses_an_existing_out(self, capsys, tmp_path):
+        out_csv = tmp_path / "assign.csv"
+        out_csv.write_text("precious")
+        assert main(["select", "--out", str(out_csv)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out = {str(out_csv)!r}: bad value, must be a new file\n"
+        )
+        assert out_csv.read_text() == "precious"
 
     def test_validate_accepts_good_assignment(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"

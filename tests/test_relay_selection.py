@@ -278,8 +278,9 @@ class TestAssignmentFile:
             ({3: ("node", "7")}, "contiguous"),
             ({3: ("role", "gateway")}, "unknown role 'gateway'"),
             ({0: ("role", "sink"), 3: ("role", "barrel")}, "sink must be the last node"),
+            ({0: ("role", "sink")}, "node 3 is a second sink, after node 0"),
         ],
-        ids=["ids-not-contiguous", "unknown-role", "sink-not-last"],
+        ids=["ids-not-contiguous", "unknown-role", "sink-not-last", "two-sinks"],
     )
     def test_rejects_malformed_rows(self, tmp_path, edits, error):
         # a sound file with the given (column, text) edits by row
