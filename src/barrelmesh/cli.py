@@ -486,7 +486,7 @@ def _cmd_select(args) -> int:
     if args.count is None:
         _check_budget(plan, "plan.relay_budget")
     else:
-        plan = replace(plan, relay_budget=args.count)
+        plan = replace(plan, relay_budget=_flag("--count", int, args.count))
         _check_budget(plan, "--count", least=0)
     seed = 0 if args.seed is None else _flag("--seed", _seed, args.seed)
     # like run --out, never overwrite what an earlier call wrote
@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=ALGORITHMS, default="crns", help="selection strategy"
     )
     p_sel.add_argument("--range", help="radio range, e.g. 100m or 330ft")
-    p_sel.add_argument("--count", type=int, help="relay budget for random/knn")
+    p_sel.add_argument("--count", help="relay budget for random/knn")
     p_sel.add_argument("--seed", help="sampling seed for random/knn")
     p_sel.add_argument("--out", help="write the assignment CSV here")
     p_sel.set_defaults(func=_cmd_select)

@@ -25,7 +25,7 @@ the frames on air (a FIFO: every frame lasts the same time and frames start
 in order, so they end in order) and one heap of every other event. That is
 exactly the order one heap of all events would give. At loss_p = 0, a
 frame whose listeners in range all hold its packet as it starts is dead:
-the holder mask only grows, so its end could deliver nothing, and it is not
+the lack mask only shrinks, so its end could deliver nothing, and it is not
 queued on the FIFO. It still jams other frames and occupies its radio. A
 lossy run queues every frame that reaches a listener, so its loss draws
 keep their order. A frame whose radio is still on air waits in its node's
@@ -48,17 +48,20 @@ about twice its budget, and once, exactly, against the whole count after
 the loop.
 
 The draws of items 1 and 2 all come first: the copies' jitters and channels
-go into compact arrays before any event. The heap starts with each sending
-source's first origination, and each origination pushes its packet's copies
-and the source's next origination, if any. The up-front seqs are computed,
+go into compact arrays before any event. The up-front seqs are computed,
 not counted: a source that sends p packets of c copies owns p * (1 + c)
 seqs from base, the number owned by the sources below it. Packet k's
 origination gets base + k * (1 + c), and its copy j (from 0) that plus
-1 + j. The event-stream seqs start after the last source's. Every entry an
-origination pushes has a later (time, seq) than the origination itself,
-since jitter is never negative and its seq is greater, so it is on the heap
-before it can be due, and the events run in the same order as if every
-origination and copy had been pushed before the first.
+1 + j. The event-stream seqs start after the last source's. The heap holds
+one origination: round k visits the sources in (phase, id) order, each at
+phase + k * interval, and each origination pushes its packet's copies and
+then the next origination of the round-robin. Every phase lies in
+[1, interval), so round k ends before round k + 1 begins; at equal phases,
+seq ascends with source id; and packet counts never rise along the order
+and differ by at most 1, so the stream ends at the first source with no
+packet k. Every entry an origination pushes is later in (time, seq) than
+itself, so it is on the heap before it can be due, and the events run in
+the same order as if every origination and copy had been pushed first.
 
 Radio model: frames have one fixed duration and one advertising channel.
 A frame is received by an in-range listener unless a same-channel frame
@@ -95,7 +98,8 @@ copies (plan_transmissions), each copy independently jittered. A relay
 hearing a packet for the first time forwards it exactly once, one jittered
 frame with ttl-1, while later copies die in the duplicate cache. The sink
 counts the first arrival of each (source, packet). Per-packet state, the
-mask of nodes that hold the packet, lives on a record that its frames share.
+lack mask of the listeners that do not yet hold the packet, lives on a
+record that its frames share.
 
 The engine stops at sim_time: frames that would end after it are never
 resolved and their airtime is clipped for the duty-cycle accounting.
@@ -333,7 +337,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     reach_of = [a & listener_mask for a in adj]
     # A frame of tx is live, and queued in `air`, if some listener in
     # live_of[tx] lacks its packet as it starts (see the module docstring).
-    # A lossy run adds a bit that no packet holds.
+    # A lossy run adds a bit, n, that every lack mask keeps.
     live_of = reach_of if not lossy else [a and a | 1 << n for a in reach_of]
     # the listeners a frame of each node cannot jam
     unjammed_by = [listener_mask & ~a for a in adj]
@@ -345,24 +349,33 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     phases = [1 + _randbelow(getrandbits, interval - 1) for _ in range(sink)]
     # every origination lies before T, so each is taken and counted here
     app_sent = [0] * n
-    # the index of each source's first copy draw in jitters and channels
-    draw0 = [0] * sink
-    # Every event but frame ends (see `air`), starting from each sending
-    # source's first origination. A packet's record, [mask of nodes that
-    # hold it, source, packet], is its origination's payload and rides on
-    # each of its frame starts: (node, lane of its channel, record, ttl,
-    # hops, is_forward).
-    heap: list = [_NEVER]
+    # each source's first copy draw in jitters and channels, and first seq
+    draw0, seq0 = [0] * sink, [0] * sink
     seq = draws = 0
     for src, phase in enumerate(phases):
         packets = app_sent[src] = max(0, -(-(T - phase) // interval))
-        draw0[src] = draws
-        if packets:
-            heap.append((phase, seq, _ORIGIN, [1 << src, src, 0]))
+        draw0[src], seq0[src] = draws, seq
         seq += packets * (1 + copies[src])
         draws += packets * copies[src]
-    heapq.heapify(heap)
     next_seq = itertools.count(seq).__next__
+    # Originations take turns (see the module docstring). Each source's
+    # successor: the next in (phase, id) order, the time to its origination,
+    # 1 where a round ends, and its packets' lack mask at origination.
+    listeners = listener_mask | lossy << n
+    order = sorted(range(sink), key=phases.__getitem__)
+    succ = [None] * sink
+    for src, nxt in zip(order, order[1:] + order[:1]):
+        wrap = int(nxt == order[0])
+        gap = phases[nxt] - phases[src] + wrap * interval
+        succ[src] = (nxt, gap, wrap, listeners & ~(1 << nxt))
+    # Every event but frame ends (see `air`), starting from the first
+    # origination. A packet's record, [listeners that lack it, source,
+    # packet], is its origination's payload and rides on each of its frame
+    # starts: (node, lane of its channel, record, ttl, hops, is_forward).
+    heap: list = [_NEVER]
+    if order and app_sent[order[0]]:
+        src = order[0]
+        heap.insert(0, (phases[src], seq0[src], _ORIGIN, [listeners & ~(1 << src), src, 0]))
     # every copy's jitter then channel, ascending (source, packet, copy); a
     # list only where a value could overflow the compact array
     jitters = array("q") if jit_max <= 1 << 63 else []
@@ -436,13 +449,13 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 on_air.popleft()
             reach = reach_of[frame[3]]
             rec = frame[5]
-            held = rec[0]
+            lack = rec[0]
             if lossy:
                 fresh = reach
             else:
                 # no loss draw to keep in order: drop duplicates up front,
                 # and with no listener left to jam, skip the jam scan
-                fresh = reach & ~held
+                fresh = reach & lack
                 if not fresh:
                     continue
             # Every frame left in a pruned lane ends after this one starts;
@@ -476,9 +489,9 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 r_end = busy_until[r]
                 if r_end > cutoff and (r_end < t + dur or prev_end[r] > cutoff):
                     continue
-                if lossy and (random_() < loss_p or held & low):
+                if lossy and (random_() < loss_p or not lack & low):
                     continue
-                held |= low
+                lack ^= low
                 if r == sink:
                     delivered_by[rec[1]] += 1
                     if hops > max_hops:
@@ -507,7 +520,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                             (r, lanes[r][fwd_channel], rec, ttl - 1, hops + 1, True),
                         ),
                     )
-            rec[0] = held
+            rec[0] = lack
             continue
         t, s, kind, payload = heappop(heap)
         if t > T:
@@ -529,8 +542,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             owed[src] += n_copies
             if events is not None:
                 log(t, src, "origin", src, pkt, -1)
-            # the packet's copies, then the source's next packet, under the
-            # seqs that follow this origination's
+            # the packet's copies, under the seqs that follow this
+            # origination's, then the next origination of the round-robin
             src_lanes = lanes[src]
             c = draw0[src] + pkt * n_copies
             for j in range(1, n_copies + 1):
@@ -540,10 +553,11 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                      (src, src_lanes[channels[c]], payload, origin_ttl, 1, False)),
                 )
                 c += 1
-            if pkt + 1 < app_sent[src]:
-                heappush(
-                    heap, (t + interval, s + 1 + n_copies, _ORIGIN, [1 << src, src, pkt + 1])
-                )
+            nxt, gap, wrap, lack = succ[src]
+            pkt += wrap
+            if pkt < app_sent[nxt]:
+                seq_next = seq0[nxt] + pkt * (1 + copies[nxt])
+                heappush(heap, (t + gap, seq_next, _ORIGIN, [lack, nxt, pkt]))
             continue
         if kind == _TX_START:
             node = payload[0]
@@ -577,7 +591,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             wake_until[node] = end
         frame = (end, next_seq(), t, node, lane, rec, ttl, hops, unjammed_by[node])
         lane[0].append(frame)
-        if live_of[node] & ~rec[0]:
+        if live_of[node] & rec[0]:
             air.append(frame)
         else:
             # a dead frame still jams, but has no end of its own to prune

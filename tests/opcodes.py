@@ -1,16 +1,27 @@
-"""Exact cost counter: the opcodes one function's own frames execute.
+"""Exact cost counters for one function's work, free of timing noise.
 
     count_opcodes(run, topo, assignment, config) -> (result, opcodes)
+    count_heap_pushes(run, topo, assignment, config) -> (result, pushes)
 
+count_opcodes counts the opcodes that the function's own frames execute.
 Only frames of the function's code object are traced, so callees, nested
 functions and (before CPython 3.12) comprehensions inside it are not
 counted. The count repeats exactly from run to run on one interpreter
-version, which makes it a cost measure free of timing noise, at the price
-of a traced call that runs many times slower than an untraced one.
+version, at the price of a traced call that runs many times slower than an
+untraced one.
+
+count_heap_pushes swaps the `heapq` of the function's module for a wrapper
+for the one call, and records each push of a 4-tuple event, (time, seq,
+kind, payload), as (heap length, entries of kind _ORIGIN), both taken just
+after the push, so the pushed entry is counted. Pushes of other entries,
+such as the engine's 2-tuples on its per-node pending queues, are skipped.
+The pushes, like the opcodes, repeat exactly from run to run.
 """
 from __future__ import annotations
 
+import heapq
 import sys
+from types import SimpleNamespace
 
 
 def count_opcodes(fn, *args):
@@ -37,3 +48,23 @@ def count_opcodes(fn, *args):
     finally:
         sys.settrace(previous)
     return result, count
+
+
+def count_heap_pushes(fn, *args):
+    """fn(*args) and a (heap length, originations on it) pair per event push."""
+    names = fn.__globals__
+    origin = names["_ORIGIN"]
+    pushes = []
+
+    def heappush(heap, entry):
+        heapq.heappush(heap, entry)
+        if len(entry) == 4:
+            pushes.append((len(heap), sum(e[2] == origin for e in heap)))
+
+    previous = names["heapq"]
+    names["heapq"] = SimpleNamespace(**{**vars(heapq), "heappush": heappush})
+    try:
+        result = fn(*args)
+    finally:
+        names["heapq"] = previous
+    return result, pushes

@@ -427,6 +427,7 @@ BAD_FLAGS = [
     (["select", "--range", "0"], "--range"),
     (["select", "--algorithm", "random", "--count", "99"], "--count"),
     (["select", "--algorithm", "random", "--count", "-1"], "--count"),
+    (["select", "--algorithm", "random", "--count", "x"], "--count"),
     (["validate", "--range", "inf"], "--range"),
     (["validate", "--range", "nan"], "--range"),
 ]

@@ -537,7 +537,12 @@ def congested_cases(draw, topologies=chain_topologies(max_barrels=12)):
     return topo, assignment, config
 
 
-def tie_case(xs, picker, rate, horizon, seed, copies, nch, dur=100, jitter_ms=0.2):
+ROW = [0.0, 60.0, 130.0, 190.0, 260.0]
+
+
+def tie_case(
+    xs, picker, rate, horizon, seed, copies, nch, dur=100, jitter_ms=0.2, loss_p=0.0, trace=False
+):
     """A congested row with short frames and little or no jitter, where
     frame starts land on the microsecond another frame ends."""
     topo = topology_from_positions([(x, 0.0) for x in xs], (-20.0, 0.0), 100.0)
@@ -547,8 +552,9 @@ def tie_case(xs, picker, rate, horizon, seed, copies, nch, dur=100, jitter_ms=0.
         seed=seed,
         copies=copies,
         channel=ChannelConfig(
-            n_adv_channels=nch, frame_duration_us=dur, adv_jitter_ms=jitter_ms
+            n_adv_channels=nch, frame_duration_us=dur, adv_jitter_ms=jitter_ms, loss_p=loss_p
         ),
+        emit_events=trace,
     )
     return topo, picker(topo), config
 
@@ -563,6 +569,18 @@ def tie_case(xs, picker, rate, horizon, seed, copies, nch, dur=100, jitter_ms=0.
 # no jitter, one channel, and frames that divide the packet interval: frame
 # ends, forwards and scheduled starts share microseconds
 @example(tie_case([0.0, 60.0, 130.0, 190.0, 260.0], all_relays, 1000.0, 0.05, 11, 2, 1, 250, 0.0))
+# The engine keeps one origination on its heap and takes the next from a
+# round-robin over the sources in (phase, id) order. A 2 us interval makes
+# every phase 1, so every round is a tie broken by source id
+@example(tie_case(ROW, all_relays, 500000.0, 0.0001, 5, 1, 2, trace=True))
+# a horizon off the interval grid: source 1 sends one packet fewer
+@example(tie_case(ROW, crns_select, 1000.0, 0.0105, 9, 2, 2, 300, 3.0, trace=True))
+# a horizon inside the first interval: sources 0, 2 and 4 send nothing
+@example(tie_case(ROW, all_relays, 10.0, 0.05, 5, 1, 3, 1100, 12.0, trace=True))
+# copies scaled with distance: 1, 1, 2, 3 and 3 a packet
+@example(tie_case(ROW, all_relays, 1000.0, 0.02, 4, None, 2, 300, 1.0, trace=True))
+# loss draws, where a listener the lack mask no longer names drops a copy
+@example(tie_case(ROW, crns_select, 1000.0, 0.02, 6, 2, 2, 300, 1.0, 0.3, trace=True))
 def test_engine_vs_reference(case):
     """The engine returns what the frozen reference engine returns, traces
     included; only the count of processed events may differ."""
@@ -574,9 +592,6 @@ def assert_matches_reference(topo, assignment, config):
     want = reference_run(topo, assignment, config)
     assert replace(got, processed_events=0) == replace(want, processed_events=0)
     return got
-
-
-ROW = [0.0, 60.0, 130.0, 190.0, 260.0]
 
 
 @pytest.mark.parametrize(
@@ -600,9 +615,10 @@ ROW = [0.0, 60.0, 130.0, 190.0, 260.0]
     ids=["copies-outlive-next-origination", "frames-on-interval-multiples", "silent-sources"],
 )
 def test_origination_edges_match_reference(case, edges):
-    """Each origination pushes its packet's copies and its source's next
-    origination onto the engine's heap. Each case puts the run on the named
-    edges of that rule and still matches the reference."""
+    """Each origination pushes its packet's copies and the next origination
+    of the round-robin over the sources onto the engine's heap. Each case
+    puts the run on the named edges of that rule and still matches the
+    reference."""
     topo, assignment, config = case
     got = assert_matches_reference(topo, assignment, replace(config, emit_events=True))
     interval = packet_interval_us(config.app_rate_pps)

@@ -30,7 +30,7 @@ from barrelmesh.topology import (
     build_layout,
     topology_from_positions,
 )
-from opcodes import count_opcodes
+from opcodes import count_heap_pushes, count_opcodes
 from oracles import Frame, reference_run, resolve_receptions
 
 
@@ -360,6 +360,18 @@ class TestGuards:
         result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
         assert opcodes / result.processed_events < 178.0
 
+    def test_heap_holds_one_origination(self):
+        # Originations run round-robin over the sources, each pushing the
+        # next, so the heap holds what is due soon. When every source kept
+        # its own next origination there, the heap held 30 of them on this
+        # cell and a mean of 43.7 entries at a push; it now holds one and
+        # 16.7.
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(app_rate_pps=4.0, sim_time_s=2.0, seed=1000)
+        _, pushes = count_heap_pushes(run, topo, crns_select(topo), config)
+        assert max(origins for _, origins in pushes) == 1
+        assert sum(length for length, _ in pushes) / len(pushes) < 25.0
+
     @pytest.mark.parametrize(
         "sim_time_s, bound_mib",
         [
@@ -368,13 +380,13 @@ class TestGuards:
             # once: the peak RSS grew over 12 MiB across this run when the
             # whole schedule was built before the first event
             pytest.param(2.0, 12.1 / 2, id="2s"),
-            # each origination pushes its own copies and its source's next
-            # packet, so the heap holds only what is due soon and the growth
+            # each origination pushes its own copies and the next
+            # origination, so the heap holds only what is due soon and the growth
             # is mostly the up-front draw arrays: 0.26-0.47 MiB, against
             # 2.1 MiB when the originations and copies were built ahead in
             # batches of packet rounds
             pytest.param(2.0, 1.0, id="2s-heap-only"),
-            # a packet's holder mask lives on a record its frames share, not
+            # a packet's lack mask lives on a record its frames share, not
             # in a table kept for the whole run: the growth was about 29 MiB
             # with one mask per offered packet and a list of its deliveries
             pytest.param(20.0, 12.0, id="20s"),
