@@ -99,16 +99,15 @@ def _attach_nearest(topology: Topology, relays: tuple[int, ...]) -> tuple[Option
     """First hop per barrel: its nearest in-range relay (ties to lowest id),
     None for sink-adjacent or unreachable barrels."""
     relay_set = set(relays)
+    relay_mask = sum(1 << r for r in relay_set)
     sink_adj = topology.adjacency[topology.sink]
     chosen: list[Optional[int]] = [None] * topology.node_count
     for i in topology.barrels:
         if sink_adj >> i & 1:
             continue
-        candidates = [
-            r for r in relays if r != i and topology.neighbor(i, r)
-        ]
-        if candidates:
-            chosen[i] = min(candidates, key=lambda r: (topology.distance(i, r), r))
+        # the relays in range; a node is never its own neighbor
+        candidates = bits(topology.adjacency[i] & relay_mask)
+        chosen[i] = min(candidates, key=lambda r: (topology.distance(i, r), r), default=None)
     assert all(c is None or c in relay_set for c in chosen)
     return tuple(chosen)
 

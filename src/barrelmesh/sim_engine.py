@@ -43,9 +43,10 @@ entries, stale ones included. A waiting frame is never re-taken, so the
 count does not grow with how long frames wait. The loop counts only heap
 pops. Frame ends are derived after it, like net_transmissions: the frames
 started, less those that end past sim_time. The max_events budget is
-checked against the pops as they are taken, so a runaway run stops within
-about twice its budget, and once, exactly, against the whole count after
-the loop.
+checked against the originations before any copy is drawn, since each is
+an event taken; against the pops as they are taken, so a runaway run stops
+within about twice its budget; and once, exactly, against the whole count
+after the loop.
 
 The draws of items 1 and 2 all come first: the copies' jitters and channels
 go into compact arrays before any event. The up-front seqs are computed,
@@ -295,8 +296,9 @@ def check_count(name: str, value, least: int = 1) -> int:
 
 def check_config(config: ScenarioConfig) -> None:
     """Raise a ValueError naming the field of a config that run cannot simulate."""
-    if not 0 < config.sim_time_s < math.inf:
-        raise ValueError("sim_time_s must be finite and > 0")
+    # run's horizon is sim_time_s on the microsecond clock, and must hold a tick
+    if not (0 < config.sim_time_s < math.inf and round(config.sim_time_s * 1e6) >= 1):
+        raise ValueError("sim_time_s must be finite and at least 1 us")
     if not 0 < config.app_rate_pps < math.inf:
         raise ValueError("app_rate_pps must be finite and > 0")
     packet_interval_us(config.app_rate_pps)
@@ -357,6 +359,13 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         draw0[src], seq0[src] = draws, seq
         seq += packets * (1 + copies[src])
         draws += packets * copies[src]
+    # every origination is an event taken, so a run that originates more
+    # than its budget fails: fail before drawing every copy
+    if sum(app_sent) > max_events:
+        raise SimulationError(
+            f"exceeded {max_events} events: the run originates {sum(app_sent)} "
+            f"packets by t={T}us"
+        )
     next_seq = itertools.count(seq).__next__
     # Originations take turns (see the module docstring). Each source's
     # successor: the next in (phase, id) order, the time to its origination,

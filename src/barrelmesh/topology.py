@@ -12,6 +12,7 @@ barrels first in ascending chainage, sink last.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -114,17 +115,36 @@ def bits(mask: int):
         mask ^= low
 
 
-def _build_adjacency(positions: Sequence[tuple[float, float]], range_r: float) -> tuple[int, ...]:
-    n = len(positions)
-    masks = [0] * n
-    for i in range(n):
-        xi, yi = positions[i]
-        for j in range(i + 1, n):
-            xj, yj = positions[j]
-            d = math.hypot(xi - xj, yi - yj)
-            if 0.0 < d < range_r:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+def _pairs_near_on_x(positions: Sequence[tuple[float, float]], order: Sequence[int], width: float):
+    """Every pair (i, j) of nodes at most width apart on x, once, with j
+    before i in order, which lists the node ids by ascending x.
+
+    A sweep along x: each node meets only the window of nodes behind it
+    that are still within width, so the work grows with the pairs it
+    yields, not with all n * (n - 1) / 2 pairs.
+    """
+    window: deque = deque()
+    for i in order:
+        xi = positions[i][0]
+        while window and xi - positions[window[0]][0] > width:
+            window.popleft()
+        for j in window:
+            yield i, j
+        window.append(i)
+
+
+def _build_adjacency(
+    positions: Sequence[tuple[float, float]], order: Sequence[int], range_r: float
+) -> tuple[int, ...]:
+    """One mask per node. Only pairs within range_r on x are tested: |dx|
+    never exceeds the distance, so no pair farther apart can be linked."""
+    masks = [0] * len(positions)
+    for i, j in _pairs_near_on_x(positions, order, range_r):
+        (xi, yi), (xj, yj) = positions[i], positions[j]
+        d = math.hypot(xi - xj, yi - yj)
+        if 0.0 < d < range_r:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
     return tuple(masks)
 
 
@@ -144,20 +164,24 @@ def topology_from_positions(
     check_range(range_r)
     positions = [tuple(map(float, p)) for p in barrel_positions]
     positions.append(tuple(map(float, sink_position)))
-    for a in range(len(positions)):
-        if not all(map(math.isfinite, positions[a])):
-            raise LayoutError(f"node {a} has non-finite coordinates {positions[a]}")
-        for b in range(a + 1, len(positions)):
-            if (
-                abs(positions[a][0] - positions[b][0]) <= COORD_EPS
-                and abs(positions[a][1] - positions[b][1]) <= COORD_EPS
-            ):
-                raise LayoutError(f"nodes {a} and {b} share coordinates {positions[a]}")
+    for a, p in enumerate(positions):
+        if not all(map(math.isfinite, p)):
+            raise LayoutError(f"node {a} has non-finite coordinates {p}")
+    order = sorted(range(len(positions)), key=lambda i: positions[i][0])
+    # only nodes within COORD_EPS on x can coincide; name the lowest pair
+    coincident = [
+        (min(i, j), max(i, j))
+        for i, j in _pairs_near_on_x(positions, order, COORD_EPS)
+        if abs(positions[i][1] - positions[j][1]) <= COORD_EPS
+    ]
+    if coincident:
+        a, b = min(coincident)
+        raise LayoutError(f"nodes {a} and {b} share coordinates {positions[a]}")
     return Topology(
         positions=tuple(positions),
         sink=len(positions) - 1,
         range_r=float(range_r),
-        adjacency=_build_adjacency(positions, range_r),
+        adjacency=_build_adjacency(positions, order, range_r),
     )
 
 

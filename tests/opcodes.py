@@ -2,6 +2,7 @@
 
     count_opcodes(run, topo, assignment, config) -> (result, opcodes)
     count_heap_pushes(run, topo, assignment, config) -> (result, pushes)
+    count_calls(build_layout, math, "hypot", spec) -> (result, calls)
 
 count_opcodes counts the opcodes that the function's own frames execute.
 Only frames of the function's code object are traced, so callees, nested
@@ -16,6 +17,12 @@ kind, payload), as (heap length, entries of kind _ORIGIN), both taken just
 after the push, so the pushed entry is counted. Pushes of other entries,
 such as the engine's 2-tuples on its per-node pending queues, are skipped.
 The pushes, like the opcodes, repeat exactly from run to run.
+
+count_calls swaps one attribute of a module, module.name, for a wrapper
+that counts its calls, for the one call of fn, which may be any callable.
+Code that looks the attribute up at call time, as `math.hypot(...)` does
+through the math module, sees the wrapper; a name bound by `from module
+import name` before the swap does not.
 """
 from __future__ import annotations
 
@@ -68,3 +75,21 @@ def count_heap_pushes(fn, *args):
     finally:
         names["heapq"] = previous
     return result, pushes
+
+
+def count_calls(fn, module, name, *args):
+    """fn(*args) and the number of calls made to module.name during it."""
+    target = getattr(module, name)
+    count = 0
+
+    def counted(*a, **kw):
+        nonlocal count
+        count += 1
+        return target(*a, **kw)
+
+    setattr(module, name, counted)
+    try:
+        result = fn(*args)
+    finally:
+        setattr(module, name, target)
+    return result, count

@@ -381,6 +381,7 @@ BAD_ENTRIES = [
     ("scenario", "sim_time_s = nan", "sim_time_s"),
     ("scenario", "sim_time_s = inf", "sim_time_s"),
     ("scenario", "sim_time_s = 0", "sim_time_s"),
+    ("scenario", "sim_time_s = 1e-7", "sim_time_s"),  # rounds to a 0 us horizon
     ("scenario", "sim_time_s = 5%", "sim_time_s"),
     ("scenario", "ttl = 0", "ttl"),
     ("scenario", "ttl = many", "ttl"),

@@ -25,6 +25,7 @@ from barrelmesh.metrics import (
     relay_load_stats,
 )
 from barrelmesh.relay_selection import (
+    _attach_nearest,
     all_relays,
     crns_select,
     isolated_nodes,
@@ -42,7 +43,9 @@ from barrelmesh.sim_engine import (
     run,
 )
 from barrelmesh.topology import (
+    COORD_EPS,
     FDOT_45MPH,
+    LayoutError,
     LayoutSpec,
     Segment,
     barrel_chainages,
@@ -53,11 +56,14 @@ from barrelmesh.topology import (
 
 EXAMPLES = {
     "adjacency_laws": 60,
+    "sweep_matches_all_pairs": 80,
+    "coincident_pair_named": 40,
     "barrel_count_law": 60,
     "layout_determinism": 20,
     "crns_matches_reference": 60,
     "score_conservation": 60,
     "attachment_laws": 50,
+    "attach_nearest_reference": 50,
     "chain_connectivity": 30,
     "isolation_reference": 50,
     "degenerate_baselines": 30,
@@ -151,6 +157,20 @@ def wide_topologies(draw):
 
 
 @st.composite
+def scatters(draw):
+    """(points, range): a 2-D scatter, sink last, for topology_from_positions.
+    Many x values sit on a grid of range/2, so several nodes share one x
+    and many pairs are exactly range apart on x; negative x is common."""
+    r = draw(st.sampled_from(RANGES))
+    xs = st.one_of(
+        st.integers(-8, 8).map(lambda k: k * r / 2), st.floats(-4 * r, 4 * r)
+    )
+    ys = st.one_of(st.sampled_from((0.0, -6.0, 6.0, 12.0)), st.floats(-r, r))
+    points = draw(st.lists(st.tuples(xs, ys), min_size=2, max_size=14, unique=True))
+    return points, r
+
+
+@st.composite
 def frame_soups(draw):
     """A finished frame plus overlapping/disjoint traffic on a random graph."""
     n = draw(st.integers(2, 6))
@@ -209,6 +229,54 @@ def test_adjacency_laws(topo, growth):
     for a, b in zip(topo.adjacency, wider.adjacency):
         assert a & ~b == 0, "growing the range must never remove an edge"
     assert neighbor_degrees(topo) == [m.bit_count() for m in topo.adjacency]
+
+
+def all_pairs_rebuild(points, r):
+    """The unit-disk masks and the lowest coincident pair (None if there is
+    none), by testing every pair in id order."""
+    n = len(points)
+    masks = [0] * n
+    coincident = None
+    for a in range(n):
+        for b in range(a + 1, n):
+            (xa, ya), (xb, yb) = points[a], points[b]
+            if coincident is None and abs(xa - xb) <= COORD_EPS and abs(ya - yb) <= COORD_EPS:
+                coincident = (a, b)
+            if 0.0 < math.hypot(xa - xb, ya - yb) < r:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    return tuple(masks), coincident
+
+
+@settings(max_examples=EXAMPLES["sweep_matches_all_pairs"])
+@given(scatters())
+@example(([(-50.0, 0.0), (0.0, 0.0), (50.0, 0.0), (0.0, 6.0), (-100.0, 0.0)], 50.0))
+def test_sweep_matches_all_pairs(scatter):
+    # the graph is built by a sweep along x; every edge and every non-edge
+    # must match testing all pairs, on shared x and on gaps of exactly r
+    points, r = scatter
+    masks, coincident = all_pairs_rebuild(points, r)
+    if coincident is not None:
+        with pytest.raises(LayoutError, match=f"nodes {coincident[0]} and {coincident[1]} "):
+            topology_from_positions(points[:-1], points[-1], r)
+    else:
+        assert topology_from_positions(points[:-1], points[-1], r).adjacency == masks
+
+
+@settings(max_examples=EXAMPLES["coincident_pair_named"])
+@given(scatters(), st.data())
+def test_coincident_pair_named(scatter, data):
+    # copy two nodes onto two others: the error names the lowest coincident
+    # pair, lowest first id, then lowest second id
+    points, r = list(scatter[0]), scatter[1]
+    n = len(points)
+    for _ in range(2):
+        src = data.draw(st.integers(0, n - 1))
+        dst = (src + data.draw(st.integers(1, n - 1))) % n
+        points[dst] = points[src]
+    a, b = all_pairs_rebuild(points, r)[1]
+    with pytest.raises(LayoutError, match=f"nodes {a} and {b} "):
+        topology_from_positions(points[:-1], points[-1], r)
 
 
 @settings(max_examples=EXAMPLES["barrel_count_law"])
@@ -301,6 +369,32 @@ def test_attachment_laws(topo, seed, data):
                 assert target in got.relays
                 assert target != i
                 assert topo.distance(i, target) < topo.range_r
+
+
+def attach_by_scan(topo, relays):
+    """_attach_nearest's definition: every relay tested for every barrel."""
+    sink_adj = topo.adjacency[topo.sink]
+    chosen = [None] * topo.node_count
+    for i in topo.barrels:
+        if sink_adj >> i & 1:
+            continue
+        candidates = [r for r in relays if r != i and topo.neighbor(i, r)]
+        if candidates:
+            chosen[i] = min(candidates, key=lambda r: (topo.distance(i, r), r))
+    return tuple(chosen)
+
+
+@settings(max_examples=EXAMPLES["attach_nearest_reference"])
+@given(small_topologies(), st.none() | st.sets(st.integers(0, 7)))
+# every barrel a relay, and barrel 1 midway between relays 0 and 2
+@example(topology_from_positions([(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)], (-200.0, 0.0), 80.0), None)
+def test_attach_nearest_matches_scan(topo, relay_ids):
+    # None stands for every barrel, as all_relays passes
+    if relay_ids is None:
+        relays = tuple(topo.barrels)
+    else:
+        relays = tuple(sorted(r for r in relay_ids if r < topo.sink))
+    assert _attach_nearest(topo, relays) == attach_by_scan(topo, relays)
 
 
 @settings(max_examples=EXAMPLES["chain_connectivity"])

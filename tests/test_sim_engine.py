@@ -30,7 +30,7 @@ from barrelmesh.topology import (
     build_layout,
     topology_from_positions,
 )
-from opcodes import count_heap_pushes, count_opcodes
+from opcodes import count_calls, count_heap_pushes, count_opcodes
 from oracles import Frame, reference_run, resolve_receptions
 
 
@@ -360,6 +360,21 @@ class TestGuards:
         result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
         assert opcodes / result.processed_events < 178.0
 
+    def test_budget_below_the_originations_fails_before_drawing(self):
+        # Every origination is an event taken, and 2000 s at 4 pkt/s offers
+        # 240000 of them, so a budget of 10 cannot hold the run. It fails
+        # before the copy draws' arrays are made; it used to draw every copy
+        # first and fail in the event loop, after 0.1 s and 21 MiB.
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(app_rate_pps=4.0, sim_time_s=2000.0, seed=1, max_events=10)
+
+        def attempt():
+            with pytest.raises(SimulationError, match="originates 240000 packets"):
+                run(topo, crns_select(topo), config)
+
+        _, arrays = count_calls(attempt, se, "array")
+        assert arrays == 0
+
     def test_heap_holds_one_origination(self):
         # Originations run round-robin over the sources, each pushing the
         # next, so the heap holds what is due soon. When every source kept
@@ -475,6 +490,11 @@ class TestGuards:
                 for key in ("sim_time_s", "app_rate_pps")
                 for value in (0.0, -1.0, math.inf, math.nan)
             ],
+            # a horizon that rounds to 0 us used to end in a ZeroDivisionError
+            *[
+                pytest.param(None, {"sim_time_s": value}, "sim_time_s", id=f"sim_time_s={value}")
+                for value in (1e-7, 5e-7)
+            ],
             # a non-integer count used to run (ttl) or end in a TypeError
             *[
                 pytest.param(None, {key: 1.5}, key, id=f"{key}=1.5") for key in ("ttl", "copies")
@@ -504,6 +524,12 @@ class TestGuards:
         topo = line_topology(50.0)
         with pytest.raises(ValueError, match=name):
             run(topo, assignment or crns_select(topo), scenario(**config))
+
+    def test_one_tick_horizon_runs(self):
+        topo = line_topology(50.0)
+        result = run(topo, crns_select(topo), scenario(sim_time_s=1e-6))
+        assert result.sim_time_us == 1
+        assert sum(result.app_sent) == 0
 
 
 class TestLossModel:

@@ -13,6 +13,7 @@ from barrelmesh.topology import (
     neighbor_degrees,
     topology_from_positions,
 )
+from opcodes import count_calls
 
 
 def test_feet_conversion():
@@ -135,11 +136,31 @@ class TestConnectivity:
         with pytest.raises(LayoutError):
             topology_from_positions([(0.0, 0.0), (0.0, 0.0)], (10.0, 0.0), 50.0)
 
+    def test_coincident_nodes_named_by_the_lowest_pair(self):
+        # two coincident pairs, (1, 4) and (2, 3), the higher one first on
+        # x; the error names the pair with the lowest first id, then second
+        barrels = [(9.0, 0.0), (5.0, 1.0), (3.0, 0.0), (3.0, 0.0), (5.0, 1.0 + 1e-10)]
+        with pytest.raises(LayoutError, match=r"nodes 1 and 4 share"):
+            topology_from_positions(barrels, (-1.0, 0.0), 50.0)
+        # and, at one first id, the lowest second id
+        barrels = [(2.0, 0.0), (7.0, 0.0), (2.0, 0.0), (2.0, 0.0)]
+        with pytest.raises(LayoutError, match=r"nodes 0 and 2 share"):
+            topology_from_positions(barrels, (2.0, 0.0), 50.0)
+
     def test_nonpositive_range_rejected(self):
         # a NaN range used to build a topology without a single link
         for range_r in (0.0, math.nan):
             with pytest.raises(LayoutError, match="range"):
                 topology_from_positions([(0.0, 0.0)], (10.0, 0.0), range_r)
+
+    def test_long_row_build_tests_only_pairs_close_on_x(self):
+        # 300 barrels at 12 m and the sink, at 100 m: the graph is built by
+        # a sweep along x, which made 2372 distance evaluations here where
+        # testing every pair made 45150
+        spec = LayoutSpec(segments=(Segment("row", 299 * 12.0, 12.0),))
+        topo, calls = count_calls(build_layout, math, "hypot", spec, 100.0)
+        assert topo.node_count == 301
+        assert calls <= 3000
 
     def test_neighbors_of_lists_set_bits(self):
         topo = topology_from_positions(
