@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -264,8 +265,13 @@ def relay_budget(plan: ExperimentPlan) -> int:
     """Relay-set size the sampled baselines must match."""
     if plan.relay_budget is not None:
         return plan.relay_budget
-    topo = build_layout(plan.layout, plan.range_r_m)
-    return len(crns_select(topo).relays)
+    return _crns_relay_count(plan.layout, plan.range_r_m)
+
+
+# every random and knn cell of a plan asks for the same count
+@functools.lru_cache(maxsize=32)
+def _crns_relay_count(layout: LayoutSpec, range_m: float) -> int:
+    return len(crns_select(build_layout(layout, range_m)).relays)
 
 
 def materialize(plan: ExperimentPlan, algorithm: str, seed: int) -> tuple[Topology, RelayAssignment]:

@@ -23,10 +23,16 @@ when it is drawn and each frame end when its frame starts. The engine keeps
 two streams, each in (time, seq) order, and always takes the lesser head:
 the frames on air (a FIFO: every frame lasts the same time and frames start
 in order, so they end in order) and one heap of every other event. That is
-exactly the order one heap of all events would give. At loss_p = 0, a
-frame whose listeners in range all hold its packet as it starts is dead:
-the lack mask only shrinks, so its end could deliver nothing, and it is not
-queued on the FIFO. It still jams other frames and occupies its radio. A
+exactly the order one heap of all events would give. The heap ends with the
+horizon entry (sim_time, inf), after every event due by sim_time, frame ends
+included, and before every later one: the loop stops on reaching it, and
+takes nothing past sim_time off either stream. An event pushes only entries
+that sort after it, so the loop handles the heap's head in place and takes
+it off at the end of its branch, by heapreplace when the event pushes
+exactly one entry and by heappop otherwise. At loss_p = 0, a frame whose
+listeners in range all hold its packet as it starts is dead: the lack mask
+only shrinks, so its end could deliver nothing, and it is not queued on the
+FIFO. It still jams other frames and occupies its radio. A
 lossy run queues every frame that reaches a listener, so its loss draws
 keep their order. A frame whose radio is still on air waits in its node's
 pending queue. When the radio frees at busy_until, the node's waiting
@@ -40,29 +46,30 @@ processed_events counts the events one heap of all events would take by
 sim_time: originations, scheduled frame starts (whether the frame starts,
 waits or falls past the horizon), frame ends, dead or not, and radio-free
 entries, stale ones included. A waiting frame is never re-taken, so the
-count does not grow with how long frames wait. The loop counts only heap
-pops. Frame ends are derived after it, like net_transmissions: the frames
-started, less those that end past sim_time. The max_events budget is
-checked against the originations before any copy is drawn, since each is
-an event taken; against the pops as they are taken, so a runaway run stops
-within about twice its budget; and once, exactly, against the whole count
-after the loop.
+count does not grow with how long frames wait. The loop counts only the
+heap events it takes, which the horizon entry is not. Frame ends are
+derived after it, like net_transmissions: the frames started, less those
+that end past sim_time. The max_events budget is checked against the
+originations before any copy is drawn, since each is an event taken;
+against the heap events as they are taken, so a runaway run stops within
+about twice its budget; and once, exactly, against the whole count after
+the loop.
 
 The draws of items 1 and 2 all come first: the copies' jitters and channels
 go into compact arrays before any event. The up-front seqs are computed,
 not counted: a source that sends p packets of c copies owns p * (1 + c)
 seqs from base, the number owned by the sources below it. Packet k's
 origination gets base + k * (1 + c), and its copy j (from 0) that plus
-1 + j. The event-stream seqs start after the last source's. The heap holds
-one origination: round k visits the sources in (phase, id) order, each at
-phase + k * interval, and each origination pushes its packet's copies and
-then the next origination of the round-robin. Every phase lies in
-[1, interval), so round k ends before round k + 1 begins; at equal phases,
-seq ascends with source id; and packet counts never rise along the order
-and differ by at most 1, so the stream ends at the first source with no
-packet k. Every entry an origination pushes is later in (time, seq) than
-itself, so it is on the heap before it can be due, and the events run in
-the same order as if every origination and copy had been pushed first.
+1 + j. The event-stream seqs come from a local counter past the last
+source's; only their order matters. The heap holds one origination: round
+k visits the sources in (phase, id) order, each at phase + k * interval,
+and each origination pushes its packet's copies and then the next
+origination of the round-robin. Every phase lies in [1, interval), so round
+k ends before round k + 1 begins; at equal phases, seq ascends with source
+id; and packet counts never rise along the order and differ by at most 1,
+so the stream ends at the first source with no packet k. What an
+origination pushes is on the heap before it can be due, so the events run
+in the same order as if every origination and copy had been pushed first.
 
 Radio model: frames have one fixed duration and one advertising channel.
 A frame is received by an in-range listener unless a same-channel frame
@@ -115,7 +122,6 @@ and extending it to each copy's frame end, so it keeps no per-packet record.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from array import array
@@ -131,10 +137,7 @@ from .topology import Topology, bits
 DEFAULT_MAX_EVENTS = 100_000_000
 EVENT_LOG_CAP = 1_000_000
 
-_ORIGIN, _TX_START, _RADIO_FREE = 0, 1, 2
-# Ends the heap: later than any event, so the event loop needs no emptiness
-# test on it.
-_NEVER = (math.inf, math.inf, None, None)
+_ORIGIN, _TX_START, _RADIO_FREE, _HORIZON = 0, 1, 2, 3
 
 
 class SimulationError(RuntimeError):
@@ -366,7 +369,6 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             f"exceeded {max_events} events: the run originates {sum(app_sent)} "
             f"packets by t={T}us"
         )
-    next_seq = itertools.count(seq).__next__
     # Originations take turns (see the module docstring). Each source's
     # successor: the next in (phase, id) order, the time to its origination,
     # 1 where a round ends, and its packets' lack mask at origination.
@@ -378,10 +380,11 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         gap = phases[nxt] - phases[src] + wrap * interval
         succ[src] = (nxt, gap, wrap, listeners & ~(1 << nxt))
     # Every event but frame ends (see `air`), starting from the first
-    # origination. A packet's record, [listeners that lack it, source,
-    # packet], is its origination's payload and rides on each of its frame
-    # starts: (node, lane of its channel, record, ttl, hops, is_forward).
-    heap: list = [_NEVER]
+    # origination, and the horizon entry. A packet's record, [listeners that
+    # lack it, source, packet], is its origination's payload and rides on
+    # each of its frame starts: (node, lane of its channel, record, hops,
+    # is_forward).
+    heap: list = [(T, math.inf, _HORIZON, None)]
     if order and app_sent[order[0]]:
         src = order[0]
         heap.insert(0, (phases[src], seq0[src], _ORIGIN, [listeners & ~(1 << src), src, 0]))
@@ -389,21 +392,22 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # list only where a value could overflow the compact array
     jitters = array("q") if jit_max <= 1 << 63 else []
     channels = bytearray() if nch <= 256 else []
+    # with no jitter, getrandbits(0) is 0 and draws nothing
+    jit_max = max(jit_max, 1)
     for _ in range(draws):
         # _randbelow, inlined
-        jitter = 0
-        if jit_max > 0:
+        jitter = getrandbits(jit_bits)
+        while jitter >= jit_max:
             jitter = getrandbits(jit_bits)
-            while jitter >= jit_max:
-                jitter = getrandbits(jit_bits)
         channel = getrandbits(ch_bits)
         while channel >= nch:
             channel = getrandbits(ch_bits)
         jitters.append(jitter)
         channels.append(channel)
-    origin_ttl = config.ttl
+    ttl = config.ttl
     heappush = heapq.heappush
     heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
 
     busy_until = [0] * n
     # Frames that found their radio busy, per node, as (seq, payload). The
@@ -414,8 +418,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # with it, enough to tell whether the node was on air during any frame,
     # since its own frames never overlap.
     prev_end = [0] * n
-    # Frames on air as (end, seq, start, tx, lane, packet record, ttl, hops,
-    # the listeners tx cannot jam): each in the lane of its transmitter's
+    # Frames on air as (end, seq, start, tx, lane, packet record, hops, the
+    # listeners tx cannot jam): each in the lane of its transmitter's
     # zone and channel, and the live ones in `air`, which is in (end, seq)
     # order because every frame lasts dur and frames start in (time, seq)
     # order.
@@ -430,7 +434,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     relayed = [0] * n
     delivered_by = [0] * n
     max_hops = 0
-    events: Optional[list] = [] if config.emit_events else None
+    tracing = config.emit_events
+    events: list = []
     pops = 0
 
     def log(time_us, node, kind, source, pkt, channel):
@@ -447,8 +452,6 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         if air and air[0] < ev:
             frame = air.popleft()
             t = frame[0]
-            if t > T:
-                break
             # a lane is pruned at the end of each of its live frames and the
             # start of each of its dead ones, so none grows without bound,
             # whether or not another frame end ever scans it
@@ -472,7 +475,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             # listeners they jam. Once none is left, nothing more can jam.
             for g in on_air:
                 if g[2] < t and g is not frame:
-                    fresh &= g[8]
+                    fresh &= g[7]
                     if not fresh:
                         break
             if fresh and frame[4][1]:  # a one-zone layout has no sides
@@ -481,14 +484,14 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                         side.popleft()
                     for g in side:
                         if g[2] < t:
-                            fresh &= g[8]
+                            fresh &= g[7]
                             if not fresh:
                                 break
                     if not fresh:
                         break
             if not fresh:
                 continue
-            ttl, hops = frame[6], frame[7]
+            hops = frame[6]
             while fresh:
                 low = fresh & -fresh
                 fresh ^= low
@@ -505,34 +508,27 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     delivered_by[rec[1]] += 1
                     if hops > max_hops:
                         max_hops = hops
-                    if events is not None:
+                    if tracing:
                         log(t, r, "deliver", rec[1], rec[2], frame[4][2])
                     continue
-                if events is not None:
+                if tracing:
                     log(t, r, "rx", rec[1], rec[2], frame[4][2])
-                if ttl > 1:
+                if hops < ttl:
                     # _randbelow, inlined
-                    jitter = 0
-                    if jit_max > 0:
+                    jitter = getrandbits(jit_bits)
+                    while jitter >= jit_max:
                         jitter = getrandbits(jit_bits)
-                        while jitter >= jit_max:
-                            jitter = getrandbits(jit_bits)
                     fwd_channel = getrandbits(ch_bits)
                     while fwd_channel >= nch:
                         fwd_channel = getrandbits(ch_bits)
-                    heappush(
-                        heap,
-                        (
-                            t + jitter,
-                            next_seq(),
-                            _TX_START,
-                            (r, lanes[r][fwd_channel], rec, ttl - 1, hops + 1, True),
-                        ),
-                    )
+                    seq += 1
+                    fwd = (r, lanes[r][fwd_channel], rec, hops + 1, True)
+                    heappush(heap, (t + jitter, seq, _TX_START, fwd))
             rec[0] = lack
             continue
-        t, s, kind, payload = heappop(heap)
-        if t > T:
+        # the heap's head, taken off at the end of its branch
+        t, s, kind, payload = ev
+        if kind == _HORIZON:
             break
         pops += 1
         if pops > max_events:
@@ -540,7 +536,22 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 f"exceeded {max_events} events at t={t}us; the scenario "
                 "is likely runaway"
             )
-        if kind == _ORIGIN:
+        if kind == _TX_START:
+            node, lane, rec, hops, is_forward = payload
+            end = busy_until[node]
+            if end > t:
+                # radio on air: wait in the node's queue under this seq
+                queue = pending[node]
+                if not queue or s < queue[0][0]:
+                    heapreplace(heap, (end, s, _RADIO_FREE, node))
+                else:
+                    heappop(heap)
+                heappush(queue, (s, payload))
+                continue
+            if t >= T:
+                heappop(heap)
+                continue
+        elif kind == _ORIGIN:
             _, src, pkt = payload
             n_copies = copies[src]
             # Owed copies all start at or after t, so the open period
@@ -549,48 +560,34 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 awake[src] += wake_until[src] - wake_from[src]
                 wake_from[src] = t
             owed[src] += n_copies
-            if events is not None:
+            if tracing:
                 log(t, src, "origin", src, pkt, -1)
             # the packet's copies, under the seqs that follow this
             # origination's, then the next origination of the round-robin
             src_lanes = lanes[src]
             c = draw0[src] + pkt * n_copies
             for j in range(1, n_copies + 1):
-                heappush(
-                    heap,
-                    (t + jitters[c], s + j, _TX_START,
-                     (src, src_lanes[channels[c]], payload, origin_ttl, 1, False)),
-                )
+                heappush(heap, (t + jitters[c], s + j, _TX_START,
+                                (src, src_lanes[channels[c]], payload, 1, False)))
                 c += 1
             nxt, gap, wrap, lack = succ[src]
             pkt += wrap
             if pkt < app_sent[nxt]:
                 seq_next = seq0[nxt] + pkt * (1 + copies[nxt])
-                heappush(heap, (t + gap, seq_next, _ORIGIN, [lack, nxt, pkt]))
+                heapreplace(heap, (t + gap, seq_next, _ORIGIN, [lack, nxt, pkt]))
+            else:
+                heappop(heap)
             continue
-        if kind == _TX_START:
-            node = payload[0]
-            end = busy_until[node]
-            if end > t:
-                # radio on air: wait in the node's queue under this seq
-                queue = pending[node]
-                if not queue or s < queue[0][0]:
-                    heappush(heap, (end, s, _RADIO_FREE, node))
-                heappush(queue, (s, payload))
-                continue
-            if t >= T:
-                continue
         else:  # _RADIO_FREE: serve the node's earliest waiting frame
             node = payload
             queue = pending[node]
-            if not queue or queue[0][0] != s or busy_until[node] != t:
+            end = busy_until[node]
+            if not queue or queue[0][0] != s or end != t or t >= T:
+                heappop(heap)
                 continue
-            if t >= T:
-                continue
-            payload = heappop(queue)[1]
-        _, lane, rec, ttl, hops, is_forward = payload
+            node, lane, rec, hops, is_forward = heappop(queue)[1]
+        prev_end[node] = end
         end = t + dur
-        prev_end[node] = busy_until[node]
         busy_until[node] = end
         if is_forward:
             relayed[node] += 1
@@ -598,7 +595,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             # a node's frames start in time order: this end is its latest
             owed[node] -= 1
             wake_until[node] = end
-        frame = (end, next_seq(), t, node, lane, rec, ttl, hops, unjammed_by[node])
+        seq += 1
+        frame = (end, seq, t, node, lane, rec, hops, unjammed_by[node])
         lane[0].append(frame)
         if live_of[node] & rec[0]:
             air.append(frame)
@@ -611,8 +609,10 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 on_air.popleft()
         queue = pending[node]
         if queue:
-            heappush(heap, (end, queue[0][0], _RADIO_FREE, node))
-        if events is not None:
+            heapreplace(heap, (end, queue[0][0], _RADIO_FREE, node))
+        else:
+            heappop(heap)
+        if tracing:
             log(t, node, "tx", rec[1], rec[2], lane[2])
 
     # frames started: offered copies less those owed, plus forwards (the
@@ -649,5 +649,5 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         t_sleep_frac=tuple((T - w) / T for w in wake_us),
         max_hops=max_hops,
         processed_events=processed,
-        events=tuple(events) if events is not None else (),
+        events=tuple(events),
     )

@@ -2,6 +2,7 @@
 
     count_opcodes(run, topo, assignment, config) -> (result, opcodes)
     count_heap_pushes(run, topo, assignment, config) -> (result, pushes)
+    count_heap_calls(run, topo, assignment, config) -> (result, calls)
     count_calls(build_layout, math, "hypot", spec) -> (result, calls)
 
 count_opcodes counts the opcodes that the function's own frames execute.
@@ -13,10 +14,14 @@ untraced one.
 
 count_heap_pushes swaps the `heapq` of the function's module for a wrapper
 for the one call, and records each push of a 4-tuple event, (time, seq,
-kind, payload), as (heap length, entries of kind _ORIGIN), both taken just
-after the push, so the pushed entry is counted. Pushes of other entries,
-such as the engine's 2-tuples on its per-node pending queues, are skipped.
-The pushes, like the opcodes, repeat exactly from run to run.
+kind, payload), by heappush or heapreplace, as (heap length, entries of
+kind _ORIGIN), both taken just after the push, so the pushed entry is
+counted. Pushes of other entries, such as the engine's 2-tuples on its
+per-node pending queues, are skipped. The pushes, like the opcodes, repeat
+exactly from run to run.
+
+count_heap_calls swaps `heapq` the same way and counts every heappush,
+heappop and heapreplace call, on any heap the function keeps.
 
 count_calls swaps one attribute of a module, module.name, for a wrapper
 that counts its calls, for the one call of fn, which may be any callable.
@@ -57,24 +62,56 @@ def count_opcodes(fn, *args):
     return result, count
 
 
+def _with_heapq(fn, args, **swapped):
+    """fn(*args), with the named functions of its module's `heapq` swapped."""
+    names = fn.__globals__
+    previous = names["heapq"]
+    names["heapq"] = SimpleNamespace(**{**vars(heapq), **swapped})
+    try:
+        return fn(*args)
+    finally:
+        names["heapq"] = previous
+
+
 def count_heap_pushes(fn, *args):
     """fn(*args) and a (heap length, originations on it) pair per event push."""
-    names = fn.__globals__
-    origin = names["_ORIGIN"]
+    origin = fn.__globals__["_ORIGIN"]
     pushes = []
 
-    def heappush(heap, entry):
-        heapq.heappush(heap, entry)
+    def record(heap, entry):
         if len(entry) == 4:
             pushes.append((len(heap), sum(e[2] == origin for e in heap)))
 
-    previous = names["heapq"]
-    names["heapq"] = SimpleNamespace(**{**vars(heapq), "heappush": heappush})
-    try:
-        result = fn(*args)
-    finally:
-        names["heapq"] = previous
+    def heappush(heap, entry):
+        heapq.heappush(heap, entry)
+        record(heap, entry)
+
+    def heapreplace(heap, entry):
+        popped = heapq.heapreplace(heap, entry)
+        record(heap, entry)
+        return popped
+
+    result = _with_heapq(fn, args, heappush=heappush, heapreplace=heapreplace)
     return result, pushes
+
+
+def count_heap_calls(fn, *args):
+    """fn(*args) and the number of heappush, heappop and heapreplace calls."""
+    calls = 0
+
+    def counted(target):
+        def call(*a):
+            nonlocal calls
+            calls += 1
+            return target(*a)
+
+        return call
+
+    result = _with_heapq(
+        fn, args, **{name: counted(getattr(heapq, name))
+                     for name in ("heappush", "heappop", "heapreplace")}
+    )
+    return result, calls
 
 
 def count_calls(fn, module, name, *args):

@@ -31,6 +31,7 @@ from barrelmesh.metrics import PowerProfile
 from barrelmesh.relay_selection import all_relays, load_assignment_csv, save_assignment_csv
 from barrelmesh.sim_engine import ChannelConfig
 from barrelmesh.topology import FDOT_45MPH, LayoutSpec, Segment, build_layout, feet
+from opcodes import count_calls
 
 
 def tiny_plan(**kw):
@@ -211,6 +212,18 @@ class TestParsePlan:
 class TestBudgetAndMaterialize:
     def test_budget_follows_ranked_selection(self):
         assert relay_budget(EXPERIMENT_PRESETS["paper"]) == 18
+
+    def test_budget_selects_once_per_layout_and_range(self):
+        # every random and knn cell of a plan asks for the budget; the
+        # answer depends only on the layout and the range
+        plan = replace(EXPERIMENT_PRESETS["paper"], range_r_m=71.0)
+        budgets, selections = count_calls(
+            lambda: [relay_budget(plan) for _ in range(8)], cli, "crns_select"
+        )
+        topo = build_layout(plan.layout, plan.range_r_m)
+        assert budgets == [len(cli.crns_select(topo).relays)] * 8
+        assert selections <= 1
+        assert relay_budget(replace(plan, range_r_m=60.0)) != budgets[0]
 
     def test_explicit_budget_wins(self):
         plan = replace(EXPERIMENT_PRESETS["paper"], relay_budget=5)
