@@ -44,16 +44,21 @@ draw.
 
 processed_events counts the events one heap of all events would take by
 sim_time: originations, scheduled frame starts (whether the frame starts,
-waits or falls past the horizon), frame ends, dead or not, and radio-free
+waits or falls on the horizon), frame ends, dead or not, and radio-free
 entries, stale ones included. A waiting frame is never re-taken, so the
 count does not grow with how long frames wait. The loop counts only the
-heap events it takes, which the horizon entry is not. Frame ends are
-derived after it, like net_transmissions: the frames started, less those
-that end past sim_time. The max_events budget is checked against the
-originations before any copy is drawn, since each is an event taken;
-against the heap events as they are taken, so a runaway run stops within
-about twice its budget; and once, exactly, against the whole count after
-the loop.
+heap events that start no frame; the rest is derived after it: every
+origination, and the start and end of every frame started, less the ends
+past sim_time. The max_events budget is checked against the originations
+before any copy is drawn, and exactly after the loop. In between, an
+origination due at least the jitter range before sim_time refuses the run
+once the event-stream seqs, each a frame started or a forward scheduled,
+pass max_events - originations + n, for n nodes. Every forward scheduled
+by then is due by sim_time, so it is taken and starts a frame or is an
+event that starts none, and each frame started counts twice, less at most
+one end a node past sim_time. So the cap refuses no run its budget holds,
+and stops a runaway at the first origination after its frames and
+forwards pass its budget.
 
 The draws of items 1 and 2 all come first: the copies' jitters and channels
 go into compact arrays before any event. The up-front seqs are computed,
@@ -310,9 +315,11 @@ def check_config(config: ScenarioConfig) -> None:
     if config.copies is not None:
         check_count("copies", config.copies)
     check_count("frame_duration_us", config.channel.frame_duration_us)
-    check_count("n_adv_channels", config.channel.n_adv_channels)
-    if not 0 <= config.channel.adv_jitter_ms < math.inf:
-        raise ValueError("adv_jitter_ms must be finite and >= 0")
+    # BLE's 40 channels and longest advertising interval, which fit run's arrays
+    if check_count("n_adv_channels", config.channel.n_adv_channels) > 40:
+        raise ValueError("n_adv_channels must be an integer in [1, 40]")
+    if not 0 <= config.channel.adv_jitter_ms <= 10240:
+        raise ValueError("adv_jitter_ms must be in [0, 10240]")
     if not (0.0 <= config.channel.loss_p <= 1.0):
         raise ValueError("loss_p must be in [0, 1]")
 
@@ -344,6 +351,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # live_of[tx] lacks its packet as it starts (see the module docstring).
     # A lossy run adds a bit, n, that every lack mask keeps.
     live_of = reach_of if not lossy else [a and a | 1 << n for a in reach_of]
+    draw_all = -lossy  # every bit set in a lossy run, none otherwise
     # the listeners a frame of each node cannot jam
     unjammed_by = [listener_mask & ~a for a in adj]
     lanes = _zone_lanes(topology, reach_of, nch)
@@ -382,16 +390,15 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # Every event but frame ends (see `air`), starting from the first
     # origination, and the horizon entry. A packet's record, [listeners that
     # lack it, source, packet], is its origination's payload and rides on
-    # each of its frame starts: (node, lane of its channel, record, hops,
-    # is_forward).
+    # each of its frame starts: (time, seq, _TX_START, node, lane of its
+    # channel, record, hops), hops 1 for a copy and more for a forward.
     heap: list = [(T, math.inf, _HORIZON, None)]
     if order and app_sent[order[0]]:
         src = order[0]
         heap.insert(0, (phases[src], seq0[src], _ORIGIN, [listeners & ~(1 << src), src, 0]))
-    # every copy's jitter then channel, ascending (source, packet, copy); a
-    # list only where a value could overflow the compact array
-    jitters = array("q") if jit_max <= 1 << 63 else []
-    channels = bytearray() if nch <= 256 else []
+    # every copy's jitter then channel, ascending (source, packet, copy)
+    jitters = array("q")
+    channels = bytearray()
     # with no jitter, getrandbits(0) is 0 and draws nothing
     jit_max = max(jit_max, 1)
     for _ in range(draws):
@@ -404,25 +411,25 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             channel = getrandbits(ch_bits)
         jitters.append(jitter)
         channels.append(channel)
+    seq_cap = seq + max_events - sum(app_sent) + n  # see the module docstring
     ttl = config.ttl
     heappush = heapq.heappush
     heappop = heapq.heappop
     heapreplace = heapq.heapreplace
 
     busy_until = [0] * n
-    # Frames that found their radio busy, per node, as (seq, payload). The
-    # heap holds a _RADIO_FREE entry keyed (busy_until, least pending seq)
-    # for the node; one whose key no longer matches is stale.
+    # Frame starts that found their radio busy, per node, as (seq, heap
+    # entry). The heap holds a _RADIO_FREE entry keyed (busy_until, least
+    # pending seq) for the node; one whose key no longer matches is stale.
     pending: list[list] = [[] for _ in range(n)]
     # The end of each node's frame before the one that ends at busy_until:
     # with it, enough to tell whether the node was on air during any frame,
     # since its own frames never overlap.
     prev_end = [0] * n
-    # Frames on air as (end, seq, start, tx, lane, packet record, hops, the
-    # listeners tx cannot jam): each in the lane of its transmitter's
-    # zone and channel, and the live ones in `air`, which is in (end, seq)
-    # order because every frame lasts dur and frames start in (time, seq)
-    # order.
+    # Frames on air as (end, seq, tx, lane, packet record, hops, the
+    # listeners tx cannot jam): each in the lane of its transmitter's zone
+    # and channel, and the live ones in `air`, which is in (end, seq) order
+    # because every frame lasts dur and frames start in (time, seq) order.
     air: deque = deque()
     # A source's wake time, folded as the run goes: awake holds its closed
     # wake periods, [wake_from, wake_until) the open one, owed the copies of
@@ -436,7 +443,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     max_hops = 0
     tracing = config.emit_events
     events: list = []
-    pops = 0
+    idle = 0  # heap events taken that start no frame
 
     def log(time_us, node, kind, source, pkt, channel):
         if len(events) >= EVENT_LOG_CAP:
@@ -451,47 +458,43 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         ev = heap[0]
         if air and air[0] < ev:
             frame = air.popleft()
-            t = frame[0]
+            t, _, tx, lane, rec, hops, _ = frame
             # a lane is pruned at the end of each of its live frames and the
             # start of each of its dead ones, so none grows without bound,
             # whether or not another frame end ever scans it
-            on_air = frame[4][0]
+            on_air = lane[0]
             cutoff = t - dur
             while on_air[0][0] <= cutoff:
                 on_air.popleft()
-            reach = reach_of[frame[3]]
-            rec = frame[5]
+            # A lossy run draws for every listener in reach; without draws to keep
+            # in order, drop holders up front, and skip the jam scan if none is left
             lack = rec[0]
-            if lossy:
-                fresh = reach
-            else:
-                # no loss draw to keep in order: drop duplicates up front,
-                # and with no listener left to jam, skip the jam scan
-                fresh = reach & lack
-                if not fresh:
-                    continue
+            fresh = reach_of[tx] & (lack | draw_all)
+            if not fresh:
+                continue
             # Every frame left in a pruned lane ends after this one starts;
-            # those that started before it ends overlap it and clear the
-            # listeners they jam. Once none is left, nothing more can jam.
+            # those that started before it ends, which are those that end
+            # before lim as every frame lasts dur, jam the listeners they can.
+            lim = t + dur
             for g in on_air:
-                if g[2] < t and g is not frame:
-                    fresh &= g[7]
+                if g[0] < lim and g is not frame:
+                    fresh &= g[6]
                     if not fresh:
                         break
-            if fresh and frame[4][1]:  # a one-zone layout has no sides
-                for side in frame[4][1]:
+            if fresh and lane[1]:  # a one-zone layout has no sides
+                for side in lane[1]:
                     while side and side[0][0] <= cutoff:
                         side.popleft()
                     for g in side:
-                        if g[2] < t:
-                            fresh &= g[7]
+                        if g[0] < lim:
+                            fresh &= g[6]
                             if not fresh:
                                 break
                     if not fresh:
                         break
             if not fresh:
                 continue
-            hops = frame[6]
+            fwd_hops = hops + 1 if hops < ttl else 0  # 0: the ttl allows none
             while fresh:
                 low = fresh & -fresh
                 fresh ^= low
@@ -499,7 +502,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 # half-duplex: r had a frame of its own overlapping this one,
                 # its latest (which started by t) or the one before
                 r_end = busy_until[r]
-                if r_end > cutoff and (r_end < t + dur or prev_end[r] > cutoff):
+                if r_end > cutoff and (r_end < lim or prev_end[r] > cutoff):
                     continue
                 if lossy and (random_() < loss_p or not lack & low):
                     continue
@@ -509,11 +512,11 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     if hops > max_hops:
                         max_hops = hops
                     if tracing:
-                        log(t, r, "deliver", rec[1], rec[2], frame[4][2])
+                        log(t, r, "deliver", rec[1], rec[2], lane[2])
                     continue
                 if tracing:
-                    log(t, r, "rx", rec[1], rec[2], frame[4][2])
-                if hops < ttl:
+                    log(t, r, "rx", rec[1], rec[2], lane[2])
+                if fwd_hops:
                     # _randbelow, inlined
                     jitter = getrandbits(jit_bits)
                     while jitter >= jit_max:
@@ -522,22 +525,13 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     while fwd_channel >= nch:
                         fwd_channel = getrandbits(ch_bits)
                     seq += 1
-                    fwd = (r, lanes[r][fwd_channel], rec, hops + 1, True)
-                    heappush(heap, (t + jitter, seq, _TX_START, fwd))
+                    heappush(heap, (t + jitter, seq, _TX_START, r, lanes[r][fwd_channel],
+                                    rec, fwd_hops))
             rec[0] = lack
             continue
         # the heap's head, taken off at the end of its branch
-        t, s, kind, payload = ev
-        if kind == _HORIZON:
-            break
-        pops += 1
-        if pops > max_events:
-            raise SimulationError(
-                f"exceeded {max_events} events at t={t}us; the scenario "
-                "is likely runaway"
-            )
-        if kind == _TX_START:
-            node, lane, rec, hops, is_forward = payload
+        if ev[2] == _TX_START:
+            t, s, _, node, lane, rec, hops = ev
             end = busy_until[node]
             if end > t:
                 # radio on air: wait in the node's queue under this seq
@@ -546,13 +540,30 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                     heapreplace(heap, (end, s, _RADIO_FREE, node))
                 else:
                     heappop(heap)
-                heappush(queue, (s, payload))
+                heappush(queue, (s, ev))
+                idle += 1
                 continue
             if t >= T:
                 heappop(heap)
+                idle += 1
                 continue
-        elif kind == _ORIGIN:
-            _, src, pkt = payload
+        elif ev[2] == _RADIO_FREE:  # serve the node's earliest waiting frame
+            t, s, _, node = ev
+            queue = pending[node]
+            end = busy_until[node]
+            if not queue or queue[0][0] != s or end != t or t >= T:
+                heappop(heap)
+                idle += 1
+                continue
+            _, _, _, node, lane, rec, hops = heappop(queue)[1]
+        elif ev[2] == _ORIGIN:
+            t, s, _, rec = ev
+            if seq > seq_cap and t + jit_max <= T:
+                raise SimulationError(
+                    f"exceeded {max_events} events at t={t}us; the scenario "
+                    "is likely runaway"
+                )
+            _, src, pkt = rec
             n_copies = copies[src]
             # Owed copies all start at or after t, so the open period
             # reaches past t; otherwise it ended at wake_until.
@@ -567,8 +578,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             src_lanes = lanes[src]
             c = draw0[src] + pkt * n_copies
             for j in range(1, n_copies + 1):
-                heappush(heap, (t + jitters[c], s + j, _TX_START,
-                                (src, src_lanes[channels[c]], payload, 1, False)))
+                heappush(heap, (t + jitters[c], s + j, _TX_START, src, src_lanes[channels[c]],
+                                rec, 1))
                 c += 1
             nxt, gap, wrap, lack = succ[src]
             pkt += wrap
@@ -578,25 +589,19 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
             else:
                 heappop(heap)
             continue
-        else:  # _RADIO_FREE: serve the node's earliest waiting frame
-            node = payload
-            queue = pending[node]
-            end = busy_until[node]
-            if not queue or queue[0][0] != s or end != t or t >= T:
-                heappop(heap)
-                continue
-            node, lane, rec, hops, is_forward = heappop(queue)[1]
+        else:  # the horizon entry
+            break
         prev_end[node] = end
         end = t + dur
         busy_until[node] = end
-        if is_forward:
-            relayed[node] += 1
-        else:
-            # a node's frames start in time order: this end is its latest
+        if hops == 1:
+            # a copy; a node's frames start in time order: this end is its latest
             owed[node] -= 1
             wake_until[node] = end
+        else:
+            relayed[node] += 1
         seq += 1
-        frame = (end, seq, t, node, lane, rec, hops, unjammed_by[node])
+        frame = (end, seq, node, lane, rec, hops, unjammed_by[node])
         lane[0].append(frame)
         if live_of[node] & rec[0]:
             air.append(frame)
@@ -619,9 +624,8 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # sink offers none); only a node's last frame can be clipped at T
     net_tx = [k * c - o + r for k, c, o, r in zip(app_sent, copies + (0,), owed, relayed)]
     airtime = [k * dur - max(0, end - T) for k, end in zip(net_tx, busy_until)]
-    # events taken: heap pops, plus the end of every frame started but those
-    # that end past T, whether or not it was queued
-    processed = pops + sum(net_tx) - sum(end > T for end in busy_until)
+    # events taken (see the module docstring)
+    processed = sum(app_sent) + 2 * sum(net_tx) - sum(end > T for end in busy_until) + idle
     if processed > max_events:
         raise SimulationError(
             f"exceeded {max_events} events by t={T}us; the scenario is likely runaway"

@@ -3,6 +3,7 @@
     count_opcodes(run, topo, assignment, config) -> (result, opcodes)
     count_heap_pushes(run, topo, assignment, config) -> (result, pushes)
     count_heap_calls(run, topo, assignment, config) -> (result, calls)
+    count_events_taken(run, topo, assignment, config) -> (result, taken)
     count_calls(build_layout, math, "hypot", spec) -> (result, calls)
 
 count_opcodes counts the opcodes that the function's own frames execute.
@@ -13,15 +14,20 @@ version, at the price of a traced call that runs many times slower than an
 untraced one.
 
 count_heap_pushes swaps the `heapq` of the function's module for a wrapper
-for the one call, and records each push of a 4-tuple event, (time, seq,
-kind, payload), by heappush or heapreplace, as (heap length, entries of
-kind _ORIGIN), both taken just after the push, so the pushed entry is
-counted. Pushes of other entries, such as the engine's 2-tuples on its
-per-node pending queues, are skipped. The pushes, like the opcodes, repeat
-exactly from run to run.
+for the one call, and records each push of an event, (time, seq, kind,
+...), by heappush or heapreplace, as (heap length, entries of kind
+_ORIGIN), both taken just after the push, so the pushed entry is counted.
+An event is told by its kind slot, which holds one of the module's event
+kinds; pushes of other entries, such as the engine's (seq, event) pairs on
+its per-node pending queues, are skipped. The pushes, like the opcodes,
+repeat exactly from run to run.
 
 count_heap_calls swaps `heapq` the same way and counts every heappush,
 heappop and heapreplace call, on any heap the function keeps.
+
+count_events_taken swaps `heapq` the same way and counts every heappop and
+heapreplace whose heap has an event at its head: each takes that event off
+the engine's main heap, and none takes a pending queue's entry.
 
 count_calls swaps one attribute of a module, module.name, for a wrapper
 that counts its calls, for the one call of fn, which may be any callable.
@@ -73,13 +79,22 @@ def _with_heapq(fn, args, **swapped):
         names["heapq"] = previous
 
 
+def _event_test(fn):
+    """A test of whether a heap entry is an event of fn's module: a tuple
+    whose third slot, its kind, is one of the module's event kinds."""
+    names = fn.__globals__
+    kinds = {names[k] for k in ("_ORIGIN", "_TX_START", "_RADIO_FREE", "_HORIZON")}
+    return lambda entry: len(entry) > 2 and entry[2] in kinds
+
+
 def count_heap_pushes(fn, *args):
     """fn(*args) and a (heap length, originations on it) pair per event push."""
     origin = fn.__globals__["_ORIGIN"]
+    is_event = _event_test(fn)
     pushes = []
 
     def record(heap, entry):
-        if len(entry) == 4:
+        if is_event(entry):
             pushes.append((len(heap), sum(e[2] == origin for e in heap)))
 
     def heappush(heap, entry):
@@ -112,6 +127,26 @@ def count_heap_calls(fn, *args):
                      for name in ("heappush", "heappop", "heapreplace")}
     )
     return result, calls
+
+
+def count_events_taken(fn, *args):
+    """fn(*args) and the number of events taken off its main heap, by
+    heappop or heapreplace."""
+    is_event = _event_test(fn)
+    taken = 0
+
+    def counted(target):
+        def call(heap, *a):
+            nonlocal taken
+            taken += is_event(heap[0])
+            return target(heap, *a)
+
+        return call
+
+    result = _with_heapq(
+        fn, args, heappop=counted(heapq.heappop), heapreplace=counted(heapq.heapreplace)
+    )
+    return result, taken
 
 
 def count_calls(fn, module, name, *args):

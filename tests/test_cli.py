@@ -403,8 +403,10 @@ BAD_ENTRIES = [
     ("scenario", "range = 0", "range"),
     ("scenario", "all_relays_range = inf", "all_relays_range"),
     ("channel", "n_adv_channels = 0", "n_adv_channels"),
+    ("channel", "n_adv_channels = 41", "n_adv_channels"),  # BLE has 40
     ("channel", "frame_duration_us = 0", "frame_duration_us"),
     ("channel", "adv_jitter_ms = nan", "adv_jitter_ms"),
+    ("channel", "adv_jitter_ms = 10241", "adv_jitter_ms"),  # over 10.24 s
     ("channel", "loss_p = 1.5", "loss_p"),
     ("power", "i_tx_ma = -1", "i_tx_ma"),
     ("power", "i_listen_ma = inf", "i_listen_ma"),

@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from opcodes import count_events_taken
 from oracles import Frame, crns_oracle, reference_run, resolve_receptions
 from barrelmesh.metrics import (
     PowerProfile,
@@ -72,6 +73,7 @@ EXAMPLES = {
     "engine_determinism": 10,
     "engine_vs_reference": 60,
     "engine_vs_reference_wide": 40,
+    "processed_events_law": 30,
     "lanes_cover_every_jammer": 60,
     "sole_source_delivery": 14,
     "two_hop_delivery": 14,
@@ -658,6 +660,9 @@ def tie_case(
 # a listener whose own frame starts the instant a neighbour's frame ends
 # still hears that frame
 @example(tie_case([0.0, 89.0, 140.0, 214.0, 284.0], all_relays, 1024.0, 0.01, 673130, 1, 2))
+# and so does one whose frames end the instant a neighbour's frame starts
+# and start again the instant it ends
+@example(tie_case(ROW, all_relays, 1000.0, 0.02, 3, 2, 1, 250, 0.0))
 # a node whose radio frees up exactly at the horizon sends nothing more
 @example(tie_case([0.0, 75.0, 133.0, 182.0, 259.0], crns_select, 2048.0, 0.02, 328357, 2, 1))
 # no jitter, one channel, and frames that divide the packet interval: frame
@@ -765,6 +770,63 @@ def test_counters_at_the_horizon_match_reference(case, state):
         "owed, due past T": any(o and end < T for o, end in zip(owed, last_end)),
     }
     assert states[state]
+
+
+def horizon_case(horizon, seed):
+    """Three relays 30 m apart, the sink 10 m off the first, range 50 m,
+    1000 pkt/s and 0.5 ms of jitter: at horizons of 1 to 3 ms, about one
+    run in 700 has a frame start due exactly at T, and as many a frame end
+    exactly at T."""
+    topo = topology_from_positions([(0.0, 0.0), (30.0, 0.0), (60.0, 0.0)], (-10.0, 0.0), 50.0)
+    config = ScenarioConfig(
+        app_rate_pps=1000.0,
+        sim_time_s=horizon,
+        seed=seed,
+        channel=ChannelConfig(adv_jitter_ms=0.5),
+    )
+    return topo, all_relays(topo), config
+
+
+@pytest.mark.parametrize(
+    "case, events",
+    [
+        # taken, and dropped: the frame would start on the horizon
+        (horizon_case(0.001, 76), 6),
+        # resolved, and counted as an event
+        (horizon_case(0.002, 516), 13),
+    ],
+    ids=["frame-start-at-T", "frame-end-at-T"],
+)
+def test_frames_on_the_horizon(case, events):
+    """The horizon entry (T, inf) sorts after every event due at T. A frame
+    start due at T starts no frame, so it adds nothing to net_transmissions,
+    and a frame end at T is an event taken, so it counts in
+    processed_events."""
+    got = assert_matches_reference(*case)
+    assert got.processed_events == events
+
+
+@settings(max_examples=EXAMPLES["processed_events_law"])
+@given(congested_cases())
+# frames that wait for their radio
+@example(tie_case([0.0, 89.0, 140.0, 214.0, 284.0], all_relays, 1024.0, 0.01, 673130, 1, 2))
+# a stale radio-free entry, whose key its node's queue no longer matches
+@example(tie_case(ROW, all_relays, 1000.0, 0.005, 4, 2, 1, 300, 0.2))
+# a frame start due at T, and a frame end at T
+@example(horizon_case(0.001, 76))
+@example(horizon_case(0.002, 516))
+def test_processed_events_are_the_events_taken(case):
+    """The engine derives processed_events after its loop. Counted another
+    way, it is every event taken off the heap, plus the end of every frame
+    that ends by T, read from the trace. A budget of exactly that many
+    events holds: the runaway guard in the loop refuses no such run."""
+    topo, assignment, config = case
+    config = replace(config, emit_events=True)
+    got, taken = count_events_taken(run, topo, assignment, config)
+    T, dur = got.sim_time_us, config.channel.frame_duration_us
+    ends = sum(kind == "tx" and t + dur <= T for t, _, kind, *_ in got.events)
+    assert got.processed_events == taken + ends
+    assert run(topo, assignment, replace(config, max_events=got.processed_events)) == got
 
 
 def zone_case(barrels, sink, range_r, seed, loss_p=0.0):

@@ -334,6 +334,21 @@ class TestGuards:
         assert result.processed_events == 2
         assert run(topo, crns_select(topo), replace(config, max_events=2)) == result
 
+    def test_runaway_stops_at_an_origination(self):
+        # 2 s at 256 pkt/s offers 15360 originations and takes 105383 events
+        # (see test_processed_event_count_is_pinned). A budget of 20000 holds
+        # the originations, so the run gets past the check made before the
+        # copies are drawn. An origination refuses it once its frames and
+        # forwards, with every origination, pass the budget: at 289 ms, with
+        # 15005 events taken. Counting each event as it was taken, the loop
+        # stopped at 550 ms.
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(app_rate_pps=256.0, sim_time_s=2.0, seed=7, max_events=20000)
+        with pytest.raises(SimulationError, match=r"events at t=\d+us") as refused:
+            run(topo, crns_select(topo), config)
+        stopped_at = int(str(refused.value).split("at t=")[1].split("us")[0])
+        assert stopped_at < 500_000
+
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
         reason="the bound counts CPython 3.11 opcodes",
@@ -349,8 +364,10 @@ class TestGuards:
         # batches ahead of the run, that work went uncounted; counted with
         # the generator's frames too, that engine read 188.4. It read 168.6
         # once the count of frame ends was derived after the loop and the
-        # half-duplex test read busy_until, and now reads 163.2, since the
-        # loop handles the heap's head in place and counts seqs itself.
+        # half-duplex test read busy_until, and 163.2 once the loop handled
+        # the heap's head in place and counted seqs itself. It now reads
+        # 158.0: a frame start is one flat heap entry, frames keep no start,
+        # and the event count is derived after the loop.
         topo = build_layout(FDOT_45MPH)
         config = scenario(app_rate_pps=256.0, sim_time_s=0.2, seed=1)
         result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
@@ -365,9 +382,10 @@ class TestGuards:
         # every listener in reach already holds their packet. Counted
         # exactly, `run` executed 191.75 opcodes per event here when it
         # queued every frame for its end, and 164.7 once such frames were
-        # not queued; the bound sits between the two. It now reads 156.3,
-        # since the loop handles the heap's head in place and counts seqs
-        # itself.
+        # not queued; the bound sits between the two. It read 156.3 once the
+        # loop handled the heap's head in place and counted seqs itself, and
+        # now reads 146.7: a frame start is one flat heap entry, frames keep
+        # no start, and the event count is derived after the loop.
         topo = build_layout(FDOT_45MPH)
         config = scenario(app_rate_pps=4.0, sim_time_s=2.0, seed=1000)
         result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
@@ -537,7 +555,10 @@ class TestGuards:
                     ("frame_duration_us", 1.5),
                     ("n_adv_channels", 0),
                     ("n_adv_channels", 1.5),
+                    # BLE has 40 channels, and its longest advertising interval is 10.24 s
+                    ("n_adv_channels", 41),
                     ("adv_jitter_ms", -1.0),
+                    ("adv_jitter_ms", 10240.001),
                     ("adv_jitter_ms", math.inf),
                     ("adv_jitter_ms", math.nan),
                     ("loss_p", -0.1),
