@@ -362,7 +362,7 @@ def _run_name(algorithm: str, rate: float, seed: int) -> str:
 
 def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, workers: int):
     """Write the full output tree for one experiment, and return its
-    cell_stats: CellStats keyed by (algorithm, rate), in the order of results."""
+    per-cell values (metrics.cell_stats), in the order of results."""
     out = Path(out_dir)
     runs_dir = out / "runs"
     plot_dir = out / "plotdata"
@@ -382,30 +382,19 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
             header = ["time_us", "node", "kind", "source", "packet", "channel"]
             write_csv(runs_dir / f"{name}_events.csv", header, result.events)
 
-    stats = cell_stats(results, plan.power)
-    comparison, density, hist, power = [], [], [], []
-    for (algorithm, rate), cell in stats.items():
-        base = stats["all", rate].pdr_mean if ("all", rate) in stats else None
-        change = None
-        if base and cell.pdr_mean is not None:
-            change = f"{100.0 * (cell.pdr_mean - base) / base:+.1f}"
-        comparison.append([algorithm, rate, cell.pdr_mean, change])
-        density.append([algorithm, rate, cell.pdr_mean, cell.pdr_stdev])
-        power.append([algorithm, rate, cell.relay_current_ma, cell.pdr_mean])
-        if cell.loads:
-            width = max(1, -(-(max(cell.loads) + 1) // 10))
-            counts = [0] * 10
-            for load in cell.loads:
-                counts[min(load // width, 9)] += 1
-            for b, n in enumerate(counts):
-                hist.append([algorithm, rate, b * width, (b + 1) * width, n])
-    for path, columns, rows in (
-        (out / "comparison.csv", ["mean_pdr_pct", "pdr_change_vs_all_pct"], comparison),
-        (plot_dir / "pdr_density.csv", ["mean_pdr_pct", "stdev_pdr_pct"], density),
-        (plot_dir / "relay_load_hist.csv", ["bin_lo", "bin_hi", "count"], hist),
-        (plot_dir / "power_vs_pdr.csv", ["mean_relay_current_ma", "mean_pdr_pct"], power),
+    cells = cell_stats(summary, [result for *_, result in results])
+    key = ["algorithm", "rate_pps"]
+    for path, columns in (
+        (out / "comparison.csv", key + ["mean_pdr_pct", "pdr_change_vs_all_pct"]),
+        (plot_dir / "pdr_density.csv", key + ["mean_pdr_pct", "stdev_pdr_pct"]),
+        (plot_dir / "power_vs_pdr.csv", key + ["mean_relay_current_ma", "mean_pdr_pct"]),
     ):
-        write_csv(path, ["algorithm", "rate_pps", *columns], rows)
+        write_csv(path, columns, ([cell[name] for name in columns] for cell in cells))
+    write_csv(
+        plot_dir / "relay_load_hist.csv",
+        key + ["bin_lo", "bin_hi", "count"],
+        ((cell["algorithm"], cell["rate_pps"], *b) for cell in cells for b in cell["relay_load_hist"]),
+    )
 
     metadata = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -422,7 +411,7 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
     with open(out / "metadata.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return stats
+    return cells
 
 
 def _cmd_run(args) -> int:
@@ -450,16 +439,18 @@ def _cmd_run(args) -> int:
     started = time.perf_counter()
     results = run_matrix(plan, workers=workers, emit_events=args.emit_events)
     elapsed = time.perf_counter() - started
-    stats = write_outputs(plan, results, args.out, elapsed, workers)
+    cells = write_outputs(plan, results, args.out, elapsed, workers)
     print(f"{len(results)} runs in {elapsed:.1f}s -> {args.out}")
     print(f"{'strategy':8s} {'rate':>6s} {'pdr%':>6s} {'load cv':>8s} {'relay mA':>9s}")
-    for (algorithm, rate), cell in stats.items():
+    for cell in cells:
         # blank where no run defines the value (no packet offered, say)
         pdr, cv, ma = (
-            "" if value is None else f"{value:.{digits}f}"
-            for value, digits in ((cell.pdr_mean, 2), (cell.cv_mean, 3), (cell.relay_current_ma, 3))
+            "" if cell[name] is None else f"{cell[name]:.{digits}f}"
+            for name, digits in (
+                ("mean_pdr_pct", 2), ("mean_relay_load_cv", 3), ("mean_relay_current_ma", 3)
+            )
         )
-        print(f"{algorithm:8s} {rate:6g} {pdr:>6s} {cv:>8s} {ma:>9s}")
+        print(f"{cell['algorithm']:8s} {cell['rate_pps']:6g} {pdr:>6s} {cv:>8s} {ma:>9s}")
     return 0
 
 
@@ -546,7 +537,7 @@ def _cmd_presets(args) -> int:
     for name, plan in EXPERIMENT_PRESETS.items():
         print(
             f"  {name}: {','.join(plan.algorithms)} x rates "
-            f"{','.join(f'{r:g}' for r in plan.rates_pps)}/s x {plan.n_seeds} seeds, "
+            f"{','.join(map(_rate_label, plan.rates_pps))}/s x {plan.n_seeds} seeds, "
             f"{plan.sim_time_s:g}s each"
         )
     return 0

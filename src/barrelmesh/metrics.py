@@ -109,43 +109,47 @@ def mean_relay_current_ma(result: SimResult, profile: PowerProfile) -> Optional[
     return statistics.fmean(currents[r] for r in result.relays)
 
 
-@dataclass(frozen=True)
-class CellStats:
-    """Aggregates over the seeds of one (algorithm, rate) cell.
-
-    Means and the PDR stdev skip runs whose value is undefined (no packet
-    offered, no relay) and are None when no run of the cell defines one.
-    loads pools every run's per-relay forwarding counts, in run order.
-    """
-
-    pdr_mean: Optional[float]
-    pdr_stdev: Optional[float]
-    loads: list[int]
-    cv_mean: Optional[float]
-    relay_current_ma: Optional[float]
-
-
 def _mean(values) -> Optional[float]:
     defined = [v for v in values if v is not None]
     return statistics.fmean(defined) if defined else None
 
 
-def cell_stats(results, profile: PowerProfile) -> dict[tuple[str, float], CellStats]:
-    """Per-cell statistics of (algorithm, rate, seed, SimResult) runs, keyed
-    by (algorithm, rate) in the order the cells first appear."""
-    cells: dict[tuple[str, float], list[SimResult]] = {}
-    for algorithm, rate, _seed, result in results:
-        cells.setdefault((algorithm, rate), []).append(result)
-    out = {}
-    for key, runs in cells.items():
-        pdrs = [p for p in map(network_pdr, runs) if p is not None]
-        loads = [relay_load_stats(r) for r in runs]
-        out[key] = CellStats(
-            pdr_mean=statistics.fmean(pdrs) if pdrs else None,
-            pdr_stdev=statistics.pstdev(pdrs) if pdrs else None,
-            loads=[n for load in loads for n in load["loads"]],
-            cv_mean=_mean(load["cv"] for load in loads),
-            relay_current_ma=_mean(mean_relay_current_ma(r, profile) for r in runs),
+def cell_stats(rows, results) -> list[dict]:
+    """One dict per (algorithm, rate_pps) cell of the summary rows, in the
+    order the cells first appear: the per-cell files' columns, by name, and
+    mean_relay_load_cv.
+
+    results are the rows' SimResults, in row order, read only for the
+    per-relay loads that no row holds. Means and the PDR stdev skip runs
+    whose value is None and are None if every run's is. The change against
+    the `all` cell of the rate is None without one or when it reads 0.
+    """
+    cells: dict[tuple, list] = {}
+    for row, result in zip(rows, results):
+        cells.setdefault((row["algorithm"], row["rate_pps"]), []).append((row, result))
+    out = []
+    for (algorithm, rate), runs in cells.items():
+        pdrs = [row["pdr_pct"] for row, _ in runs if row["pdr_pct"] is not None]
+        loads = [result.relayed_count[r] for _, result in runs for r in result.relays]
+        # 10 equal bins from 0, wide enough that the largest load falls in one
+        width = -(-(max(loads, default=0) + 1) // 10)
+        out.append({
+            "algorithm": algorithm,
+            "rate_pps": rate,
+            "mean_pdr_pct": statistics.fmean(pdrs) if pdrs else None,
+            "stdev_pdr_pct": statistics.pstdev(pdrs) if pdrs else None,
+            "mean_relay_load_cv": _mean(row["relay_load_cv"] for row, _ in runs),
+            "mean_relay_current_ma": _mean(row["mean_relay_current_ma"] for row, _ in runs),
+            "relay_load_hist": [
+                (b * width, (b + 1) * width, sum(load // width == b for load in loads))
+                for b in range(10 if loads else 0)
+            ],
+        })
+    base = {cell["rate_pps"]: cell["mean_pdr_pct"] for cell in out if cell["algorithm"] == "all"}
+    for cell in out:
+        pdr, all_pdr = cell["mean_pdr_pct"], base.get(cell["rate_pps"])
+        cell["pdr_change_vs_all_pct"] = (
+            f"{100.0 * (pdr - all_pdr) / all_pdr:+.1f}" if all_pdr and pdr is not None else None
         )
     return out
 

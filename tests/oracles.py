@@ -6,7 +6,8 @@ adjacency masks. Tests compare package output against these. The exception is
 reference_run, a frozen copy of the event engine as it was before its hot
 loop was rewritten, with its reception classifier resolve_receptions; they
 work on adjacency masks and share only the result type, validation and
-repeat plan with the package.
+repeat plan with the package. pair_loss_probability shares nothing with
+either engine: it is the closed form of one two-source setting.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import itertools
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from typing import Optional
 
 from barrelmesh.sim_engine import (
@@ -354,3 +356,36 @@ def reference_run(topology, assignment, config) -> SimResult:
         processed_events=processed,
         events=tuple(events) if events is not None else (),
     )
+
+
+# ---------------------------------------------------------------------------
+# closed form
+
+
+def pair_loss_probability(delta, interval, jitter, dur, channels) -> Fraction:
+    """The exact probability that a packet of source A is lost, when A and B
+    hear only the sink, nothing relays, and each sends one copy per packet.
+
+    Each source's packet k starts its frame at its phase + k * interval + j,
+    j uniform on range(jitter), on a uniform one of `channels`; delta is B's
+    phase less A's, and B's packet m packets after A's lies delta + m *
+    interval + jB - jA from it. A's frame is lost if a frame of B on its channel starts
+    less than dur from it:
+
+        q = 1 - E over jA of the product over m of
+                (1 - P(|delta + m * interval + jB - jA| < dur) / channels)
+
+    over every offset delta + m * interval within jitter + dur of 0, since a
+    neighbouring packet of B can reach A's frame as well as the one at m = 0.
+    """
+    span = (jitter + dur + abs(delta)) // interval + 1
+    offsets = [delta + m * interval for m in range(-span, span + 1)]
+    offsets = [o for o in offsets if abs(o) < jitter + dur]
+    whole = channels * jitter
+    clear = 0  # sum over jA of the product of whole - (the jB that overlap)
+    for ja in range(jitter):
+        product = 1
+        for o in offsets:
+            product *= whole - max(0, min(jitter, ja - o + dur) - max(0, ja - o - dur + 1))
+        clear += product
+    return 1 - Fraction(clear, jitter * whole ** len(offsets))

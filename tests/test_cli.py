@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import barrelmesh.cli as cli
+import barrelmesh.metrics as metrics
 import barrelmesh.sim_engine as se
 from barrelmesh.cli import (
     ALGORITHMS,
@@ -351,6 +352,41 @@ class TestWriteOutputs:
             rows = (tmp_path / name).read_text().splitlines()[1:]
             assert rows == ["crns,1.0,,", "all,1.0,,"], name
 
+    def test_each_run_statistic_is_computed_once(self, matrix, tmp_path):
+        # the summary rows are the one per-run record that the per-cell files
+        # are built from; write_node_csv is each run's second current pass
+        plan, results = matrix
+        for name, per_run in (
+            ("network_pdr", 1),
+            ("relay_load_stats", 1),
+            ("mean_relay_current_ma", 1),
+            ("per_node_current_ma", 2),
+        ):
+            _, calls = count_calls(
+                write_outputs, metrics, name, plan, results, tmp_path / name, 1.0, 1
+            )
+            assert calls == per_run * len(results), name
+
+    def test_relay_load_hist_bins(self, tmp_path):
+        # the largest load, 10, sets the width of the 10 bins: ceil((10 + 1) / 10) = 2
+        plan = tiny_plan(algorithms=("crns", "all"), sim_time_s=3.2)
+        write_outputs(plan, run_matrix(plan), tmp_path, 1.0, workers=1)
+        rows = (tmp_path / "plotdata" / "relay_load_hist.csv").read_text().splitlines()
+        counts = {"crns": [0, 0, 0, 0, 1, 5, 0, 0, 0, 0], "all": [0, 0, 0, 0, 2, 6, 0, 0, 0, 0]}
+        assert rows == ["algorithm,rate_pps,bin_lo,bin_hi,count"] + [
+            f"{algorithm},1.0,{2 * b},{2 * b + 2},{n}"
+            for algorithm in counts
+            for b, n in enumerate(counts[algorithm])
+        ]
+
+    def test_no_all_cell_leaves_the_change_empty(self, matrix, tmp_path):
+        plan, results = matrix
+        write_outputs(plan, [run for run in results if run[0] == "crns"], tmp_path, 1.0, 1)
+        assert (tmp_path / "comparison.csv").read_text().splitlines() == [
+            "algorithm,rate_pps,mean_pdr_pct,pdr_change_vs_all_pct",
+            "crns,1.0,87.5,",
+        ]
+
     def test_events_and_assignment_bytes_pinned(self, matrix, tmp_path):
         # the golden digests cover neither the event traces nor `select --out`
         def sha(paths):
@@ -661,10 +697,17 @@ class TestVerbs:
         )
         out_dir = tmp_path / "results"
         assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 0
-        assert "2 runs" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2 runs" in out
         rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[:4] for row in rows] == [
             ["crns", "1.0", "1000", "0"], ["knn", "1.0", "1000", "0"]
+        ]
+        # with no relay, a cell has no load histogram, load cv or relay current
+        hist = out_dir / "plotdata" / "relay_load_hist.csv"
+        assert hist.read_text() == "algorithm,rate_pps,bin_lo,bin_hi,count\n"
+        assert out.splitlines()[2:] == [
+            f"{algorithm:8s}      1 100.00 {'':8s} {'':9s}" for algorithm in ("crns", "knn")
         ]
 
     def test_select_knn_accepts_a_zero_count(self, capsys):

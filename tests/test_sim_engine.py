@@ -31,7 +31,7 @@ from barrelmesh.topology import (
     topology_from_positions,
 )
 from opcodes import count_calls, count_heap_calls, count_heap_pushes, count_opcodes
-from oracles import Frame, reference_run, resolve_receptions
+from oracles import Frame, pair_loss_probability, reference_run, resolve_receptions
 
 
 def line_topology(*barrel_xs, sink_x=0.0, range_r=100.0):
@@ -682,6 +682,38 @@ class TestCollisions:
         )
         result = run(topo, a, cfg)
         assert sum(result.delivered_by_source) > 0
+
+    def test_two_sources_lose_what_the_closed_form_predicts(self):
+        # Two barrels 120 m apart, each 60 m from the sink, hear only the
+        # sink. With nothing relaying and one copy a packet, a packet is lost
+        # only where the other source's frame overlaps it on its channel.
+        topo = line_topology(-60.0, 60.0)
+        assert topo.adjacency[0] >> 1 & 1 == 0
+        none = RelayAssignment("none", (), (None,) * 3)
+        channel = ChannelConfig()
+        interval = se.packet_interval_us(40.0)
+        jitter = round(channel.adv_jitter_ms * 1000)
+        seeds = range(10)
+        lost, expected, variance = [0, 0], [0.0, 0.0], [0.0, 0.0]
+        for seed in seeds:
+            config = scenario(app_rate_pps=40.0, sim_time_s=100.0, seed=seed, copies=1)
+            result = run(topo, none, config)
+            rng = random.Random(seed)  # the run's first draws: each source's phase
+            phases = [rng.randrange(1, interval) for _ in range(2)]
+            for src in (0, 1):
+                q = float(pair_loss_probability(
+                    phases[1 - src] - phases[src], interval, jitter,
+                    channel.frame_duration_us, channel.n_adv_channels,
+                ))
+                n = result.app_sent[src]
+                lost[src] += n - result.delivered_by_source[src]
+                expected[src] += n * q
+                variance[src] += n * q * (1 - q)
+        # A collision loses both frames, so each source is checked alone: no
+        # frame of the other overlaps two of its frames, so its losses are
+        # near independent. The horizon may cut one frame per source and run.
+        for src in (0, 1):
+            assert abs(lost[src] - expected[src]) <= 4 * math.sqrt(variance[src]) + len(seeds)
 
 
 class TestBoundedDraw:
