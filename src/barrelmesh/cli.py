@@ -56,7 +56,6 @@ from .topology import (
     build_layout,
     check_range,
     feet,
-    topology_from_positions,
 )
 
 # Strategy name -> assignment for (topology, plan, seed). Entries look their
@@ -116,6 +115,8 @@ class ExperimentPlan:
             if labels.count(label) > 1:  # they would write the same run files
                 raise ValueError(f"two rates name their runs {label}")
         check_count("n_seeds", self.n_seeds)
+        if self.relay_budget is not None:
+            check_count("relay_budget", self.relay_budget, least=0)
         check_range(self.range_r_m)
         check_range(self.all_relays_range_m)
         self.layout.sink_x()
@@ -483,7 +484,7 @@ def _cmd_select(args) -> int:
     if args.count is None:
         _check_budget(plan, "plan.relay_budget")
     else:
-        plan = replace(plan, relay_budget=_flag("--count", int, args.count))
+        plan = _flag("--count", lambda text: replace(plan, relay_budget=int(text)), args.count)
         _check_budget(plan, "--count", least=0)
     seed = 0 if args.seed is None else _flag("--seed", _seed, args.seed)
     # like run --out, never overwrite what an earlier call wrote
@@ -505,22 +506,17 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    positions, sink, assignment, range_m = load_assignment_csv(args.assignment)
+    range_m = None
     if args.range is not None:
         range_m = _flag("--range", lambda text: check_range(parse_length(text)), args.range)
-    elif range_m is None:
-        raise PlanError(
-            f"{args.assignment} stores no range_m column; give the range it "
-            "was selected at with --range"
-        )
-    topo = topology_from_positions(positions[:-1], positions[-1], range_m)
+    topo, assignment = load_assignment_csv(args.assignment, range_m)
     issues = validate_assignment(topo, assignment)
     if issues:
         for issue in issues:
             print(issue)
         return 1
     print(
-        f"ok: {len(assignment.relays)} relays cover {sink} barrels at range {range_m:g}m"
+        f"ok: {len(assignment.relays)} relays cover {topo.sink} barrels at range {topo.range_r:g}m"
     )
     return 0
 

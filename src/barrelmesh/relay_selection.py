@@ -20,7 +20,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .topology import LayoutError, Topology, bits, check_range, neighbor_degrees
+from .topology import (
+    LayoutError, Topology, bits, check_range, neighbor_degrees, topology_from_positions,
+)
 
 # Scores land on exact float grids except for the distance discount, so
 # equality up to this slack is treated as a tie (broken to the lowest id).
@@ -43,7 +45,6 @@ class RelayAssignment:
     scores: final per-node scores for score-driven strategies, else None.
     """
 
-    algorithm: str
     relays: tuple[int, ...]
     chosen: tuple[Optional[int], ...]
     scores: Optional[tuple[float, ...]] = None
@@ -88,7 +89,6 @@ def crns_select(topology: Topology) -> RelayAssignment:
         chosen[i] = best
     relays = tuple(i for i in topology.barrels if is_relay[i])
     return RelayAssignment(
-        algorithm="crns",
         relays=relays,
         chosen=tuple(chosen),
         scores=tuple(score),
@@ -116,7 +116,6 @@ def all_relays(topology: Topology) -> RelayAssignment:
     """Every barrel forwards."""
     relays = tuple(topology.barrels)
     return RelayAssignment(
-        algorithm="all",
         relays=relays,
         chosen=_attach_nearest(topology, relays),
     )
@@ -132,7 +131,6 @@ def random_relays(topology: Topology, count: int, seed: int) -> RelayAssignment:
     rng = random.Random(seed)
     relays = tuple(sorted(rng.sample(range(n_barrels), count)))
     return RelayAssignment(
-        algorithm="random",
         relays=relays,
         chosen=_attach_nearest(topology, relays),
     )
@@ -185,7 +183,6 @@ def knn_relays(topology: Topology, k: int, seed: int) -> RelayAssignment:
         heads.add(head)
     relays = tuple(sorted(heads))
     return RelayAssignment(
-        algorithm="knn",
         relays=relays,
         chosen=_attach_nearest(topology, relays),
     )
@@ -260,24 +257,24 @@ def save_assignment_csv(topology: Topology, assignment: RelayAssignment, path) -
             writer.writerow([i, x, y, role, assignment.chosen[i], scores[i], topology.range_r])
 
 
-def load_assignment_csv(
-    path,
-) -> tuple[list[tuple[float, float]], int, RelayAssignment, Optional[float]]:
-    """Inverse of save_assignment_csv. Returns (positions, sink_id, assignment,
-    range_m); the algorithm name is not stored, so it loads as "file". A file
-    written before the range was stored has no range_m column, and loads with
-    range_m None."""
+def load_assignment_csv(path, range_m: Optional[float] = None) -> tuple[Topology, RelayAssignment]:
+    """Inverse of save_assignment_csv: the topology the assignment was saved
+    on, built at the file's range_m or at range_m when given, and the
+    assignment."""
     positions: list[tuple[float, float]] = []
     relays: list[int] = []
     chosen: list[Optional[int]] = []
-    scores: list[float] = []
+    scores: list[Optional[float]] = []
     ranges: set[float] = set()
-    have_scores = True
     sink = None
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames not in (_CSV_FIELDS, _CSV_FIELDS[:-1]):
-            raise ValueError(f"unexpected assignment columns {reader.fieldnames}")
+        # a short row reads "" for its missing fields, so at least its range_m fails
+        reader = csv.DictReader(fh, restval="")
+        if reader.fieldnames != _CSV_FIELDS:
+            raise ValueError(
+                f"assignment columns must be {','.join(_CSV_FIELDS)}, "
+                f"got {','.join(reader.fieldnames or ())}"
+            )
         for row in reader:
             i = int(row["node"])
             if i != len(positions):
@@ -292,25 +289,21 @@ def load_assignment_csv(
             elif row["role"] != "barrel":
                 raise ValueError(f"unknown role {row['role']!r}")
             chosen.append(int(row["chosen_relay"]) if row["chosen_relay"] else None)
-            if row["score"]:
-                scores.append(float(row["score"]))
-            else:
-                have_scores = False
-            if "range_m" in row:
-                ranges.add(float(row["range_m"]))
-    for range_m in ranges:
-        try:
-            check_range(range_m)
-        except LayoutError as exc:
-            raise ValueError(f"range_m: {exc}") from None
-    if len(ranges) > 1:
-        raise ValueError(f"range_m must be one value, saw {sorted(ranges)}")
+            scores.append(float(row["score"]) if row["score"] else None)
+            ranges.add(float(row["range_m"]))
     if sink != len(positions) - 1:
         raise ValueError("sink must be the last node")
-    assignment = RelayAssignment(
-        algorithm="file",
+    if len(ranges) > 1:
+        raise ValueError(f"range_m must be one value, saw {sorted(ranges)}")
+    try:
+        stored = check_range(ranges.pop())
+    except LayoutError as exc:
+        raise ValueError(f"range_m: {exc}") from None
+    topology = topology_from_positions(
+        positions[:-1], positions[-1], stored if range_m is None else range_m
+    )
+    return topology, RelayAssignment(
         relays=tuple(relays),
         chosen=tuple(chosen),
-        scores=tuple(scores) if have_scores else None,
+        scores=None if None in scores else tuple(scores),
     )
-    return positions, sink, assignment, ranges.pop() if ranges else None

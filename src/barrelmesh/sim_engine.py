@@ -49,11 +49,11 @@ entries, stale ones included. A waiting frame is never re-taken, so the
 count does not grow with how long frames wait. The loop counts only the
 heap events that start no frame; the rest is derived after it: every
 origination, and the start and end of every frame started, less the ends
-past sim_time. The max_events budget is checked against the originations
+past sim_time. The MAX_EVENTS budget is checked against the originations
 before any copy is drawn, and exactly after the loop. In between, an
 origination due at least the jitter range before sim_time refuses the run
 once the event-stream seqs, each a frame started or a forward scheduled,
-pass max_events - originations + n, for n nodes. Every forward scheduled
+pass MAX_EVENTS - originations + n, for n nodes. Every forward scheduled
 by then is due by sim_time, so it is taken and starts a frame or is an
 event that starts none, and each frame started counts twice, less at most
 one end a node past sim_time. So the cap refuses no run its budget holds,
@@ -138,8 +138,9 @@ from .relay_selection import RelayAssignment
 from .topology import Topology, bits
 
 # Refuse runs that would spin forever (misconfigured feedback loops), and
-# refuse silently truncating an event trace the caller asked for.
-DEFAULT_MAX_EVENTS = 100_000_000
+# refuse silently truncating an event trace the caller asked for. run reads
+# both when it is called.
+MAX_EVENTS = 100_000_000
 EVENT_LOG_CAP = 1_000_000
 
 _ORIGIN, _TX_START, _RADIO_FREE, _HORIZON = 0, 1, 2, 3
@@ -178,7 +179,6 @@ class ScenarioConfig:
     copies: Optional[int] = None
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     emit_events: bool = False
-    max_events: int = DEFAULT_MAX_EVENTS
 
 
 @dataclass(frozen=True)
@@ -294,10 +294,10 @@ def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioC
 
 
 def check_count(name: str, value, least: int = 1) -> int:
-    """value itself; raises a ValueError naming it unless it is an integer >=
-    least. A seed takes least 0: random.Random seeds with abs(seed), so a
-    negative seed would repeat the sample of its positive twin."""
-    if not isinstance(value, int) or value < least:
+    """value itself; raises a ValueError naming it unless it is an int, not a
+    bool, >= least. A seed takes least 0: random.Random seeds with abs(seed),
+    so a negative seed would repeat the sample of its positive twin."""
+    if type(value) is not int or value < least:
         raise ValueError(f"{name} must be an integer >= {least}")
     return value
 
@@ -336,7 +336,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     nch = config.channel.n_adv_channels
     loss_p = config.channel.loss_p
     lossy = loss_p > 0
-    max_events = config.max_events
+    max_events = MAX_EVENTS
     listener_mask = assignment.relay_mask() | (1 << sink)
     copies = plan_transmissions(topology, config.copies)
     interval = packet_interval_us(config.app_rate_pps)

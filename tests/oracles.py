@@ -19,6 +19,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional
 
+from barrelmesh import sim_engine
 from barrelmesh.sim_engine import (
     EVENT_LOG_CAP,
     SimResult,
@@ -238,9 +239,9 @@ def reference_run(topology, assignment, config) -> SimResult:
     while heap and heap[0][0] <= T:
         t, s, kind, payload = heapq.heappop(heap)
         processed += 1
-        if processed > config.max_events:
+        if processed > sim_engine.MAX_EVENTS:
             raise SimulationError(
-                f"exceeded {config.max_events} events at t={t}us; the scenario "
+                f"exceeded {sim_engine.MAX_EVENTS} events at t={t}us; the scenario "
                 "is likely runaway"
             )
         if kind == _ORIGIN:

@@ -192,8 +192,14 @@ class TestParsePlan:
         assert set_by == Counter(want - {("layout", "segments")})
 
     def test_readme_table_lists_every_plan_key(self):
+        # the rows of the plan-key table alone: other tables may name files
         readme = Path(__file__).resolve().parent.parent / "README.md"
-        rows = [line for line in readme.read_text().splitlines() if line.startswith("| `")]
+        table = re.search(
+            r"^\| key \| accepted values \| default \|\n\|.*\n((?:\|.*\n)*)",
+            readme.read_text(),
+            re.M,
+        )
+        rows = table.group(1).splitlines()
         listed = {key for row in rows for key in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])}
         assert listed == {f"{section}.{key}" for section, keys in PLAN_KEYS.items() for key in keys}
 
@@ -524,6 +530,13 @@ def test_replace_rejects_an_empty_matrix(name):
         replace(EXPERIMENT_PRESETS["paper"], **{name: ()}, ttl=0)
 
 
+@pytest.mark.parametrize("budget", [2.5, True, -1])
+def test_replace_checks_the_relay_budget(budget):
+    # random.sample refused 2.5 only when the matrix ran, and took True as 1
+    with pytest.raises(ValueError, match="relay_budget"):
+        replace(EXPERIMENT_PRESETS["paper"], relay_budget=budget)
+
+
 class TestVerbs:
     def test_presets_lists_both_kinds(self, capsys):
         assert main(["presets"]) == 0
@@ -536,10 +549,10 @@ class TestVerbs:
         assert main(["select", "--algorithm", "crns", "--out", str(out_csv)]) == 0
         out = capsys.readouterr().out
         assert "18 relays of 30 barrels" in out
-        positions, sink, assignment, range_m = load_assignment_csv(out_csv)
-        assert sink == 30
+        topo, assignment = load_assignment_csv(out_csv)
+        assert topo.sink == 30
         assert assignment.relays == tuple(range(7, 25))
-        assert range_m == 100.0
+        assert topo.range_r == 100.0
 
     @pytest.mark.parametrize(
         "range_args, range_m", [([], 100.0), (["--range", "130m"], 130.0)]
@@ -620,19 +633,22 @@ class TestVerbs:
         assert main(["validate", "--assignment", str(out_csv), "--range", "100m"]) == 1
         assert "node 24 attaches to out-of-range relay 16" in capsys.readouterr().out
 
-    def test_validate_needs_range_for_a_file_without_one(self, capsys, tmp_path):
+    @pytest.mark.parametrize("range_args", [[], ["--range", "100m"]])
+    def test_validate_refuses_a_file_without_range(self, capsys, tmp_path, range_args):
+        # range_m is a required column, with --range or without
         out_csv = tmp_path / "assign.csv"
         assert main(["select", "--out", str(out_csv)]) == 0
         lines = out_csv.read_text().splitlines()
         assert lines[0].endswith(",range_m")
         out_csv.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        written = out_csv.read_bytes()
         capsys.readouterr()
-        assert main(["validate", "--assignment", str(out_csv)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "range_m" in err and "--range" in err
-        assert err.count("\n") == 1
-        assert main(["validate", "--assignment", str(out_csv), "--range", "100m"]) == 0
-        assert "at range 100m" in capsys.readouterr().out
+        assert main(["validate", "--assignment", str(out_csv)] + range_args) == 2
+        assert capsys.readouterr().err == (
+            "error: assignment columns must be node,x,y,role,chosen_relay,score,range_m, "
+            "got node,x,y,role,chosen_relay,score\n"
+        )
+        assert out_csv.read_bytes() == written
 
     def test_validate_flags_bad_assignment(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"

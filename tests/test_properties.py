@@ -10,12 +10,14 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opcodes import count_events_taken
 from oracles import Frame, crns_oracle, reference_run, resolve_receptions
+from barrelmesh import sim_engine
 from barrelmesh.metrics import (
     PowerProfile,
     network_current_ma,
@@ -826,7 +828,8 @@ def test_processed_events_are_the_events_taken(case):
     T, dur = got.sim_time_us, config.channel.frame_duration_us
     ends = sum(kind == "tx" and t + dur <= T for t, _, kind, *_ in got.events)
     assert got.processed_events == taken + ends
-    assert run(topo, assignment, replace(config, max_events=got.processed_events)) == got
+    with patch.object(sim_engine, "MAX_EVENTS", got.processed_events):
+        assert run(topo, assignment, config) == got
 
 
 def zone_case(barrels, sink, range_r, seed, loss_p=0.0):

@@ -187,7 +187,6 @@ class TestCoverage:
     def test_validate_flags_foreign_relay(self, preset):
         a = crns_select(preset)
         bad = type(a)(
-            algorithm=a.algorithm,
             relays=a.relays + (preset.sink,),
             chosen=a.chosen,
             scores=a.scores,
@@ -199,7 +198,6 @@ class TestCoverage:
         chosen = list(a.chosen)
         chosen[29] = 8  # 8 is a relay but far outside node 29's range
         bad = type(a)(
-            algorithm=a.algorithm,
             relays=a.relays,
             chosen=tuple(chosen),
             scores=a.scores,
@@ -217,7 +215,7 @@ class TestCoverage:
     )
     def test_validate_flags_inconsistent_assignment(self, relays, chosen, message):
         topo = line_topology(90.0, 180.0, 270.0)
-        a = RelayAssignment(algorithm="manual", relays=relays, chosen=chosen)
+        a = RelayAssignment(relays=relays, chosen=chosen)
         assert message in validate_assignment(topo, a)
 
     def test_validate_flags_isolation(self):
@@ -232,30 +230,19 @@ class TestAssignmentFile:
         a = crns_select(preset)
         path = tmp_path / "assignment.csv"
         save_assignment_csv(preset, a, path)
-        positions, sink, loaded, range_m = load_assignment_csv(path)
-        assert positions == list(preset.positions)
-        assert sink == preset.sink
-        assert loaded.relays == a.relays
-        assert loaded.chosen == a.chosen
-        assert loaded.scores == a.scores
-        assert range_m == preset.range_r
+        assert load_assignment_csv(path) == (preset, a)
 
-    def test_loads_a_file_without_range(self, tmp_path, preset):
-        a = crns_select(preset)
+    def test_loads_at_a_given_range(self, tmp_path, preset):
         path = tmp_path / "assignment.csv"
-        save_assignment_csv(preset, a, path)
-        lines = path.read_text().splitlines()
-        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
-        positions, sink, loaded, range_m = load_assignment_csv(path)
-        assert (positions, sink, loaded.chosen, range_m) == (
-            list(preset.positions), preset.sink, a.chosen, None
-        )
+        save_assignment_csv(preset, crns_select(preset), path)
+        topo, _ = load_assignment_csv(path, 60.0)
+        assert topo == topology_from_positions(preset.positions[:-1], preset.positions[-1], 60.0)
 
     def test_roundtrip_without_scores(self, tmp_path, preset):
         a = random_relays(preset, 5, seed=8)
         path = tmp_path / "assignment.csv"
         save_assignment_csv(preset, a, path)
-        _, _, loaded, _ = load_assignment_csv(path)
+        _, loaded = load_assignment_csv(path)
         assert loaded.relays == a.relays
         assert loaded.scores is None
 
@@ -296,6 +283,18 @@ class TestAssignmentFile:
             writer.writeheader()
             writer.writerows(rows)
         with pytest.raises(ValueError, match=error):
+            load_assignment_csv(path)
+
+    @pytest.mark.parametrize("keep", [1, 2, 5])
+    def test_rejects_a_short_row(self, tmp_path, keep):
+        # a missing field used to read as None, and float(None) raised a TypeError
+        topo = line_topology(90.0, 180.0, 270.0)
+        path = tmp_path / "assignment.csv"
+        save_assignment_csv(topo, crns_select(topo), path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:keep])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
             load_assignment_csv(path)
 
     def test_rejects_unknown_columns(self, tmp_path):

@@ -298,10 +298,11 @@ class TestEventTrace:
 
 
 class TestGuards:
-    def test_event_budget_is_enforced(self):
+    def test_event_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(se, "MAX_EVENTS", 50)
         topo = build_layout(FDOT_45MPH)
         with pytest.raises(SimulationError):
-            run(topo, crns_select(topo), scenario(seed=1, max_events=50))
+            run(topo, crns_select(topo), scenario(seed=1))
 
     @pytest.mark.parametrize(
         "rate, events",
@@ -312,19 +313,21 @@ class TestGuards:
             pytest.param(256.0, 105383, id="256pps"),
         ],
     )
-    def test_processed_event_count_is_pinned(self, rate, events):
-        # processed_events and the max_events budget count every event
+    def test_processed_event_count_is_pinned(self, rate, events, monkeypatch):
+        # processed_events and the MAX_EVENTS budget count every event
         # taken, frame ends and stale radio-free entries included, so the
         # figure does not depend on how the engine stores its events
         topo = build_layout(FDOT_45MPH)
         config = scenario(app_rate_pps=rate, sim_time_s=2.0, seed=7)
         result = run(topo, crns_select(topo), config)
         assert result.processed_events == events
+        monkeypatch.setattr(se, "MAX_EVENTS", events - 1)
         with pytest.raises(SimulationError):
-            run(topo, crns_select(topo), replace(config, max_events=events - 1))
-        assert run(topo, crns_select(topo), replace(config, max_events=events)) == result
+            run(topo, crns_select(topo), config)
+        monkeypatch.setattr(se, "MAX_EVENTS", events)
+        assert run(topo, crns_select(topo), config) == result
 
-    def test_budget_ends_at_the_horizon(self):
+    def test_budget_ends_at_the_horizon(self, monkeypatch):
         # one origination and its frame start by the 1 ms horizon, whose
         # frame ends past it: the heap's horizon entry ends the run and is
         # not an event, so a budget of exactly 2 holds
@@ -332,9 +335,10 @@ class TestGuards:
         config = scenario(app_rate_pps=4.0, sim_time_s=0.001, seed=1)
         result = run(topo, crns_select(topo), config)
         assert result.processed_events == 2
-        assert run(topo, crns_select(topo), replace(config, max_events=2)) == result
+        monkeypatch.setattr(se, "MAX_EVENTS", 2)
+        assert run(topo, crns_select(topo), config) == result
 
-    def test_runaway_stops_at_an_origination(self):
+    def test_runaway_stops_at_an_origination(self, monkeypatch):
         # 2 s at 256 pkt/s offers 15360 originations and takes 105383 events
         # (see test_processed_event_count_is_pinned). A budget of 20000 holds
         # the originations, so the run gets past the check made before the
@@ -343,7 +347,8 @@ class TestGuards:
         # 15005 events taken. Counting each event as it was taken, the loop
         # stopped at 550 ms.
         topo = build_layout(FDOT_45MPH)
-        config = scenario(app_rate_pps=256.0, sim_time_s=2.0, seed=7, max_events=20000)
+        monkeypatch.setattr(se, "MAX_EVENTS", 20000)
+        config = scenario(app_rate_pps=256.0, sim_time_s=2.0, seed=7)
         with pytest.raises(SimulationError, match=r"events at t=\d+us") as refused:
             run(topo, crns_select(topo), config)
         stopped_at = int(str(refused.value).split("at t=")[1].split("us")[0])
@@ -391,13 +396,14 @@ class TestGuards:
         result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
         assert opcodes / result.processed_events < 178.0
 
-    def test_budget_below_the_originations_fails_before_drawing(self):
+    def test_budget_below_the_originations_fails_before_drawing(self, monkeypatch):
         # Every origination is an event taken, and 2000 s at 4 pkt/s offers
         # 240000 of them, so a budget of 10 cannot hold the run. It fails
         # before the copy draws' arrays are made; it used to draw every copy
         # first and fail in the event loop, after 0.1 s and 21 MiB.
         topo = build_layout(FDOT_45MPH)
-        config = scenario(app_rate_pps=4.0, sim_time_s=2000.0, seed=1, max_events=10)
+        monkeypatch.setattr(se, "MAX_EVENTS", 10)
+        config = scenario(app_rate_pps=4.0, sim_time_s=2000.0, seed=1)
 
         def attempt():
             with pytest.raises(SimulationError, match="originates 240000 packets"):
@@ -471,7 +477,7 @@ class TestGuards:
         # frame they got to the end of the run.
         growth = peak_rss_growth_mib("""
             topo = build_layout(LayoutSpec(segments=(Segment("row", 149 * 12.0, 12.0),)))
-            assignment = RelayAssignment("none", (), (None,) * topo.node_count)
+            assignment = RelayAssignment((), (None,) * topo.node_count)
             config = ScenarioConfig(app_rate_pps=16.0, sim_time_s=2.0, seed=1)
         """)
         assert growth < 2.0
@@ -527,10 +533,10 @@ class TestGuards:
         "assignment, config, name",
         [
             pytest.param(
-                RelayAssignment("manual", (), (None,)), {}, "assignment", id="short-chosen"
+                RelayAssignment((), (None,)), {}, "assignment", id="short-chosen"
             ),
             pytest.param(
-                RelayAssignment("manual", (1,), (None, None)), {}, "relay 1", id="sink-relay"
+                RelayAssignment((1,), (None, None)), {}, "relay 1", id="sink-relay"
             ),
             *[
                 pytest.param(None, {key: value}, key, id=f"{key}={value}")
@@ -648,7 +654,7 @@ class TestCollisions:
         topo = topology_from_positions(
             [(110.0, 60.0), (110.0, -60.0), (90.0, 0.0)], (0.0, 0.0), 100.0
         )
-        a = RelayAssignment(algorithm="manual", relays=(2,), chosen=(2, 2, None, None))
+        a = RelayAssignment(relays=(2,), chosen=(2, 2, None, None))
         cfg = scenario(
             seed=6,
             app_rate_pps=500_000.0,
@@ -671,7 +677,7 @@ class TestCollisions:
         topo = topology_from_positions(
             [(110.0, 60.0), (110.0, -60.0), (90.0, 0.0)], (0.0, 0.0), 100.0
         )
-        a = RelayAssignment(algorithm="manual", relays=(2,), chosen=(2, 2, None, None))
+        a = RelayAssignment(relays=(2,), chosen=(2, 2, None, None))
         cfg = scenario(
             seed=6,
             app_rate_pps=500_000.0,
@@ -689,7 +695,7 @@ class TestCollisions:
         # only where the other source's frame overlaps it on its channel.
         topo = line_topology(-60.0, 60.0)
         assert topo.adjacency[0] >> 1 & 1 == 0
-        none = RelayAssignment("none", (), (None,) * 3)
+        none = RelayAssignment((), (None,) * 3)
         channel = ChannelConfig()
         interval = se.packet_interval_us(40.0)
         jitter = round(channel.adv_jitter_ms * 1000)
