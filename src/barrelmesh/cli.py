@@ -39,6 +39,7 @@ from .relay_selection import (
     validate_assignment,
 )
 from .sim_engine import (
+    EVENT_COLUMNS,
     ChannelConfig,
     ScenarioConfig,
     SimResult,
@@ -307,26 +308,11 @@ def execute_cell(job) -> tuple[str, float, int, SimResult]:
     return algorithm, rate, seed, run(topo, assignment, config)
 
 
-def _timed_cell(job) -> tuple[tuple[str, float, int, SimResult], float]:
-    """execute_cell and its wall time, measured in the process that runs it."""
-    start = time.perf_counter()
-    row = execute_cell(job)
-    return row, time.perf_counter() - start
-
-
 def run_matrix(
-    plan: ExperimentPlan,
-    workers: int = 1,
-    emit_events: bool = False,
-    cell_seconds: Optional[list] = None,
+    plan: ExperimentPlan, workers: int = 1, emit_events: bool = False
 ) -> list[tuple[str, float, int, SimResult]]:
     """All runs of the plan in plan order: algorithm, then rate, then seed, each
-    as the plan lists them.
-
-    A list passed as cell_seconds receives each run's wall time, in the same
-    order, as measured where the run ran: their sum is the serial work,
-    however many workers shared it.
-    """
+    as the plan lists them."""
     jobs = [
         (plan, algorithm, rate, plan.base_seed + i, emit_events)
         for algorithm in plan.algorithms
@@ -334,17 +320,13 @@ def run_matrix(
         for i in range(plan.n_seeds)
     ]
     if workers <= 1:
-        timed = [_timed_cell(job) for job in jobs]
-    else:
-        # imported only here: it is a large share of the CLI's import time,
-        # which a serial run does not need
-        from concurrent.futures import ProcessPoolExecutor
+        return [execute_cell(job) for job in jobs]
+    # imported only here: it is a large share of the CLI's import time, which
+    # a serial run does not need
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            timed = list(pool.map(_timed_cell, jobs, chunksize=4))
-    if cell_seconds is not None:
-        cell_seconds.extend(seconds for _, seconds in timed)
-    return [row for row, _ in timed]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(execute_cell, jobs, chunksize=4))
 
 
 def _rate_label(rate: float) -> str:
@@ -380,8 +362,7 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
         name = _run_name(algorithm, rate, seed)
         write_node_csv(result, plan.power, runs_dir / f"{name}.csv")
         if result.events:
-            header = ["time_us", "node", "kind", "source", "packet", "channel"]
-            write_csv(runs_dir / f"{name}_events.csv", header, result.events)
+            write_csv(runs_dir / f"{name}_events.csv", EVENT_COLUMNS, result.events)
 
     cells = cell_stats(summary, [result for *_, result in results])
     key = ["algorithm", "rate_pps"]

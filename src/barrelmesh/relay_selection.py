@@ -98,8 +98,7 @@ def crns_select(topology: Topology) -> RelayAssignment:
 def _attach_nearest(topology: Topology, relays: tuple[int, ...]) -> tuple[Optional[int], ...]:
     """First hop per barrel: its nearest in-range relay (ties to lowest id),
     None for sink-adjacent or unreachable barrels."""
-    relay_set = set(relays)
-    relay_mask = sum(1 << r for r in relay_set)
+    relay_mask = sum(1 << r for r in set(relays))
     sink_adj = topology.adjacency[topology.sink]
     chosen: list[Optional[int]] = [None] * topology.node_count
     for i in topology.barrels:
@@ -108,7 +107,6 @@ def _attach_nearest(topology: Topology, relays: tuple[int, ...]) -> tuple[Option
         # the relays in range; a node is never its own neighbor
         candidates = bits(topology.adjacency[i] & relay_mask)
         chosen[i] = min(candidates, key=lambda r: (topology.distance(i, r), r), default=None)
-    assert all(c is None or c in relay_set for c in chosen)
     return tuple(chosen)
 
 
@@ -160,17 +158,11 @@ def knn_relays(topology: Topology, k: int, seed: int) -> RelayAssignment:
                 key=lambda ci: ((x - centroids[ci][0]) ** 2 + (y - centroids[ci][1]) ** 2, ci),
             )
             clusters[best].append((x, y))
-        new_centroids = []
-        for ci, members in enumerate(clusters):
-            if members:
-                new_centroids.append(
-                    (
-                        sum(p[0] for p in members) / len(members),
-                        sum(p[1] for p in members) / len(members),
-                    )
-                )
-            else:
-                new_centroids.append(centroids[ci])
+        new_centroids = [
+            (sum(x for x, _ in members) / len(members), sum(y for _, y in members) / len(members))
+            if members else old
+            for members, old in zip(clusters, centroids)
+        ]
         if new_centroids == centroids:
             break
         centroids = new_centroids
@@ -257,6 +249,14 @@ def save_assignment_csv(topology: Topology, assignment: RelayAssignment, path) -
             writer.writerow([i, x, y, role, assignment.chosen[i], scores[i], topology.range_r])
 
 
+def _field(row: dict, node: int, column: str, convert=float):
+    """convert(row[column]), or a ValueError that names the node and column."""
+    try:
+        return convert(row[column])
+    except ValueError as exc:
+        raise ValueError(f"node {node}: {column} = {row[column]!r}: bad value, {exc}") from None
+
+
 def load_assignment_csv(path, range_m: Optional[float] = None) -> tuple[Topology, RelayAssignment]:
     """Inverse of save_assignment_csv: the topology the assignment was saved
     on, built at the file's range_m or at range_m when given, and the
@@ -276,10 +276,10 @@ def load_assignment_csv(path, range_m: Optional[float] = None) -> tuple[Topology
                 f"got {','.join(reader.fieldnames or ())}"
             )
         for row in reader:
-            i = int(row["node"])
+            i = _field(row, len(positions), "node", int)
             if i != len(positions):
                 raise ValueError(f"node ids must be contiguous, saw {i}")
-            positions.append((float(row["x"]), float(row["y"])))
+            positions.append((_field(row, i, "x"), _field(row, i, "y")))
             if row["role"] == "sink":
                 if sink is not None:
                     raise ValueError(f"node {i} is a second sink, after node {sink}")
@@ -288,9 +288,9 @@ def load_assignment_csv(path, range_m: Optional[float] = None) -> tuple[Topology
                 relays.append(i)
             elif row["role"] != "barrel":
                 raise ValueError(f"unknown role {row['role']!r}")
-            chosen.append(int(row["chosen_relay"]) if row["chosen_relay"] else None)
-            scores.append(float(row["score"]) if row["score"] else None)
-            ranges.add(float(row["range_m"]))
+            chosen.append(_field(row, i, "chosen_relay", int) if row["chosen_relay"] else None)
+            scores.append(_field(row, i, "score") if row["score"] else None)
+            ranges.add(_field(row, i, "range_m"))
     if sink != len(positions) - 1:
         raise ValueError("sink must be the last node")
     if len(ranges) > 1:

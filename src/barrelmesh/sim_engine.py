@@ -29,18 +29,17 @@ included, and before every later one: the loop stops on reaching it, and
 takes nothing past sim_time off either stream. An event pushes only entries
 that sort after it, so the loop handles the heap's head in place and takes
 it off at the end of its branch, by heapreplace when the event pushes
-exactly one entry and by heappop otherwise. At loss_p = 0, a frame whose
-listeners in range all hold its packet as it starts is dead: the lack mask
-only shrinks, so its end could deliver nothing, and it is not queued on the
-FIFO. It still jams other frames and occupies its radio. A
-lossy run queues every frame that reaches a listener, so its loss draws
-keep their order. A frame whose radio is still on air waits in its node's
-pending queue. When the radio frees at busy_until, the node's waiting
-frames are served in (busy_until, original seq) order: each takes its
-place among that instant's events, the node's own frame end and frames due
-at the same microsecond included, by the seq it was first given, exactly
-as if it had been re-pushed at busy_until. Waiting consumes no seq and no
-draw.
+exactly one entry and by heappop otherwise. A frame is live, and queued on
+the FIFO, when its end would consider some listener: one in range that
+lacks its packet as it starts or, in a lossy run, whose draws keep their
+order, any one in range. The lack mask only shrinks, so a dead frame's end
+could deliver and draw nothing; it still jams and occupies its radio. A
+frame whose radio is still on air waits in its node's pending queue. When
+the radio frees at busy_until, the node's waiting frames are served in
+(busy_until, original seq) order: each takes its place among that
+instant's events, the node's own frame end and frames due at the same
+microsecond included, by the seq it was first given, exactly as if it had
+been re-pushed at busy_until. Waiting consumes no seq and no draw.
 
 processed_events counts the events one heap of all events would take by
 sim_time: originations, scheduled frame starts (whether the frame starts,
@@ -181,16 +180,19 @@ class ScenarioConfig:
     emit_events: bool = False
 
 
+EVENT_COLUMNS = ("time_us", "node", "kind", "source", "packet", "channel")
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Per-node counters and duty-cycle fractions for one run.
 
     Tuples are indexed by node id (sink last). events is empty unless the
-    scenario asked for a trace; entries are (time_us, node, kind, source,
-    packet, channel) with kind in origin/tx/rx/deliver and channel -1 where
-    not applicable. processed_events counts the events that one heap of all
-    events would take, the ends of dead frames included (see the module
-    docstring); it is engine bookkeeping, not a model output.
+    scenario asked for a trace; its entries hold EVENT_COLUMNS, with kind in
+    origin/tx/rx/deliver and channel -1 where not applicable.
+    processed_events counts the events that one heap of all events would
+    take, the ends of dead frames included (see the module docstring); it is
+    engine bookkeeping, not a model output.
     """
 
     sim_time_us: int
@@ -261,10 +263,7 @@ def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[
     x0 = min(xs)
     extent = max(xs) - x0
     zones = max(1, min(len(xs), int(extent // (2 * topology.range_r))))
-    if zones == 1:
-        zone_of = [0] * len(xs)
-    else:
-        zone_of = [min(zones - 1, int((x - x0) * zones / extent)) for x in xs]
+    zone_of = [min(zones - 1, int((x - x0) * zones / (extent or 1))) for x in xs]
     heard = [0] * zones  # listeners in range of a transmitter in the zone
     for node, zone in enumerate(zone_of):
         heard[zone] |= reach_of[node]
@@ -346,11 +345,9 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     random_ = rng.random
     jit_bits = jit_max.bit_length()
     ch_bits = nch.bit_length()
+    # A frame's end considers the listeners in reach_of[tx] & (lack | draw_all),
+    # and the frame is live, queued in `air`, if some are as it starts
     reach_of = [a & listener_mask for a in adj]
-    # A frame of tx is live, and queued in `air`, if some listener in
-    # live_of[tx] lacks its packet as it starts (see the module docstring).
-    # A lossy run adds a bit, n, that every lack mask keeps.
-    live_of = reach_of if not lossy else [a and a | 1 << n for a in reach_of]
     draw_all = -lossy  # every bit set in a lossy run, none otherwise
     # the listeners a frame of each node cannot jam
     unjammed_by = [listener_mask & ~a for a in adj]
@@ -380,13 +377,12 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     # Originations take turns (see the module docstring). Each source's
     # successor: the next in (phase, id) order, the time to its origination,
     # 1 where a round ends, and its packets' lack mask at origination.
-    listeners = listener_mask | lossy << n
     order = sorted(range(sink), key=phases.__getitem__)
     succ = [None] * sink
     for src, nxt in zip(order, order[1:] + order[:1]):
         wrap = int(nxt == order[0])
         gap = phases[nxt] - phases[src] + wrap * interval
-        succ[src] = (nxt, gap, wrap, listeners & ~(1 << nxt))
+        succ[src] = (nxt, gap, wrap, listener_mask & ~(1 << nxt))
     # Every event but frame ends (see `air`), starting from the first
     # origination, and the horizon entry. A packet's record, [listeners that
     # lack it, source, packet], is its origination's payload and rides on
@@ -395,7 +391,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     heap: list = [(T, math.inf, _HORIZON, None)]
     if order and app_sent[order[0]]:
         src = order[0]
-        heap.insert(0, (phases[src], seq0[src], _ORIGIN, [listeners & ~(1 << src), src, 0]))
+        heap.insert(0, (phases[src], seq0[src], _ORIGIN, [listener_mask & ~(1 << src), src, 0]))
     # every copy's jitter then channel, ascending (source, packet, copy)
     jitters = array("q")
     channels = bytearray()
@@ -549,9 +545,10 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
                 continue
         elif ev[2] == _RADIO_FREE:  # serve the node's earliest waiting frame
             t, s, _, node = ev
+            # holds frame s: it leaves only by its latest entry, due after its others
             queue = pending[node]
             end = busy_until[node]
-            if not queue or queue[0][0] != s or end != t or t >= T:
+            if queue[0][0] != s or end != t or t >= T:
                 heappop(heap)
                 idle += 1
                 continue
@@ -603,7 +600,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         seq += 1
         frame = (end, seq, node, lane, rec, hops, unjammed_by[node])
         lane[0].append(frame)
-        if live_of[node] & rec[0]:
+        if reach_of[node] & (rec[0] | draw_all):
             air.append(frame)
         else:
             # a dead frame still jams, but has no end of its own to prune

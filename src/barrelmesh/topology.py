@@ -137,12 +137,12 @@ def _build_adjacency(
     positions: Sequence[tuple[float, float]], order: Sequence[int], range_r: float
 ) -> tuple[int, ...]:
     """One mask per node. Only pairs within range_r on x are tested: |dx|
-    never exceeds the distance, so no pair farther apart can be linked."""
+    never exceeds the distance, so no pair farther apart can be linked.
+    topology_from_positions rejects coincident nodes first: none is at 0."""
     masks = [0] * len(positions)
     for i, j in _pairs_near_on_x(positions, order, range_r):
         (xi, yi), (xj, yj) = positions[i], positions[j]
-        d = math.hypot(xi - xj, yi - yj)
-        if 0.0 < d < range_r:
+        if math.hypot(xi - xj, yi - yj) < range_r:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return tuple(masks)

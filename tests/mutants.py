@@ -1,21 +1,23 @@
-"""Mutation probe of `sim_engine.run`: which one-site changes do the tests miss?
+"""Mutation probe of one function: which one-site changes do the tests miss?
 
-    python tests/mutants.py [--every N] [--jobs J] [TEST ...]
+    python tests/mutants.py [--target MODULE.py:FUNCTION] [--every N] [--jobs J] [TEST ...]
 
-Run from anywhere; it uses the checkout it sits in. A site is one of:
+Run from anywhere; it uses the checkout it sits in. The target names a
+module of src/barrelmesh and a function defined in it, by default
+sim_engine.py:run. A site is one of:
 
 - a comparison operator, whose boundary it flips (< and <=, > and >=,
   == and !=);
 - an integer constant, to which it adds 1;
 - a bitwise & or |, which it swaps for the other.
 
-Sites are numbered in source order over `run`, nested functions included.
-Each mutant changes one site in a copy of `src/` under a temporary
-directory and runs `python -m pytest -x` on the given tests (by default
-tests/test_sim_engine.py and tests/test_properties.py) against that copy.
-A mutant is killed when the tests fail or run past the time limit, and
-survives when they pass. The unmutated module, parsed and unparsed as the
-mutants are, must pass first. `--every N` tries every Nth site from the
+Sites are numbered in source order over the function, nested functions
+included. Each mutant changes one site in a copy of `src/` under a
+temporary directory and runs `python -m pytest -x` on the given tests (by
+default tests/test_sim_engine.py and tests/test_properties.py) against that
+copy. A mutant is killed when the tests fail or run past the time limit,
+and survives when they pass. The unmutated module, parsed and unparsed as
+the mutants are, must pass first. `--every N` tries every Nth site from the
 first; `--jobs` runs that many mutants at once, at most os.cpu_count(). It
 prints each site's fate, then the survivors, and exits 1 if any survived.
 
@@ -35,8 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("barrelmesh") / "sim_engine.py"
-FUNCTION = "run"
+DEFAULT_TARGET = "sim_engine.py:run"
 DEFAULT_TESTS = ("tests/test_sim_engine.py", "tests/test_properties.py")
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -46,12 +47,12 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
           ast.NotEq: "!=", ast.BitAnd: "&", ast.BitOr: "|"}
 
 
-def sites(tree: ast.Module) -> list[tuple]:
-    """Each mutable site of FUNCTION in tree, in source order, as (node,
-    index of the operator in a comparison or None)."""
+def sites(tree: ast.Module, name: str) -> list[tuple]:
+    """Each mutable site of the function called name in tree, in source
+    order, as (node, index of the operator in a comparison or None)."""
     function = next(
         node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == FUNCTION
+        if isinstance(node, ast.FunctionDef) and node.name == name
     )
     found = []
     for node in ast.walk(function):
@@ -64,10 +65,11 @@ def sites(tree: ast.Module) -> list[tuple]:
     return sorted(found, key=lambda site: (site[0].lineno, site[0].col_offset, site[1] or 0))
 
 
-def mutate(source: str, k: int) -> tuple[str, str]:
-    """source with site k changed, and a one-line description of the change."""
+def mutate(source: str, name: str, k: int) -> tuple[str, str]:
+    """source with site k of function name changed, and a one-line
+    description of the change."""
     tree = ast.parse(source)
-    node, i = sites(tree)[k]
+    node, i = sites(tree, name)[k]
     if i is not None:
         old = type(node.ops[i])
         node.ops[i] = FLIPS[old]()
@@ -83,13 +85,13 @@ def mutate(source: str, k: int) -> tuple[str, str]:
     return ast.unparse(tree), f"line {node.lineno}: {change} in `{line}`"
 
 
-def run_tests(module_source: str, tests: list[str], timeout: float) -> str:
+def run_tests(module: Path, module_source: str, tests: list[str], timeout: float) -> str:
     """'passed', 'failed' or 'timeout' for the tests against a copy of src/
-    whose module holds module_source."""
+    whose module, a path under src/, holds module_source."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        (src / MODULE).write_text(module_source)
+        (src / module).write_text(module_source)
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         try:
             done = subprocess.run(
@@ -105,27 +107,36 @@ def run_tests(module_source: str, tests: list[str], timeout: float) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tests", nargs="*", default=list(DEFAULT_TESTS))
+    parser.add_argument("--target", default=DEFAULT_TARGET,
+                        help="MODULE.py:FUNCTION, a module of src/barrelmesh")
     parser.add_argument("--every", type=int, default=1, help="try every Nth site")
     parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
     args = parser.parse_args(argv)
     if args.every < 1 or args.jobs < 1:
         parser.error("--every and --jobs must be at least 1")
+    file, _, name = args.target.partition(":")
+    module = Path("barrelmesh") / file
+    if not (name and (ROOT / "src" / module).is_file()):
+        parser.error(f"--target {args.target!r} is not MODULE.py:FUNCTION in src/barrelmesh")
     jobs = min(args.jobs, os.cpu_count() or 1)
-    source = (ROOT / "src" / MODULE).read_text()
-    chosen = range(0, len(sites(ast.parse(source))), args.every)
-    print(f"{len(sites(ast.parse(source)))} sites in {MODULE}:{FUNCTION}, "
-          f"{len(chosen)} tried, {jobs} at a time")
+    source = (ROOT / "src" / module).read_text()
+    try:
+        count = len(sites(ast.parse(source), name))
+    except StopIteration:
+        parser.error(f"{file} defines no function {name!r}")
+    chosen = range(0, count, args.every)
+    print(f"{count} sites in {module}:{name}, {len(chosen)} tried, {jobs} at a time")
 
     start = time.monotonic()
-    if run_tests(ast.unparse(ast.parse(source)), args.tests, timeout=None) != "passed":
+    if run_tests(module, ast.unparse(ast.parse(source)), args.tests, timeout=None) != "passed":
         print("the tests fail on the unmutated round trip; nothing to probe")
         return 2
     # a mutant that runs five times as long as the clean pass is stuck
     timeout = 5 * (time.monotonic() - start) + 10
 
     def probe(k):
-        mutant, what = mutate(source, k)
-        return k, what, run_tests(mutant, args.tests, timeout)
+        mutant, what = mutate(source, name, k)
+        return k, what, run_tests(module, mutant, args.tests, timeout)
 
     survivors = []
     with ThreadPoolExecutor(jobs) as pool:

@@ -4,6 +4,7 @@
     count_heap_pushes(run, topo, assignment, config) -> (result, pushes)
     count_heap_calls(run, topo, assignment, config) -> (result, calls)
     count_events_taken(run, topo, assignment, config) -> (result, taken)
+    count_deque_appends(run, topo, assignment, config) -> (result, appends)
     count_calls(build_layout, math, "hypot", spec) -> (result, calls)
 
 count_opcodes counts the opcodes that the function's own frames execute.
@@ -28,6 +29,10 @@ heappop and heapreplace call, on any heap the function keeps.
 count_events_taken swaps `heapq` the same way and counts every heappop and
 heapreplace whose heap has an event at its head: each takes that event off
 the engine's main heap, and none takes a pending queue's entry.
+
+count_deque_appends swaps the `deque` of the function's module for a
+subclass that counts its appends, for the one call, so every deque the
+module makes during it, in any of its functions, is counted.
 
 count_calls swaps one attribute of a module, module.name, for a wrapper
 that counts its calls, for the one call of fn, which may be any callable.
@@ -147,6 +152,26 @@ def count_events_taken(fn, *args):
         fn, args, heappop=counted(heapq.heappop), heapreplace=counted(heapq.heapreplace)
     )
     return result, taken
+
+
+def count_deque_appends(fn, *args):
+    """fn(*args) and the number of appends to deques its module made."""
+    names = fn.__globals__
+    previous = names["deque"]
+    appends = 0
+
+    class CountingDeque(previous):
+        def append(self, item):
+            nonlocal appends
+            appends += 1
+            super().append(item)
+
+    names["deque"] = CountingDeque
+    try:
+        result = fn(*args)
+    finally:
+        names["deque"] = previous
+    return result, appends
 
 
 def count_calls(fn, module, name, *args):

@@ -20,6 +20,7 @@ from barrelmesh.sim_engine import (
     ChannelConfig,
     ScenarioConfig,
     SimulationError,
+    _zone_lanes,
     plan_transmissions,
     run,
 )
@@ -30,7 +31,9 @@ from barrelmesh.topology import (
     build_layout,
     topology_from_positions,
 )
-from opcodes import count_calls, count_heap_calls, count_heap_pushes, count_opcodes
+from opcodes import (
+    count_calls, count_deque_appends, count_heap_calls, count_heap_pushes, count_opcodes,
+)
 from oracles import Frame, pair_loss_probability, reference_run, resolve_receptions
 
 
@@ -296,6 +299,16 @@ class TestEventTrace:
         with pytest.raises(SimulationError):
             run(topo, crns_select(topo), scenario(seed=1, emit_events=True))
 
+    def test_trace_capacity_holds_a_trace_of_its_size(self, monkeypatch):
+        topo = line_topology(50.0)
+        config = scenario(seed=1, emit_events=True)
+        result = run(topo, crns_select(topo), config)
+        monkeypatch.setattr(se, "EVENT_LOG_CAP", len(result.events))
+        assert run(topo, crns_select(topo), config) == result
+        monkeypatch.setattr(se, "EVENT_LOG_CAP", len(result.events) - 1)
+        with pytest.raises(SimulationError):
+            run(topo, crns_select(topo), config)
+
 
 class TestGuards:
     def test_event_budget_is_enforced(self, monkeypatch):
@@ -338,6 +351,19 @@ class TestGuards:
         monkeypatch.setattr(se, "MAX_EVENTS", 2)
         assert run(topo, crns_select(topo), config) == result
 
+    def test_budget_of_the_originations_alone_holds(self, monkeypatch):
+        # one origination by the 1 ms horizon, whose copy is due past it:
+        # the run takes that one event, so a budget of exactly 1 holds
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(app_rate_pps=4.0, sim_time_s=0.001, seed=6)
+        result = run(topo, crns_select(topo), config)
+        assert sum(result.app_sent) == result.processed_events == 1
+        monkeypatch.setattr(se, "MAX_EVENTS", 1)
+        assert run(topo, crns_select(topo), config) == result
+        monkeypatch.setattr(se, "MAX_EVENTS", 0)
+        with pytest.raises(SimulationError, match="originates 1 packets"):
+            run(topo, crns_select(topo), config)
+
     def test_runaway_stops_at_an_origination(self, monkeypatch):
         # 2 s at 256 pkt/s offers 15360 originations and takes 105383 events
         # (see test_processed_event_count_is_pinned). A budget of 20000 holds
@@ -370,9 +396,11 @@ class TestGuards:
         # the generator's frames too, that engine read 188.4. It read 168.6
         # once the count of frame ends was derived after the loop and the
         # half-duplex test read busy_until, and 163.2 once the loop handled
-        # the heap's head in place and counted seqs itself. It now reads
-        # 158.0: a frame start is one flat heap entry, frames keep no start,
-        # and the event count is derived after the loop.
+        # the heap's head in place and counted seqs itself. It read 158.0
+        # once a frame start was one flat heap entry, frames kept no start,
+        # and the event count was derived after the loop, and now reads
+        # 158.2: lossy and lossless runs share one liveness test, one `|`
+        # more per frame start.
         topo = build_layout(FDOT_45MPH)
         config = scenario(app_rate_pps=256.0, sim_time_s=0.2, seed=1)
         result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
@@ -388,13 +416,29 @@ class TestGuards:
         # exactly, `run` executed 191.75 opcodes per event here when it
         # queued every frame for its end, and 164.7 once such frames were
         # not queued; the bound sits between the two. It read 156.3 once the
-        # loop handled the heap's head in place and counted seqs itself, and
-        # now reads 146.7: a frame start is one flat heap entry, frames keep
-        # no start, and the event count is derived after the loop.
+        # loop handled the heap's head in place and counted seqs itself,
+        # 146.7 once a frame start was one flat heap entry, frames kept no
+        # start, and the event count was derived after the loop, and now
+        # reads 147.5, with one liveness test for lossy and lossless runs.
         topo = build_layout(FDOT_45MPH)
         config = scenario(app_rate_pps=4.0, sim_time_s=2.0, seed=1000)
         result, opcodes = count_opcodes(run, topo, crns_select(topo), config)
         assert opcodes / result.processed_events < 178.0
+
+    @pytest.mark.parametrize("loss_p, frames, queued", [(0.0, 3274, 1894), (0.1, 3253, 3253)])
+    def test_frames_queued_for_their_end(self, loss_p, frames, queued):
+        # On the paper cell of the opcode bound above, every frame joins its
+        # lane, and one is queued in `air` for its end only if that end would
+        # consider a listener: at loss_p = 0, the 1380 frames that start
+        # when every listener in reach holds their packet are not; a lossy
+        # end draws for every listener in reach, so every frame is.
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(
+            app_rate_pps=4.0, sim_time_s=2.0, seed=1000, channel=ChannelConfig(loss_p=loss_p)
+        )
+        result, appends = count_deque_appends(run, topo, crns_select(topo), config)
+        assert sum(result.net_transmissions) == frames
+        assert appends - frames == queued
 
     def test_budget_below_the_originations_fails_before_drawing(self, monkeypatch):
         # Every origination is an event taken, and 2000 s at 4 pkt/s offers
@@ -481,6 +525,21 @@ class TestGuards:
             config = ScenarioConfig(app_rate_pps=16.0, sim_time_s=2.0, seed=1)
         """)
         assert growth < 2.0
+
+    def test_multi_zone_row_scans_only_neighbouring_zones(self):
+        # The row below spans 1798 m, sink included: eight zones of 224.75
+        # m, each wider than 2 * range. With every node a listener, a zone's
+        # jammers lie within 2 * range of it, so each lane's sides are the
+        # zones next to its own and no more.
+        topo = build_layout(LayoutSpec(segments=(Segment("row", 149 * 12.0, 12.0),)))
+        lanes = _zone_lanes(topo, list(topo.adjacency), 1)
+        # barrel ids ascend with x, so zones first appear in x order
+        zones = list({id(lane[0][0]): None for lane in lanes})
+        assert len(zones) == 8
+        for lane in lanes:
+            zone = zones.index(id(lane[0][0]))
+            sides = [zones.index(id(side)) for side in lane[0][1]]
+            assert sides == [z for z in (zone - 1, zone + 1) if 0 <= z < 8]
 
     def test_multi_zone_row_matches_reference(self):
         # 150 barrels at 12 m span eight 2R zones, so frame ends scan their
