@@ -57,7 +57,8 @@ by then is due by sim_time, so it is taken and starts a frame or is an
 event that starts none, and each frame started counts twice, less at most
 one end a node past sim_time. So the cap refuses no run its budget holds,
 and stops a runaway at the first origination after its frames and
-forwards pass its budget.
+forwards pass its budget. Apart from that budget, a run that would draw
+more than MAX_COPY_DRAWS copies up front is refused before it draws any.
 
 The draws of items 1 and 2 all come first: the copies' jitters and channels
 go into compact arrays before any event. The up-front seqs are computed,
@@ -141,6 +142,10 @@ from .topology import Topology, bits
 # both when it is called.
 MAX_EVENTS = 100_000_000
 EVENT_LOG_CAP = 1_000_000
+# Every copy's jitter and channel are drawn before the first event and held
+# for the whole run, 9 bytes a copy: refuse a run that would draw more,
+# which caps them at 450 MB and about half a minute of drawing.
+MAX_COPY_DRAWS = 50_000_000
 
 _ORIGIN, _TX_START, _RADIO_FREE, _HORIZON = 0, 1, 2, 3
 
@@ -373,6 +378,10 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
         raise SimulationError(
             f"exceeded {max_events} events: the run originates {sum(app_sent)} "
             f"packets by t={T}us"
+        )
+    if draws > MAX_COPY_DRAWS:
+        raise SimulationError(
+            f"the run would draw {draws} copies up front, more than {MAX_COPY_DRAWS}"
         )
     # Originations take turns (see the module docstring). Each source's
     # successor: the next in (phase, id) order, the time to its origination,

@@ -16,10 +16,12 @@ included. Each mutant changes one site in a copy of `src/` under a
 temporary directory and runs `python -m pytest -x` on the given tests (by
 default tests/test_sim_engine.py and tests/test_properties.py) against that
 copy. A mutant is killed when the tests fail or run past the time limit,
-and survives when they pass. The unmutated module, parsed and unparsed as
-the mutants are, must pass first. `--every N` tries every Nth site from the
-first; `--jobs` runs that many mutants at once, at most os.cpu_count(). It
-prints each site's fate, then the survivors, and exits 1 if any survived.
+and survives when they pass. Hypothesis keeps its files in the same
+temporary directory, so a mutant leaves nothing in the checkout. The
+unmutated module, parsed and unparsed as the mutants are, must pass first.
+`--every N` tries every Nth site from the first; `--jobs` runs that many
+mutants at once, at most os.cpu_count(). It prints each site's fate, then
+the survivors, and exits 1 if any survived.
 
 The file's name does not start with `test_`, so pytest does not collect it.
 """
@@ -92,7 +94,9 @@ def run_tests(module: Path, module_source: str, tests: list[str], timeout: float
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         (src / module).write_text(module_source)
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        # hypothesis keeps its files with the mutant, not in the checkout
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
+               "HYPOTHESIS_STORAGE_DIRECTORY": str(Path(tmp) / ".hypothesis")}
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],

@@ -31,7 +31,9 @@ from barrelmesh.cli import (
 from barrelmesh.metrics import PowerProfile
 from barrelmesh.relay_selection import all_relays, load_assignment_csv, save_assignment_csv
 from barrelmesh.sim_engine import ChannelConfig
-from barrelmesh.topology import FDOT_45MPH, LayoutSpec, Segment, build_layout, feet
+from barrelmesh.topology import (
+    FDOT_45MPH, MAX_BARRELS, LayoutError, LayoutSpec, Segment, build_layout, feet,
+)
 from opcodes import count_calls
 
 
@@ -455,6 +457,11 @@ BAD_ENTRIES = [
     ("layout", "segments = row:270:0", "segments"),
     ("layout", "segments = row:inf:90", "segments"),
     ("layout", "segments = ,", "segments"),
+    # each used to end in a MemoryError, run without end, or end in an
+    # OverflowError, placing barrels past the bound
+    ("layout", "segments = work:1e12m:1m", "segments"),
+    ("layout", "segments = a:100m:1e-300m", "segments"),
+    ("layout", "segments = a:1e308m:1e-10m", "segments"),
     ("layout", "sink_placement = nan", "sink_placement"),
     ("layout", "sink_standoff = -1", "sink_standoff"),
     ("layout", "sink_placement = 0", "sink_placement"),  # the first barrel's chainage
@@ -531,6 +538,12 @@ def test_replace_checks_the_relay_budget(budget):
         replace(EXPERIMENT_PRESETS["paper"], relay_budget=budget)
 
 
+def test_plan_rejects_an_unknown_sink_placement():
+    layout = LayoutSpec(segments=(Segment("row", 270.0, 90.0),), sink_placement="middle")
+    with pytest.raises(LayoutError, match="^unknown sink placement 'middle'$"):
+        ExperimentPlan(layout=layout)
+
+
 class TestVerbs:
     def test_presets_lists_both_kinds(self, capsys):
         assert main(["presets"]) == 0
@@ -586,6 +599,27 @@ class TestVerbs:
             f"error: --out = {str(out_csv)!r}: bad value, must be a new file\n"
         )
         assert out_csv.read_text() == "precious"
+
+    def test_select_refuses_a_row_past_the_barrel_bound(self, capsys, tmp_path):
+        ini = write_ini(tmp_path, "[layout]\nsegments = work:1e12m:1m\n")
+        assert main(["select", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == (
+            "error: layout.segments = 'work:1e12m:1m': bad value, "
+            f"segment 'work' takes the row past {MAX_BARRELS} barrels\n"
+        )
+
+    def test_run_refuses_copies_past_the_draw_bound(self, capsys, tmp_path):
+        # 30 barrels each offer one packet in 1 s, of 1e11 copies; the run
+        # used to draw every copy before its first event, for as long as it
+        # was let
+        ini = write_ini(tmp_path, "[plan]\ncopies = 100000000000\n[scenario]\nsim_time_s = 1\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the run would draw 3000000000000 copies up front, "
+            f"more than {se.MAX_COPY_DRAWS}\n"
+        )
+        assert not out_dir.exists()
 
     def test_validate_accepts_good_assignment(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"

@@ -8,6 +8,7 @@ records the per-test case budget.
 """
 import math
 import statistics
+import time
 from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
@@ -86,6 +87,12 @@ EXAMPLES = {
 
 settings.register_profile("invariants", deadline=None, derandomize=True)
 settings.load_profile("invariants")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def suite_start():
+    """The time the module's first test set up; A8, the last test, reads it."""
+    return time.perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -1125,3 +1132,23 @@ def test_pdr_insensitive_to_horizon():
 
 def test_declared_case_budget():
     assert sum(EXAMPLES.values()) >= 200
+
+
+# ---------------------------------------------------------------------------
+# A8 of the release gate (see tests/test_acceptance.py), last in the module
+
+
+def test_invariant_suite_budget(suite_start):
+    """A8: the generated-input suite runs within its time budget. It judges
+    the run this session made of the tests above, from the first one's set-up
+    to here, so a -k selection judges the part that ran. Any failing test of
+    the module fails the run, and test_declared_case_budget holds the case
+    count."""
+    elapsed = time.perf_counter() - suite_start
+    ok = elapsed < 30.0
+    line = (
+        f"[A8] {'PASS' if ok else 'FAIL'}: invariant suite runs within its time budget "
+        f"({sum(EXAMPLES.values())} generated cases, {elapsed:.1f}s)"
+    )
+    print(line)
+    assert ok, line

@@ -456,6 +456,21 @@ class TestGuards:
         _, arrays = count_calls(attempt, se, "array")
         assert arrays == 0
 
+    def test_copy_draws_are_bounded_before_drawing(self):
+        # 30 barrels each offer one packet in 1 s, of 1e11 copies: the run
+        # used to draw every copy's jitter and channel before its first
+        # event. Its 30 originations are well inside MAX_EVENTS, and the
+        # draw bound refuses it before the arrays are made.
+        topo = build_layout(FDOT_45MPH)
+        config = scenario(app_rate_pps=1.0, sim_time_s=1.0, seed=1, copies=10**11)
+
+        def attempt():
+            with pytest.raises(SimulationError, match="^the run would draw 3000000000000 copies up front"):
+                run(topo, crns_select(topo), config)
+
+        _, arrays = count_calls(attempt, se, "array")
+        assert arrays == 0
+
     def test_saturated_run_heap_calls_per_event_are_bounded(self):
         # Most events here push exactly one heap entry: a frame start that
         # finds its radio on air, or one with frames waiting behind it. Each

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from barrelmesh.topology import (
     FDOT_45MPH,
+    MAX_BARRELS,
     LayoutError,
     LayoutSpec,
     Segment,
@@ -64,6 +66,17 @@ class TestBarrelPlacement:
             with pytest.raises(LayoutError, match="length"):
                 barrel_chainages(spec)
 
+    def test_barrel_bound_is_exact_on_one_segment(self):
+        row = Segment("a", 12.0 * (MAX_BARRELS - 1), 12.0)
+        assert len(barrel_chainages(LayoutSpec(segments=(row,)))) == MAX_BARRELS
+        longer = replace(row, length_m=12.0 * MAX_BARRELS)
+        with pytest.raises(LayoutError, match="segment 'a' takes"):
+            barrel_chainages(LayoutSpec(segments=(longer,)))
+        # the second segment is named when the two together pass the bound
+        half = Segment("b", 12.0 * (MAX_BARRELS // 2), 12.0)
+        with pytest.raises(LayoutError, match="segment 'b' takes"):
+            barrel_chainages(LayoutSpec(segments=(half, half)))
+
 
 class TestSinkPlacement:
     def test_start_places_sink_upstream(self):
@@ -101,6 +114,11 @@ class TestSinkPlacement:
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=math.nan)
         with pytest.raises(LayoutError, match="sink_placement"):
             build_layout(spec)
+
+    def test_unknown_placement_rejected(self):
+        spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement="middle")
+        with pytest.raises(LayoutError, match="^unknown sink placement 'middle'$"):
+            spec.sink_x()
 
 
 class TestConnectivity:
