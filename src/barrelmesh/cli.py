@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -70,6 +71,11 @@ STRATEGIES = {
 }
 ALGORITHMS = tuple(STRATEGIES)
 
+# The most seeds a plan may run. run_matrix makes one job per run before the
+# first run starts and write_outputs holds every result, about 7 KiB a run on
+# the paper layout, so the matrix must fit in memory whole.
+MAX_SEEDS = 10_000
+
 
 class PlanError(ValueError):
     """Raised for malformed experiment plans."""
@@ -110,17 +116,22 @@ class ExperimentPlan:
                 raise ValueError(f"unknown algorithm {a!r}")
             if self.algorithms.count(a) > 1:
                 raise ValueError(f"lists {a!r} twice")
-        labels = [_rate_label(rate) for rate in self.rates_pps]
-        for rate, label in zip(self.rates_pps, labels):
+        labels = Counter(map(_rate_label, self.rates_pps))
+        for rate in self.rates_pps:
             check_config(scenario_for(self, rate, self.base_seed))
-            if labels.count(label) > 1:  # they would write the same run files
-                raise ValueError(f"two rates name their runs {label}")
-        check_count("n_seeds", self.n_seeds)
-        if self.relay_budget is not None:
-            check_count("relay_budget", self.relay_budget, least=0)
+            if labels[_rate_label(rate)] > 1:  # they would write the same run files
+                raise ValueError(f"two rates name their runs {_rate_label(rate)}")
+        if check_count("n_seeds", self.n_seeds) > MAX_SEEDS:
+            raise ValueError(f"n_seeds must be at most {MAX_SEEDS}")
         check_range(self.range_r_m)
         check_range(self.all_relays_range_m)
         self.layout.sink_x()
+        if self.relay_budget is not None:
+            barrels = len(barrel_chainages(self.layout))
+            if type(self.relay_budget) is not int or not 0 <= self.relay_budget <= barrels:
+                raise ValueError(
+                    f"relay_budget must be an integer in [0, {barrels}], the barrels of the layout"
+                )
 
 
 def parse_length(text: str) -> float:
@@ -206,10 +217,8 @@ def parse_plan(path) -> ExperimentPlan:
 
     Unknown sections or keys are errors (a typo silently falling back to a
     default would invalidate a whole study). Keys go one at a time onto a
-    plan that checks itself, so a value it rejects, and a sink_standoff that
-    a chainage sink_placement leaves unused, is named by its section.key.
-    Lengths accept ft/m suffixes. The relay budget is checked against the
-    layout by the verb that uses it (_check_budget).
+    plan that checks itself, so a value it rejects is named by its
+    section.key; parse_plan only converts text. Lengths accept ft/m suffixes.
     """
     # no header can name the section "", so [DEFAULT] is an unknown section
     # rather than a source of defaults for the others
@@ -241,26 +250,7 @@ def parse_plan(path) -> ExperimentPlan:
                 plan = replace(plan, **{name: value})
             except ValueError as exc:
                 raise PlanError(f"{section}.{key} = {text!r}: bad value, {exc}") from None
-    if parser.has_option("layout", "sink_standoff") and not isinstance(
-        plan.layout.sink_placement, str
-    ):
-        raise PlanError(
-            f"layout.sink_standoff = {parser['layout']['sink_standoff']!r}: bad value, "
-            "only sink_placement = start or end uses it"
-        )
     return plan
-
-
-def _check_budget(plan: ExperimentPlan, source: str, least: int = 1) -> None:
-    """Reject a relay budget outside [least, the layout's barrel count], naming
-    its source (plan key or flag). The verbs call it, not parse_plan, so that
-    `select --count`, which may be 0, replaces the plan's budget first."""
-    barrels = len(barrel_chainages(plan.layout))
-    if plan.relay_budget is not None and not least <= plan.relay_budget <= barrels:
-        raise PlanError(
-            f"{source} = {plan.relay_budget}: bad value, must be in [{least}, {barrels}], "
-            "the barrels of the layout"
-        )
 
 
 def relay_budget(plan: ExperimentPlan) -> int:
@@ -409,11 +399,12 @@ def _cmd_run(args) -> int:
         )
     if args.seed is not None:
         plan = replace(plan, base_seed=_flag("--seed", _seed, args.seed))
-    _check_budget(plan, "plan.relay_budget")
     workers = _flag("--workers", int, args.workers)
     if workers < 0:
         raise PlanError(f"--workers = {args.workers!r}: bad value, must be at least 0")
-    workers = workers or os.cpu_count() or 1
+    # a pool forks all its workers at once, so never ask for more than the CPUs
+    cpus = os.cpu_count() or 1
+    workers = min(workers or cpus, cpus)
     out = Path(args.out)
     # every file in the directory must come from this one experiment
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
@@ -462,11 +453,8 @@ def _cmd_select(args) -> int:
     if args.range is not None:
         range_m = _flag("--range", lambda text: check_range(parse_length(text)), args.range)
         plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
-    if args.count is None:
-        _check_budget(plan, "plan.relay_budget")
-    else:
+    if args.count is not None:
         plan = _flag("--count", lambda text: replace(plan, relay_budget=int(text)), args.count)
-        _check_budget(plan, "--count", least=0)
     seed = 0 if args.seed is None else _flag("--seed", _seed, args.seed)
     # like run --out, never overwrite what an earlier call wrote
     if args.out and Path(args.out).exists():

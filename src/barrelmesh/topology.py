@@ -28,6 +28,11 @@ COORD_EPS = 1e-9
 # run with one copy peaked at 70 MiB.
 MAX_BARRELS = 10_000
 
+# How far upstream/downstream of the row a start/end sink sits when a layout
+# names no standoff: roadside equipment is staged off the row, clear of its
+# end barrel.
+SINK_STANDOFF_M = 10.0
+
 
 def feet(value: float) -> float:
     """Convert feet to meters."""
@@ -50,30 +55,34 @@ class LayoutSpec:
     """Geometry of one closed lane: ordered segments plus sink placement.
 
     sink_placement is "start", "end", or an explicit finite chainage in
-    meters. For start/end the sink sits sink_standoff_m (finite, >= 0)
-    upstream/downstream of the barrel row (roadside equipment is staged off
-    the row). Either way it must not sit on a barrel; barrel_chainages and
-    sink_x check the spec where it is used.
+    meters. For start/end the sink sits sink_standoff_m (finite, >= 0; None
+    is SINK_STANDOFF_M) upstream/downstream of the barrel row; a chainage
+    places the sink by itself and takes no standoff. Either way it must not
+    sit on a barrel; barrel_chainages and sink_x check the spec where it is
+    used.
     """
 
     segments: tuple[Segment, ...]
     sink_placement: Union[str, float] = "start"
-    sink_standoff_m: float = 10.0
+    sink_standoff_m: Optional[float] = None
 
     def total_length_m(self) -> float:
         return sum(s.length_m for s in self.segments)
 
     def sink_x(self) -> float:
         """Chainage of the sink; raises LayoutError unless it is finite and off every barrel."""
-        x = self.sink_placement
+        x, standoff = self.sink_placement, self.sink_standoff_m
         if x in ("start", "end"):
-            if not 0 <= self.sink_standoff_m < math.inf:
+            standoff = SINK_STANDOFF_M if standoff is None else standoff
+            if not 0 <= standoff < math.inf:
                 raise LayoutError("sink_standoff_m must be finite and >= 0")
-            x = -self.sink_standoff_m if x == "start" else self.total_length_m() + self.sink_standoff_m
+            x = -standoff if x == "start" else self.total_length_m() + standoff
         elif isinstance(x, str):
             raise LayoutError(f"unknown sink placement {x!r}")
         elif not math.isfinite(x):
             raise LayoutError(f"sink_placement must be finite, got {x}")
+        elif standoff is not None:
+            raise LayoutError("sink_standoff_m is set, but only sink_placement = start or end uses it")
         for barrel in barrel_chainages(self):
             if abs(barrel - x) <= COORD_EPS:
                 raise LayoutError(f"the sink sits on the barrel at {barrel:g} m")
@@ -248,7 +257,6 @@ FDOT_45MPH = LayoutSpec(
         Segment("work", feet(180.0), feet(60.0)),
     ),
     sink_placement="start",
-    sink_standoff_m=10.0,
 )
 
 LAYOUT_PRESETS: dict[str, LayoutSpec] = {

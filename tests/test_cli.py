@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -434,6 +435,8 @@ BAD_ENTRIES = [
     ("scenario", "sim_time_s = 0", "sim_time_s"),
     ("scenario", "sim_time_s = 1e-7", "sim_time_s"),  # rounds to a 0 us horizon
     ("scenario", "sim_time_s = 5%", "sim_time_s"),
+    # run_matrix used to end in a MemoryError building one job per run
+    ("scenario", "seeds = 1000000000", "seeds"),
     ("scenario", "ttl = 0", "ttl"),
     ("scenario", "ttl = many", "ttl"),
     ("scenario", "base_seed = 1.5", "base_seed"),
@@ -451,7 +454,6 @@ BAD_ENTRIES = [
     ("power", "i_sleep_ma = nan", "i_sleep_ma"),
     ("plan", "copies = always", "copies"),
     ("plan", "copies = 0", "copies"),
-    ("plan", "relay_budget = 0", "relay_budget"),
     ("plan", "relay_budget = 99", "relay_budget"),  # fdot_45mph has 30 barrels
     ("layout", "preset = interstate", "preset"),
     ("layout", "segments = row:270:0", "segments"),
@@ -493,33 +495,35 @@ BAD_FLAGS = [
 
 
 def _entries_for_replace():
-    """BAD_ENTRIES whose text converts but whose value breaks a rule, as
-    (part, field, value). Left out: syntax errors, which do not convert; the
-    cross-key sink_standoff rule; and relay_budget, which the verbs check
-    against the layout."""
+    """Every BAD_ENTRIES line whose text converts, as (part, {field: value})
+    with one field for each key of the line. Left out: malformed files, which
+    name no key, and values that do not convert."""
     for section, line, key in BAD_ENTRIES:
-        if key is None or "\n" in line or key == "relay_budget":
+        if key is None:
             continue
-        part, name, convert = PLAN_KEYS[section][key]
+        values = {}
         try:
-            value = convert(line.split("=", 1)[1].strip())
+            for entry in line.split("\n"):
+                entry_key, text = map(str.strip, entry.split("=", 1))
+                part, name, convert = PLAN_KEYS[section][entry_key]
+                values[name] = convert(text)
         except ValueError:
             continue
-        yield pytest.param(part, name, value, id=f"{section}.{line}")
+        yield pytest.param(part, values, id=f"{section}.{line}")
 
 
-@pytest.mark.parametrize("part, name, value", list(_entries_for_replace()))
-def test_replace_applies_the_plan_file_rules(part, name, value):
+@pytest.mark.parametrize("part, values", list(_entries_for_replace()))
+def test_replace_applies_the_plan_file_rules(part, values):
     # library callers (perfbench among them) build plans with replace, so a
     # value a plan file may not hold must fail there too
     paper = EXPERIMENT_PRESETS["paper"]
     with pytest.raises(ValueError):
-        if name is None:
-            replace(paper, **{part: value})
+        if None in values:
+            replace(paper, **{part: values[None]})
         elif part == "plan":
-            replace(paper, **{name: value})
+            replace(paper, **values)
         else:
-            replace(paper, **{part: replace(getattr(paper, part), **{name: value})})
+            replace(paper, **{part: replace(getattr(paper, part), **values)})
 
 
 @pytest.mark.parametrize("name", ["algorithms", "rates_pps"])
@@ -531,11 +535,31 @@ def test_replace_rejects_an_empty_matrix(name):
         replace(EXPERIMENT_PRESETS["paper"], **{name: ()}, ttl=0)
 
 
-@pytest.mark.parametrize("budget", [2.5, True, -1])
+@pytest.mark.parametrize("budget", [2.5, True, -1, 31])
 def test_replace_checks_the_relay_budget(budget):
-    # random.sample refused 2.5 only when the matrix ran, and took True as 1
+    # random.sample refused 2.5 only when the matrix ran, and took True as 1;
+    # 31 on the paper's 30 barrels failed only at the first random cell
     with pytest.raises(ValueError, match="relay_budget"):
         replace(EXPERIMENT_PRESETS["paper"], relay_budget=budget)
+
+
+def test_replace_checks_duplicate_rates_in_linear_time():
+    # counting each label among all of them took 4.5 s for 20,000 rates
+    rates = tuple(k / 100 for k in range(1, 20_001))
+    start = time.perf_counter()
+    plan = replace(EXPERIMENT_PRESETS["paper"], algorithms=("crns",), rates_pps=rates, n_seeds=1)
+    assert time.perf_counter() - start < 1.0
+    assert len(plan.rates_pps) == 20_000
+    with pytest.raises(ValueError, match="^two rates name their runs 200$"):
+        replace(plan, rates_pps=rates + (200.0,))
+
+
+def test_plan_rejects_an_unused_sink_standoff():
+    # a chainage places the sink by itself, so the standoff would go unused
+    layout = replace(FDOT_45MPH, sink_placement=50.0, sink_standoff_m=5.0)
+    with pytest.raises(LayoutError, match="^sink_standoff_m is set, .* start or end uses it$"):
+        ExperimentPlan(layout=layout)
+    assert ExperimentPlan(layout=replace(layout, sink_standoff_m=None)).layout.sink_x() == 50.0
 
 
 def test_plan_rejects_an_unknown_sink_placement():
@@ -778,6 +802,20 @@ class TestVerbs:
             f"{algorithm:8s}      1 100.00 {'':8s} {'':9s}" for algorithm in ("crns", "knn")
         ]
 
+    def test_run_with_a_plan_relay_budget_of_zero(self, capsys, tmp_path):
+        # the sampled baselines select no relay, as an auto budget of 0 does
+        ini = write_ini(
+            tmp_path,
+            "[layout]\nsegments = row:270:90\n"
+            "[scenario]\nalgorithms = random, knn\nrates = 1\nseeds = 1\nsim_time_s = 2\n"
+            "[plan]\nrelay_budget = 0\n",
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 0
+        with open(out_dir / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["algorithm"], row["n_relays"]) for row in rows] == [("random", "0"), ("knn", "0")]
+
     def test_select_knn_accepts_a_zero_count(self, capsys):
         assert main(["select", "--algorithm", "knn", "--count", "0"]) == 0
         assert "knn: 0 relays of 30 barrels" in capsys.readouterr().out
@@ -831,6 +869,42 @@ class TestVerbs:
             err = capsys.readouterr().err
             assert err.startswith(f"error: --workers = {bad!r}: bad value, ")
             assert err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_run_caps_workers_at_the_cpu_count(self, monkeypatch, tmp_path):
+        # a pool forks every worker it is given at its first job; the stub
+        # runs serially, so no process is started
+        ini = write_ini(
+            tmp_path,
+            "[layout]\nsegments = row:270:90\n"
+            "[scenario]\nalgorithms = crns\nrates = 1\nseeds = 1\nsim_time_s = 2\n",
+        )
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        asked = []
+        serial = cli.run_matrix
+
+        def record(plan, workers=1, emit_events=False):
+            asked.append(workers)
+            return serial(plan, 1, emit_events)
+
+        monkeypatch.setattr(cli, "run_matrix", record)
+        for workers in ("100000", "3", "2", "1"):
+            out_dir = tmp_path / f"workers{workers}"
+            argv = ["run", "--config", str(ini), "--workers", workers, "--out", str(out_dir)]
+            assert main(argv) == 0
+            assert json.loads((out_dir / "metadata.json").read_text())["workers"] == asked[-1]
+        assert asked == [2, 2, 2, 1]
+
+    def test_run_refuses_a_seed_count_past_the_bound(self, capsys, tmp_path):
+        ini = write_ini(tmp_path, "[scenario]\nseeds = 1000000000\n")
+        out_dir = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: scenario.seeds = '1000000000': bad value, "
+            f"n_seeds must be at most {cli.MAX_SEEDS}\n"
+        )
         assert not out_dir.exists()
 
     def test_run_seed_override_changes_run_names(self, tmp_path):
@@ -940,21 +1014,20 @@ class TestVerbs:
         assert "at range 130m" in capsys.readouterr().out
         assert main(argv + ["random", "--count", "5"]) == 0
         assert "5 relays of 30 barrels at range 100m" in capsys.readouterr().out
-        # --count replaces a budget the layout cannot hold; without it, the
-        # plan's budget is checked and named
+        assert main(argv + ["random", "--count", "31"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --count = '31': bad value, "
+            "relay_budget must be an integer in [0, 30], the barrels of the layout\n"
+        )
+        # a plan whose own budget the layout cannot hold fails as it is
+        # read, whatever --count says
         ini.write_text("[plan]\nrelay_budget = 99\n")
-        assert main(argv + ["random", "--count", "5"]) == 0
-        assert "5 relays of 30 barrels" in capsys.readouterr().out
         out_dir = tmp_path / "out"
-        for args, named in (
-            (["random", "--count", "31"], "--count = 31"),
-            (["random"], "plan.relay_budget = 99"),
-            (["crns"], "plan.relay_budget = 99"),
-        ):
+        for args in (["random", "--count", "5"], ["random"], ["crns"]):
             assert main(argv + args) == 2
-            assert capsys.readouterr().err.startswith(f"error: {named}: bad value")
+            assert capsys.readouterr().err.startswith("error: plan.relay_budget = '99': bad value")
         assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
-        assert capsys.readouterr().err.startswith("error: plan.relay_budget = 99: bad value")
+        assert capsys.readouterr().err.startswith("error: plan.relay_budget = '99': bad value")
         assert not out_dir.exists()
 
     def test_trace_overflow_exits_2(self, capsys, monkeypatch, tmp_path):

@@ -94,6 +94,14 @@ class TestSinkPlacement:
         topo = build_layout(spec)
         assert topo.positions[topo.sink] == (37.5, 0.0)
 
+    def test_chainage_takes_no_standoff(self):
+        # even a standoff of 0 is one the chainage would leave unused
+        spec = LayoutSpec(
+            segments=(Segment("s", 100.0, 50.0),), sink_placement=37.5, sink_standoff_m=0.0
+        )
+        with pytest.raises(LayoutError, match="sink_standoff_m"):
+            spec.sink_x()
+
     @pytest.mark.parametrize("standoff", [-5.0, math.inf, math.nan])
     @pytest.mark.parametrize("placement", ["start", "end"])
     def test_bad_standoff_rejected(self, placement, standoff):
