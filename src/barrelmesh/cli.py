@@ -46,7 +46,6 @@ from .sim_engine import (
     SimResult,
     SimulationError,
     check_config,
-    check_count,
     run,
 )
 from .topology import (
@@ -56,6 +55,7 @@ from .topology import (
     Topology,
     barrel_chainages,
     build_layout,
+    check_count,
     check_range,
     feet,
 )
@@ -121,17 +121,13 @@ class ExperimentPlan:
             check_config(scenario_for(self, rate, self.base_seed))
             if labels[_rate_label(rate)] > 1:  # they would write the same run files
                 raise ValueError(f"two rates name their runs {_rate_label(rate)}")
-        if check_count("n_seeds", self.n_seeds) > MAX_SEEDS:
-            raise ValueError(f"n_seeds must be at most {MAX_SEEDS}")
+        check_count("n_seeds", self.n_seeds, most=MAX_SEEDS)
         check_range(self.range_r_m)
         check_range(self.all_relays_range_m)
         self.layout.sink_x()
         if self.relay_budget is not None:
             barrels = len(barrel_chainages(self.layout))
-            if type(self.relay_budget) is not int or not 0 <= self.relay_budget <= barrels:
-                raise ValueError(
-                    f"relay_budget must be an integer in [0, {barrels}], the barrels of the layout"
-                )
+            check_count("relay_budget", self.relay_budget, least=0, most=barrels)
 
 
 def parse_length(text: str) -> float:
@@ -151,10 +147,13 @@ def _auto_or_int(text: str) -> Optional[int]:
     return None if text.lower() == "auto" else int(text)
 
 
-def _preset(text: str) -> LayoutSpec:
-    if text not in LAYOUT_PRESETS:
-        raise ValueError("must be one of " + ", ".join(LAYOUT_PRESETS))
-    return LAYOUT_PRESETS[text]
+def _one_of(table: dict):
+    """A reader of a name in table, which returns its entry."""
+    def read(text: str):
+        if text not in table:
+            raise ValueError("must be one of " + ", ".join(table))
+        return table[text]
+    return read
 
 
 def _segments(text: str) -> LayoutSpec:
@@ -177,7 +176,7 @@ def _segments(text: str) -> LayoutSpec:
 # layout, and sink_placement before the sink_standoff it may use.
 PLAN_KEYS = {
     "layout": {
-        "preset": ("layout", None, _preset),
+        "preset": ("layout", None, _one_of(LAYOUT_PRESETS)),
         "segments": ("layout", None, _segments),
         "sink_placement": ("layout", "sink_placement", lambda text: (
             text if text in ("start", "end") else parse_length(text)
@@ -387,21 +386,13 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
 
 
 def _cmd_run(args) -> int:
-    preset = args.preset or "paper"
     if args.config:
         plan = parse_plan(args.config)
-    elif preset in EXPERIMENT_PRESETS:
-        plan = EXPERIMENT_PRESETS[preset]
     else:
-        raise PlanError(
-            f"unknown experiment preset {preset!r}; available: "
-            + ", ".join(sorted(EXPERIMENT_PRESETS))
-        )
+        plan = _flag("--preset", _one_of(EXPERIMENT_PRESETS), args.preset or "paper")
     if args.seed is not None:
-        plan = replace(plan, base_seed=_flag("--seed", _seed, args.seed))
-    workers = _flag("--workers", int, args.workers)
-    if workers < 0:
-        raise PlanError(f"--workers = {args.workers!r}: bad value, must be at least 0")
+        plan = replace(plan, base_seed=_flag("--seed", _at_least_0("seed"), args.seed))
+    workers = _flag("--workers", _at_least_0("workers"), args.workers)
     # a pool forks all its workers at once, so never ask for more than the CPUs
     cpus = os.cpu_count() or 1
     workers = min(workers or cpus, cpus)
@@ -435,18 +426,17 @@ def _flag(flag: str, read, text: str):
         raise PlanError(f"{flag} = {text!r}: bad value, {exc}") from None
 
 
-def _seed(text: str) -> int:
-    return check_count("seed", int(text), least=0)
+def _at_least_0(name: str):
+    """A reader of an integer >= 0, which its errors call name."""
+    return lambda text: check_count(name, int(text), least=0)
 
 
 def _cmd_select(args) -> int:
     if args.config:
         plan = parse_plan(args.config)
     else:
-        preset = args.preset or "fdot_45mph"
-        if preset not in LAYOUT_PRESETS:
-            raise PlanError(f"unknown layout preset {preset!r}")
-        plan = ExperimentPlan(layout=LAYOUT_PRESETS[preset])
+        layout = _flag("--preset", _one_of(LAYOUT_PRESETS), args.preset or "fdot_45mph")
+        plan = ExperimentPlan(layout=layout)
         # without a plan file every strategy, `all` included, selects at the
         # one range, and random/knn are sized like crns there
         plan = replace(plan, all_relays_range_m=plan.range_r_m)
@@ -455,7 +445,7 @@ def _cmd_select(args) -> int:
         plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
     if args.count is not None:
         plan = _flag("--count", lambda text: replace(plan, relay_budget=int(text)), args.count)
-    seed = 0 if args.seed is None else _flag("--seed", _seed, args.seed)
+    seed = 0 if args.seed is None else _flag("--seed", _at_least_0("seed"), args.seed)
     # like run --out, never overwrite what an earlier call wrote
     if args.out and Path(args.out).exists():
         raise PlanError(f"--out = {args.out!r}: bad value, must be a new file")

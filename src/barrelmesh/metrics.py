@@ -9,7 +9,6 @@ kept consistent.
 from __future__ import annotations
 
 import csv
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Optional
@@ -18,10 +17,14 @@ from .sim_engine import SimResult
 
 STATE_SUM_TOL = 1e-6
 
+# The most current a radio state may draw, in mA: a kiloamp is no radio's,
+# and under it no mean of node currents overflows statistics.fmean's sum
+MAX_CURRENT_MA = 1e6
+
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Radio current draw per state, in mA, each finite and >= 0."""
+    """Radio current draw per state, in mA, each in [0, MAX_CURRENT_MA]."""
 
     i_tx_ma: float = 10.0
     i_listen_ma: float = 6.0
@@ -29,8 +32,8 @@ class PowerProfile:
 
     def __post_init__(self):
         for name in ("i_tx_ma", "i_listen_ma", "i_sleep_ma"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+            if not 0 <= getattr(self, name) <= MAX_CURRENT_MA:
+                raise ValueError(f"{name} must be in [0, {MAX_CURRENT_MA:.0f}]")
 
 
 def network_pdr(result: SimResult) -> Optional[float]:

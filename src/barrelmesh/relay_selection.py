@@ -11,7 +11,8 @@ Four strategies share one output type:
 
 An assignment also records, per barrel, which relay it leans on (its first
 hop toward the backbone): `validate` checks it, and `select --out` writes it
-as the `chosen_relay` column.
+as the `chosen_relay` column. Every strategy but crns, which records the
+barrel's own nomination, attaches barrels through one function, _attach_nearest.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .topology import (
-    LayoutError, Topology, bits, check_range, neighbor_degrees, topology_from_positions,
+    LayoutError, Topology, bits, check_count, check_range, mask_of, neighbor_degrees,
+    topology_from_positions,
 )
 
 # Scores land on exact float grids except for the distance discount, so
@@ -29,10 +31,6 @@ from .topology import (
 TIE_EPS = 1e-9
 
 KMEANS_MAX_ROUNDS = 100
-
-
-class SelectionError(ValueError):
-    """Raised for parameterizations a strategy cannot satisfy."""
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,7 @@ class RelayAssignment:
     scores: Optional[tuple[float, ...]] = None
 
     def relay_mask(self) -> int:
-        mask = 0
-        for r in self.relays:
-            mask |= 1 << r
-        return mask
+        return mask_of(self.relays)
 
 
 def crns_select(topology: Topology) -> RelayAssignment:
@@ -95,10 +90,11 @@ def crns_select(topology: Topology) -> RelayAssignment:
     )
 
 
-def _attach_nearest(topology: Topology, relays: tuple[int, ...]) -> tuple[Optional[int], ...]:
-    """First hop per barrel: its nearest in-range relay (ties to lowest id),
-    None for sink-adjacent or unreachable barrels."""
-    relay_mask = sum(1 << r for r in set(relays))
+def _attach_nearest(topology: Topology, relays: tuple[int, ...]) -> RelayAssignment:
+    """The assignment of relays, sorted barrel ids, whose first hop per
+    barrel is its nearest in-range relay (ties to lowest id), None for
+    sink-adjacent or unreachable barrels."""
+    relay_mask = mask_of(relays)
     sink_adj = topology.adjacency[topology.sink]
     chosen: list[Optional[int]] = [None] * topology.node_count
     for i in topology.barrels:
@@ -107,31 +103,19 @@ def _attach_nearest(topology: Topology, relays: tuple[int, ...]) -> tuple[Option
         # the relays in range; a node is never its own neighbor
         candidates = bits(topology.adjacency[i] & relay_mask)
         chosen[i] = min(candidates, key=lambda r: (topology.distance(i, r), r), default=None)
-    return tuple(chosen)
+    return RelayAssignment(relays, tuple(chosen))
 
 
 def all_relays(topology: Topology) -> RelayAssignment:
     """Every barrel forwards."""
-    relays = tuple(topology.barrels)
-    return RelayAssignment(
-        relays=relays,
-        chosen=_attach_nearest(topology, relays),
-    )
+    return _attach_nearest(topology, tuple(topology.barrels))
 
 
 def random_relays(topology: Topology, count: int, seed: int) -> RelayAssignment:
     """A seeded uniform sample of `count` distinct barrels."""
-    n_barrels = topology.sink
-    if count < 0 or count > n_barrels:
-        raise SelectionError(
-            f"relay count {count} outside [0, {n_barrels}] for this topology"
-        )
+    check_count("count", count, least=0, most=topology.sink)
     rng = random.Random(seed)
-    relays = tuple(sorted(rng.sample(range(n_barrels), count)))
-    return RelayAssignment(
-        relays=relays,
-        chosen=_attach_nearest(topology, relays),
-    )
+    return _attach_nearest(topology, tuple(sorted(rng.sample(topology.barrels, count))))
 
 
 def knn_relays(topology: Topology, k: int, seed: int) -> RelayAssignment:
@@ -144,9 +128,8 @@ def knn_relays(topology: Topology, k: int, seed: int) -> RelayAssignment:
     index. Duplicate heads collapse, so the relay count can come out below k.
     k = 0 has no centroid and so no relay.
     """
+    check_count("k", k, least=0, most=topology.sink)
     n_barrels = topology.sink
-    if k < 0 or k > n_barrels:
-        raise SelectionError(f"k {k} outside [0, {n_barrels}] for this topology")
     points = topology.positions[:n_barrels]
     rng = random.Random(seed)
     centroids = [points[i] for i in rng.sample(range(n_barrels), k)]
@@ -173,11 +156,7 @@ def knn_relays(topology: Topology, k: int, seed: int) -> RelayAssignment:
             key=lambda i: ((points[i][0] - cx) ** 2 + (points[i][1] - cy) ** 2, i),
         )
         heads.add(head)
-    relays = tuple(sorted(heads))
-    return RelayAssignment(
-        relays=relays,
-        chosen=_attach_nearest(topology, relays),
-    )
+    return _attach_nearest(topology, tuple(sorted(heads)))
 
 
 def isolated_nodes(topology: Topology, relays: tuple[int, ...]) -> list[int]:
@@ -188,7 +167,7 @@ def isolated_nodes(topology: Topology, relays: tuple[int, ...]) -> list[int]:
     Flood reachability is computed over relays plus the sink with unit-disk
     edges.
     """
-    relay_mask = sum(1 << r for r in set(relays))
+    relay_mask = mask_of(relays)
     reachable = 1 << topology.sink
     frontier = [topology.sink]
     while frontier:

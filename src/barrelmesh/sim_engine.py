@@ -135,7 +135,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .relay_selection import RelayAssignment
-from .topology import Topology, bits
+from .topology import Topology, bits, check_count
 
 # Refuse runs that would spin forever (misconfigured feedback loops), and
 # refuse silently truncating an event trace the caller asked for. run reads
@@ -222,10 +222,11 @@ def plan_transmissions(topology: Topology, copies: Optional[int]) -> tuple[int, 
     if copies is not None:
         check_count("copies", copies)
         return (copies,) * topology.sink
-    return tuple(
-        max(1, math.ceil(topology.distance(i, topology.sink) / topology.range_r))
-        for i in topology.barrels
-    )
+    spans = [topology.distance(i, topology.sink) / topology.range_r for i in topology.barrels]
+    # past the largest float, a barrel's copies have no count, let alone draws
+    if math.inf in spans:
+        raise SimulationError("a barrel lies too many ranges from the sink to count its copies")
+    return tuple(max(1, math.ceil(span)) for span in spans)
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -245,8 +246,10 @@ def packet_interval_us(app_rate_pps: float) -> int:
     """A source's packet interval on the microsecond clock.
 
     Raises ValueError below 2 us, which leaves no room for the phase draw
-    in [1, interval).
+    in [1, interval), and past the largest float.
     """
+    if not 1e6 / app_rate_pps < math.inf:
+        raise ValueError("app rate too low for the microsecond clock")
     interval = round(1e6 / app_rate_pps)
     if interval < 2:
         raise ValueError("app rate too high for the microsecond clock")
@@ -267,8 +270,10 @@ def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[
     xs = [x for x, _ in topology.positions]
     x0 = min(xs)
     extent = max(xs) - x0
-    zones = max(1, min(len(xs), int(extent // (2 * topology.range_r))))
-    zone_of = [min(zones - 1, int((x - x0) * zones / (extent or 1))) for x in xs]
+    # each float is clamped before int: a tiny range or a far sink makes it inf,
+    # or NaN over an infinite extent, and min keeps its first argument over NaN
+    zones = max(1, int(min(len(xs), extent // (2 * topology.range_r))))
+    zone_of = [int(min(zones - 1, (x - x0) * zones / (extent or 1))) for x in xs]
     heard = [0] * zones  # listeners in range of a transmitter in the zone
     for node, zone in enumerate(zone_of):
         heard[zone] |= reach_of[node]
@@ -297,20 +302,11 @@ def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioC
     check_config(config)
 
 
-def check_count(name: str, value, least: int = 1) -> int:
-    """value itself; raises a ValueError naming it unless it is an int, not a
-    bool, >= least. A seed takes least 0: random.Random seeds with abs(seed),
-    so a negative seed would repeat the sample of its positive twin."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}")
-    return value
-
-
 def check_config(config: ScenarioConfig) -> None:
     """Raise a ValueError naming the field of a config that run cannot simulate."""
-    # run's horizon is sim_time_s on the microsecond clock, and must hold a tick
-    if not (0 < config.sim_time_s < math.inf and round(config.sim_time_s * 1e6) >= 1):
-        raise ValueError("sim_time_s must be finite and at least 1 us")
+    # run's horizon, sim_time_s rounded to the microsecond clock, must be a finite tick or more
+    if not 0.5 < config.sim_time_s * 1e6 < math.inf:
+        raise ValueError("sim_time_s must be at least 1 us and finite in microseconds")
     if not 0 < config.app_rate_pps < math.inf:
         raise ValueError("app_rate_pps must be finite and > 0")
     packet_interval_us(config.app_rate_pps)
@@ -320,8 +316,7 @@ def check_config(config: ScenarioConfig) -> None:
         check_count("copies", config.copies)
     check_count("frame_duration_us", config.channel.frame_duration_us)
     # BLE's 40 channels and longest advertising interval, which fit run's arrays
-    if check_count("n_adv_channels", config.channel.n_adv_channels) > 40:
-        raise ValueError("n_adv_channels must be an integer in [1, 40]")
+    check_count("n_adv_channels", config.channel.n_adv_channels, most=40)
     if not 0 <= config.channel.adv_jitter_ms <= 10240:
         raise ValueError("adv_jitter_ms must be in [0, 10240]")
     if not (0.0 <= config.channel.loss_p <= 1.0):

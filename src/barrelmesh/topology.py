@@ -130,6 +130,12 @@ def bits(mask: int):
         mask ^= low
 
 
+def mask_of(ids) -> int:
+    """The mask with the bit of every id set, a repeated id once; the
+    inverse of bits."""
+    return sum(1 << i for i in set(ids))
+
+
 def _pairs_near_on_x(positions: Sequence[tuple[float, float]], order: Sequence[int], width: float):
     """Every pair (i, j) of nodes at most width apart on x, once, with j
     before i in order, which lists the node ids by ascending x.
@@ -161,6 +167,17 @@ def _build_adjacency(
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return tuple(masks)
+
+
+def check_count(name: str, value, least: int = 1, most: Optional[int] = None) -> int:
+    """value itself; raises a ValueError naming it unless it is an int, not a
+    bool, >= least and, when most is given, <= most. A seed takes least 0:
+    random.Random seeds with abs(seed), so a negative seed would repeat the
+    sample of its positive twin."""
+    if type(value) is not int or value < least or (most is not None and value > most):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bound}")
+    return value
 
 
 def check_range(range_r: float) -> float:

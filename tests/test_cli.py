@@ -568,6 +568,92 @@ def test_plan_rejects_an_unknown_sink_placement():
         ExperimentPlan(layout=layout)
 
 
+def test_plan_bounds_are_inclusive():
+    # the most seeds and the largest relay budget a plan may hold
+    paper = EXPERIMENT_PRESETS["paper"]
+    assert replace(paper, n_seeds=cli.MAX_SEEDS).n_seeds == cli.MAX_SEEDS
+    assert replace(paper, relay_budget=30).relay_budget == 30
+
+
+def cheap_plan_text(**sections):
+    """A plan file of one short crns run, with the given {key: text} of each
+    section laid over it."""
+    plan = {"scenario": {"algorithms": "crns", "rates": "1", "seeds": "1", "sim_time_s": "0.001"}}
+    for section, keys in sections.items():
+        plan.setdefault(section, {}).update(keys)
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {text}\n" for key, text in keys.items())
+        for section, keys in plan.items()
+    )
+
+
+def run_plan(tmp_path, text, out_name="out"):
+    """main's exit code for `run` on a plan file holding text."""
+    ini = write_ini(tmp_path, text)
+    return main(["run", "--config", str(ini), "--out", str(tmp_path / out_name)])
+
+
+# (section, key, template): every numeric plan key, with the text that
+# template.format(value) gives it; a segment's length and spacing are the
+# numbers in layout.segments
+NUMERIC_KEYS = [
+    *[("scenario", key, "{}") for key in (
+        "rates", "seeds", "base_seed", "sim_time_s", "ttl", "range", "all_relays_range",
+    )],
+    *[("channel", key, "{}") for key in (
+        "n_adv_channels", "frame_duration_us", "adv_jitter_ms", "loss_p",
+    )],
+    *[("power", key, "{}") for key in ("i_tx_ma", "i_listen_ma", "i_sleep_ma")],
+    ("plan", "copies", "{}"),
+    ("plan", "relay_budget", "{}"),
+    ("layout", "sink_placement", "{}"),
+    ("layout", "sink_standoff", "{}"),
+    ("layout", "segments", "row:{}m:90m"),
+    ("layout", "segments", "row:270m:{}m"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, template",
+    NUMERIC_KEYS,
+    ids=[f"{section}.{key}:{template}" for section, key, template in NUMERIC_KEYS],
+)
+def test_extreme_plan_values_run_or_fail_in_one_line(capsys, tmp_path, section, key, template):
+    # one key at a time on a cheap plan; 1e308 and 1e-307 used to end in
+    # OverflowError tracebacks, from round, math.ceil or int of an inf
+    for i, value in enumerate(("0", "-1", "1e-307", "1e308", "inf", "nan")):
+        text = cheap_plan_text(**{section: {key: template.format(value)}})
+        code = run_plan(tmp_path, text, f"out{i}")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (code, err) == (0, "") or (
+            code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        ), (value, code, err)
+
+
+@pytest.mark.parametrize(
+    "sections, code, err",
+    [
+        # refused as the plan is read: round(inf) of the horizon and of the interval
+        (
+            {"scenario": {"sim_time_s": "1e308"}}, 2,
+            "error: scenario.sim_time_s = '1e308': bad value, ",
+        ),
+        ({"scenario": {"rates": "1e-308"}}, 2, "error: scenario.rates = '1e-308': bad value, "),
+        # refused by the run: math.ceil(inf) of a barrel's copies
+        ({"scenario": {"range": "1e-307"}}, 2, "error: "),
+        # run: int(inf) of the zone count, and of the far sink's zone
+        ({"scenario": {"range": "1e-307"}, "plan": {"copies": "1"}}, 0, ""),
+        ({"layout": {"sink_placement": "end", "sink_standoff": "1e308"}}, 0, ""),
+    ],
+    ids=["horizon", "interval", "copies", "zone-count", "sink-zone"],
+)
+def test_overflowing_plan_values(capsys, tmp_path, sections, code, err):
+    assert run_plan(tmp_path, cheap_plan_text(**sections)) == code
+    got = capsys.readouterr().err
+    assert got.startswith(err) and got.count("\n") == (1 if err else 0)
+
+
 class TestVerbs:
     def test_presets_lists_both_kinds(self, capsys):
         assert main(["presets"]) == 0
@@ -903,7 +989,7 @@ class TestVerbs:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
             "error: scenario.seeds = '1000000000': bad value, "
-            f"n_seeds must be at most {cli.MAX_SEEDS}\n"
+            f"n_seeds must be an integer in [1, {cli.MAX_SEEDS}]\n"
         )
         assert not out_dir.exists()
 
@@ -924,11 +1010,15 @@ class TestVerbs:
 
     def test_unknown_experiment_preset_exits_2(self, capsys):
         assert main(["run", "--preset", "bogus"]) == 2
-        assert "bogus" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --preset = 'bogus': bad value, must be one of paper\n"
+        )
 
     def test_unknown_layout_preset_in_select(self, capsys):
         assert main(["select", "--preset", "bogus"]) == 2
-        assert capsys.readouterr().err == "error: unknown layout preset 'bogus'\n"
+        assert capsys.readouterr().err == (
+            "error: --preset = 'bogus': bad value, must be one of fdot_45mph\n"
+        )
 
     def test_zero_seeds_exits_2(self, capsys, tmp_path):
         ini = write_ini(tmp_path, "[scenario]\nseeds = 0\n")
@@ -1016,8 +1106,7 @@ class TestVerbs:
         assert "5 relays of 30 barrels at range 100m" in capsys.readouterr().out
         assert main(argv + ["random", "--count", "31"]) == 2
         assert capsys.readouterr().err == (
-            "error: --count = '31': bad value, "
-            "relay_budget must be an integer in [0, 30], the barrels of the layout\n"
+            "error: --count = '31': bad value, relay_budget must be an integer in [0, 30]\n"
         )
         # a plan whose own budget the layout cannot hold fails as it is
         # read, whatever --count says

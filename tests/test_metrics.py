@@ -1,9 +1,12 @@
 import csv
+import math
 
 import pytest
 
 from barrelmesh.metrics import (
+    MAX_CURRENT_MA,
     PowerProfile,
+    cell_stats,
     mean_relay_current_ma,
     network_current_ma,
     network_pdr,
@@ -90,6 +93,12 @@ class TestPower:
     def test_slack_within_tolerance_accepted(self):
         node_current_ma(0.1, 0.3, 0.6 + 5e-7, PowerProfile())
 
+    def test_profile_bounds_are_inclusive(self):
+        # past MAX_CURRENT_MA, a mean of relay currents could overflow fmean's sum
+        assert PowerProfile(MAX_CURRENT_MA, 0.0, 0.0).i_tx_ma == MAX_CURRENT_MA
+        with pytest.raises(ValueError, match=r"^i_listen_ma must be in \[0, 1000000\]$"):
+            PowerProfile(i_listen_ma=math.nextafter(MAX_CURRENT_MA, math.inf))
+
     def test_network_current_equals_mean_of_node_currents(self):
         topo = build_layout(FDOT_45MPH)
         result = run(topo, crns_select(topo), ScenarioConfig(seed=3))
@@ -114,6 +123,16 @@ class TestPower:
 
 
 class TestSummaries:
+    def test_hist_bins_are_one_wide_up_to_a_largest_load_of_9(self):
+        # ceil((9 + 1) / 10) = 1: ten bins of one load each, the last holding 9
+        result = make_result(relays=(0, 1, 2), relayed_count=(0, 4, 9, 0))
+        row = {"algorithm": "crns", "rate_pps": 1.0, "pdr_pct": None,
+               "relay_load_cv": None, "mean_relay_current_ma": None}
+        (cell,) = cell_stats([row], [result])
+        assert cell["relay_load_hist"] == [
+            (b, b + 1, int(b in (0, 4, 9))) for b in range(10)
+        ]
+
     def test_summary_fields(self):
         topo = build_layout(FDOT_45MPH)
         result = run(topo, crns_select(topo), ScenarioConfig(seed=3))

@@ -29,6 +29,7 @@ from barrelmesh.metrics import (
     relay_load_stats,
 )
 from barrelmesh.relay_selection import (
+    RelayAssignment,
     _attach_nearest,
     all_relays,
     crns_select,
@@ -405,7 +406,7 @@ def test_attach_nearest_matches_scan(topo, relay_ids):
         relays = tuple(topo.barrels)
     else:
         relays = tuple(sorted(r for r in relay_ids if r < topo.sink))
-    assert _attach_nearest(topo, relays) == attach_by_scan(topo, relays)
+    assert _attach_nearest(topo, relays) == RelayAssignment(relays, attach_by_scan(topo, relays))
 
 
 @settings(max_examples=EXAMPLES["chain_connectivity"])

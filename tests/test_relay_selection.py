@@ -6,7 +6,6 @@ import pytest
 from oracles import crns_oracle, kmeans_oracle
 from barrelmesh.relay_selection import (
     RelayAssignment,
-    SelectionError,
     all_relays,
     crns_select,
     isolated_nodes,
@@ -123,10 +122,10 @@ class TestBaselines:
         assert a.chosen == (None,) * preset.node_count
 
     def test_random_rejects_out_of_range_counts(self, preset):
-        with pytest.raises(SelectionError):
-            random_relays(preset, 31, seed=1)
-        with pytest.raises(SelectionError):
-            random_relays(preset, -1, seed=1)
+        # True used to run as a count of 1, and 2.5 to end in random.sample's TypeError
+        for count in (31, -1, True, 2.5):
+            with pytest.raises(ValueError, match=r"^count must be an integer in \[0, 30\]$"):
+                random_relays(preset, count, seed=1)
 
     def test_knn_matches_reference_on_a_line(self, preset):
         xs = [p[0] for p in preset.positions[: preset.sink]]
@@ -150,10 +149,9 @@ class TestBaselines:
         assert a.relays == (0, 3, 6, 7, 8)
 
     def test_knn_rejects_bad_k(self, preset):
-        with pytest.raises(SelectionError):
-            knn_relays(preset, -1, seed=1)
-        with pytest.raises(SelectionError):
-            knn_relays(preset, 31, seed=1)
+        for k in (-1, 31, True, 2.5):
+            with pytest.raises(ValueError, match=r"^k must be an integer in \[0, 30\]$"):
+                knn_relays(preset, k, seed=1)
 
 
 class TestCoverage:
@@ -246,13 +244,15 @@ class TestAssignmentFile:
         assert loaded.relays == a.relays
         assert loaded.scores is None
 
-    @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-5", "mixed"])
+    @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-5", "mixed", "two"])
     def test_rejects_bad_range(self, tmp_path, preset, bad):
+        # "mixed" holds a range per row, and "two" just two distinct ranges
         path = tmp_path / "assignment.csv"
         save_assignment_csv(preset, crns_select(preset), path)
         lines = path.read_text().splitlines()
+        ranges = {"mixed": lambda i: str(100.0 + i), "two": lambda i: str(100.0 + i % 2)}
         body = [
-            line.rsplit(",", 1)[0] + "," + (str(100.0 + i) if bad == "mixed" else bad)
+            line.rsplit(",", 1)[0] + "," + ranges.get(bad, lambda i: bad)(i)
             for i, line in enumerate(lines[1:])
         ]
         path.write_text("\n".join([lines[0], *body]) + "\n")

@@ -617,11 +617,15 @@ class TestGuards:
                 for key in ("sim_time_s", "app_rate_pps")
                 for value in (0.0, -1.0, math.inf, math.nan)
             ],
-            # a horizon that rounds to 0 us used to end in a ZeroDivisionError
+            # a horizon that rounds to 0 us used to end in a ZeroDivisionError,
+            # and one or an interval past the largest float in an OverflowError
             *[
                 pytest.param(None, {"sim_time_s": value}, "sim_time_s", id=f"sim_time_s={value}")
-                for value in (1e-7, 5e-7)
+                for value in (1e-7, 5e-7, 1e308)
             ],
+            pytest.param(
+                None, {"app_rate_pps": 1e-308}, "app rate too low", id="app_rate_pps=1e-308"
+            ),
             # a non-integer count used to run (ttl) or end in a TypeError
             *[
                 pytest.param(None, {key: 1.5}, key, id=f"{key}=1.5") for key in ("ttl", "copies")
@@ -660,6 +664,12 @@ class TestGuards:
         result = run(topo, crns_select(topo), scenario(sim_time_s=1e-6))
         assert result.sim_time_us == 1
         assert sum(result.app_sent) == 0
+
+    def test_channel_bounds_are_inclusive(self):
+        topo = line_topology(50.0)
+        channel = ChannelConfig(n_adv_channels=40, adv_jitter_ms=10240.0)
+        result = run(topo, crns_select(topo), scenario(sim_time_s=1e-6, channel=channel))
+        assert result.sim_time_us == 1
 
 
 class TestLossModel:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from barrelmesh.topology import (
+    COORD_EPS,
     FDOT_45MPH,
     MAX_BARRELS,
     LayoutError,
@@ -37,6 +38,9 @@ class TestBarrelPlacement:
             segments=(Segment("a", 100.0, 50.0), Segment("b", 60.0, 30.0))
         )
         assert barrel_chainages(spec) == [0.0, 50.0, 100.0, 130.0, 160.0]
+        # a barrel exactly COORD_EPS past the last one is that barrel
+        spec = LayoutSpec(segments=(Segment("a", COORD_EPS, 1.0), Segment("b", 10.0, 5.0)))
+        assert barrel_chainages(spec) == [0.0, 5.0 + COORD_EPS, 10.0 + COORD_EPS]
 
     def test_zero_length_segment_contributes_nothing(self):
         spec = LayoutSpec(
@@ -76,6 +80,13 @@ class TestBarrelPlacement:
         half = Segment("b", 12.0 * (MAX_BARRELS // 2), 12.0)
         with pytest.raises(LayoutError, match="segment 'b' takes"):
             barrel_chainages(LayoutSpec(segments=(half, half)))
+        # COORD_EPS short of 10,000 spacings, the slack counts a 10,001st place
+        with pytest.raises(LayoutError, match="segment 'a' takes"):
+            barrel_chainages(LayoutSpec(segments=(Segment("a", 9999.999999999, 1.0),)))
+        # two segments of 5,000 places each, both ends counted, meet the
+        # bound exactly; the shared end is placed once, and a spacing of 1 m is fine
+        just = Segment("c", MAX_BARRELS // 2 - 1.0, 1.0)
+        assert len(barrel_chainages(LayoutSpec(segments=(just, just)))) == MAX_BARRELS - 1
 
 
 class TestSinkPlacement:
@@ -88,6 +99,10 @@ class TestSinkPlacement:
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement="end")
         topo = build_layout(spec)
         assert topo.positions[topo.sink] == (110.0, 0.0)
+        # at 30 m spacing the row ends on no barrel, so a standoff of 0 is allowed
+        spec = replace(spec, segments=(Segment("s", 100.0, 30.0),), sink_standoff_m=0.0)
+        topo = build_layout(spec)
+        assert topo.positions[topo.sink] == (100.0, 0.0)
 
     def test_explicit_chainage_used_verbatim(self):
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=37.5)
@@ -118,6 +133,10 @@ class TestSinkPlacement:
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=50.0)
         with pytest.raises(LayoutError):
             build_layout(spec)
+        # COORD_EPS from a barrel is on it
+        spec = replace(spec, sink_placement=COORD_EPS)
+        with pytest.raises(LayoutError, match="^the sink sits on the barrel at 0 m$"):
+            spec.sink_x()
         # a NaN chainage used to build a sink at (nan, 0) that hears no one
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=math.nan)
         with pytest.raises(LayoutError, match="sink_placement"):
