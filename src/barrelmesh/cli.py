@@ -3,20 +3,20 @@
 Verbs:
   run       execute an experiment matrix (algorithms x rates x seeds) and
             write per-run, summary, comparison, and plot-ready CSVs
-  select    compute one relay assignment and optionally save it
+  select    compute the relay assignment of one cell, and optionally save it
   validate  check a saved assignment for consistency and coverage
   presets   list the shipped layout and experiment presets
 
-Experiment plans come from an INI file (--config) or a named preset
-(--preset). Every CSV an experiment writes is a pure function of the plan,
-so reruns are byte-identical; wall-clock information goes only into
-metadata.json.
+run and select read an experiment plan from an INI file (--config) or a
+named preset (--preset); --seed sets its base seed. select writes the relay
+assignment run simulates for one algorithm's cell at that seed. Every CSV an
+experiment writes is a pure function of the plan, so reruns are
+byte-identical; wall-clock information goes only into metadata.json.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import json
 import os
 import sys
@@ -66,8 +66,8 @@ from .topology import (
 STRATEGIES = {
     "crns": lambda topo, plan, seed: crns_select(topo),
     "all": lambda topo, plan, seed: all_relays(topo),
-    "random": lambda topo, plan, seed: random_relays(topo, relay_budget(plan), seed=seed),
-    "knn": lambda topo, plan, seed: knn_relays(topo, relay_budget(plan), seed=seed),
+    "random": lambda topo, plan, seed: random_relays(topo, relay_budget(plan, topo), seed=seed),
+    "knn": lambda topo, plan, seed: knn_relays(topo, relay_budget(plan, topo), seed=seed),
 }
 ALGORITHMS = tuple(STRATEGIES)
 
@@ -252,17 +252,12 @@ def parse_plan(path) -> ExperimentPlan:
     return plan
 
 
-def relay_budget(plan: ExperimentPlan) -> int:
-    """Relay-set size the sampled baselines must match."""
+def relay_budget(plan: ExperimentPlan, topology: Topology) -> int:
+    """Relay-set size the sampled baselines must match on topology: the
+    plan's own budget, or else the size of crns's selection there."""
     if plan.relay_budget is not None:
         return plan.relay_budget
-    return _crns_relay_count(plan.layout, plan.range_r_m)
-
-
-# every random and knn cell of a plan asks for the same count
-@functools.lru_cache(maxsize=32)
-def _crns_relay_count(layout: LayoutSpec, range_m: float) -> int:
-    return len(crns_select(build_layout(layout, range_m)).relays)
+    return len(crns_select(topology).relays)
 
 
 def materialize(plan: ExperimentPlan, algorithm: str, seed: int) -> tuple[Topology, RelayAssignment]:
@@ -385,13 +380,19 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
     return cells
 
 
-def _cmd_run(args) -> int:
+def _plan(args) -> ExperimentPlan:
+    """The plan --config or --preset names, at the --seed base seed when given."""
     if args.config:
         plan = parse_plan(args.config)
     else:
         plan = _flag("--preset", _one_of(EXPERIMENT_PRESETS), args.preset or "paper")
     if args.seed is not None:
         plan = replace(plan, base_seed=_flag("--seed", _at_least_0("seed"), args.seed))
+    return plan
+
+
+def _cmd_run(args) -> int:
+    plan = _plan(args)
     workers = _flag("--workers", _at_least_0("workers"), args.workers)
     # a pool forks all its workers at once, so never ask for more than the CPUs
     cpus = os.cpu_count() or 1
@@ -432,24 +433,16 @@ def _at_least_0(name: str):
 
 
 def _cmd_select(args) -> int:
-    if args.config:
-        plan = parse_plan(args.config)
-    else:
-        layout = _flag("--preset", _one_of(LAYOUT_PRESETS), args.preset or "fdot_45mph")
-        plan = ExperimentPlan(layout=layout)
-        # without a plan file every strategy, `all` included, selects at the
-        # one range, and random/knn are sized like crns there
-        plan = replace(plan, all_relays_range_m=plan.range_r_m)
+    plan = _plan(args)
     if args.range is not None:
         range_m = _flag("--range", lambda text: check_range(parse_length(text)), args.range)
         plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
     if args.count is not None:
         plan = _flag("--count", lambda text: replace(plan, relay_budget=int(text)), args.count)
-    seed = 0 if args.seed is None else _flag("--seed", _at_least_0("seed"), args.seed)
     # like run --out, never overwrite what an earlier call wrote
     if args.out and Path(args.out).exists():
         raise PlanError(f"--out = {args.out!r}: bad value, must be a new file")
-    topo, assignment = materialize(plan, args.algorithm, seed)
+    topo, assignment = materialize(plan, args.algorithm, plan.base_seed)
     issues = validate_assignment(topo, assignment)
     print(
         f"{args.algorithm}: {len(assignment.relays)} relays of "
@@ -505,12 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an experiment matrix")
-    source = p_run.add_mutually_exclusive_group()
+    plan_flags = argparse.ArgumentParser(add_help=False)  # read by _plan
+    source = plan_flags.add_mutually_exclusive_group()
     source.add_argument("--config", help="experiment plan INI file")
     source.add_argument("--preset", help="experiment preset name (default: paper)")
-    p_run.add_argument("--seed", help="override the base seed")
+    plan_flags.add_argument("--seed", help="override the base seed, which select samples with")
+
+    p_run = sub.add_parser("run", parents=[plan_flags], help="run an experiment matrix")
     p_run.add_argument(
         "--workers", default="1", help="parallel processes (0: one per CPU)"
     )
@@ -520,16 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_sel = sub.add_parser("select", help="compute a relay assignment")
-    source = p_sel.add_mutually_exclusive_group()
-    source.add_argument("--config", help="experiment plan INI file")
-    source.add_argument("--preset", help="layout preset name (default: fdot_45mph)")
+    p_sel = sub.add_parser("select", parents=[plan_flags], help="compute a cell's relays")
     p_sel.add_argument(
         "--algorithm", choices=ALGORITHMS, default="crns", help="selection strategy"
     )
-    p_sel.add_argument("--range", help="radio range, e.g. 100m or 330ft")
+    p_sel.add_argument("--range", help="radio range of every algorithm, e.g. 100m or 330ft")
     p_sel.add_argument("--count", help="relay budget for random/knn")
-    p_sel.add_argument("--seed", help="sampling seed for random/knn")
     p_sel.add_argument("--out", help="write the assignment CSV here")
     p_sel.set_defaults(func=_cmd_select)
 

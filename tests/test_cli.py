@@ -221,23 +221,19 @@ class TestParsePlan:
 
 class TestBudgetAndMaterialize:
     def test_budget_follows_ranked_selection(self):
-        assert relay_budget(EXPERIMENT_PRESETS["paper"]) == 18
+        plan = EXPERIMENT_PRESETS["paper"]
+        assert relay_budget(plan, build_layout(plan.layout, plan.range_r_m)) == 18
 
-    def test_budget_selects_once_per_layout_and_range(self):
-        # every random and knn cell of a plan asks for the budget; the
-        # answer depends only on the layout and the range
-        plan = replace(EXPERIMENT_PRESETS["paper"], range_r_m=71.0)
-        budgets, selections = count_calls(
-            lambda: [relay_budget(plan) for _ in range(8)], cli, "crns_select"
-        )
-        topo = build_layout(plan.layout, plan.range_r_m)
-        assert budgets == [len(cli.crns_select(topo).relays)] * 8
-        assert selections <= 1
-        assert relay_budget(replace(plan, range_r_m=60.0)) != budgets[0]
+    def test_budget_follows_the_topology_it_is_given(self):
+        plan = EXPERIMENT_PRESETS["paper"]
+        topo = build_layout(plan.layout, 71.0)
+        budget = relay_budget(plan, topo)
+        assert budget == len(cli.crns_select(topo).relays)
+        assert relay_budget(plan, build_layout(plan.layout, 60.0)) != budget
 
     def test_explicit_budget_wins(self):
         plan = replace(EXPERIMENT_PRESETS["paper"], relay_budget=5)
-        assert relay_budget(plan) == 5
+        assert relay_budget(plan, build_layout(plan.layout, plan.range_r_m)) == 5
 
     def test_all_runs_at_its_own_range(self):
         plan = EXPERIMENT_PRESETS["paper"]
@@ -404,7 +400,7 @@ class TestWriteOutputs:
         for path in selected:
             argv = ["select", "--algorithm", path.stem, "--seed", "4", "--out", str(path)]
             assert main(argv) == 0
-        assert sha(selected) == "fb3eb47cd1ec7c77769a3e2d024ff348b5b2f563ddde7d5932e77bf21d77a23e"
+        assert sha(selected) == "b0c45a96ac635f47734b5f1a668349eb01845c45d7ac434efd977c25f9fcacbe"
 
     def test_metadata_fields(self, matrix, tmp_path):
         plan, results = matrix
@@ -681,10 +677,32 @@ class TestVerbs:
         got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
         argv = ["select", "--algorithm", algorithm, "--seed", "4", "--out", str(got)]
         assert main(argv + range_args) == 0
-        plan = ExperimentPlan(
-            layout=FDOT_45MPH, range_r_m=range_m, all_relays_range_m=range_m
-        )
-        save_assignment_csv(*materialize(plan, algorithm, seed=4), want)
+        plan = replace(EXPERIMENT_PRESETS["paper"], base_seed=4)
+        if range_args:  # --range sets the range of every algorithm
+            plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
+        save_assignment_csv(*materialize(plan, algorithm, plan.base_seed), want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides", [[], ["--seed", "4", "--range", "130m", "--count", "5"]],
+        ids=["plan", "overrides"],
+    )
+    @pytest.mark.parametrize("source", ["preset", "config"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_select_writes_the_cell_of_its_plan(self, algorithm, source, overrides, tmp_path):
+        # the assignment a run of the plan simulates for the algorithm at its
+        # base seed: `all` at its own range, random and knn sampled at the seed
+        plan, argv = EXPERIMENT_PRESETS["paper"], ["select", "--algorithm", algorithm]
+        if source == "config":
+            ini = write_ini(tmp_path, "[scenario]\nbase_seed = 7\n")
+            plan, argv = parse_plan(ini), argv + ["--config", str(ini)]
+        if overrides:
+            plan = replace(
+                plan, base_seed=4, range_r_m=130.0, all_relays_range_m=130.0, relay_budget=5
+            )
+        got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
+        assert main(argv + overrides + ["--out", str(got)]) == 0
+        save_assignment_csv(*materialize(plan, algorithm, plan.base_seed), want)
         assert got.read_bytes() == want.read_bytes()
 
     def test_select_all_uses_given_range(self, capsys, tmp_path):
@@ -759,6 +777,20 @@ class TestVerbs:
         assert exit_.value.code == 2
         assert "--preset: not allowed with argument --config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_validate_refuses_a_file_past_the_barrel_bound(self, capsys, tmp_path):
+        # each barrel 200 m from the next, out of range, so the build stays cheap
+        path = tmp_path / "assign.csv"
+        for barrels, code in ((MAX_BARRELS, 1), (MAX_BARRELS + 1, 2)):
+            rows = [f"{i},{200.0 * i},0.0,barrel,,,100.0\n" for i in range(barrels)]
+            path.write_text(
+                "node,x,y,role,chosen_relay,score,range_m\n"
+                + "".join(rows) + f"{barrels},-200.0,0.0,sink,,,100.0\n"
+            )
+            assert main(["validate", "--assignment", str(path)]) == code
+        assert capsys.readouterr().err == (
+            f"error: {MAX_BARRELS + 1} barrels exceed the bound of {MAX_BARRELS}\n"
+        )
 
     def test_validate_uses_the_range_selected_at(self, capsys, tmp_path):
         # at 200 m node 24 attaches to relay 16, which is out of range at
@@ -1014,10 +1046,12 @@ class TestVerbs:
             "error: --preset = 'bogus': bad value, must be one of paper\n"
         )
 
-    def test_unknown_layout_preset_in_select(self, capsys):
-        assert main(["select", "--preset", "bogus"]) == 2
+    @pytest.mark.parametrize("preset", ["bogus", "fdot_45mph"])
+    def test_unknown_experiment_preset_in_select(self, capsys, preset):
+        # select names a plan like run does, never a layout
+        assert main(["select", "--preset", preset]) == 2
         assert capsys.readouterr().err == (
-            "error: --preset = 'bogus': bad value, must be one of fdot_45mph\n"
+            f"error: --preset = {preset!r}: bad value, must be one of paper\n"
         )
 
     def test_zero_seeds_exits_2(self, capsys, tmp_path):

@@ -88,6 +88,14 @@ class TestBarrelPlacement:
         just = Segment("c", MAX_BARRELS // 2 - 1.0, 1.0)
         assert len(barrel_chainages(LayoutSpec(segments=(just, just)))) == MAX_BARRELS - 1
 
+    def test_topology_holds_at_most_the_barrel_bound(self):
+        # each barrel 200 m from the next, out of range, so the build stays cheap
+        row = [(200.0 * i, 0.0) for i in range(MAX_BARRELS + 1)]
+        assert topology_from_positions(row[:-1], (-200.0, 0.0), 100.0).sink == MAX_BARRELS
+        bound = f"^{MAX_BARRELS + 1} barrels exceed the bound of {MAX_BARRELS}$"
+        with pytest.raises(LayoutError, match=bound):
+            topology_from_positions(row, (-200.0, 0.0), 100.0)
+
 
 class TestSinkPlacement:
     def test_start_places_sink_upstream(self):
@@ -180,6 +188,9 @@ class TestConnectivity:
     def test_coincident_nodes_rejected(self):
         with pytest.raises(LayoutError):
             topology_from_positions([(0.0, 0.0), (0.0, 0.0)], (10.0, 0.0), 50.0)
+        # nodes exactly COORD_EPS apart on y are one place
+        with pytest.raises(LayoutError, match="nodes 0 and 1 share"):
+            topology_from_positions([(0.0, 0.0), (0.0, COORD_EPS)], (10.0, 0.0), 50.0)
 
     def test_coincident_nodes_named_by_the_lowest_pair(self):
         # two coincident pairs, (1, 4) and (2, 3), the higher one first on
