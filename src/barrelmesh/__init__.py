@@ -11,7 +11,6 @@ The cli module wires the same pipeline to config files and CSV outputs.
 """
 from .topology import (
     FDOT_45MPH,
-    LAYOUT_PRESETS,
     LayoutSpec,
     Segment,
     Topology,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FDOT_45MPH",
-    "LAYOUT_PRESETS",
     "LayoutSpec",
     "Segment",
     "Topology",

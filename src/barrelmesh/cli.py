@@ -5,7 +5,7 @@ Verbs:
             write per-run, summary, comparison, and plot-ready CSVs
   select    compute the relay assignment of one cell, and optionally save it
   validate  check a saved assignment for consistency and coverage
-  presets   list the shipped layout and experiment presets
+  presets   list the shipped experiment presets and their layouts
 
 run and select read an experiment plan from an INI file (--config) or a
 named preset (--preset); --seed sets its base seed. select writes the relay
@@ -49,7 +49,7 @@ from .sim_engine import (
     run,
 )
 from .topology import (
-    LAYOUT_PRESETS,
+    FDOT_45MPH,
     LayoutSpec,
     Segment,
     Topology,
@@ -71,10 +71,11 @@ STRATEGIES = {
 }
 ALGORITHMS = tuple(STRATEGIES)
 
-# The most seeds a plan may run. run_matrix makes one job per run before the
-# first run starts and write_outputs holds every result, about 7 KiB a run on
-# the paper layout, so the matrix must fit in memory whole.
-MAX_SEEDS = 10_000
+# The most runs (algorithms x rates x seeds) a plan may make: the paper
+# matrix at 10,000 seeds. run_matrix makes one job per run before the first
+# run starts and write_outputs holds every result, about 7 KiB a run on the
+# paper layout, so the matrix must fit in memory whole.
+MAX_RUNS = 80_000
 
 
 class PlanError(ValueError):
@@ -116,12 +117,15 @@ class ExperimentPlan:
                 raise ValueError(f"unknown algorithm {a!r}")
             if self.algorithms.count(a) > 1:
                 raise ValueError(f"lists {a!r} twice")
+        check_count("n_seeds", self.n_seeds, least=1)
+        runs = len(self.algorithms) * len(self.rates_pps) * self.n_seeds
+        if runs > MAX_RUNS:
+            raise ValueError(f"{runs} runs (algorithms x rates x seeds) exceed the bound of {MAX_RUNS}")
         labels = Counter(map(_rate_label, self.rates_pps))
         for rate in self.rates_pps:
             check_config(scenario_for(self, rate, self.base_seed))
             if labels[_rate_label(rate)] > 1:  # they would write the same run files
                 raise ValueError(f"two rates name their runs {_rate_label(rate)}")
-        check_count("n_seeds", self.n_seeds, most=MAX_SEEDS)
         check_range(self.range_r_m)
         check_range(self.all_relays_range_m)
         self.layout.sink_x()
@@ -156,7 +160,7 @@ def _one_of(table: dict):
     return read
 
 
-def _segments(text: str) -> LayoutSpec:
+def _segments(text: str) -> tuple[Segment, ...]:
     segments = []
     for part in filter(None, map(str.strip, text.split(","))):
         pieces = part.split(":")
@@ -166,18 +170,18 @@ def _segments(text: str) -> LayoutSpec:
         segments.append(Segment(name.strip(), parse_length(length), parse_length(spacing)))
     if not segments:
         raise ValueError("segments list is empty")
-    return LayoutSpec(segments=tuple(segments))
+    return tuple(segments)
 
 
 # section -> key -> (part, field, converter from text). The part is "plan"
 # for a field of ExperimentPlan, else its nested dataclass; a key left out
-# keeps the default. Field None is the whole part. parse_plan applies keys in
-# this order: preset or segments before the [layout] keys that amend their
-# layout, and sink_placement before the sink_standoff it may use.
+# keeps the default. parse_plan applies keys in this order: segments before
+# the sink keys that must fit the row, sink_placement before the
+# sink_standoff it may use, and seeds before rates, so that the default of
+# 20 seeds does not count against a plan that sets fewer.
 PLAN_KEYS = {
     "layout": {
-        "preset": ("layout", None, _one_of(LAYOUT_PRESETS)),
-        "segments": ("layout", None, _segments),
+        "segments": ("layout", "segments", _segments),
         "sink_placement": ("layout", "sink_placement", lambda text: (
             text if text in ("start", "end") else parse_length(text)
         )),
@@ -185,8 +189,8 @@ PLAN_KEYS = {
     },
     "scenario": {
         "algorithms": ("plan", "algorithms", lambda text: tuple(a.strip() for a in text.split(","))),
-        "rates": ("plan", "rates_pps", lambda text: tuple(map(float, text.split(",")))),
         "seeds": ("plan", "n_seeds", int),
+        "rates": ("plan", "rates_pps", lambda text: tuple(map(float, text.split(",")))),
         "base_seed": ("plan", "base_seed", int),
         "sim_time_s": ("plan", "sim_time_s", float),
         "ttl": ("plan", "ttl", int),
@@ -223,19 +227,19 @@ def parse_plan(path) -> ExperimentPlan:
     # rather than a source of defaults for the others
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise PlanError(f"cannot read plan file {path}")
+    except UnicodeDecodeError as exc:
+        raise PlanError(f"cannot read plan file {path}: {exc}") from None
     except configparser.Error as exc:
         raise PlanError(" ".join(str(exc).split())) from None
-    if parser.has_option("layout", "preset") and parser.has_option("layout", "segments"):
-        raise PlanError("give layout.preset or layout.segments, not both")
     for section in parser.sections():
         if section not in PLAN_KEYS:
             raise PlanError(f"unknown section [{section}]")
         for key in parser[section]:
             if key not in PLAN_KEYS[section]:
                 raise PlanError(f"unknown key {section}.{key}")
-    plan = ExperimentPlan(layout=LAYOUT_PRESETS["fdot_45mph"])
+    plan = ExperimentPlan(layout=FDOT_45MPH)
     for section, keys in PLAN_KEYS.items():
         for key, (part, name, convert) in keys.items():
             if not parser.has_option(section, key):
@@ -243,8 +247,8 @@ def parse_plan(path) -> ExperimentPlan:
             text = parser[section][key]
             try:
                 value = convert(text)
-                if part != "plan":  # a nested dataclass: amend it, or replace it whole
-                    value = value if name is None else replace(getattr(plan, part), **{name: value})
+                if part != "plan":  # a field of a nested dataclass: amend that
+                    value = replace(getattr(plan, part), **{name: value})
                     name = part
                 plan = replace(plan, **{name: value})
             except ValueError as exc:
@@ -319,7 +323,7 @@ def _rate_label(rate: float) -> str:
 
 # made after the functions ExperimentPlan's checks call
 EXPERIMENT_PRESETS: dict[str, ExperimentPlan] = {
-    "paper": ExperimentPlan(layout=LAYOUT_PRESETS["fdot_45mph"]),
+    "paper": ExperimentPlan(layout=FDOT_45MPH),
 }
 
 
@@ -434,11 +438,6 @@ def _at_least_0(name: str):
 
 def _cmd_select(args) -> int:
     plan = _plan(args)
-    if args.range is not None:
-        range_m = _flag("--range", lambda text: check_range(parse_length(text)), args.range)
-        plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
-    if args.count is not None:
-        plan = _flag("--count", lambda text: replace(plan, relay_budget=int(text)), args.count)
     # like run --out, never overwrite what an earlier call wrote
     if args.out and Path(args.out).exists():
         raise PlanError(f"--out = {args.out!r}: bad value, must be a new file")
@@ -474,19 +473,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    print("layout presets:")
-    for name, spec in LAYOUT_PRESETS.items():
-        topo = build_layout(spec)
+    for name, plan in EXPERIMENT_PRESETS.items():
+        spec = plan.layout
         segs = ", ".join(
             f"{s.name} {s.length_m:.1f}m @ {s.spacing_m:.2f}m" for s in spec.segments
         )
-        print(f"  {name}: {topo.sink} barrels over {spec.total_length_m():.1f}m ({segs})")
-    print("experiment presets:")
-    for name, plan in EXPERIMENT_PRESETS.items():
         print(
-            f"  {name}: {','.join(plan.algorithms)} x rates "
+            f"{name}: {','.join(plan.algorithms)} x rates "
             f"{','.join(map(_rate_label, plan.rates_pps))}/s x {plan.n_seeds} seeds, "
-            f"{plan.sim_time_s:g}s each"
+            f"{plan.sim_time_s:g}s each, on {len(barrel_chainages(spec))} barrels "
+            f"over {spec.total_length_m():.1f}m ({segs})"
         )
     return 0
 
@@ -518,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument(
         "--algorithm", choices=ALGORITHMS, default="crns", help="selection strategy"
     )
-    p_sel.add_argument("--range", help="radio range of every algorithm, e.g. 100m or 330ft")
-    p_sel.add_argument("--count", help="relay budget for random/knn")
     p_sel.add_argument("--out", help="write the assignment CSV here")
     p_sel.set_defaults(func=_cmd_select)
 

@@ -223,9 +223,9 @@ def topology_from_positions(
 def barrel_chainages(spec: LayoutSpec) -> list[float]:
     """Chainage of every barrel: multiples of each segment's spacing measured
     from the segment start, shared boundaries placed once. A single segment of
-    length L and spacing s yields floor(L/s) + 1 barrels (both ends included).
-    Every segment's count is checked against MAX_BARRELS before any barrel is
-    placed.
+    length L > 0 and spacing s yields floor(L/s) + 1 barrels (both ends
+    included); a segment of length 0 yields none. Every segment's count is
+    checked against MAX_BARRELS before any barrel is placed.
     """
     counts = []  # (segment, floor(L/s)) for each segment that places barrels
     places = 0
@@ -278,7 +278,3 @@ FDOT_45MPH = LayoutSpec(
     ),
     sink_placement="start",
 )
-
-LAYOUT_PRESETS: dict[str, LayoutSpec] = {
-    "fdot_45mph": FDOT_45MPH,
-}

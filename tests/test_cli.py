@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -30,7 +31,7 @@ from barrelmesh.cli import (
     write_outputs,
 )
 from barrelmesh.metrics import PowerProfile
-from barrelmesh.relay_selection import all_relays, load_assignment_csv, save_assignment_csv
+from barrelmesh.relay_selection import load_assignment_csv, save_assignment_csv
 from barrelmesh.sim_engine import ChannelConfig
 from barrelmesh.topology import (
     FDOT_45MPH, MAX_BARRELS, LayoutError, LayoutSpec, Segment, build_layout, feet,
@@ -77,12 +78,23 @@ class TestParseLength:
 
 class TestParsePlan:
     def test_defaults_match_shipped_preset(self, tmp_path):
-        plan = parse_plan(write_ini(tmp_path, "[layout]\npreset = fdot_45mph\n"))
+        plan = parse_plan(write_ini(tmp_path, ""))
         assert plan == EXPERIMENT_PRESETS["paper"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(PlanError):
             parse_plan(tmp_path / "nope.ini")
+
+    def test_undecodable_file_named_in_error(self, tmp_path):
+        # the UnicodeDecodeError used to pass through without the file name
+        path = tmp_path / "plan.ini"
+        path.write_bytes(b"\xff\xfe[scenario]\n")
+        with pytest.raises(PlanError) as error:
+            parse_plan(path)
+        assert str(error.value) == (
+            f"cannot read plan file {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte"
+        )
 
     def test_unknown_section_named_in_error(self, tmp_path):
         path = write_ini(tmp_path, "[radio]\nx = 1\n")
@@ -105,19 +117,6 @@ class TestParsePlan:
             with pytest.raises(PlanError, match=f"^unknown key {section}.{key}$"):
                 parse_plan(path)
 
-    def test_preset_and_segments_conflict(self, tmp_path):
-        path = write_ini(
-            tmp_path,
-            "[layout]\npreset = fdot_45mph\nsegments = row:100:50\n",
-        )
-        with pytest.raises(PlanError, match="not both"):
-            parse_plan(path)
-
-    def test_unknown_layout_preset(self, tmp_path):
-        path = write_ini(tmp_path, "[layout]\npreset = interstate\n")
-        with pytest.raises(PlanError, match="interstate"):
-            parse_plan(path)
-
     def test_segments_accept_mixed_units(self, tmp_path):
         path = write_ini(
             tmp_path, "[layout]\nsegments = taper:540ft:30ft, work:100m:25m\n"
@@ -136,7 +135,7 @@ class TestParsePlan:
 
     def test_sink_placement_and_offsets(self, tmp_path):
         # a chainage places the sink by itself; start and end use the standoff
-        path = write_ini(tmp_path, "[layout]\npreset = fdot_45mph\nsink_placement = 50ft\n")
+        path = write_ini(tmp_path, "[layout]\nsink_placement = 50ft\n")
         assert parse_plan(path).layout.sink_placement == pytest.approx(feet(50.0))
         path = write_ini(tmp_path, "[layout]\nsink_placement = end\nsink_standoff = 5m\n")
         layout = parse_plan(path).layout
@@ -178,8 +177,6 @@ class TestParsePlan:
         set_by = Counter(
             (part, name) for keys in PLAN_KEYS.values() for part, name, _ in keys.values()
         )
-        # layout.preset and layout.segments each give the whole layout
-        assert set_by.pop(("layout", None)) == 2
         parts = {
             "plan": ExperimentPlan,
             "layout": LayoutSpec,
@@ -192,7 +189,7 @@ class TestParsePlan:
             for f in fields(cls)
             if f.name not in parts  # a nested dataclass is set key by key
         }
-        assert set_by == Counter(want - {("layout", "segments")})
+        assert set_by == Counter(want)
 
     def test_readme_table_lists_every_plan_key(self):
         # the rows of the plan-key table alone: other tables may name files
@@ -451,7 +448,6 @@ BAD_ENTRIES = [
     ("plan", "copies = always", "copies"),
     ("plan", "copies = 0", "copies"),
     ("plan", "relay_budget = 99", "relay_budget"),  # fdot_45mph has 30 barrels
-    ("layout", "preset = interstate", "preset"),
     ("layout", "segments = row:270:0", "segments"),
     ("layout", "segments = row:inf:90", "segments"),
     ("layout", "segments = ,", "segments"),
@@ -472,19 +468,13 @@ BAD_ENTRIES = [
     ("scenario", "ttl = 3\nno equals sign", None),
     ("DEFAULT", "ttl = 3", None),
     ("DEFAULT", "ttl = 3\n[scenario]\nseeds = 1", None),
-    ("DEFAULT", "ttl = 3\n[layout]\npreset = fdot_45mph", None),
+    ("DEFAULT", "ttl = 3\n[plan]\ncopies = 2", None),
 ]
 
 # (argv, flag): a run, select or validate call that must fail naming the flag
 BAD_FLAGS = [
     (["run", "--seed", "-1"], "--seed"),
     (["select", "--algorithm", "random", "--seed", "-1"], "--seed"),
-    (["select", "--range", "inf"], "--range"),
-    (["select", "--range", "nan"], "--range"),
-    (["select", "--range", "0"], "--range"),
-    (["select", "--algorithm", "random", "--count", "99"], "--count"),
-    (["select", "--algorithm", "random", "--count", "-1"], "--count"),
-    (["select", "--algorithm", "random", "--count", "x"], "--count"),
     (["validate", "--range", "inf"], "--range"),
     (["validate", "--range", "nan"], "--range"),
 ]
@@ -514,9 +504,7 @@ def test_replace_applies_the_plan_file_rules(part, values):
     # value a plan file may not hold must fail there too
     paper = EXPERIMENT_PRESETS["paper"]
     with pytest.raises(ValueError):
-        if None in values:
-            replace(paper, **{part: values[None]})
-        elif part == "plan":
+        if part == "plan":
             replace(paper, **values)
         else:
             replace(paper, **{part: replace(getattr(paper, part), **values)})
@@ -565,10 +553,22 @@ def test_plan_rejects_an_unknown_sink_placement():
 
 
 def test_plan_bounds_are_inclusive():
-    # the most seeds and the largest relay budget a plan may hold
+    # the most runs and the largest relay budget a plan may hold; the
+    # paper's 8 cells make MAX_RUNS runs at 10,000 seeds
     paper = EXPERIMENT_PRESETS["paper"]
-    assert replace(paper, n_seeds=cli.MAX_SEEDS).n_seeds == cli.MAX_SEEDS
+    assert replace(paper, n_seeds=10_000).n_seeds * 8 == cli.MAX_RUNS
+    bound = r"^80008 runs \(algorithms x rates x seeds\) exceed the bound of 80000$"
+    with pytest.raises(ValueError, match=bound):
+        replace(paper, n_seeds=10_001)
     assert replace(paper, relay_budget=30).relay_budget == 30
+
+
+def test_plan_counts_its_runs_at_its_own_seed_count(tmp_path):
+    # seeds is read before rates, so 1,001 rates are judged at 10 seeds,
+    # not at the default 20, which would make 80,080 runs
+    rates = ", ".join(map(str, range(1, 1002)))
+    plan = parse_plan(write_ini(tmp_path, f"[scenario]\nrates = {rates}\nseeds = 10\n"))
+    assert (len(plan.rates_pps), plan.n_seeds) == (1001, 10)
 
 
 def cheap_plan_text(**sections):
@@ -651,11 +651,12 @@ def test_overflowing_plan_values(capsys, tmp_path, sections, code, err):
 
 
 class TestVerbs:
-    def test_presets_lists_both_kinds(self, capsys):
+    def test_presets_lists_each_plan_with_its_layout(self, capsys):
         assert main(["presets"]) == 0
-        out = capsys.readouterr().out
-        assert "fdot_45mph" in out
-        assert "paper" in out
+        assert capsys.readouterr().out == (
+            "paper: crns,all,random,knn x rates 1,4/s x 20 seeds, 20s each, on 30 barrels "
+            "over 347.5m (taper 146.3m @ 9.14m, buffer 146.3m @ 14.63m, work 54.9m @ 18.29m)\n"
+        )
 
     def test_select_reports_relay_set(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"
@@ -668,25 +669,24 @@ class TestVerbs:
         assert topo.range_r == 100.0
 
     @pytest.mark.parametrize(
-        "range_args, range_m", [([], 100.0), (["--range", "130m"], 130.0)]
+        "range_args, range_m", [([], 100.0), (["range = 130m", "all_relays_range = 130m"], 130.0)]
     )
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_select_writes_materialized_assignment(
         self, algorithm, range_args, range_m, tmp_path
     ):
+        # range_args are the [scenario] lines of the plan, which set both ranges
         got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
-        argv = ["select", "--algorithm", algorithm, "--seed", "4", "--out", str(got)]
-        assert main(argv + range_args) == 0
-        plan = replace(EXPERIMENT_PRESETS["paper"], base_seed=4)
-        if range_args:  # --range sets the range of every algorithm
-            plan = replace(plan, range_r_m=range_m, all_relays_range_m=range_m)
+        ini = write_ini(tmp_path, "[scenario]\n" + "".join(f"{line}\n" for line in range_args))
+        argv = ["select", "--algorithm", algorithm, "--config", str(ini), "--seed", "4"]
+        assert main(argv + ["--out", str(got)]) == 0
+        plan = replace(EXPERIMENT_PRESETS["paper"], base_seed=4, range_r_m=range_m)
+        if range_args:
+            plan = replace(plan, all_relays_range_m=range_m)
         save_assignment_csv(*materialize(plan, algorithm, plan.base_seed), want)
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize(
-        "overrides", [[], ["--seed", "4", "--range", "130m", "--count", "5"]],
-        ids=["plan", "overrides"],
-    )
+    @pytest.mark.parametrize("overrides", [[], ["--seed", "4"]], ids=["plan", "overrides"])
     @pytest.mark.parametrize("source", ["preset", "config"])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_select_writes_the_cell_of_its_plan(self, algorithm, source, overrides, tmp_path):
@@ -694,30 +694,51 @@ class TestVerbs:
         # base seed: `all` at its own range, random and knn sampled at the seed
         plan, argv = EXPERIMENT_PRESETS["paper"], ["select", "--algorithm", algorithm]
         if source == "config":
-            ini = write_ini(tmp_path, "[scenario]\nbase_seed = 7\n")
+            ini = write_ini(
+                tmp_path,
+                "[scenario]\nbase_seed = 7\nrange = 130m\nall_relays_range = 130m\n"
+                "[plan]\nrelay_budget = 5\n",
+            )
             plan, argv = parse_plan(ini), argv + ["--config", str(ini)]
         if overrides:
-            plan = replace(
-                plan, base_seed=4, range_r_m=130.0, all_relays_range_m=130.0, relay_budget=5
-            )
+            plan = replace(plan, base_seed=4)
         got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
         assert main(argv + overrides + ["--out", str(got)]) == 0
         save_assignment_csv(*materialize(plan, algorithm, plan.base_seed), want)
         assert got.read_bytes() == want.read_bytes()
 
-    def test_select_all_uses_given_range(self, capsys, tmp_path):
-        got, ref = tmp_path / "select.csv", tmp_path / "ref.csv"
-        assert main(["select", "--algorithm", "all", "--range", "130m", "--out", str(got)]) == 0
-        assert "at range 130m" in capsys.readouterr().out
-        for range_m, same in ((130.0, True), (150.0, False)):
-            topo = build_layout(FDOT_45MPH, range_m)
-            save_assignment_csv(topo, all_relays(topo), ref)
-            assert (got.read_bytes() == ref.read_bytes()) is same
+    def test_readme_cli_lines_parse(self):
+        # a flag that is gone must not live on in the docs
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme.read_text(), re.S | re.M)
+        lines = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
+        assert lines and all(words[0] == "barrelmesh" for words in lines)
+        for words in lines:
+            cli.build_parser().parse_args(words[1:])
 
-    def test_select_random_honors_count(self, capsys):
-        assert main(["select", "--algorithm", "random", "--count", "5",
-                     "--seed", "11"]) == 0
-        assert "5 relays of 30 barrels" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "plan, flags, err",
+        [
+            ("[layout]\npreset = fdot_45mph\n", [], "error: unknown key layout.preset\n"),
+            (None, ["--range", "130m"], "error: unrecognized arguments: --range 130m\n"),
+            (None, ["--count", "5"], "error: unrecognized arguments: --count 5\n"),
+        ],
+        ids=["layout.preset", "--range", "--count"],
+    )
+    def test_removed_spellings_exit_2(self, capsys, tmp_path, plan, flags, err):
+        # each named a value a plan key names too: the layout, or a range or
+        # relay budget of select's plan
+        out_csv = tmp_path / "assign.csv"
+        argv = ["select", "--out", str(out_csv)] + flags
+        if plan:
+            argv += ["--config", str(write_ini(tmp_path, plan))]
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse's own usage error
+            code = exit_.code
+        assert code == 2
+        assert capsys.readouterr().err.endswith(err)
+        assert not out_csv.exists()
 
     def test_select_refuses_an_existing_out(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"
@@ -796,7 +817,8 @@ class TestVerbs:
         # at 200 m node 24 attaches to relay 16, which is out of range at
         # the default 100 m
         out_csv = tmp_path / "assign.csv"
-        assert main(["select", "--range", "200m", "--out", str(out_csv)]) == 0
+        ini = write_ini(tmp_path, "[scenario]\nrange = 200m\n")
+        assert main(["select", "--config", str(ini), "--out", str(out_csv)]) == 0
         capsys.readouterr()
         assert main(["validate", "--assignment", str(out_csv)]) == 0
         assert "at range 200m" in capsys.readouterr().out
@@ -822,8 +844,8 @@ class TestVerbs:
 
     def test_validate_flags_bad_assignment(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"
-        main(["select", "--algorithm", "random", "--count", "0",
-              "--out", str(out_csv)])
+        ini = write_ini(tmp_path, "[plan]\nrelay_budget = 0\n")
+        main(["select", "--algorithm", "random", "--config", str(ini), "--out", str(out_csv)])
         capsys.readouterr()
         assert main(["validate", "--assignment", str(out_csv)]) == 1
         assert "isolated" in capsys.readouterr().out
@@ -934,8 +956,9 @@ class TestVerbs:
             rows = list(csv.DictReader(fh))
         assert [(row["algorithm"], row["n_relays"]) for row in rows] == [("random", "0"), ("knn", "0")]
 
-    def test_select_knn_accepts_a_zero_count(self, capsys):
-        assert main(["select", "--algorithm", "knn", "--count", "0"]) == 0
+    def test_select_knn_accepts_a_zero_count(self, capsys, tmp_path):
+        ini = write_ini(tmp_path, "[plan]\nrelay_budget = 0\n")
+        assert main(["select", "--algorithm", "knn", "--config", str(ini)]) == 0
         assert "knn: 0 relays of 30 barrels" in capsys.readouterr().out
 
     def test_run_refuses_a_used_out_dir(self, capsys, monkeypatch, tmp_path):
@@ -1021,7 +1044,22 @@ class TestVerbs:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
             "error: scenario.seeds = '1000000000': bad value, "
-            f"n_seeds must be an integer in [1, {cli.MAX_SEEDS}]\n"
+            "8000000000 runs (algorithms x rates x seeds) exceed the bound of 80000\n"
+        )
+        assert not out_dir.exists()
+
+    def test_run_refuses_a_rate_count_past_the_bound(self, capsys, monkeypatch, tmp_path):
+        # 4 algorithms x 1,001 rates x 20 seeds; such a plan used to be read
+        # whole, and 100,000 rates ended in a MemoryError as run_matrix
+        # listed its jobs
+        monkeypatch.setattr(cli, "run_matrix", lambda *args, **kw: pytest.fail("ran"))
+        rates = ", ".join(map(str, range(1, 1002)))
+        ini = write_ini(tmp_path, f"[scenario]\nrates = {rates}\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario.rates = {rates!r}: bad value, "
+            "80080 runs (algorithms x rates x seeds) exceed the bound of 80000\n"
         )
         assert not out_dir.exists()
 
@@ -1129,26 +1167,17 @@ class TestVerbs:
             assert len(assignment.relays) == 3
 
     def test_select_config_overrides(self, capsys, tmp_path):
-        ini = write_ini(
-            tmp_path,
-            "[scenario]\nall_relays_range = 170\n[plan]\nrelay_budget = 3\n",
-        )
+        # a plan whose own budget the layout cannot hold fails as it is read,
+        # for every algorithm and verb
+        ini = write_ini(tmp_path, "[plan]\nrelay_budget = 99\n")
         argv = ["select", "--config", str(ini), "--algorithm"]
-        assert main(argv + ["all", "--range", "130m"]) == 0
-        assert "at range 130m" in capsys.readouterr().out
-        assert main(argv + ["random", "--count", "5"]) == 0
-        assert "5 relays of 30 barrels at range 100m" in capsys.readouterr().out
-        assert main(argv + ["random", "--count", "31"]) == 2
-        assert capsys.readouterr().err == (
-            "error: --count = '31': bad value, relay_budget must be an integer in [0, 30]\n"
-        )
-        # a plan whose own budget the layout cannot hold fails as it is
-        # read, whatever --count says
-        ini.write_text("[plan]\nrelay_budget = 99\n")
         out_dir = tmp_path / "out"
-        for args in (["random", "--count", "5"], ["random"], ["crns"]):
+        for args in (["random"], ["crns"]):
             assert main(argv + args) == 2
-            assert capsys.readouterr().err.startswith("error: plan.relay_budget = '99': bad value")
+            assert capsys.readouterr().err == (
+                "error: plan.relay_budget = '99': bad value, "
+                "relay_budget must be an integer in [0, 30]\n"
+            )
         assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith("error: plan.relay_budget = '99': bad value")
         assert not out_dir.exists()
