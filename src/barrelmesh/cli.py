@@ -175,17 +175,14 @@ def _segments(text: str) -> tuple[Segment, ...]:
 
 # section -> key -> (part, field, converter from text). The part is "plan"
 # for a field of ExperimentPlan, else its nested dataclass; a key left out
-# keeps the default. parse_plan applies keys in this order: segments before
-# the sink keys that must fit the row, sink_placement before the
-# sink_standoff it may use, and seeds before rates, so that the default of
-# 20 seeds does not count against a plan that sets fewer.
+# keeps the default. parse_plan applies keys in this order, segments before
+# the sink and budget keys that must fit the row.
 PLAN_KEYS = {
     "layout": {
         "segments": ("layout", "segments", _segments),
         "sink_placement": ("layout", "sink_placement", lambda text: (
             text if text in ("start", "end") else parse_length(text)
         )),
-        "sink_standoff": ("layout", "sink_standoff_m", parse_length),
     },
     "scenario": {
         "algorithms": ("plan", "algorithms", lambda text: tuple(a.strip() for a in text.split(","))),
@@ -222,6 +219,8 @@ def parse_plan(path) -> ExperimentPlan:
     default would invalidate a whole study). Keys go one at a time onto a
     plan that checks itself, so a value it rejects is named by its
     section.key; parse_plan only converts text. Lengths accept ft/m suffixes.
+    The matrix keys (algorithms, seeds, rates) first go on together, so
+    the runs bound counts none of them at its default.
     """
     # no header can name the section "", so [DEFAULT] is an unknown section
     # rather than a source of defaults for the others
@@ -240,6 +239,14 @@ def parse_plan(path) -> ExperimentPlan:
             if key not in PLAN_KEYS[section]:
                 raise PlanError(f"unknown key {section}.{key}")
     plan = ExperimentPlan(layout=FDOT_45MPH)
+    try:
+        plan = replace(plan, **{
+            name: convert(parser["scenario"][key])
+            for key, (_, name, convert) in PLAN_KEYS["scenario"].items()
+            if key in ("algorithms", "seeds", "rates") and parser.has_option("scenario", key)
+        })
+    except ValueError:
+        pass  # named below, where the keys go on one at a time
     for section, keys in PLAN_KEYS.items():
         for key, (part, name, convert) in keys.items():
             if not parser.has_option(section, key):

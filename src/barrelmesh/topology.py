@@ -28,9 +28,8 @@ COORD_EPS = 1e-9
 # run with one copy peaked at 70 MiB.
 MAX_BARRELS = 10_000
 
-# How far upstream/downstream of the row a start/end sink sits when a layout
-# names no standoff: roadside equipment is staged off the row, clear of its
-# end barrel.
+# How far upstream/downstream of the row a start/end sink sits: roadside
+# equipment is staged off the row, clear of its end barrel.
 SINK_STANDOFF_M = 10.0
 
 
@@ -55,34 +54,26 @@ class LayoutSpec:
     """Geometry of one closed lane: ordered segments plus sink placement.
 
     sink_placement is "start", "end", or an explicit finite chainage in
-    meters. For start/end the sink sits sink_standoff_m (finite, >= 0; None
-    is SINK_STANDOFF_M) upstream/downstream of the barrel row; a chainage
-    places the sink by itself and takes no standoff. Either way it must not
-    sit on a barrel; barrel_chainages and sink_x check the spec where it is
-    used.
+    meters. For start/end the sink sits SINK_STANDOFF_M upstream/downstream
+    of the barrel row. Either way it must not sit on a barrel;
+    barrel_chainages and sink_x check the spec where it is used.
     """
 
     segments: tuple[Segment, ...]
     sink_placement: Union[str, float] = "start"
-    sink_standoff_m: Optional[float] = None
 
     def total_length_m(self) -> float:
         return sum(s.length_m for s in self.segments)
 
     def sink_x(self) -> float:
         """Chainage of the sink; raises LayoutError unless it is finite and off every barrel."""
-        x, standoff = self.sink_placement, self.sink_standoff_m
+        x = self.sink_placement
         if x in ("start", "end"):
-            standoff = SINK_STANDOFF_M if standoff is None else standoff
-            if not 0 <= standoff < math.inf:
-                raise LayoutError("sink_standoff_m must be finite and >= 0")
-            x = -standoff if x == "start" else self.total_length_m() + standoff
+            x = -SINK_STANDOFF_M if x == "start" else self.total_length_m() + SINK_STANDOFF_M
         elif isinstance(x, str):
             raise LayoutError(f"unknown sink placement {x!r}")
         elif not math.isfinite(x):
             raise LayoutError(f"sink_placement must be finite, got {x}")
-        elif standoff is not None:
-            raise LayoutError("sink_standoff_m is set, but only sink_placement = start or end uses it")
         for barrel in barrel_chainages(self):
             if abs(barrel - x) <= COORD_EPS:
                 raise LayoutError(f"the sink sits on the barrel at {barrel:g} m")

@@ -34,16 +34,14 @@ from barrelmesh.metrics import PowerProfile
 from barrelmesh.relay_selection import load_assignment_csv, save_assignment_csv
 from barrelmesh.sim_engine import ChannelConfig
 from barrelmesh.topology import (
-    FDOT_45MPH, MAX_BARRELS, LayoutError, LayoutSpec, Segment, build_layout, feet,
+    MAX_BARRELS, LayoutError, LayoutSpec, Segment, build_layout, feet,
 )
 from opcodes import count_calls
 
 
 def tiny_plan(**kw):
     """Four barrels, two seeds, short runs; fast enough for every test here."""
-    layout = LayoutSpec(
-        segments=(Segment("row", 270.0, 90.0),), sink_standoff_m=10.0
-    )
+    layout = LayoutSpec(segments=(Segment("row", 270.0, 90.0),))
     base = dict(
         layout=layout,
         rates_pps=(1.0,),
@@ -134,13 +132,12 @@ class TestParsePlan:
             parse_plan(path)
 
     def test_sink_placement_and_offsets(self, tmp_path):
-        # a chainage places the sink by itself; start and end use the standoff
+        # a chainage places the sink by itself, upstream of the row when negative
         path = write_ini(tmp_path, "[layout]\nsink_placement = 50ft\n")
         assert parse_plan(path).layout.sink_placement == pytest.approx(feet(50.0))
-        path = write_ini(tmp_path, "[layout]\nsink_placement = end\nsink_standoff = 5m\n")
-        layout = parse_plan(path).layout
-        assert layout.sink_placement == "end"
-        assert layout.sink_standoff_m == pytest.approx(5.0)
+        path = write_ini(tmp_path, "[layout]\nsink_placement = -25m\n")
+        topo = build_layout(parse_plan(path).layout)
+        assert topo.positions[topo.sink] == (-25.0, 0.0)
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         path = write_ini(tmp_path, "[scenario]\nalgorithms = crns,best\n")
@@ -316,6 +313,20 @@ class TestWriteOutputs:
                 continue
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
+    def test_start_sink_writes_what_its_chainage_writes(self, tmp_path):
+        # the sink's position has one key: start is the chainage 10 m before
+        # the first barrel, and no second key moves it
+        assert [f.name for f in fields(LayoutSpec)] == ["segments", "sink_placement"]
+        plan = tiny_plan()
+        chainage = replace(plan, layout=replace(plan.layout, sink_placement=-10.0))
+        a, b = tmp_path / "start", tmp_path / "chainage"
+        write_outputs(plan, run_matrix(plan), a, 1.0, workers=1)
+        write_outputs(chainage, run_matrix(chainage), b, 1.0, workers=1)
+        names = sorted(p.relative_to(a) for p in a.glob("runs/*.csv"))
+        assert names == sorted(p.relative_to(b) for p in b.glob("runs/*.csv"))
+        for rel in [Path("summary.csv"), *names]:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
     def test_comparison_change_formula(self, matrix, tmp_path):
         plan, results = matrix
         write_outputs(plan, results, tmp_path, 1.0, workers=1)
@@ -457,11 +468,7 @@ BAD_ENTRIES = [
     ("layout", "segments = a:100m:1e-300m", "segments"),
     ("layout", "segments = a:1e308m:1e-10m", "segments"),
     ("layout", "sink_placement = nan", "sink_placement"),
-    ("layout", "sink_standoff = -1", "sink_standoff"),
     ("layout", "sink_placement = 0", "sink_placement"),  # the first barrel's chainage
-    ("layout", "sink_standoff = 0", "sink_standoff"),
-    # a chainage places the sink by itself, so the standoff would go unused
-    ("layout", "sink_placement = 5\nsink_standoff = 60", "sink_standoff"),
     (None, "ttl = 3", None),
     ("scenario", "ttl = 3\nttl = 4", None),
     ("scenario", "ttl = 3\n[scenario]\nseeds = 1", None),
@@ -538,14 +545,6 @@ def test_replace_checks_duplicate_rates_in_linear_time():
         replace(plan, rates_pps=rates + (200.0,))
 
 
-def test_plan_rejects_an_unused_sink_standoff():
-    # a chainage places the sink by itself, so the standoff would go unused
-    layout = replace(FDOT_45MPH, sink_placement=50.0, sink_standoff_m=5.0)
-    with pytest.raises(LayoutError, match="^sink_standoff_m is set, .* start or end uses it$"):
-        ExperimentPlan(layout=layout)
-    assert ExperimentPlan(layout=replace(layout, sink_standoff_m=None)).layout.sink_x() == 50.0
-
-
 def test_plan_rejects_an_unknown_sink_placement():
     layout = LayoutSpec(segments=(Segment("row", 270.0, 90.0),), sink_placement="middle")
     with pytest.raises(LayoutError, match="^unknown sink placement 'middle'$"):
@@ -564,11 +563,19 @@ def test_plan_bounds_are_inclusive():
 
 
 def test_plan_counts_its_runs_at_its_own_seed_count(tmp_path):
-    # seeds is read before rates, so 1,001 rates are judged at 10 seeds,
-    # not at the default 20, which would make 80,080 runs
+    # 1,001 rates are judged at 10 seeds, not at the default 20, which would
+    # make 80,080 runs
     rates = ", ".join(map(str, range(1, 1002)))
     plan = parse_plan(write_ini(tmp_path, f"[scenario]\nrates = {rates}\nseeds = 10\n"))
     assert (len(plan.rates_pps), plan.n_seeds) == (1001, 10)
+
+
+def test_plan_counts_its_runs_at_its_own_rate_count(tmp_path):
+    # 50,000 seeds are judged at one rate, not at the default two, which
+    # would make 100,000 runs
+    text = "[scenario]\nalgorithms = crns\nrates = 1\nseeds = 50000\n"
+    plan = parse_plan(write_ini(tmp_path, text))
+    assert len(plan.algorithms) * len(plan.rates_pps) * plan.n_seeds == 50_000
 
 
 def cheap_plan_text(**sections):
@@ -603,7 +610,6 @@ NUMERIC_KEYS = [
     ("plan", "copies", "{}"),
     ("plan", "relay_budget", "{}"),
     ("layout", "sink_placement", "{}"),
-    ("layout", "sink_standoff", "{}"),
     ("layout", "segments", "row:{}m:90m"),
     ("layout", "segments", "row:270m:{}m"),
 ]
@@ -640,7 +646,7 @@ def test_extreme_plan_values_run_or_fail_in_one_line(capsys, tmp_path, section, 
         ({"scenario": {"range": "1e-307"}}, 2, "error: "),
         # run: int(inf) of the zone count, and of the far sink's zone
         ({"scenario": {"range": "1e-307"}, "plan": {"copies": "1"}}, 0, ""),
-        ({"layout": {"sink_placement": "end", "sink_standoff": "1e308"}}, 0, ""),
+        ({"layout": {"sink_placement": "1e308"}}, 0, ""),
     ],
     ids=["horizon", "interval", "copies", "zone-count", "sink-zone"],
 )
@@ -720,14 +726,15 @@ class TestVerbs:
         "plan, flags, err",
         [
             ("[layout]\npreset = fdot_45mph\n", [], "error: unknown key layout.preset\n"),
+            ("[layout]\nsink_standoff = 10m\n", [], "error: unknown key layout.sink_standoff\n"),
             (None, ["--range", "130m"], "error: unrecognized arguments: --range 130m\n"),
             (None, ["--count", "5"], "error: unrecognized arguments: --count 5\n"),
         ],
-        ids=["layout.preset", "--range", "--count"],
+        ids=["layout.preset", "layout.sink_standoff", "--range", "--count"],
     )
     def test_removed_spellings_exit_2(self, capsys, tmp_path, plan, flags, err):
-        # each named a value a plan key names too: the layout, or a range or
-        # relay budget of select's plan
+        # each named a value a plan key names too: the layout, the sink's
+        # position, or a range or relay budget of select's plan
         out_csv = tmp_path / "assign.csv"
         argv = ["select", "--out", str(out_csv)] + flags
         if plan:

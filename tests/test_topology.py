@@ -107,8 +107,8 @@ class TestSinkPlacement:
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement="end")
         topo = build_layout(spec)
         assert topo.positions[topo.sink] == (110.0, 0.0)
-        # at 30 m spacing the row ends on no barrel, so a standoff of 0 is allowed
-        spec = replace(spec, segments=(Segment("s", 100.0, 30.0),), sink_standoff_m=0.0)
+        # at 30 m spacing the row ends on no barrel, so the sink may sit at its end
+        spec = replace(spec, segments=(Segment("s", 100.0, 30.0),), sink_placement=100.0)
         topo = build_layout(spec)
         assert topo.positions[topo.sink] == (100.0, 0.0)
 
@@ -116,26 +116,6 @@ class TestSinkPlacement:
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=37.5)
         topo = build_layout(spec)
         assert topo.positions[topo.sink] == (37.5, 0.0)
-
-    def test_chainage_takes_no_standoff(self):
-        # even a standoff of 0 is one the chainage would leave unused
-        spec = LayoutSpec(
-            segments=(Segment("s", 100.0, 50.0),), sink_placement=37.5, sink_standoff_m=0.0
-        )
-        with pytest.raises(LayoutError, match="sink_standoff_m"):
-            spec.sink_x()
-
-    @pytest.mark.parametrize("standoff", [-5.0, math.inf, math.nan])
-    @pytest.mark.parametrize("placement", ["start", "end"])
-    def test_bad_standoff_rejected(self, placement, standoff):
-        # a negative standoff would put the sink inside the row
-        spec = LayoutSpec(
-            segments=(Segment("s", 100.0, 50.0),),
-            sink_placement=placement,
-            sink_standoff_m=standoff,
-        )
-        with pytest.raises(LayoutError, match="sink_standoff_m"):
-            spec.sink_x()
 
     def test_sink_on_a_barrel_rejected(self):
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=50.0)
