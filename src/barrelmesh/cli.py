@@ -458,16 +458,14 @@ def _cmd_select(args) -> int:
     for issue in issues:
         print("warning:", issue)
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         save_assignment_csv(topo, assignment, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    range_m = None
-    if args.range is not None:
-        range_m = _flag("--range", lambda text: check_range(parse_length(text)), args.range)
-    topo, assignment = load_assignment_csv(args.assignment, range_m)
+    topo, assignment = load_assignment_csv(args.assignment)
     issues = validate_assignment(topo, assignment)
     if issues:
         for issue in issues:
@@ -526,9 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="validate a saved assignment")
     p_val.add_argument("--assignment", required=True, help="assignment CSV to check")
-    p_val.add_argument(
-        "--range", help="radio range to validate at (default: the file's range_m column)"
-    )
     p_val.set_defaults(func=_cmd_validate)
 
     p_pre = sub.add_parser("presets", help="list shipped presets")

@@ -236,10 +236,9 @@ def _field(row: dict, node: int, column: str, convert=float):
         raise ValueError(f"node {node}: {column} = {row[column]!r}: bad value, {exc}") from None
 
 
-def load_assignment_csv(path, range_m: Optional[float] = None) -> tuple[Topology, RelayAssignment]:
+def load_assignment_csv(path) -> tuple[Topology, RelayAssignment]:
     """Inverse of save_assignment_csv: the topology the assignment was saved
-    on, built at the file's range_m or at range_m when given, and the
-    assignment."""
+    on, built at the file's range_m, and the assignment."""
     positions: list[tuple[float, float]] = []
     relays: list[int] = []
     chosen: list[Optional[int]] = []
@@ -275,12 +274,10 @@ def load_assignment_csv(path, range_m: Optional[float] = None) -> tuple[Topology
     if len(ranges) > 1:
         raise ValueError(f"range_m must be one value, saw {sorted(ranges)}")
     try:
-        stored = check_range(ranges.pop())
+        range_m = check_range(ranges.pop())
     except LayoutError as exc:
         raise ValueError(f"range_m: {exc}") from None
-    topology = topology_from_positions(
-        positions[:-1], positions[-1], stored if range_m is None else range_m
-    )
+    topology = topology_from_positions(positions[:-1], positions[-1], range_m)
     return topology, RelayAssignment(
         relays=tuple(relays),
         chosen=tuple(chosen),

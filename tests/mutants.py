@@ -7,7 +7,7 @@ module of src/barrelmesh and a function defined in it, by default
 sim_engine.py:run. A site is one of:
 
 - a comparison operator, whose boundary it flips (< and <=, > and >=,
-  == and !=);
+  == and !=) or whose test it negates (in and not in, is and is not);
 - an integer constant, to which it adds 1;
 - a bitwise & or |, which it swaps for the other.
 
@@ -43,10 +43,12 @@ DEFAULT_TARGET = "sim_engine.py:run"
 DEFAULT_TESTS = ("tests/test_sim_engine.py", "tests/test_properties.py")
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
+         ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 SWAPS = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
-          ast.NotEq: "!=", ast.BitAnd: "&", ast.BitOr: "|"}
+          ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is",
+          ast.IsNot: "is not", ast.BitAnd: "&", ast.BitOr: "|"}
 
 
 def sites(tree: ast.Module, name: str) -> list[tuple]:

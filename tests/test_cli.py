@@ -482,8 +482,6 @@ BAD_ENTRIES = [
 BAD_FLAGS = [
     (["run", "--seed", "-1"], "--seed"),
     (["select", "--algorithm", "random", "--seed", "-1"], "--seed"),
-    (["validate", "--range", "inf"], "--range"),
-    (["validate", "--range", "nan"], "--range"),
 ]
 
 
@@ -747,6 +745,19 @@ class TestVerbs:
         assert capsys.readouterr().err.endswith(err)
         assert not out_csv.exists()
 
+    def test_validate_takes_no_range(self, capsys, tmp_path):
+        # the file records the range it was selected at, and validate
+        # checks it there
+        out_csv = tmp_path / "assign.csv"
+        assert main(["select", "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            main(["validate", "--assignment", str(out_csv), "--range", "100m"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --range 100m\n"
+        )
+
     def test_select_refuses_an_existing_out(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"
         out_csv.write_text("precious")
@@ -755,6 +766,14 @@ class TestVerbs:
             f"error: --out = {str(out_csv)!r}: bad value, must be a new file\n"
         )
         assert out_csv.read_text() == "precious"
+
+    def test_select_out_makes_its_directory(self, capsys, tmp_path):
+        # as run --out does
+        out_csv = tmp_path / "nodir" / "sub" / "assign.csv"
+        assert main(["select", "--out", str(out_csv)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {out_csv}\n")
+        assert main(["select", "--out", str(tmp_path / "assign.csv")]) == 0
+        assert out_csv.read_bytes() == (tmp_path / "assign.csv").read_bytes()
 
     def test_select_refuses_a_row_past_the_barrel_bound(self, capsys, tmp_path):
         ini = write_ini(tmp_path, "[layout]\nsegments = work:1e12m:1m\n")
@@ -786,16 +805,12 @@ class TestVerbs:
 
     @pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
     def test_bad_flag_exits_2(self, capsys, tmp_path, argv, flag):
-        path = tmp_path / "assign.csv"
-        if argv[0] == "validate":
-            save_assignment_csv(*materialize(EXPERIMENT_PRESETS["paper"], "crns", seed=0), path)
-        place = "--assignment" if argv[0] == "validate" else "--out"
-        written = path.read_bytes() if path.exists() else None
-        assert main(argv + [place, str(path)]) == 2
+        path = tmp_path / "out"
+        assert main(argv + ["--out", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} = ")
         assert err.count("\n") == 1
-        assert (path.read_bytes() if path.exists() else None) == written
+        assert not path.exists()
 
     @pytest.mark.parametrize("verb, preset", [("run", "paper"), ("select", "fdot_45mph")])
     def test_config_and_preset_conflict(self, capsys, tmp_path, verb, preset):
@@ -829,12 +844,16 @@ class TestVerbs:
         capsys.readouterr()
         assert main(["validate", "--assignment", str(out_csv)]) == 0
         assert "at range 200m" in capsys.readouterr().out
-        assert main(["validate", "--assignment", str(out_csv), "--range", "100m"]) == 1
+        # a check at another range is an edit of the range_m column
+        header, *rows = out_csv.read_text().splitlines()
+        out_csv.write_text(
+            header + "\n" + "".join(row.rsplit(",", 1)[0] + ",100.0\n" for row in rows)
+        )
+        assert main(["validate", "--assignment", str(out_csv)]) == 1
         assert "node 24 attaches to out-of-range relay 16" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("range_args", [[], ["--range", "100m"]])
-    def test_validate_refuses_a_file_without_range(self, capsys, tmp_path, range_args):
-        # range_m is a required column, with --range or without
+    def test_validate_refuses_a_file_without_range(self, capsys, tmp_path):
+        # range_m is a required column
         out_csv = tmp_path / "assign.csv"
         assert main(["select", "--out", str(out_csv)]) == 0
         lines = out_csv.read_text().splitlines()
@@ -842,7 +861,7 @@ class TestVerbs:
         out_csv.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
         written = out_csv.read_bytes()
         capsys.readouterr()
-        assert main(["validate", "--assignment", str(out_csv)] + range_args) == 2
+        assert main(["validate", "--assignment", str(out_csv)]) == 2
         assert capsys.readouterr().err == (
             "error: assignment columns must be node,x,y,role,chosen_relay,score,range_m, "
             "got node,x,y,role,chosen_relay,score\n"
@@ -1042,6 +1061,11 @@ class TestVerbs:
             assert main(argv) == 0
             assert json.loads((out_dir / "metadata.json").read_text())["workers"] == asked[-1]
         assert asked == [2, 2, 2, 1]
+        # a host that cannot count its CPUs runs one worker
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        argv = ["run", "--config", str(ini), "--workers", "0", "--out", str(tmp_path / "unknown")]
+        assert main(argv) == 0
+        assert asked[-1] == 1
 
     def test_run_refuses_a_seed_count_past_the_bound(self, capsys, tmp_path):
         ini = write_ini(tmp_path, "[scenario]\nseeds = 1000000000\n")
@@ -1150,6 +1174,12 @@ class TestVerbs:
             f"{float(pdr):6.2f}" if pdr else " " * 6 for pdr in pdrs
         ]
         assert pdrs[1] == pdrs[3] == "" and pdrs[0] and pdrs[2]
+        # load cv and relay mA to 3 decimals
+        power = (out_dir / "plotdata" / "power_vs_pdr.csv").read_text().splitlines()[1:]
+        assert [line[32:] for line in lines[2:]] == [
+            f"{float(row.split(',')[2]):9.3f}" for row in power
+        ]
+        assert all(re.fullmatch(r" *\d+\.\d{3}", line[23:31]) for line in lines[2:])
         assert all(len(line) == len(lines[1]) for line in lines[2:])
         # summary.csv lists its runs in the table's (plan) order, 100 before 1
         cells = [("crns", "100.0"), ("crns", "1.0"), ("all", "100.0"), ("all", "1.0")]

@@ -690,6 +690,11 @@ def tie_case(
 @example(tie_case(ROW, all_relays, 1000.0, 0.02, 4, None, 2, 300, 1.0, trace=True))
 # loss draws, where a listener the lack mask no longer names drops a copy
 @example(tie_case(ROW, crns_select, 1000.0, 0.02, 6, 2, 2, 300, 1.0, 0.3, trace=True))
+# One barrel, a packet every 2 us, 8 us frames, no jitter: its fifth
+# origination (seq 8, the last its block gives) falls on the microsecond its
+# first frame (seq 11, the first frame end of the event stream) ends, and
+# is taken first
+@example(tie_case([25.0], all_relays, 500000.0, 0.00001, 0, 1, 1, 8, 0.0, trace=True))
 def test_engine_vs_reference(case):
     """The engine returns what the frozen reference engine returns, traces
     included; only the count of processed events may differ."""

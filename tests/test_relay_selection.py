@@ -230,12 +230,6 @@ class TestAssignmentFile:
         save_assignment_csv(preset, a, path)
         assert load_assignment_csv(path) == (preset, a)
 
-    def test_loads_at_a_given_range(self, tmp_path, preset):
-        path = tmp_path / "assignment.csv"
-        save_assignment_csv(preset, crns_select(preset), path)
-        topo, _ = load_assignment_csv(path, 60.0)
-        assert topo == topology_from_positions(preset.positions[:-1], preset.positions[-1], 60.0)
-
     def test_roundtrip_without_scores(self, tmp_path, preset):
         a = random_relays(preset, 5, seed=8)
         path = tmp_path / "assignment.csv"
