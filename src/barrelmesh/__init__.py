@@ -3,8 +3,8 @@
 The pieces compose in layout -> selection -> simulation -> metrics order:
 
     topo = build_layout(FDOT_45MPH)
-    assignment = crns_select(topo)
-    result = run(topo, assignment, ScenarioConfig(app_rate_pps=4.0, seed=7))
+    relays = crns_select(topo)
+    result = run(topo, relays, ScenarioConfig(app_rate_pps=4.0, seed=7))
     print(summarize(result))
 
 The cli module wires the same pipeline to config files and CSV outputs.
@@ -18,7 +18,6 @@ from .topology import (
     topology_from_positions,
 )
 from .relay_selection import (
-    RelayAssignment,
     all_relays,
     crns_select,
     isolated_nodes,
@@ -50,7 +49,6 @@ __all__ = [
     "Topology",
     "build_layout",
     "topology_from_positions",
-    "RelayAssignment",
     "all_relays",
     "crns_select",
     "isolated_nodes",

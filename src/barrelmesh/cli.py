@@ -30,7 +30,6 @@ from typing import Optional
 from . import __version__
 from .metrics import PowerProfile, cell_stats, summarize, write_csv, write_node_csv
 from .relay_selection import (
-    RelayAssignment,
     all_relays,
     crns_select,
     knn_relays,
@@ -60,7 +59,7 @@ from .topology import (
     feet,
 )
 
-# Strategy name -> assignment for (topology, plan, seed). Entries look their
+# Strategy name -> relay set for (topology, plan, seed). Entries look their
 # functions up when called, so a rebound module name (a tracer, a test
 # double) takes effect. The order is a plan's default algorithm order.
 STRATEGIES = {
@@ -268,11 +267,11 @@ def relay_budget(plan: ExperimentPlan, topology: Topology) -> int:
     plan's own budget, or else the size of crns's selection there."""
     if plan.relay_budget is not None:
         return plan.relay_budget
-    return len(crns_select(topology).relays)
+    return len(crns_select(topology))
 
 
-def materialize(plan: ExperimentPlan, algorithm: str, seed: int) -> tuple[Topology, RelayAssignment]:
-    """Topology plus relay assignment for one cell of the matrix."""
+def materialize(plan: ExperimentPlan, algorithm: str, seed: int) -> tuple[Topology, tuple[int, ...]]:
+    """Topology plus relay set for one cell of the matrix."""
     if algorithm not in STRATEGIES:
         raise PlanError(f"unknown algorithm {algorithm!r}")
     range_m = plan.all_relays_range_m if algorithm == "all" else plan.range_r_m
@@ -298,9 +297,9 @@ def scenario_for(
 def execute_cell(job) -> tuple[str, float, int, SimResult]:
     """One simulation run; module-level so worker processes can unpickle it."""
     plan, algorithm, rate, seed, emit_events = job
-    topo, assignment = materialize(plan, algorithm, seed)
+    topo, relays = materialize(plan, algorithm, seed)
     config = scenario_for(plan, rate, seed, emit_events)
-    return algorithm, rate, seed, run(topo, assignment, config)
+    return algorithm, rate, seed, run(topo, relays, config)
 
 
 def run_matrix(
@@ -412,8 +411,17 @@ def _cmd_run(args) -> int:
     # every file in the directory must come from this one experiment
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise PlanError(f"--out = {args.out!r}: bad value, must be a new or empty directory")
+    # made before the matrix runs, so an unwritable --out fails first, and
+    # taken away again, deepest first, if the matrix fails
+    made = [path for path in (out, *out.parents) if not path.exists()]
+    _make_dir("--out", args.out, out)
     started = time.perf_counter()
-    results = run_matrix(plan, workers=workers, emit_events=args.emit_events)
+    try:
+        results = run_matrix(plan, workers=workers, emit_events=args.emit_events)
+    except BaseException:
+        for path in made:
+            path.rmdir()
+        raise
     elapsed = time.perf_counter() - started
     cells = write_outputs(plan, results, args.out, elapsed, workers)
     print(f"{len(results)} runs in {elapsed:.1f}s -> {args.out}")
@@ -438,6 +446,14 @@ def _flag(flag: str, read, text: str):
         raise PlanError(f"{flag} = {text!r}: bad value, {exc}") from None
 
 
+def _make_dir(flag: str, text: str, path: Path) -> None:
+    """Make directory path, which the flag's value text names; an OSError names the flag."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PlanError(f"{flag} = {text!r}: bad value, {exc.strerror}") from None
+
+
 def _at_least_0(name: str):
     """A reader of an integer >= 0, which its errors call name."""
     return lambda text: check_count(name, int(text), least=0)
@@ -445,34 +461,35 @@ def _at_least_0(name: str):
 
 def _cmd_select(args) -> int:
     plan = _plan(args)
-    # like run --out, never overwrite what an earlier call wrote
-    if args.out and Path(args.out).exists():
-        raise PlanError(f"--out = {args.out!r}: bad value, must be a new file")
-    topo, assignment = materialize(plan, args.algorithm, plan.base_seed)
-    issues = validate_assignment(topo, assignment)
+    if args.out:
+        # like run --out, never overwrite what an earlier call wrote
+        if Path(args.out).exists():
+            raise PlanError(f"--out = {args.out!r}: bad value, must be a new file")
+        _make_dir("--out", args.out, Path(args.out).parent)
+    topo, relays = materialize(plan, args.algorithm, plan.base_seed)
+    issues = validate_assignment(topo, relays)
     print(
-        f"{args.algorithm}: {len(assignment.relays)} relays of "
+        f"{args.algorithm}: {len(relays)} relays of "
         f"{topo.sink} barrels at range {topo.range_r:g}m"
     )
-    print("relays:", " ".join(str(r) for r in assignment.relays))
+    print("relays:", " ".join(str(r) for r in relays))
     for issue in issues:
         print("warning:", issue)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        save_assignment_csv(topo, assignment, args.out)
+        save_assignment_csv(topo, relays, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    topo, assignment = load_assignment_csv(args.assignment)
-    issues = validate_assignment(topo, assignment)
+    topo, relays = load_assignment_csv(args.assignment)
+    issues = validate_assignment(topo, relays)
     if issues:
         for issue in issues:
             print(issue)
         return 1
     print(
-        f"ok: {len(assignment.relays)} relays cover {topo.sink} barrels at range {topo.range_r:g}m"
+        f"ok: {len(relays)} relays cover {topo.sink} barrels at range {topo.range_r:g}m"
     )
     return 0
 

@@ -1,6 +1,7 @@
 """Relay-set construction over a barrel topology.
 
-Four strategies share one output type:
+Four strategies each return a relay set, the sorted tuple of barrel ids that
+forward:
 
 * crns_select: connectivity-ranked selection. Nodes outside sink range each
   nominate their best-connected neighbor, discounted by distance, and every
@@ -9,17 +10,15 @@ Four strategies share one output type:
 * random_relays: a seeded uniform sample of barrels.
 * knn_relays: barrels nearest the k-means cluster centroids of the row.
 
-An assignment also records, per barrel, which relay it leans on (its first
-hop toward the backbone): `validate` checks it, and `select --out` writes it
-as the `chosen_relay` column. Every strategy but crns, which records the
-barrel's own nomination, attaches barrels through one function, _attach_nearest.
+A flood needs nothing else: the engine reads only which barrels relay.
+`validate_assignment` checks a set against its topology, and the assignment
+file (`save_assignment_csv`, `load_assignment_csv`) stores it with the
+positions and range it was selected at.
 """
 from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .topology import (
     LayoutError, Topology, bits, check_count, check_range, mask_of, neighbor_degrees,
@@ -33,25 +32,7 @@ TIE_EPS = 1e-9
 KMEANS_MAX_ROUNDS = 100
 
 
-@dataclass(frozen=True)
-class RelayAssignment:
-    """A relay set plus per-node bookkeeping.
-
-    relays: sorted barrel ids acting as forwarders.
-    chosen: per node id, the relay it attaches to, or None when the node is
-        the sink, talks to the sink directly, or cannot reach any relay.
-    scores: final per-node scores for score-driven strategies, else None.
-    """
-
-    relays: tuple[int, ...]
-    chosen: tuple[Optional[int], ...]
-    scores: Optional[tuple[float, ...]] = None
-
-    def relay_mask(self) -> int:
-        return mask_of(self.relays)
-
-
-def crns_select(topology: Topology) -> RelayAssignment:
+def crns_select(topology: Topology) -> tuple[int, ...]:
     """Connectivity-ranked neighbor selection.
 
     Every node starts with a score equal to its in-range neighbor count (the
@@ -65,7 +46,6 @@ def crns_select(topology: Topology) -> RelayAssignment:
     sink = topology.sink
     score = [float(d) for d in neighbor_degrees(topology)]
     is_relay = [False] * n
-    chosen: list[Optional[int]] = [None] * n
     sink_adj = topology.adjacency[sink]
     for i in topology.barrels:
         if sink_adj >> i & 1:
@@ -81,44 +61,22 @@ def crns_select(topology: Topology) -> RelayAssignment:
         best = min(j for j, v in rating.items() if v >= best_value - TIE_EPS)
         is_relay[best] = True
         score[best] -= 1.0
-        chosen[i] = best
-    relays = tuple(i for i in topology.barrels if is_relay[i])
-    return RelayAssignment(
-        relays=relays,
-        chosen=tuple(chosen),
-        scores=tuple(score),
-    )
+    return tuple(i for i in topology.barrels if is_relay[i])
 
 
-def _attach_nearest(topology: Topology, relays: tuple[int, ...]) -> RelayAssignment:
-    """The assignment of relays, sorted barrel ids, whose first hop per
-    barrel is its nearest in-range relay (ties to lowest id), None for
-    sink-adjacent or unreachable barrels."""
-    relay_mask = mask_of(relays)
-    sink_adj = topology.adjacency[topology.sink]
-    chosen: list[Optional[int]] = [None] * topology.node_count
-    for i in topology.barrels:
-        if sink_adj >> i & 1:
-            continue
-        # the relays in range; a node is never its own neighbor
-        candidates = bits(topology.adjacency[i] & relay_mask)
-        chosen[i] = min(candidates, key=lambda r: (topology.distance(i, r), r), default=None)
-    return RelayAssignment(relays, tuple(chosen))
-
-
-def all_relays(topology: Topology) -> RelayAssignment:
+def all_relays(topology: Topology) -> tuple[int, ...]:
     """Every barrel forwards."""
-    return _attach_nearest(topology, tuple(topology.barrels))
+    return tuple(topology.barrels)
 
 
-def random_relays(topology: Topology, count: int, seed: int) -> RelayAssignment:
+def random_relays(topology: Topology, count: int, seed: int) -> tuple[int, ...]:
     """A seeded uniform sample of `count` distinct barrels."""
     check_count("count", count, least=0, most=topology.sink)
     rng = random.Random(seed)
-    return _attach_nearest(topology, tuple(sorted(rng.sample(topology.barrels, count))))
+    return tuple(sorted(rng.sample(topology.barrels, count)))
 
 
-def knn_relays(topology: Topology, k: int, seed: int) -> RelayAssignment:
+def knn_relays(topology: Topology, k: int, seed: int) -> tuple[int, ...]:
     """Cluster-head relays: k-means over barrel positions, one head per
     centroid (the nearest barrel, ties to the lowest id), deduplicated.
 
@@ -156,7 +114,7 @@ def knn_relays(topology: Topology, k: int, seed: int) -> RelayAssignment:
             key=lambda i: ((points[i][0] - cx) ** 2 + (points[i][1] - cy) ** 2, i),
         )
         heads.add(head)
-    return _attach_nearest(topology, tuple(sorted(heads)))
+    return tuple(sorted(heads))
 
 
 def isolated_nodes(topology: Topology, relays: tuple[int, ...]) -> list[int]:
@@ -177,55 +135,37 @@ def isolated_nodes(topology: Topology, relays: tuple[int, ...]) -> list[int]:
     return [i for i in topology.barrels if topology.adjacency[i] & reachable == 0]
 
 
-def validate_assignment(topology: Topology, assignment: RelayAssignment) -> list[str]:
+def validate_assignment(topology: Topology, relays: tuple[int, ...]) -> list[str]:
     """Consistency and coverage check; returns human-readable issues, empty
-    when the assignment is sound for this topology."""
+    when the relay set is sound for this topology."""
     issues = []
-    n = topology.node_count
-    if len(assignment.chosen) != n:
-        issues.append(
-            f"chosen has {len(assignment.chosen)} entries for {n} nodes"
-        )
-        return issues
-    relay_set = set(assignment.relays)
-    for r in assignment.relays:
+    for r in relays:
         if not (0 <= r < topology.sink):
             issues.append(f"relay {r} is not a barrel id")
-    if list(assignment.relays) != sorted(relay_set):
+    if list(relays) != sorted(set(relays)):
         issues.append("relay list is not sorted and distinct")
-    for i, target in enumerate(assignment.chosen):
-        if target is None:
-            continue
-        if i == topology.sink:
-            issues.append("sink has a chosen relay")
-        if target not in relay_set:
-            issues.append(f"node {i} attaches to {target}, which is not a relay")
-        elif not topology.neighbor(i, target):
-            issues.append(f"node {i} attaches to out-of-range relay {target}")
-    for i in isolated_nodes(topology, assignment.relays):
+    for i in isolated_nodes(topology, relays):
         issues.append(f"node {i} is isolated: no relay path to the sink")
     return issues
 
 
-_CSV_FIELDS = ["node", "x", "y", "role", "chosen_relay", "score", "range_m"]
+_CSV_FIELDS = ["node", "x", "y", "role", "range_m"]
 
 
-def save_assignment_csv(topology: Topology, assignment: RelayAssignment, path) -> None:
-    """One row per node: id, position, role (sink/relay/barrel), attachment,
-    final score where the strategy produces one, and the radio range the
-    assignment was selected at."""
-    scores = assignment.scores or [None] * topology.node_count
+def save_assignment_csv(topology: Topology, relays: tuple[int, ...], path) -> None:
+    """One row per node: id, position, role (sink/relay/barrel) and the radio
+    range the relays were selected at."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
         for i, (x, y) in enumerate(topology.positions):
             if i == topology.sink:
                 role = "sink"
-            elif i in assignment.relays:
+            elif i in relays:
                 role = "relay"
             else:
                 role = "barrel"
-            writer.writerow([i, x, y, role, assignment.chosen[i], scores[i], topology.range_r])
+            writer.writerow([i, x, y, role, topology.range_r])
 
 
 def _field(row: dict, node: int, column: str, convert=float):
@@ -236,13 +176,11 @@ def _field(row: dict, node: int, column: str, convert=float):
         raise ValueError(f"node {node}: {column} = {row[column]!r}: bad value, {exc}") from None
 
 
-def load_assignment_csv(path) -> tuple[Topology, RelayAssignment]:
-    """Inverse of save_assignment_csv: the topology the assignment was saved
-    on, built at the file's range_m, and the assignment."""
+def load_assignment_csv(path) -> tuple[Topology, tuple[int, ...]]:
+    """Inverse of save_assignment_csv: the topology the relays were saved
+    on, built at the file's range_m, and the relays."""
     positions: list[tuple[float, float]] = []
     relays: list[int] = []
-    chosen: list[Optional[int]] = []
-    scores: list[Optional[float]] = []
     ranges: set[float] = set()
     sink = None
     with open(path, newline="") as fh:
@@ -266,8 +204,6 @@ def load_assignment_csv(path) -> tuple[Topology, RelayAssignment]:
                 relays.append(i)
             elif row["role"] != "barrel":
                 raise ValueError(f"unknown role {row['role']!r}")
-            chosen.append(_field(row, i, "chosen_relay", int) if row["chosen_relay"] else None)
-            scores.append(_field(row, i, "score") if row["score"] else None)
             ranges.add(_field(row, i, "range_m"))
     if sink != len(positions) - 1:
         raise ValueError("sink must be the last node")
@@ -278,8 +214,4 @@ def load_assignment_csv(path) -> tuple[Topology, RelayAssignment]:
     except LayoutError as exc:
         raise ValueError(f"range_m: {exc}") from None
     topology = topology_from_positions(positions[:-1], positions[-1], range_m)
-    return topology, RelayAssignment(
-        relays=tuple(relays),
-        chosen=tuple(chosen),
-        scores=None if None in scores else tuple(scores),
-    )
+    return topology, tuple(relays)

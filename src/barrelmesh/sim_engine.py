@@ -2,7 +2,7 @@
 
 Time is integer microseconds. Every stochastic quantity comes from one
 `random.Random(config.seed)` stream with a fixed draw order, so a run is a
-pure function of (topology, assignment, config):
+pure function of (topology, relays, config):
 
 1. per-source phase offsets, ascending source id;
 2. jitter and channel for every origination copy, ascending (source, packet,
@@ -134,8 +134,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .relay_selection import RelayAssignment
-from .topology import Topology, bits, check_count
+from .topology import Topology, bits, check_count, mask_of
 
 # Refuse runs that would spin forever (misconfigured feedback loops), and
 # refuse silently truncating an event trace the caller asked for. run reads
@@ -293,10 +292,8 @@ def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[
     return [lanes[zone] for zone in zone_of]
 
 
-def _validate(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig):
-    if len(assignment.chosen) != topology.node_count:
-        raise ValueError("assignment does not match topology size")
-    for r in assignment.relays:
+def _validate(topology: Topology, relays: tuple[int, ...], config: ScenarioConfig):
+    for r in relays:
         if not (0 <= r < topology.sink):
             raise ValueError(f"relay {r} is not a barrel")
     check_config(config)
@@ -323,9 +320,9 @@ def check_config(config: ScenarioConfig) -> None:
         raise ValueError("loss_p must be in [0, 1]")
 
 
-def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig) -> SimResult:
+def run(topology: Topology, relays: tuple[int, ...], config: ScenarioConfig) -> SimResult:
     """Simulate one scenario; see the module docstring for the model."""
-    _validate(topology, assignment, config)
+    _validate(topology, relays, config)
     n = topology.node_count
     sink = topology.sink
     adj = topology.adjacency
@@ -336,7 +333,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     loss_p = config.channel.loss_p
     lossy = loss_p > 0
     max_events = MAX_EVENTS
-    listener_mask = assignment.relay_mask() | (1 << sink)
+    listener_mask = mask_of(relays) | (1 << sink)
     copies = plan_transmissions(topology, config.copies)
     interval = packet_interval_us(config.app_rate_pps)
 
@@ -644,7 +641,7 @@ def run(topology: Topology, assignment: RelayAssignment, config: ScenarioConfig)
     return SimResult(
         sim_time_us=T,
         seed=config.seed,
-        relays=assignment.relays,
+        relays=relays,
         app_sent=tuple(app_sent),
         net_transmissions=tuple(net_tx),
         relayed_count=tuple(relayed),

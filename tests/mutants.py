@@ -1,18 +1,20 @@
 """Mutation probe of one function: which one-site changes do the tests miss?
 
-    python tests/mutants.py [--target MODULE.py:FUNCTION] [--every N] [--jobs J] [TEST ...]
+    python tests/mutants.py [--target MODULE.py:NAME] [--every N] [--jobs J] [TEST ...]
 
 Run from anywhere; it uses the checkout it sits in. The target names a
 module of src/barrelmesh and a function defined in it, by default
-sim_engine.py:run. A site is one of:
+sim_engine.py:run, or a name the module assigns at its top level, such as
+cli.py:PLAN_KEYS, whose value (lambdas included) is then the site range. A
+site is one of:
 
 - a comparison operator, whose boundary it flips (< and <=, > and >=,
   == and !=) or whose test it negates (in and not in, is and is not);
 - an integer constant, to which it adds 1;
 - a bitwise & or |, which it swaps for the other.
 
-Sites are numbered in source order over the function, nested functions
-included. Each mutant changes one site in a copy of `src/` under a
+Sites are numbered in source order over the function or value, nested
+functions included. Each mutant changes one site in a copy of `src/` under a
 temporary directory and runs `python -m pytest -x` on the given tests (by
 default tests/test_sim_engine.py and tests/test_properties.py) against that
 copy. A mutant is killed when the tests fail or run past the time limit,
@@ -52,14 +54,17 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
 
 
 def sites(tree: ast.Module, name: str) -> list[tuple]:
-    """Each mutable site of the function called name in tree, in source
-    order, as (node, index of the operator in a comparison or None)."""
-    function = next(
+    """Each mutable site of the function called name in tree, or of the
+    module-level assignment to name, in source order, as (node, index of the
+    operator in a comparison or None)."""
+    target = next(
         node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == name
+        if (isinstance(node, ast.FunctionDef) and node.name == name)
+        or (isinstance(node, ast.Assign) and node in tree.body
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets))
     )
     found = []
-    for node in ast.walk(function):
+    for node in ast.walk(target):
         if isinstance(node, ast.Compare):
             found += [(node, i) for i, op in enumerate(node.ops) if type(op) in FLIPS]
         elif isinstance(node, ast.Constant) and type(node.value) is int:
@@ -114,7 +119,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tests", nargs="*", default=list(DEFAULT_TESTS))
     parser.add_argument("--target", default=DEFAULT_TARGET,
-                        help="MODULE.py:FUNCTION, a module of src/barrelmesh")
+                        help="MODULE.py:NAME, a function or top-level name of a "
+                             "module of src/barrelmesh")
     parser.add_argument("--every", type=int, default=1, help="try every Nth site")
     parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
     args = parser.parse_args(argv)
@@ -123,13 +129,13 @@ def main(argv=None) -> int:
     file, _, name = args.target.partition(":")
     module = Path("barrelmesh") / file
     if not (name and (ROOT / "src" / module).is_file()):
-        parser.error(f"--target {args.target!r} is not MODULE.py:FUNCTION in src/barrelmesh")
+        parser.error(f"--target {args.target!r} is not MODULE.py:NAME in src/barrelmesh")
     jobs = min(args.jobs, os.cpu_count() or 1)
     source = (ROOT / "src" / module).read_text()
     try:
         count = len(sites(ast.parse(source), name))
     except StopIteration:
-        parser.error(f"{file} defines no function {name!r}")
+        parser.error(f"{file} defines no function or top-level name {name!r}")
     chosen = range(0, count, args.every)
     print(f"{count} sites in {module}:{name}, {len(chosen)} tried, {jobs} at a time")
 

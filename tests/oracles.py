@@ -156,7 +156,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def reference_run(topology, assignment, config) -> SimResult:
+def reference_run(topology, relays, config) -> SimResult:
     """The engine before its pending-queue rewrite, kept verbatim.
 
     Blocked frames are re-pushed onto the main heap, every frame end scans
@@ -164,7 +164,7 @@ def reference_run(topology, assignment, config) -> SimResult:
     `random.Random.randrange`. The fast engine must return the same
     SimResult in every field except processed_events.
     """
-    _validate(topology, assignment, config)
+    _validate(topology, relays, config)
     n = topology.node_count
     sink = topology.sink
     adj = topology.adjacency
@@ -174,7 +174,7 @@ def reference_run(topology, assignment, config) -> SimResult:
     nch = config.channel.n_adv_channels
     loss_p = config.channel.loss_p
     lossy = loss_p > 0
-    listener_mask = assignment.relay_mask() | (1 << sink)
+    listener_mask = sum(1 << r for r in set(relays)) | (1 << sink)
     copies = plan_transmissions(topology, config.copies)
     interval = round(1e6 / config.app_rate_pps)
     if interval < 2:
@@ -345,7 +345,7 @@ def reference_run(topology, assignment, config) -> SimResult:
     return SimResult(
         sim_time_us=T,
         seed=config.seed,
-        relays=assignment.relays,
+        relays=relays,
         app_sent=tuple(app_sent),
         net_transmissions=tuple(net_tx),
         relayed_count=tuple(relayed),

@@ -92,16 +92,14 @@ def test_selection_matches_independent_walkthrough():
         r = rng.uniform(25.0, 160.0)
         topo = topology_from_positions(pts[:-1], pts[-1], r)
         got = crns_select(topo)
-        is_relay, chosen, scores = crns_oracle(pts, topo.sink, r)
-        assert got.relays == tuple(i for i, f in enumerate(is_relay) if f)
-        assert got.chosen == tuple(chosen)
-        assert got.scores == tuple(scores)
+        is_relay, _, _ = crns_oracle(pts, topo.sink, r)
+        assert got == tuple(i for i, f in enumerate(is_relay) if f)
     elapsed = time.perf_counter() - start
     check(
         "A1",
         "relay selection matches the independent walkthrough",
         elapsed < 5.0,
-        f"50 random topologies, exact sets/attachments/scores, {elapsed:.2f}s",
+        f"50 random topologies, exact relay sets, {elapsed:.2f}s",
     )
 
 

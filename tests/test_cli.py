@@ -222,7 +222,7 @@ class TestBudgetAndMaterialize:
         plan = EXPERIMENT_PRESETS["paper"]
         topo = build_layout(plan.layout, 71.0)
         budget = relay_budget(plan, topo)
-        assert budget == len(cli.crns_select(topo).relays)
+        assert budget == len(cli.crns_select(topo))
         assert relay_budget(plan, build_layout(plan.layout, 60.0)) != budget
 
     def test_explicit_budget_wins(self):
@@ -240,8 +240,8 @@ class TestBudgetAndMaterialize:
         plan = EXPERIMENT_PRESETS["paper"]
         _, rnd = materialize(plan, "random", seed=3)
         _, knn = materialize(plan, "knn", seed=3)
-        assert len(rnd.relays) == 18
-        assert 1 <= len(knn.relays) <= 18  # duplicate heads may collapse
+        assert len(rnd) == 18
+        assert 1 <= len(knn) <= 18  # duplicate heads may collapse
 
     def test_unknown_algorithm(self):
         with pytest.raises(PlanError):
@@ -408,7 +408,7 @@ class TestWriteOutputs:
         for path in selected:
             argv = ["select", "--algorithm", path.stem, "--seed", "4", "--out", str(path)]
             assert main(argv) == 0
-        assert sha(selected) == "b0c45a96ac635f47734b5f1a668349eb01845c45d7ac434efd977c25f9fcacbe"
+        assert sha(selected) == "f2420a8a1aaf9c9faf1171ad5717adcf3b96c5af833d84ed4e4a8218c8805b87"
 
     def test_metadata_fields(self, matrix, tmp_path):
         plan, results = matrix
@@ -667,9 +667,9 @@ class TestVerbs:
         assert main(["select", "--algorithm", "crns", "--out", str(out_csv)]) == 0
         out = capsys.readouterr().out
         assert "18 relays of 30 barrels" in out
-        topo, assignment = load_assignment_csv(out_csv)
+        topo, relays = load_assignment_csv(out_csv)
         assert topo.sink == 30
-        assert assignment.relays == tuple(range(7, 25))
+        assert relays == tuple(range(7, 25))
         assert topo.range_r == 100.0
 
     @pytest.mark.parametrize(
@@ -767,6 +767,24 @@ class TestVerbs:
         )
         assert out_csv.read_text() == "precious"
 
+    @pytest.mark.parametrize("verb, out, step, reason", [
+        ("run", "afile/r", "run_matrix", "Not a directory"),
+        ("select", "afile/a.csv", "materialize", "File exists"),
+    ])
+    def test_out_under_a_plain_file_exits_2_first(
+        self, capsys, tmp_path, monkeypatch, verb, out, step, reason
+    ):
+        # both used to run or select first, then fail on the directory with
+        # an error that named no flag
+        (tmp_path / "afile").write_text("precious")
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, step, lambda *args, **kw: calls.append(args))
+        assert main([verb, "--out", out]) == 2
+        assert calls == []
+        assert capsys.readouterr() == ("", f"error: --out = {out!r}: bad value, {reason}\n")
+        assert (tmp_path / "afile").read_text() == "precious"
+
     def test_select_out_makes_its_directory(self, capsys, tmp_path):
         # as run --out does
         out_csv = tmp_path / "nodir" / "sub" / "assign.csv"
@@ -825,10 +843,10 @@ class TestVerbs:
         # each barrel 200 m from the next, out of range, so the build stays cheap
         path = tmp_path / "assign.csv"
         for barrels, code in ((MAX_BARRELS, 1), (MAX_BARRELS + 1, 2)):
-            rows = [f"{i},{200.0 * i},0.0,barrel,,,100.0\n" for i in range(barrels)]
+            rows = [f"{i},{200.0 * i},0.0,barrel,100.0\n" for i in range(barrels)]
             path.write_text(
-                "node,x,y,role,chosen_relay,score,range_m\n"
-                + "".join(rows) + f"{barrels},-200.0,0.0,sink,,,100.0\n"
+                "node,x,y,role,range_m\n"
+                + "".join(rows) + f"{barrels},-200.0,0.0,sink,100.0\n"
             )
             assert main(["validate", "--assignment", str(path)]) == code
         assert capsys.readouterr().err == (
@@ -836,8 +854,8 @@ class TestVerbs:
         )
 
     def test_validate_uses_the_range_selected_at(self, capsys, tmp_path):
-        # at 200 m node 24 attaches to relay 16, which is out of range at
-        # the default 100 m
+        # the relays crns picks at 200 m leave node 24 with no relay path
+        # to the sink at the default 100 m
         out_csv = tmp_path / "assign.csv"
         ini = write_ini(tmp_path, "[scenario]\nrange = 200m\n")
         assert main(["select", "--config", str(ini), "--out", str(out_csv)]) == 0
@@ -850,7 +868,7 @@ class TestVerbs:
             header + "\n" + "".join(row.rsplit(",", 1)[0] + ",100.0\n" for row in rows)
         )
         assert main(["validate", "--assignment", str(out_csv)]) == 1
-        assert "node 24 attaches to out-of-range relay 16" in capsys.readouterr().out
+        assert "node 24 is isolated: no relay path to the sink" in capsys.readouterr().out
 
     def test_validate_refuses_a_file_without_range(self, capsys, tmp_path):
         # range_m is a required column
@@ -863,10 +881,23 @@ class TestVerbs:
         capsys.readouterr()
         assert main(["validate", "--assignment", str(out_csv)]) == 2
         assert capsys.readouterr().err == (
-            "error: assignment columns must be node,x,y,role,chosen_relay,score,range_m, "
-            "got node,x,y,role,chosen_relay,score\n"
+            "error: assignment columns must be node,x,y,role,range_m, got node,x,y,role\n"
         )
         assert out_csv.read_bytes() == written
+
+    def test_validate_refuses_a_file_with_attachment_columns(self, capsys, tmp_path):
+        # the file format before relay sets stood alone: cut the two columns,
+        # or rerun select
+        path = tmp_path / "assign.csv"
+        path.write_text(
+            "node,x,y,role,chosen_relay,score,range_m\n"
+            "0,90.0,0.0,relay,,2.0,100.0\n1,0.0,0.0,sink,,1.0,100.0\n"
+        )
+        assert main(["validate", "--assignment", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: assignment columns must be node,x,y,role,range_m, "
+            "got node,x,y,role,chosen_relay,score,range_m\n"
+        )
 
     def test_validate_flags_bad_assignment(self, capsys, tmp_path):
         out_csv = tmp_path / "assign.csv"
@@ -892,7 +923,6 @@ class TestVerbs:
     @pytest.mark.parametrize("column, text, reason", [
         ("y", "", "could not convert string to float: ''"),  # the row cut after x
         ("x", "abc", "could not convert string to float: 'abc'"),
-        ("chosen_relay", "x", "invalid literal for int() with base 10: 'x'"),
     ])
     def test_validate_names_the_node_and_column_of_a_bad_field(
         self, capsys, tmp_path, column, text, reason
@@ -1196,12 +1226,12 @@ class TestVerbs:
         got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
         argv = ["select", "--config", str(ini), "--algorithm", algorithm, "--seed", "4"]
         assert main(argv + ["--out", str(got)]) == 0
-        topo, assignment = materialize(parse_plan(ini), algorithm, seed=4)
-        save_assignment_csv(topo, assignment, want)
+        topo, relays = materialize(parse_plan(ini), algorithm, seed=4)
+        save_assignment_csv(topo, relays, want)
         assert got.read_bytes() == want.read_bytes()
         assert topo.range_r == (170.0 if algorithm == "all" else 80.0)
         if algorithm == "random":
-            assert len(assignment.relays) == 3
+            assert len(relays) == 3
 
     def test_select_config_overrides(self, capsys, tmp_path):
         # a plan whose own budget the layout cannot hold fails as it is read,

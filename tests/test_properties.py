@@ -29,8 +29,6 @@ from barrelmesh.metrics import (
     relay_load_stats,
 )
 from barrelmesh.relay_selection import (
-    RelayAssignment,
-    _attach_nearest,
     all_relays,
     crns_select,
     isolated_nodes,
@@ -66,9 +64,7 @@ EXAMPLES = {
     "barrel_count_law": 60,
     "layout_determinism": 20,
     "crns_matches_reference": 60,
-    "score_conservation": 60,
     "attachment_laws": 50,
-    "attach_nearest_reference": 50,
     "chain_connectivity": 30,
     "isolation_reference": 50,
     "degenerate_baselines": 30,
@@ -336,28 +332,8 @@ def test_layout_determinism(seg_params, placement):
 @settings(max_examples=EXAMPLES["crns_matches_reference"])
 @given(small_topologies())
 def test_crns_matches_reference(topo):
-    got = crns_select(topo)
-    is_relay, chosen, scores = crns_oracle(
-        list(topo.positions), topo.sink, topo.range_r
-    )
-    assert got.relays == tuple(i for i, f in enumerate(is_relay) if f)
-    assert got.chosen == tuple(chosen)
-    assert got.scores == tuple(scores)
-
-
-@settings(max_examples=EXAMPLES["score_conservation"])
-@given(small_topologies())
-def test_score_conservation(topo):
-    """Every point a node's score drops is one nomination it absorbed."""
-    got = crns_select(topo)
-    nominations = Counter(t for t in got.chosen if t is not None)
-    for j, degree in enumerate(neighbor_degrees(topo)):
-        assert degree - got.scores[j] == nominations.get(j, 0)
-    assert sum(nominations.values()) == sum(
-        1
-        for i in topo.barrels
-        if not topo.adjacency[topo.sink] >> i & 1 and topo.adjacency[i]
-    )
+    is_relay, _, _ = crns_oracle(list(topo.positions), topo.sink, topo.range_r)
+    assert crns_select(topo) == tuple(i for i, f in enumerate(is_relay) if f)
 
 
 @settings(max_examples=EXAMPLES["attachment_laws"])
@@ -370,43 +346,9 @@ def test_attachment_laws(topo, seed, data):
             random_relays(topo, data.draw(st.integers(1, n_barrels)), seed)
         )
     for got in strategies:
-        assert list(got.relays) == sorted(set(got.relays))
-        assert all(0 <= r < n_barrels for r in got.relays)
-        assert got.chosen[topo.sink] is None
-        for i in topo.barrels:
-            target = got.chosen[i]
-            if topo.adjacency[topo.sink] >> i & 1:
-                assert target is None, "sink-adjacent barrels need no relay"
-            if target is not None:
-                assert target in got.relays
-                assert target != i
-                assert topo.distance(i, target) < topo.range_r
-
-
-def attach_by_scan(topo, relays):
-    """_attach_nearest's definition: every relay tested for every barrel."""
-    sink_adj = topo.adjacency[topo.sink]
-    chosen = [None] * topo.node_count
-    for i in topo.barrels:
-        if sink_adj >> i & 1:
-            continue
-        candidates = [r for r in relays if r != i and topo.neighbor(i, r)]
-        if candidates:
-            chosen[i] = min(candidates, key=lambda r: (topo.distance(i, r), r))
-    return tuple(chosen)
-
-
-@settings(max_examples=EXAMPLES["attach_nearest_reference"])
-@given(small_topologies(), st.none() | st.sets(st.integers(0, 7)))
-# every barrel a relay, and barrel 1 midway between relays 0 and 2
-@example(topology_from_positions([(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)], (-200.0, 0.0), 80.0), None)
-def test_attach_nearest_matches_scan(topo, relay_ids):
-    # None stands for every barrel, as all_relays passes
-    if relay_ids is None:
-        relays = tuple(topo.barrels)
-    else:
-        relays = tuple(sorted(r for r in relay_ids if r < topo.sink))
-    assert _attach_nearest(topo, relays) == RelayAssignment(relays, attach_by_scan(topo, relays))
+        assert type(got) is tuple
+        assert list(got) == sorted(set(got))
+        assert all(0 <= r < n_barrels for r in got)
 
 
 @settings(max_examples=EXAMPLES["chain_connectivity"])
@@ -414,11 +356,8 @@ def test_attach_nearest_matches_scan(topo, relay_ids):
 def test_chain_connectivity(topo):
     """Flooding over every barrel spans any gap-connected row."""
     got = all_relays(topo)
-    assert isolated_nodes(topo, got.relays) == []
+    assert isolated_nodes(topo, got) == []
     assert validate_assignment(topo, got) == []
-    for i in topo.barrels:
-        near_sink = bool(topo.adjacency[topo.sink] >> i & 1)
-        assert near_sink or got.chosen[i] is not None
 
 
 def reference_isolated(topo, relays):
@@ -451,9 +390,9 @@ def test_isolation_matches_reference(topo, data):
 def test_degenerate_baselines(topo, seed):
     n = topo.sink
     everyone = tuple(range(n))
-    assert all_relays(topo).relays == everyone
-    assert random_relays(topo, n, seed).relays == everyone
-    assert knn_relays(topo, n, seed).relays == everyone
+    assert all_relays(topo) == everyone
+    assert random_relays(topo, n, seed) == everyone
+    assert knn_relays(topo, n, seed) == everyone
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +439,7 @@ def test_resolver_vs_reference(soup):
 # simulation engine
 
 
-def draw_assignment(draw, topo):
+def draw_relays(draw, topo):
     picker = draw(st.sampled_from(["crns", "all", "random"]))
     if picker == "crns":
         return crns_select(topo)
@@ -514,7 +453,7 @@ def draw_assignment(draw, topo):
 @st.composite
 def engine_cases(draw):
     topo = draw(chain_topologies())
-    assignment = draw_assignment(draw, topo)
+    relays = draw_relays(draw, topo)
     config = ScenarioConfig(
         app_rate_pps=draw(st.sampled_from([1.0, 2.0])),
         sim_time_s=2.0,
@@ -527,15 +466,15 @@ def engine_cases(draw):
         ),
         emit_events=True,
     )
-    return topo, assignment, config
+    return topo, relays, config
 
 
 @settings(max_examples=EXAMPLES["engine_accounting"])
 @given(engine_cases())
 def test_engine_accounting(case):
     """The run's counters must all be re-derivable from its event trace."""
-    topo, assignment, config = case
-    result = run(topo, assignment, config)
+    topo, relays, config = case
+    result = run(topo, relays, config)
     n = topo.node_count
     copies = plan_transmissions(topo, config.copies)
 
@@ -576,7 +515,7 @@ def test_engine_accounting(case):
     # by the origination burst plus one frame per relay
     assert all(c == 1 for c in forward_keys.values())
     for (source, pkt), count in tx_per_packet.items():
-        assert count <= copies[source] + len(assignment.relays)
+        assert count <= copies[source] + len(relays)
 
     by_source = Counter(s for s, _, _ in deliver_events)
     for node in range(n):
@@ -584,7 +523,7 @@ def test_engine_accounting(case):
         assert result.delivered_by_source[node] <= result.app_sent[node]
     assert len({(s, p) for s, p, _ in deliver_events}) == len(deliver_events)
 
-    assert result.max_hops <= len(assignment.relays) + 1
+    assert result.max_hops <= len(relays) + 1
     assert result.max_hops <= config.ttl
 
     # the two delivery-ratio definitions agree on live runs
@@ -597,7 +536,7 @@ def test_engine_accounting(case):
     assert abs(weighted - 100.0 * delivered) <= 1e-9 * max(1.0, weighted)
 
     stats = relay_load_stats(result)
-    assert stats["loads"] == [result.relayed_count[r] for r in assignment.relays]
+    assert stats["loads"] == [result.relayed_count[r] for r in relays]
     assert sum(stats["loads"]) == sum(forwards.values())
 
     profile = PowerProfile()
@@ -610,15 +549,15 @@ def test_engine_accounting(case):
 @settings(max_examples=EXAMPLES["engine_determinism"])
 @given(engine_cases())
 def test_engine_determinism(case):
-    topo, assignment, config = case
-    assert run(topo, assignment, config) == run(topo, assignment, config)
+    topo, relays, config = case
+    assert run(topo, relays, config) == run(topo, relays, config)
 
 
 @st.composite
 def congested_cases(draw, topologies=chain_topologies(max_barrels=12)):
     """Short, busy runs: queues at every radio, frames cut by the horizon."""
     topo = draw(topologies)
-    assignment = draw_assignment(draw, topo)
+    relays = draw_relays(draw, topo)
     rate = draw(st.sampled_from([64.0, 256.0, 1024.0, 2048.0]))
     # at most ~50 packets a source: the reference re-pushes every waiting
     # frame each time its radio frees, so its cost grows with the square of
@@ -640,7 +579,7 @@ def congested_cases(draw, topologies=chain_topologies(max_barrels=12)):
         ),
         emit_events=draw(st.booleans()),
     )
-    return topo, assignment, config
+    return topo, relays, config
 
 
 ROW = [0.0, 60.0, 130.0, 190.0, 260.0]
@@ -701,9 +640,9 @@ def test_engine_vs_reference(case):
     assert_matches_reference(*case)
 
 
-def assert_matches_reference(topo, assignment, config):
-    got = run(topo, assignment, config)
-    want = reference_run(topo, assignment, config)
+def assert_matches_reference(topo, relays, config):
+    got = run(topo, relays, config)
+    want = reference_run(topo, relays, config)
     assert replace(got, processed_events=0) == replace(want, processed_events=0)
     return got
 
@@ -733,8 +672,8 @@ def test_origination_edges_match_reference(case, edges):
     of the round-robin over the sources onto the engine's heap. Each case
     puts the run on the named edges of that rule and still matches the
     reference."""
-    topo, assignment, config = case
-    got = assert_matches_reference(topo, assignment, replace(config, emit_events=True))
+    topo, relays, config = case
+    got = assert_matches_reference(topo, relays, replace(config, emit_events=True))
     interval = packet_interval_us(config.app_rate_pps)
     origin_at = {(node, pkt): t for t, node, kind, _, pkt, _ in got.events if kind == "origin"}
     sent = got.app_sent[: topo.sink]
@@ -769,8 +708,8 @@ def test_counters_at_the_horizon_match_reference(case, state):
     a node started every copy it was offered but those still owed, plus its
     forwards, and only its last frame can run past T. Each case puts some
     node in the named state at T and still matches the reference."""
-    topo, assignment, config = case
-    got = assert_matches_reference(topo, assignment, replace(config, emit_events=True))
+    topo, relays, config = case
+    got = assert_matches_reference(topo, relays, replace(config, emit_events=True))
     T, dur = got.sim_time_us, config.channel.frame_duration_us
     last_end = [0] * topo.sink
     started = [0] * topo.sink
@@ -835,14 +774,14 @@ def test_processed_events_are_the_events_taken(case):
     way, it is every event taken off the heap, plus the end of every frame
     that ends by T, read from the trace. A budget of exactly that many
     events holds: the runaway guard in the loop refuses no such run."""
-    topo, assignment, config = case
+    topo, relays, config = case
     config = replace(config, emit_events=True)
-    got, taken = count_events_taken(run, topo, assignment, config)
+    got, taken = count_events_taken(run, topo, relays, config)
     T, dur = got.sim_time_us, config.channel.frame_duration_us
     ends = sum(kind == "tx" and t + dur <= T for t, _, kind, *_ in got.events)
     assert got.processed_events == taken + ends
     with patch.object(sim_engine, "MAX_EVENTS", got.processed_events):
-        assert run(topo, assignment, config) == got
+        assert run(topo, relays, config) == got
 
 
 def zone_case(barrels, sink, range_r, seed, loss_p=0.0):
@@ -969,9 +908,8 @@ def test_two_hop_delivery(gap, seed, dur):
     topo = topology_from_positions(
         [(0.0, 0.0), (float(gap), 0.0)], (-60.0, 0.0), 100.0
     )
-    assignment = crns_select(topo)
-    assert assignment.relays == (0,)
-    assert assignment.chosen[1] == 0
+    relays = crns_select(topo)
+    assert relays == (0,)
     config = ScenarioConfig(
         app_rate_pps=1.0,
         sim_time_s=2.0,
@@ -980,7 +918,7 @@ def test_two_hop_delivery(gap, seed, dur):
         channel=ChannelConfig(frame_duration_us=dur, adv_jitter_ms=3.0),
         emit_events=True,
     )
-    result = run(topo, assignment, config)
+    result = run(topo, relays, config)
     assert result.app_sent == (2, 2, 0)
 
     tx_windows = [
@@ -1120,14 +1058,14 @@ def test_pdr_insensitive_to_horizon():
     """Twice the horizon is twice the packets at the same traffic density,
     so the delivery ratio should move little."""
     topo = build_layout(FDOT_45MPH)
-    assignment = crns_select(topo)
+    relays = crns_select(topo)
     means = []
     for sim_time in (4.0, 8.0):
         pdrs = []
         for seed in range(4):
             result = run(
                 topo,
-                assignment,
+                relays,
                 ScenarioConfig(app_rate_pps=1.0, sim_time_s=sim_time, seed=seed),
             )
             pdrs.append(network_pdr(result))

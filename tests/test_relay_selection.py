@@ -5,7 +5,6 @@ import pytest
 
 from oracles import crns_oracle, kmeans_oracle
 from barrelmesh.relay_selection import (
-    RelayAssignment,
     all_relays,
     crns_select,
     isolated_nodes,
@@ -15,7 +14,7 @@ from barrelmesh.relay_selection import (
     save_assignment_csv,
     validate_assignment,
 )
-from barrelmesh.topology import FDOT_45MPH, build_layout, topology_from_positions
+from barrelmesh.topology import FDOT_45MPH, build_layout, mask_of, topology_from_positions
 
 
 @pytest.fixture(scope="module")
@@ -35,22 +34,14 @@ class TestCrns:
     # minus 0.9 beats node 2's 1 minus 0.9); 2 then nominates 1.
     def test_three_barrel_line_trace(self):
         topo = line_topology(90.0, 180.0, 270.0)
-        a = crns_select(topo)
-        assert a.relays == (0, 1)
-        assert a.chosen == (None, 0, 1, None)
-        assert a.scores == (1.0, 1.0, 1.0, 1.0)
+        assert crns_select(topo) == (0, 1)
 
     def test_shipped_layout_matches_reference(self, preset):
-        a = crns_select(preset)
-        is_relay, chosen, score = crns_oracle(
-            preset.positions, preset.sink, preset.range_r
-        )
-        assert list(a.relays) == [i for i, v in enumerate(is_relay) if v]
-        assert list(a.chosen) == chosen
-        assert list(a.scores) == score
+        is_relay, _, _ = crns_oracle(preset.positions, preset.sink, preset.range_r)
+        assert list(crns_select(preset)) == [i for i, v in enumerate(is_relay) if v]
 
     def test_shipped_layout_relay_set_frozen(self, preset):
-        assert crns_select(preset).relays == (
+        assert crns_select(preset) == (
             7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
         )
 
@@ -63,63 +54,47 @@ class TestCrns:
                 pts.add((rng.uniform(0, 400), rng.uniform(0, 30)))
             pts = sorted(pts)
             topo = topology_from_positions(pts[:-1], pts[-1], 100.0)
-            a = crns_select(topo)
-            is_relay, chosen, score = crns_oracle(
-                topo.positions, topo.sink, topo.range_r
-            )
-            assert list(a.relays) == [i for i, v in enumerate(is_relay) if v]
-            assert list(a.chosen) == chosen
-            assert list(a.scores) == score
+            is_relay, _, _ = crns_oracle(topo.positions, topo.sink, topo.range_r)
+            assert list(crns_select(topo)) == [i for i, v in enumerate(is_relay) if v]
 
     def test_everyone_in_sink_range_yields_no_relays(self):
         topo = line_topology(30.0, 60.0, 90.0)
-        a = crns_select(topo)
-        assert a.relays == ()
-        assert all(c is None for c in a.chosen)
+        assert crns_select(topo) == ()
 
     def test_relay_mask(self):
+        # the listener mask the engine builds from a relay set
         topo = line_topology(90.0, 180.0, 270.0)
-        assert crns_select(topo).relay_mask() == 0b011
+        assert mask_of(crns_select(topo)) == 0b011
 
 
 class TestBaselines:
     def test_all_relays_covers_every_barrel(self, preset):
-        a = all_relays(preset)
-        assert a.relays == tuple(range(30))
-        assert a.scores is None
-
-    def test_attachment_prefers_nearest_relay(self):
-        topo = line_topology(90.0, 180.0, 270.0)
-        a = all_relays(topo)
-        # node 0 talks to the sink directly; 1 is 90 m from both 0 and 2,
-        # tie resolved to the lower id
-        assert a.chosen == (None, 0, 1, None)
+        assert all_relays(preset) == tuple(range(30))
 
     def test_unreachable_barrel_attaches_nowhere(self):
+        # barrel 1 is 510 m from every other node: no relay can carry it
         topo = line_topology(90.0, 600.0)
-        a = all_relays(topo)
-        assert a.chosen[1] is None
+        assert validate_assignment(topo, all_relays(topo)) == [
+            "node 1 is isolated: no relay path to the sink"
+        ]
 
     def test_random_is_seed_deterministic(self, preset):
         a = random_relays(preset, 7, seed=42)
-        b = random_relays(preset, 7, seed=42)
-        assert a.relays == b.relays
-        assert len(a.relays) == 7
-        assert a.relays == tuple(sorted(set(a.relays)))
+        assert a == random_relays(preset, 7, seed=42)
+        assert len(a) == 7
+        assert a == tuple(sorted(set(a)))
 
     def test_random_different_seeds_differ(self, preset):
-        sets = {random_relays(preset, 7, seed=s).relays for s in range(20)}
+        sets = {random_relays(preset, 7, seed=s) for s in range(20)}
         assert len(sets) > 1
 
     def test_random_accepts_zero_and_full_counts(self, preset):
-        assert random_relays(preset, 0, seed=1).relays == ()
-        assert random_relays(preset, 30, seed=1).relays == tuple(range(30))
+        assert random_relays(preset, 0, seed=1) == ()
+        assert random_relays(preset, 30, seed=1) == tuple(range(30))
 
     def test_knn_accepts_zero_count(self, preset):
         # a relay budget of 0 is in range, as it is for random
-        a = knn_relays(preset, 0, seed=1)
-        assert a.relays == ()
-        assert a.chosen == (None,) * preset.node_count
+        assert knn_relays(preset, 0, seed=1) == ()
 
     def test_random_rejects_out_of_range_counts(self, preset):
         # True used to run as a count of 1, and 2.5 to end in random.sample's TypeError
@@ -130,11 +105,10 @@ class TestBaselines:
     def test_knn_matches_reference_on_a_line(self, preset):
         xs = [p[0] for p in preset.positions[: preset.sink]]
         for k, seed in [(3, 0), (7, 1), (16, 2), (1, 3)]:
-            a = knn_relays(preset, k, seed=seed)
-            assert list(a.relays) == kmeans_oracle(xs, k, seed)
+            assert list(knn_relays(preset, k, seed=seed)) == kmeans_oracle(xs, k, seed)
 
     def test_knn_with_k_equal_to_barrels_selects_all(self, preset):
-        assert knn_relays(preset, 30, seed=9).relays == tuple(range(30))
+        assert knn_relays(preset, 30, seed=9) == tuple(range(30))
 
     def test_knn_duplicate_heads_collapse(self):
         # the tight clump around x=245 attracts two centroids whose nearest
@@ -145,8 +119,7 @@ class TestBaselines:
             (289.7, 14.4),
         ]
         topo = topology_from_positions(pts, (297.2, 0.7), 100.0)
-        a = knn_relays(topo, 6, seed=5)
-        assert a.relays == (0, 3, 6, 7, 8)
+        assert knn_relays(topo, 6, seed=5) == (0, 3, 6, 7, 8)
 
     def test_knn_rejects_bad_k(self, preset):
         for k in (-1, 31, True, 2.5):
@@ -156,7 +129,7 @@ class TestBaselines:
 
 class TestCoverage:
     def test_shipped_layout_has_no_isolated_nodes_under_crns(self, preset):
-        assert isolated_nodes(preset, crns_select(preset).relays) == []
+        assert isolated_nodes(preset, crns_select(preset)) == []
 
     def test_gap_breaks_the_backbone(self):
         # barrel 2 is 200 m from everything that can still reach the sink
@@ -173,7 +146,7 @@ class TestCoverage:
         assert isolated_nodes(topo, ()) == [1]
 
     def test_validate_accepts_every_strategy_on_the_preset(self, preset):
-        budget = len(crns_select(preset).relays)
+        budget = len(crns_select(preset))
         for a in (
             crns_select(preset),
             all_relays(preset),
@@ -183,38 +156,20 @@ class TestCoverage:
             assert validate_assignment(preset, a) == []
 
     def test_validate_flags_foreign_relay(self, preset):
-        a = crns_select(preset)
-        bad = type(a)(
-            relays=a.relays + (preset.sink,),
-            chosen=a.chosen,
-            scores=a.scores,
-        )
+        bad = crns_select(preset) + (preset.sink,)
         assert any("not a barrel" in msg for msg in validate_assignment(preset, bad))
 
-    def test_validate_flags_out_of_range_attachment(self, preset):
-        a = crns_select(preset)
-        chosen = list(a.chosen)
-        chosen[29] = 8  # 8 is a relay but far outside node 29's range
-        bad = type(a)(
-            relays=a.relays,
-            chosen=tuple(chosen),
-            scores=a.scores,
-        )
-        assert any("out-of-range" in msg for msg in validate_assignment(preset, bad))
-
     @pytest.mark.parametrize(
-        "relays, chosen, message",
+        "relays, message",
         [
-            ((0, 1), (None, 0, 1), "chosen has 3 entries for 4 nodes"),
-            ((1, 0), (None, 0, 1, None), "relay list is not sorted and distinct"),
-            ((0, 1), (None, 0, 1, 0), "sink has a chosen relay"),
-            ((0,), (None, 0, 1, None), "node 2 attaches to 1, which is not a relay"),
+            ((1, 0), "relay list is not sorted and distinct"),
+            ((0, 0, 1), "relay list is not sorted and distinct"),
+            ((0, 1, 4), "relay 4 is not a barrel id"),
         ],
     )
-    def test_validate_flags_inconsistent_assignment(self, relays, chosen, message):
+    def test_validate_flags_inconsistent_assignment(self, relays, message):
         topo = line_topology(90.0, 180.0, 270.0)
-        a = RelayAssignment(relays=relays, chosen=chosen)
-        assert message in validate_assignment(topo, a)
+        assert message in validate_assignment(topo, relays)
 
     def test_validate_flags_isolation(self):
         topo = line_topology(90.0, 180.0, 380.0)
@@ -229,14 +184,6 @@ class TestAssignmentFile:
         path = tmp_path / "assignment.csv"
         save_assignment_csv(preset, a, path)
         assert load_assignment_csv(path) == (preset, a)
-
-    def test_roundtrip_without_scores(self, tmp_path, preset):
-        a = random_relays(preset, 5, seed=8)
-        path = tmp_path / "assignment.csv"
-        save_assignment_csv(preset, a, path)
-        _, loaded = load_assignment_csv(path)
-        assert loaded.relays == a.relays
-        assert loaded.scores is None
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-5", "mixed", "two"])
     def test_rejects_bad_range(self, tmp_path, preset, bad):
@@ -279,7 +226,7 @@ class TestAssignmentFile:
         with pytest.raises(ValueError, match=error):
             load_assignment_csv(path)
 
-    @pytest.mark.parametrize("keep", [1, 2, 5])
+    @pytest.mark.parametrize("keep", [1, 2, 4])
     def test_rejects_a_short_row(self, tmp_path, keep):
         # a missing field used to read as None, and float(None) raised a TypeError
         topo = line_topology(90.0, 180.0, 270.0)

@@ -11,7 +11,6 @@ import pytest
 
 import barrelmesh.sim_engine as se
 from barrelmesh.relay_selection import (
-    RelayAssignment,
     all_relays,
     crns_select,
     random_relays,
@@ -49,13 +48,13 @@ def scenario(**kw):
 
 def peak_rss_growth_mib(setup: str) -> float:
     """The growth of a fresh process's peak RSS (Linux VmHWM), in MiB, over
-    one `run` of the topo, assignment and config that `setup` defines.
+    one `run` of the topo, relays and config that `setup` defines.
 
     Measured this way since tracing allocations slows `run` about 60-fold;
     not by ru_maxrss, which a child inherits from this test session.
     """
     code = textwrap.dedent("""
-        from barrelmesh.relay_selection import RelayAssignment, crns_select
+        from barrelmesh.relay_selection import crns_select
         from barrelmesh.sim_engine import ScenarioConfig, run
         from barrelmesh.topology import FDOT_45MPH, LayoutSpec, Segment, build_layout
 
@@ -65,7 +64,7 @@ def peak_rss_growth_mib(setup: str) -> float:
                             if line.startswith("VmHWM:"))
     """) + textwrap.dedent(setup) + textwrap.dedent("""
         before = peak_kib()
-        run(topo, assignment, config)
+        run(topo, relays, config)
         print(peak_kib() - before)
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -183,7 +182,7 @@ class TestChainForwarding:
         # so direct and forwarded deliveries are both collision-proof here.
         topo = line_topology(90.0, 180.0)
         a = crns_select(topo)
-        assert a.relays == (0,)
+        assert a == (0,)
         result = run(topo, a, scenario(seed=3))
         assert result.app_sent == (20, 20, 0)
         assert result.delivered_by_source == (20, 20, 0)
@@ -257,7 +256,7 @@ class TestStateTime:
         topo = build_layout(FDOT_45MPH)
         a = crns_select(topo)
         result = run(topo, a, scenario(seed=21))
-        for r in a.relays:
+        for r in a:
             assert result.t_sleep_frac[r] == 0.0
 
 
@@ -522,7 +521,7 @@ class TestGuards:
     def test_saturated_run_memory_is_bounded(self, sim_time_s, bound_mib):
         growth = peak_rss_growth_mib(f"""
             topo = build_layout(FDOT_45MPH)
-            assignment = crns_select(topo)
+            relays = crns_select(topo)
             config = ScenarioConfig(app_rate_pps=256.0, sim_time_s={sim_time_s}, seed=1)
         """)
         assert growth < bound_mib
@@ -536,7 +535,7 @@ class TestGuards:
         # frame they got to the end of the run.
         growth = peak_rss_growth_mib("""
             topo = build_layout(LayoutSpec(segments=(Segment("row", 149 * 12.0, 12.0),)))
-            assignment = RelayAssignment((), (None,) * topo.node_count)
+            relays = ()
             config = ScenarioConfig(app_rate_pps=16.0, sim_time_s=2.0, seed=1)
         """)
         assert growth < 2.0
@@ -604,14 +603,9 @@ class TestGuards:
             run(topo, crns_select(topo), scenario(app_rate_pps=1e6))
 
     @pytest.mark.parametrize(
-        "assignment, config, name",
+        "relays, config, name",
         [
-            pytest.param(
-                RelayAssignment((), (None,)), {}, "assignment", id="short-chosen"
-            ),
-            pytest.param(
-                RelayAssignment((1,), (None, None)), {}, "relay 1", id="sink-relay"
-            ),
+            pytest.param((1,), {}, "relay 1", id="sink-relay"),
             *[
                 pytest.param(None, {key: value}, key, id=f"{key}={value}")
                 for key in ("sim_time_s", "app_rate_pps")
@@ -652,12 +646,12 @@ class TestGuards:
             ],
         ],
     )
-    def test_invalid_run_rejected_naming_its_field(self, assignment, config, name):
+    def test_invalid_run_rejected_naming_its_field(self, relays, config, name):
         # the checks a plan's readers make, so a library caller gets a
         # ValueError naming the field, never an OverflowError from the clock
         topo = line_topology(50.0)
         with pytest.raises(ValueError, match=name):
-            run(topo, assignment or crns_select(topo), scenario(**config))
+            run(topo, relays or crns_select(topo), scenario(**config))
 
     def test_one_tick_horizon_runs(self):
         topo = line_topology(50.0)
@@ -738,7 +732,7 @@ class TestCollisions:
         topo = topology_from_positions(
             [(110.0, 60.0), (110.0, -60.0), (90.0, 0.0)], (0.0, 0.0), 100.0
         )
-        a = RelayAssignment(relays=(2,), chosen=(2, 2, None, None))
+        a = (2,)
         cfg = scenario(
             seed=6,
             app_rate_pps=500_000.0,
@@ -761,7 +755,7 @@ class TestCollisions:
         topo = topology_from_positions(
             [(110.0, 60.0), (110.0, -60.0), (90.0, 0.0)], (0.0, 0.0), 100.0
         )
-        a = RelayAssignment(relays=(2,), chosen=(2, 2, None, None))
+        a = (2,)
         cfg = scenario(
             seed=6,
             app_rate_pps=500_000.0,
@@ -779,7 +773,6 @@ class TestCollisions:
         # only where the other source's frame overlaps it on its channel.
         topo = line_topology(-60.0, 60.0)
         assert topo.adjacency[0] >> 1 & 1 == 0
-        none = RelayAssignment((), (None,) * 3)
         channel = ChannelConfig()
         interval = se.packet_interval_us(40.0)
         jitter = round(channel.adv_jitter_ms * 1000)
@@ -787,7 +780,7 @@ class TestCollisions:
         lost, expected, variance = [0, 0], [0.0, 0.0], [0.0, 0.0]
         for seed in seeds:
             config = scenario(app_rate_pps=40.0, sim_time_s=100.0, seed=seed, copies=1)
-            result = run(topo, none, config)
+            result = run(topo, (), config)
             rng = random.Random(seed)  # the run's first draws: each source's phase
             phases = [rng.randrange(1, interval) for _ in range(2)]
             for src in (0, 1):
