@@ -11,9 +11,10 @@ forward:
 * knn_relays: barrels nearest the k-means cluster centroids of the row.
 
 A flood needs nothing else: the engine reads only which barrels relay.
-`validate_assignment` checks a set against its topology, and the assignment
-file (`save_assignment_csv`, `load_assignment_csv`) stores it with the
-positions and range it was selected at.
+Every function here that takes a relay set applies `topology.check_relays`.
+`validate_assignment` reports the barrels a set leaves isolated, and the
+assignment file (`save_assignment_csv`, `load_assignment_csv`) stores it
+with the positions and range it was selected at.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ import csv
 import random
 
 from .topology import (
-    LayoutError, Topology, bits, check_count, check_range, mask_of, neighbor_degrees,
-    topology_from_positions,
+    LayoutError, Topology, bits, check_count, check_range, check_relays, mask_of,
+    neighbor_degrees, topology_from_positions,
 )
 
 # Scores land on exact float grids except for the distance discount, so
@@ -123,9 +124,9 @@ def isolated_nodes(topology: Topology, relays: tuple[int, ...]) -> list[int]:
     A barrel is served when it neighbors the sink directly, or neighbors a
     relay from which a chain of relay-to-relay hops ends within sink range.
     Flood reachability is computed over relays plus the sink with unit-disk
-    edges.
+    edges. Raises a ValueError unless relays passes topology.check_relays.
     """
-    relay_mask = mask_of(relays)
+    relay_mask = mask_of(check_relays(relays, topology.sink))
     reachable = 1 << topology.sink
     frontier = [topology.sink]
     while frontier:
@@ -136,17 +137,9 @@ def isolated_nodes(topology: Topology, relays: tuple[int, ...]) -> list[int]:
 
 
 def validate_assignment(topology: Topology, relays: tuple[int, ...]) -> list[str]:
-    """Consistency and coverage check; returns human-readable issues, empty
-    when the relay set is sound for this topology."""
-    issues = []
-    for r in relays:
-        if not (0 <= r < topology.sink):
-            issues.append(f"relay {r} is not a barrel id")
-    if list(relays) != sorted(set(relays)):
-        issues.append("relay list is not sorted and distinct")
-    for i in isolated_nodes(topology, relays):
-        issues.append(f"node {i} is isolated: no relay path to the sink")
-    return issues
+    """Coverage report: one line per barrel that isolated_nodes finds, empty
+    when the relay set serves every barrel; raises as isolated_nodes does."""
+    return [f"node {i} is isolated: no relay path to the sink" for i in isolated_nodes(topology, relays)]
 
 
 _CSV_FIELDS = ["node", "x", "y", "role", "range_m"]
@@ -154,14 +147,15 @@ _CSV_FIELDS = ["node", "x", "y", "role", "range_m"]
 
 def save_assignment_csv(topology: Topology, relays: tuple[int, ...], path) -> None:
     """One row per node: id, position, role (sink/relay/barrel) and the radio
-    range the relays were selected at."""
+    range the relays were selected at; raises unless relays passes check_relays."""
+    relay_mask = mask_of(check_relays(relays, topology.sink))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
         for i, (x, y) in enumerate(topology.positions):
             if i == topology.sink:
                 role = "sink"
-            elif i in relays:
+            elif relay_mask >> i & 1:
                 role = "relay"
             else:
                 role = "barrel"

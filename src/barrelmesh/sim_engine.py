@@ -134,7 +134,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .topology import Topology, bits, check_count, mask_of
+from .topology import Topology, bits, check_count, check_relays, mask_of
 
 # Refuse runs that would spin forever (misconfigured feedback loops), and
 # refuse silently truncating an event trace the caller asked for. run reads
@@ -292,13 +292,6 @@ def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[
     return [lanes[zone] for zone in zone_of]
 
 
-def _validate(topology: Topology, relays: tuple[int, ...], config: ScenarioConfig):
-    for r in relays:
-        if not (0 <= r < topology.sink):
-            raise ValueError(f"relay {r} is not a barrel")
-    check_config(config)
-
-
 def check_config(config: ScenarioConfig) -> None:
     """Raise a ValueError naming the field of a config that run cannot simulate."""
     # run's horizon, sim_time_s rounded to the microsecond clock, must be a finite tick or more
@@ -322,7 +315,8 @@ def check_config(config: ScenarioConfig) -> None:
 
 def run(topology: Topology, relays: tuple[int, ...], config: ScenarioConfig) -> SimResult:
     """Simulate one scenario; see the module docstring for the model."""
-    _validate(topology, relays, config)
+    check_relays(relays, topology.sink)
+    check_config(config)
     n = topology.node_count
     sink = topology.sink
     adj = topology.adjacency

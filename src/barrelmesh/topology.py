@@ -171,6 +171,19 @@ def check_count(name: str, value, least: int = 1, most: Optional[int] = None) ->
     return value
 
 
+def check_relays(relays, barrels: int) -> tuple[int, ...]:
+    """relays itself; raises a ValueError naming the first bad id, or the order,
+    unless it is a tuple of int ids (not bools) in [0, barrels), ascending, each once."""
+    if type(relays) is not tuple:
+        raise ValueError(f"relays must be a tuple of barrel ids, got {type(relays).__name__}")
+    for k, r in enumerate(relays):
+        if type(r) is not int or not 0 <= r < barrels:
+            raise ValueError(f"relay {r!r} is not a barrel id in [0, {barrels})")
+        if k and r <= relays[k - 1]:
+            raise ValueError(f"relays must ascend, each id once: {r} follows {relays[k - 1]}")
+    return relays
+
+
 def check_range(range_r: float) -> float:
     """range_r itself; raises LayoutError unless it is finite and > 0."""
     if not 0 < range_r < math.inf:
@@ -216,10 +229,11 @@ def barrel_chainages(spec: LayoutSpec) -> list[float]:
     from the segment start, shared boundaries placed once. A single segment of
     length L > 0 and spacing s yields floor(L/s) + 1 barrels (both ends
     included); a segment of length 0 yields none. Every segment's count is
-    checked against MAX_BARRELS before any barrel is placed.
+    checked against MAX_BARRELS before its barrels are placed.
     """
-    counts = []  # (segment, floor(L/s)) for each segment that places barrels
+    chainages: list[float] = []
     places = 0
+    seg_start = 0.0
     for seg in spec.segments:
         if not 0 < seg.spacing_m < math.inf:
             raise LayoutError(f"segment {seg.name!r} spacing must be finite and > 0")
@@ -233,11 +247,7 @@ def barrel_chainages(spec: LayoutSpec) -> list[float]:
         if not ratio < MAX_BARRELS - places:
             raise LayoutError(f"segment {seg.name!r} takes the row past {MAX_BARRELS} barrels")
         count = int(ratio)
-        counts.append((seg, count))
         places += count + 1
-    chainages: list[float] = []
-    seg_start = 0.0
-    for seg, count in counts:
         for k in range(count + 1):
             x = seg_start + k * seg.spacing_m
             if not chainages or x - chainages[-1] > COORD_EPS:

@@ -24,9 +24,10 @@ from barrelmesh.sim_engine import (
     EVENT_LOG_CAP,
     SimResult,
     SimulationError,
-    _validate,
+    check_config,
     plan_transmissions,
 )
+from barrelmesh.topology import check_relays
 
 TIE_EPS = 1e-9
 
@@ -164,7 +165,8 @@ def reference_run(topology, relays, config) -> SimResult:
     `random.Random.randrange`. The fast engine must return the same
     SimResult in every field except processed_events.
     """
-    _validate(topology, relays, config)
+    check_relays(relays, topology.sink)
+    check_config(config)
     n = topology.node_count
     sink = topology.sink
     adj = topology.adjacency

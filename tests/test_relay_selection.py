@@ -14,6 +14,7 @@ from barrelmesh.relay_selection import (
     save_assignment_csv,
     validate_assignment,
 )
+from barrelmesh.sim_engine import ScenarioConfig, run
 from barrelmesh.topology import FDOT_45MPH, build_layout, mask_of, topology_from_positions
 
 
@@ -136,11 +137,6 @@ class TestCoverage:
         topo = line_topology(90.0, 180.0, 380.0)
         assert isolated_nodes(topo, (0, 1)) == [2]
 
-    def test_repeated_relay_ids_count_once(self):
-        # validate_assignment passes a relay list as loaded, repeats included
-        topo = line_topology(90.0, 180.0, 270.0)
-        assert isolated_nodes(topo, (0, 0)) == [2]
-
     def test_sink_adjacent_barrel_never_isolated(self):
         topo = line_topology(50.0, 400.0)
         assert isolated_nodes(topo, ()) == [1]
@@ -155,21 +151,53 @@ class TestCoverage:
         ):
             assert validate_assignment(preset, a) == []
 
-    def test_validate_flags_foreign_relay(self, preset):
-        bad = crns_select(preset) + (preset.sink,)
-        assert any("not a barrel" in msg for msg in validate_assignment(preset, bad))
-
     @pytest.mark.parametrize(
-        "relays, message",
+        "taker", ["run", "isolated_nodes", "validate_assignment", "save_assignment_csv"]
+    )
+    @pytest.mark.parametrize(
+        "on_preset, relays, message",
         [
-            ((1, 0), "relay list is not sorted and distinct"),
-            ((0, 0, 1), "relay list is not sorted and distinct"),
-            ((0, 1, 4), "relay 4 is not a barrel id"),
+            pytest.param(False, (1, 0), "relays must ascend, each id once: 0 follows 1",
+                         id="row-descending"),
+            pytest.param(False, (0, 0, 1), "relays must ascend, each id once: 0 follows 0",
+                         id="row-repeat"),
+            pytest.param(False, [0, 1], "relays must be a tuple of barrel ids, got list",
+                         id="row-list"),
+            pytest.param(False, (0, 1, 3), r"relay 3 is not a barrel id in \[0, 3\)",
+                         id="row-sink"),
+            pytest.param(False, (-1, 0, 1), r"relay -1 is not a barrel id in \[0, 3\)",
+                         id="row-negative"),
+            pytest.param(False, (0, True), r"relay True is not a barrel id in \[0, 3\)",
+                         id="row-bool"),
+            # run used to count 4 relays here, where the set {9, 18, 24} has 3
+            pytest.param(True, (9, 9, 18, 24), "relays must ascend, each id once: 9 follows 9",
+                         id="preset-repeat"),
+            pytest.param(True, (24, 9, 18), "relays must ascend, each id once: 9 follows 24",
+                         id="preset-descending"),
+            pytest.param(True, [9, 18], "relays must be a tuple of barrel ids, got list",
+                         id="preset-list"),
+            pytest.param(True, (-1,), r"relay -1 is not a barrel id in \[0, 30\)",
+                         id="preset-negative"),
+            pytest.param(True, (30,), r"relay 30 is not a barrel id in \[0, 30\)",
+                         id="preset-sink"),
         ],
     )
-    def test_validate_flags_inconsistent_assignment(self, relays, message):
-        topo = line_topology(90.0, 180.0, 270.0)
-        assert message in validate_assignment(topo, relays)
+    def test_every_taker_refuses_a_bad_relay_set(
+        self, tmp_path, preset, taker, on_preset, relays, message
+    ):
+        # topology.check_relays: a tuple of int ids, not bools, each a barrel
+        # of the row, ascending, each once; anything else is a one-line error
+        topo = preset if on_preset else line_topology(90.0, 180.0, 270.0)
+        out = tmp_path / "assignment.csv"
+        call = {
+            "run": lambda: run(topo, relays, ScenarioConfig(app_rate_pps=4.0, seed=1000)),
+            "isolated_nodes": lambda: isolated_nodes(topo, relays),
+            "validate_assignment": lambda: validate_assignment(topo, relays),
+            "save_assignment_csv": lambda: save_assignment_csv(topo, relays, out),
+        }[taker]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+        assert not out.exists()
 
     def test_validate_flags_isolation(self):
         topo = line_topology(90.0, 180.0, 380.0)
