@@ -43,7 +43,6 @@ from .sim_engine import (
     ChannelConfig,
     ScenarioConfig,
     SimResult,
-    SimulationError,
     check_config,
     run,
 )
@@ -75,10 +74,6 @@ ALGORITHMS = tuple(STRATEGIES)
 # run starts and write_outputs holds every result, about 7 KiB a run on the
 # paper layout, so the matrix must fit in memory whole.
 MAX_RUNS = 80_000
-
-
-class PlanError(ValueError):
-    """Raised for malformed experiment plans."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ def parse_length(text: str) -> float:
             return float(t[:-1])
         return float(t)
     except ValueError:
-        raise PlanError(f"cannot parse length {text!r}") from None
+        raise ValueError(f"cannot parse length {text!r}") from None
 
 
 def _auto_or_int(text: str) -> Optional[int]:
@@ -226,17 +221,17 @@ def parse_plan(path) -> ExperimentPlan:
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         if not parser.read(path, encoding="utf-8"):
-            raise PlanError(f"cannot read plan file {path}")
+            raise ValueError(f"cannot read plan file {path}")
     except UnicodeDecodeError as exc:
-        raise PlanError(f"cannot read plan file {path}: {exc}") from None
+        raise ValueError(f"cannot read plan file {path}: {exc}") from None
     except configparser.Error as exc:
-        raise PlanError(" ".join(str(exc).split())) from None
+        raise ValueError(" ".join(str(exc).split())) from None
     for section in parser.sections():
         if section not in PLAN_KEYS:
-            raise PlanError(f"unknown section [{section}]")
+            raise ValueError(f"unknown section [{section}]")
         for key in parser[section]:
             if key not in PLAN_KEYS[section]:
-                raise PlanError(f"unknown key {section}.{key}")
+                raise ValueError(f"unknown key {section}.{key}")
     plan = ExperimentPlan(layout=FDOT_45MPH)
     try:
         plan = replace(plan, **{
@@ -258,7 +253,7 @@ def parse_plan(path) -> ExperimentPlan:
                     name = part
                 plan = replace(plan, **{name: value})
             except ValueError as exc:
-                raise PlanError(f"{section}.{key} = {text!r}: bad value, {exc}") from None
+                raise ValueError(f"{section}.{key} = {text!r}: bad value, {exc}") from None
     return plan
 
 
@@ -273,7 +268,7 @@ def relay_budget(plan: ExperimentPlan, topology: Topology) -> int:
 def materialize(plan: ExperimentPlan, algorithm: str, seed: int) -> tuple[Topology, tuple[int, ...]]:
     """Topology plus relay set for one cell of the matrix."""
     if algorithm not in STRATEGIES:
-        raise PlanError(f"unknown algorithm {algorithm!r}")
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     range_m = plan.all_relays_range_m if algorithm == "all" else plan.range_r_m
     topo = build_layout(plan.layout, range_m)
     return topo, STRATEGIES[algorithm](topo, plan, seed)
@@ -410,7 +405,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     # every file in the directory must come from this one experiment
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
-        raise PlanError(f"--out = {args.out!r}: bad value, must be a new or empty directory")
+        raise ValueError(f"--out = {args.out!r}: bad value, must be a new or empty directory")
     # made before the matrix runs, so an unwritable --out fails first, and
     # taken away again, deepest first, if the matrix fails
     made = [path for path in (out, *out.parents) if not path.exists()]
@@ -443,7 +438,7 @@ def _flag(flag: str, read, text: str):
     try:
         return read(text)
     except ValueError as exc:
-        raise PlanError(f"{flag} = {text!r}: bad value, {exc}") from None
+        raise ValueError(f"{flag} = {text!r}: bad value, {exc}") from None
 
 
 def _make_dir(flag: str, text: str, path: Path) -> None:
@@ -451,7 +446,7 @@ def _make_dir(flag: str, text: str, path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise PlanError(f"{flag} = {text!r}: bad value, {exc.strerror}") from None
+        raise ValueError(f"{flag} = {text!r}: bad value, {exc.strerror}") from None
 
 
 def _at_least_0(name: str):
@@ -464,7 +459,7 @@ def _cmd_select(args) -> int:
     if args.out:
         # like run --out, never overwrite what an earlier call wrote
         if Path(args.out).exists():
-            raise PlanError(f"--out = {args.out!r}: bad value, must be a new file")
+            raise ValueError(f"--out = {args.out!r}: bad value, must be a new file")
         _make_dir("--out", args.out, Path(args.out).parent)
     topo, relays = materialize(plan, args.algorithm, plan.base_seed)
     issues = validate_assignment(topo, relays)
@@ -553,7 +548,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PlanError, SimulationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

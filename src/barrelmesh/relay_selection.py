@@ -22,7 +22,7 @@ import csv
 import random
 
 from .topology import (
-    LayoutError, Topology, bits, check_count, check_range, check_relays, mask_of,
+    Topology, bits, check_count, check_range, check_relays, mask_of,
     neighbor_degrees, topology_from_positions,
 )
 
@@ -198,14 +198,10 @@ def load_assignment_csv(path) -> tuple[Topology, tuple[int, ...]]:
                 relays.append(i)
             elif row["role"] != "barrel":
                 raise ValueError(f"unknown role {row['role']!r}")
-            ranges.add(_field(row, i, "range_m"))
+            ranges.add(_field(row, i, "range_m", lambda text: check_range(float(text))))
     if sink != len(positions) - 1:
         raise ValueError("sink must be the last node")
     if len(ranges) > 1:
         raise ValueError(f"range_m must be one value, saw {sorted(ranges)}")
-    try:
-        range_m = check_range(ranges.pop())
-    except LayoutError as exc:
-        raise ValueError(f"range_m: {exc}") from None
-    topology = topology_from_positions(positions[:-1], positions[-1], range_m)
+    topology = topology_from_positions(positions[:-1], positions[-1], ranges.pop())
     return topology, tuple(relays)

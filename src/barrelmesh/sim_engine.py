@@ -56,7 +56,7 @@ pass MAX_EVENTS - originations + n, for n nodes. Every forward scheduled
 by then is due by sim_time, so it is taken and starts a frame or is an
 event that starts none, and each frame started counts twice, less at most
 one end a node past sim_time. So the cap refuses no run its budget holds,
-and stops a runaway at the first origination after its frames and
+and stops a larger run at the first origination after its frames and
 forwards pass its budget. Apart from that budget, a run that would draw
 more than MAX_COPY_DRAWS copies up front is refused before it draws any.
 
@@ -136,9 +136,11 @@ from typing import Optional
 
 from .topology import Topology, bits, check_count, check_relays, mask_of
 
-# Refuse runs that would spin forever (misconfigured feedback loops), and
-# refuse silently truncating an event trace the caller asked for. run reads
-# both when it is called.
+# Bound a large run's work, and refuse silently truncating an event trace
+# the caller asked for. A flood cannot loop: a relay forwards a packet only
+# on a fresh reception, which clears its bit in the packet's lack mask, so it
+# forwards each packet at most once and every run ends. run reads both when
+# it is called.
 MAX_EVENTS = 100_000_000
 EVENT_LOG_CAP = 1_000_000
 # Every copy's jitter and channel are drawn before the first event and held
@@ -147,10 +149,6 @@ EVENT_LOG_CAP = 1_000_000
 MAX_COPY_DRAWS = 50_000_000
 
 _ORIGIN, _TX_START, _RADIO_FREE, _HORIZON = 0, 1, 2, 3
-
-
-class SimulationError(RuntimeError):
-    """Raised when a run exceeds its event budget or trace capacity."""
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ def plan_transmissions(topology: Topology, copies: Optional[int]) -> tuple[int, 
     spans = [topology.distance(i, topology.sink) / topology.range_r for i in topology.barrels]
     # past the largest float, a barrel's copies have no count, let alone draws
     if math.inf in spans:
-        raise SimulationError("a barrel lies too many ranges from the sink to count its copies")
+        raise ValueError("a barrel lies too many ranges from the sink to count its copies")
     return tuple(max(1, math.ceil(span)) for span in spans)
 
 
@@ -361,12 +359,12 @@ def run(topology: Topology, relays: tuple[int, ...], config: ScenarioConfig) -> 
     # every origination is an event taken, so a run that originates more
     # than its budget fails: fail before drawing every copy
     if sum(app_sent) > max_events:
-        raise SimulationError(
+        raise ValueError(
             f"exceeded {max_events} events: the run originates {sum(app_sent)} "
             f"packets by t={T}us"
         )
     if draws > MAX_COPY_DRAWS:
-        raise SimulationError(
+        raise ValueError(
             f"the run would draw {draws} copies up front, more than {MAX_COPY_DRAWS}"
         )
     # Originations take turns (see the module docstring). Each source's
@@ -438,7 +436,7 @@ def run(topology: Topology, relays: tuple[int, ...], config: ScenarioConfig) -> 
 
     def log(time_us, node, kind, source, pkt, channel):
         if len(events) >= EVENT_LOG_CAP:
-            raise SimulationError(
+            raise ValueError(
                 f"event trace exceeded {EVENT_LOG_CAP} entries; run without "
                 "emit_events or shorten the scenario"
             )
@@ -551,9 +549,9 @@ def run(topology: Topology, relays: tuple[int, ...], config: ScenarioConfig) -> 
         elif ev[2] == _ORIGIN:
             t, s, _, rec = ev
             if seq > seq_cap and t + jit_max <= T:
-                raise SimulationError(
-                    f"exceeded {max_events} events at t={t}us; the scenario "
-                    "is likely runaway"
+                raise ValueError(
+                    f"exceeded {max_events} events at t={t}us; the run is too "
+                    "large for the event budget"
                 )
             _, src, pkt = rec
             n_copies = copies[src]
@@ -619,8 +617,8 @@ def run(topology: Topology, relays: tuple[int, ...], config: ScenarioConfig) -> 
     # events taken (see the module docstring)
     processed = sum(app_sent) + 2 * sum(net_tx) - sum(end > T for end in busy_until) + idle
     if processed > max_events:
-        raise SimulationError(
-            f"exceeded {max_events} events by t={T}us; the scenario is likely runaway"
+        raise ValueError(
+            f"exceeded {max_events} events by t={T}us; the run is too large for the event budget"
         )
     # Listeners (relays, sink) are awake for the whole run. A plain barrel
     # is awake for its closed periods plus the open one, which lasts to T if

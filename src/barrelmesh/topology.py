@@ -38,10 +38,6 @@ def feet(value: float) -> float:
     return value * METERS_PER_FOOT
 
 
-class LayoutError(ValueError):
-    """Raised for geometrically invalid layout specs."""
-
-
 @dataclass(frozen=True)
 class Segment:
     name: str
@@ -66,17 +62,17 @@ class LayoutSpec:
         return sum(s.length_m for s in self.segments)
 
     def sink_x(self) -> float:
-        """Chainage of the sink; raises LayoutError unless it is finite and off every barrel."""
+        """Chainage of the sink; raises ValueError unless it is finite and off every barrel."""
         x = self.sink_placement
         if x in ("start", "end"):
             x = -SINK_STANDOFF_M if x == "start" else self.total_length_m() + SINK_STANDOFF_M
         elif isinstance(x, str):
-            raise LayoutError(f"unknown sink placement {x!r}")
+            raise ValueError(f"unknown sink placement {x!r}")
         elif not math.isfinite(x):
-            raise LayoutError(f"sink_placement must be finite, got {x}")
+            raise ValueError(f"sink_placement must be finite, got {x}")
         for barrel in barrel_chainages(self):
             if abs(barrel - x) <= COORD_EPS:
-                raise LayoutError(f"the sink sits on the barrel at {barrel:g} m")
+                raise ValueError(f"the sink sits on the barrel at {barrel:g} m")
         return x
 
 
@@ -185,9 +181,9 @@ def check_relays(relays, barrels: int) -> tuple[int, ...]:
 
 
 def check_range(range_r: float) -> float:
-    """range_r itself; raises LayoutError unless it is finite and > 0."""
+    """range_r itself; raises ValueError unless it is finite and > 0."""
     if not 0 < range_r < math.inf:
-        raise LayoutError(f"range must be finite and > 0, got {range_r}")
+        raise ValueError(f"range must be finite and > 0, got {range_r}")
     return range_r
 
 
@@ -200,12 +196,12 @@ def topology_from_positions(
     last), at most MAX_BARRELS barrels."""
     check_range(range_r)
     if len(barrel_positions) > MAX_BARRELS:
-        raise LayoutError(f"{len(barrel_positions)} barrels exceed the bound of {MAX_BARRELS}")
+        raise ValueError(f"{len(barrel_positions)} barrels exceed the bound of {MAX_BARRELS}")
     positions = [tuple(map(float, p)) for p in barrel_positions]
     positions.append(tuple(map(float, sink_position)))
     for a, p in enumerate(positions):
         if not all(map(math.isfinite, p)):
-            raise LayoutError(f"node {a} has non-finite coordinates {p}")
+            raise ValueError(f"node {a} has non-finite coordinates {p}")
     order = sorted(range(len(positions)), key=lambda i: positions[i][0])
     # only nodes within COORD_EPS on x can coincide; name the lowest pair
     coincident = [
@@ -215,7 +211,7 @@ def topology_from_positions(
     ]
     if coincident:
         a, b = min(coincident)
-        raise LayoutError(f"nodes {a} and {b} share coordinates {positions[a]}")
+        raise ValueError(f"nodes {a} and {b} share coordinates {positions[a]}")
     return Topology(
         positions=tuple(positions),
         sink=len(positions) - 1,
@@ -236,16 +232,16 @@ def barrel_chainages(spec: LayoutSpec) -> list[float]:
     seg_start = 0.0
     for seg in spec.segments:
         if not 0 < seg.spacing_m < math.inf:
-            raise LayoutError(f"segment {seg.name!r} spacing must be finite and > 0")
+            raise ValueError(f"segment {seg.name!r} spacing must be finite and > 0")
         if not 0 <= seg.length_m < math.inf:
-            raise LayoutError(f"segment {seg.name!r} length must be finite and >= 0")
+            raise ValueError(f"segment {seg.name!r} length must be finite and >= 0")
         if seg.length_m == 0:
             continue
         ratio = seg.length_m / seg.spacing_m + COORD_EPS
         # its floor(ratio) + 1 places fit iff ratio < MAX_BARRELS - places,
         # which an infinite ratio fails too
         if not ratio < MAX_BARRELS - places:
-            raise LayoutError(f"segment {seg.name!r} takes the row past {MAX_BARRELS} barrels")
+            raise ValueError(f"segment {seg.name!r} takes the row past {MAX_BARRELS} barrels")
         count = int(ratio)
         places += count + 1
         for k in range(count + 1):

@@ -23,7 +23,6 @@ from barrelmesh import sim_engine
 from barrelmesh.sim_engine import (
     EVENT_LOG_CAP,
     SimResult,
-    SimulationError,
     check_config,
     plan_transmissions,
 )
@@ -232,7 +231,7 @@ def reference_run(topology, relays, config) -> SimResult:
         if events is None:
             return
         if len(events) >= EVENT_LOG_CAP:
-            raise SimulationError(
+            raise ValueError(
                 f"event trace exceeded {EVENT_LOG_CAP} entries; run without "
                 "emit_events or shorten the scenario"
             )
@@ -242,9 +241,9 @@ def reference_run(topology, relays, config) -> SimResult:
         t, s, kind, payload = heapq.heappop(heap)
         processed += 1
         if processed > sim_engine.MAX_EVENTS:
-            raise SimulationError(
-                f"exceeded {sim_engine.MAX_EVENTS} events at t={t}us; the scenario "
-                "is likely runaway"
+            raise ValueError(
+                f"exceeded {sim_engine.MAX_EVENTS} events at t={t}us; the run is too "
+                "large for the event budget"
             )
         if kind == _ORIGIN:
             src, pkt, rec = payload

@@ -48,7 +48,6 @@ from barrelmesh.sim_engine import (
 from barrelmesh.topology import (
     COORD_EPS,
     FDOT_45MPH,
-    LayoutError,
     LayoutSpec,
     Segment,
     barrel_chainages,
@@ -265,7 +264,7 @@ def test_sweep_matches_all_pairs(scatter):
     points, r = scatter
     masks, coincident = all_pairs_rebuild(points, r)
     if coincident is not None:
-        with pytest.raises(LayoutError, match=f"nodes {coincident[0]} and {coincident[1]} "):
+        with pytest.raises(ValueError, match=f"nodes {coincident[0]} and {coincident[1]} "):
             topology_from_positions(points[:-1], points[-1], r)
     else:
         assert topology_from_positions(points[:-1], points[-1], r).adjacency == masks
@@ -283,7 +282,7 @@ def test_coincident_pair_named(scatter, data):
         dst = (src + data.draw(st.integers(1, n - 1))) % n
         points[dst] = points[src]
     a, b = all_pairs_rebuild(points, r)[1]
-    with pytest.raises(LayoutError, match=f"nodes {a} and {b} "):
+    with pytest.raises(ValueError, match=f"nodes {a} and {b} "):
         topology_from_positions(points[:-1], points[-1], r)
 
 
@@ -773,7 +772,7 @@ def test_processed_events_are_the_events_taken(case):
     """The engine derives processed_events after its loop. Counted another
     way, it is every event taken off the heap, plus the end of every frame
     that ends by T, read from the trace. A budget of exactly that many
-    events holds: the runaway guard in the loop refuses no such run."""
+    events holds: the budget check in the loop refuses no such run."""
     topo, relays, config = case
     config = replace(config, emit_events=True)
     got, taken = count_events_taken(run, topo, relays, config)

@@ -1,5 +1,6 @@
 import csv
 import random
+import re
 
 import pytest
 
@@ -215,7 +216,15 @@ class TestAssignmentFile:
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-5", "mixed", "two"])
     def test_rejects_bad_range(self, tmp_path, preset, bad):
-        # "mixed" holds a range per row, and "two" just two distinct ranges
+        # "mixed" holds a range per row, and "two" just two distinct ranges;
+        # a bad range names its first row, even where every row holds it
+        # (NaN never equals NaN, so all-NaN rows used to read as mixed)
+        if bad == "mixed":
+            error = f"range_m must be one value, saw {[100.0 + i for i in range(preset.node_count)]}"
+        elif bad == "two":
+            error = "range_m must be one value, saw [100.0, 101.0]"
+        else:
+            error = f"node 0: range_m = {bad!r}: bad value, range must be finite and > 0, got {float(bad)}"
         path = tmp_path / "assignment.csv"
         save_assignment_csv(preset, crns_select(preset), path)
         lines = path.read_text().splitlines()
@@ -225,7 +234,7 @@ class TestAssignmentFile:
             for i, line in enumerate(lines[1:])
         ]
         path.write_text("\n".join([lines[0], *body]) + "\n")
-        with pytest.raises(ValueError, match="range_m"):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             load_assignment_csv(path)
 
     @pytest.mark.parametrize(

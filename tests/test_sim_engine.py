@@ -18,7 +18,6 @@ from barrelmesh.relay_selection import (
 from barrelmesh.sim_engine import (
     ChannelConfig,
     ScenarioConfig,
-    SimulationError,
     _zone_lanes,
     plan_transmissions,
     run,
@@ -295,7 +294,9 @@ class TestEventTrace:
     def test_trace_capacity_is_enforced(self, monkeypatch):
         monkeypatch.setattr(se, "EVENT_LOG_CAP", 10)
         topo = line_topology(50.0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ValueError, match=(
+            "^event trace exceeded 10 entries; run without emit_events or shorten the scenario$"
+        )):
             run(topo, crns_select(topo), scenario(seed=1, emit_events=True))
 
     def test_trace_capacity_holds_a_trace_of_its_size(self, monkeypatch):
@@ -305,7 +306,7 @@ class TestEventTrace:
         monkeypatch.setattr(se, "EVENT_LOG_CAP", len(result.events))
         assert run(topo, crns_select(topo), config) == result
         monkeypatch.setattr(se, "EVENT_LOG_CAP", len(result.events) - 1)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ValueError, match=f"^event trace exceeded {len(result.events) - 1} entries;"):
             run(topo, crns_select(topo), config)
 
 
@@ -313,7 +314,9 @@ class TestGuards:
     def test_event_budget_is_enforced(self, monkeypatch):
         monkeypatch.setattr(se, "MAX_EVENTS", 50)
         topo = build_layout(FDOT_45MPH)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ValueError, match=(
+            "^exceeded 50 events: the run originates 600 packets by t=20000000us$"
+        )):
             run(topo, crns_select(topo), scenario(seed=1))
 
     @pytest.mark.parametrize(
@@ -334,7 +337,10 @@ class TestGuards:
         result = run(topo, crns_select(topo), config)
         assert result.processed_events == events
         monkeypatch.setattr(se, "MAX_EVENTS", events - 1)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ValueError, match=(
+            f"^exceeded {events - 1} events by t=2000000us; "
+            "the run is too large for the event budget$"
+        )):
             run(topo, crns_select(topo), config)
         monkeypatch.setattr(se, "MAX_EVENTS", events)
         assert run(topo, crns_select(topo), config) == result
@@ -360,7 +366,7 @@ class TestGuards:
         monkeypatch.setattr(se, "MAX_EVENTS", 1)
         assert run(topo, crns_select(topo), config) == result
         monkeypatch.setattr(se, "MAX_EVENTS", 0)
-        with pytest.raises(SimulationError, match="originates 1 packets"):
+        with pytest.raises(ValueError, match="originates 1 packets"):
             run(topo, crns_select(topo), config)
 
     def test_runaway_stops_at_an_origination(self, monkeypatch):
@@ -374,7 +380,9 @@ class TestGuards:
         topo = build_layout(FDOT_45MPH)
         monkeypatch.setattr(se, "MAX_EVENTS", 20000)
         config = scenario(app_rate_pps=256.0, sim_time_s=2.0, seed=7)
-        with pytest.raises(SimulationError, match=r"events at t=\d+us") as refused:
+        with pytest.raises(ValueError, match=(
+            r"^exceeded 20000 events at t=\d+us; the run is too large for the event budget$"
+        )) as refused:
             run(topo, crns_select(topo), config)
         stopped_at = int(str(refused.value).split("at t=")[1].split("us")[0])
         assert stopped_at < 500_000
@@ -449,7 +457,7 @@ class TestGuards:
         config = scenario(app_rate_pps=4.0, sim_time_s=2000.0, seed=1)
 
         def attempt():
-            with pytest.raises(SimulationError, match="originates 240000 packets"):
+            with pytest.raises(ValueError, match="originates 240000 packets"):
                 run(topo, crns_select(topo), config)
 
         _, arrays = count_calls(attempt, se, "array")
@@ -464,7 +472,7 @@ class TestGuards:
         config = scenario(app_rate_pps=1.0, sim_time_s=1.0, seed=1, copies=10**11)
 
         def attempt():
-            with pytest.raises(SimulationError, match="^the run would draw 3000000000000 copies up front"):
+            with pytest.raises(ValueError, match="^the run would draw 3000000000000 copies up front"):
                 run(topo, crns_select(topo), config)
 
         _, arrays = count_calls(attempt, se, "array")

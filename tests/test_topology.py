@@ -7,7 +7,6 @@ from barrelmesh.topology import (
     COORD_EPS,
     FDOT_45MPH,
     MAX_BARRELS,
-    LayoutError,
     LayoutSpec,
     Segment,
     barrel_chainages,
@@ -60,28 +59,28 @@ class TestBarrelPlacement:
         # naming no field, and an infinite one to place a lone barrel
         for spacing in (0.0, math.nan, math.inf):
             spec = LayoutSpec(segments=(Segment("a", 10.0, spacing),))
-            with pytest.raises(LayoutError, match="spacing"):
+            with pytest.raises(ValueError, match="spacing"):
                 barrel_chainages(spec)
 
     def test_negative_length_rejected(self):
         # an infinite length used to end in an OverflowError
         for length in (-1.0, math.nan, math.inf):
             spec = LayoutSpec(segments=(Segment("a", length, 5.0),))
-            with pytest.raises(LayoutError, match="length"):
+            with pytest.raises(ValueError, match="length"):
                 barrel_chainages(spec)
 
     def test_barrel_bound_is_exact_on_one_segment(self):
         row = Segment("a", 12.0 * (MAX_BARRELS - 1), 12.0)
         assert len(barrel_chainages(LayoutSpec(segments=(row,)))) == MAX_BARRELS
         longer = replace(row, length_m=12.0 * MAX_BARRELS)
-        with pytest.raises(LayoutError, match="segment 'a' takes"):
+        with pytest.raises(ValueError, match="segment 'a' takes"):
             barrel_chainages(LayoutSpec(segments=(longer,)))
         # the second segment is named when the two together pass the bound
         half = Segment("b", 12.0 * (MAX_BARRELS // 2), 12.0)
-        with pytest.raises(LayoutError, match="segment 'b' takes"):
+        with pytest.raises(ValueError, match="segment 'b' takes"):
             barrel_chainages(LayoutSpec(segments=(half, half)))
         # COORD_EPS short of 10,000 spacings, the slack counts a 10,001st place
-        with pytest.raises(LayoutError, match="segment 'a' takes"):
+        with pytest.raises(ValueError, match="segment 'a' takes"):
             barrel_chainages(LayoutSpec(segments=(Segment("a", 9999.999999999, 1.0),)))
         # two segments of 5,000 places each, both ends counted, meet the
         # bound exactly; the shared end is placed once, and a spacing of 1 m is fine
@@ -93,7 +92,7 @@ class TestBarrelPlacement:
         row = [(200.0 * i, 0.0) for i in range(MAX_BARRELS + 1)]
         assert topology_from_positions(row[:-1], (-200.0, 0.0), 100.0).sink == MAX_BARRELS
         bound = f"^{MAX_BARRELS + 1} barrels exceed the bound of {MAX_BARRELS}$"
-        with pytest.raises(LayoutError, match=bound):
+        with pytest.raises(ValueError, match=bound):
             topology_from_positions(row, (-200.0, 0.0), 100.0)
 
 
@@ -119,20 +118,20 @@ class TestSinkPlacement:
 
     def test_sink_on_a_barrel_rejected(self):
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=50.0)
-        with pytest.raises(LayoutError):
+        with pytest.raises(ValueError, match="^the sink sits on the barrel at 50 m$"):
             build_layout(spec)
         # COORD_EPS from a barrel is on it
         spec = replace(spec, sink_placement=COORD_EPS)
-        with pytest.raises(LayoutError, match="^the sink sits on the barrel at 0 m$"):
+        with pytest.raises(ValueError, match="^the sink sits on the barrel at 0 m$"):
             spec.sink_x()
         # a NaN chainage used to build a sink at (nan, 0) that hears no one
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement=math.nan)
-        with pytest.raises(LayoutError, match="sink_placement"):
+        with pytest.raises(ValueError, match="sink_placement"):
             build_layout(spec)
 
     def test_unknown_placement_rejected(self):
         spec = LayoutSpec(segments=(Segment("s", 100.0, 50.0),), sink_placement="middle")
-        with pytest.raises(LayoutError, match="^unknown sink placement 'middle'$"):
+        with pytest.raises(ValueError, match="^unknown sink placement 'middle'$"):
             spec.sink_x()
 
 
@@ -166,27 +165,27 @@ class TestConnectivity:
         assert neighbor_degrees(topo) == expected
 
     def test_coincident_nodes_rejected(self):
-        with pytest.raises(LayoutError):
+        with pytest.raises(ValueError, match=r"^nodes 0 and 1 share coordinates \(0.0, 0.0\)$"):
             topology_from_positions([(0.0, 0.0), (0.0, 0.0)], (10.0, 0.0), 50.0)
         # nodes exactly COORD_EPS apart on y are one place
-        with pytest.raises(LayoutError, match="nodes 0 and 1 share"):
+        with pytest.raises(ValueError, match="nodes 0 and 1 share"):
             topology_from_positions([(0.0, 0.0), (0.0, COORD_EPS)], (10.0, 0.0), 50.0)
 
     def test_coincident_nodes_named_by_the_lowest_pair(self):
         # two coincident pairs, (1, 4) and (2, 3), the higher one first on
         # x; the error names the pair with the lowest first id, then second
         barrels = [(9.0, 0.0), (5.0, 1.0), (3.0, 0.0), (3.0, 0.0), (5.0, 1.0 + 1e-10)]
-        with pytest.raises(LayoutError, match=r"nodes 1 and 4 share"):
+        with pytest.raises(ValueError, match=r"nodes 1 and 4 share"):
             topology_from_positions(barrels, (-1.0, 0.0), 50.0)
         # and, at one first id, the lowest second id
         barrels = [(2.0, 0.0), (7.0, 0.0), (2.0, 0.0), (2.0, 0.0)]
-        with pytest.raises(LayoutError, match=r"nodes 0 and 2 share"):
+        with pytest.raises(ValueError, match=r"nodes 0 and 2 share"):
             topology_from_positions(barrels, (2.0, 0.0), 50.0)
 
     def test_nonpositive_range_rejected(self):
         # a NaN range used to build a topology without a single link
         for range_r in (0.0, math.nan):
-            with pytest.raises(LayoutError, match="range"):
+            with pytest.raises(ValueError, match="range"):
                 topology_from_positions([(0.0, 0.0)], (10.0, 0.0), range_r)
 
     def test_long_row_build_tests_only_pairs_close_on_x(self):
