@@ -3,13 +3,14 @@
 Verbs:
   run       execute an experiment matrix (algorithms x rates x seeds) and
             write per-run, summary, comparison, and plot-ready CSVs
-  select    compute the relay assignment of one cell, and optionally save it
-  validate  check a saved assignment for consistency and coverage
+  select    print the relay set of one cell as a plan line, and its coverage
   presets   list the shipped experiment presets and their layouts
 
 run and select read an experiment plan from an INI file (--config) or a
-named preset (--preset); --seed sets its base seed. select writes the relay
-assignment run simulates for one algorithm's cell at that seed. Every CSV an
+named preset (--preset); --seed sets its base seed. select prints the relay
+set run simulates for one algorithm's cell at that seed as a `relays = ...`
+line, which a plan's [plan] section takes for the fixed strategy, and exits
+1 when the set leaves a barrel with no relay path to the sink. Every CSV an
 experiment writes is a pure function of the plan, so reruns are
 byte-identical; wall-clock information goes only into metadata.json.
 """
@@ -33,9 +34,7 @@ from .relay_selection import (
     all_relays,
     crns_select,
     knn_relays,
-    load_assignment_csv,
     random_relays,
-    save_assignment_csv,
     validate_assignment,
 )
 from .sim_engine import (
@@ -55,19 +54,20 @@ from .topology import (
     build_layout,
     check_count,
     check_range,
+    check_relays,
     feet,
 )
 
 # Strategy name -> relay set for (topology, plan, seed). Entries look their
 # functions up when called, so a rebound module name (a tracer, a test
-# double) takes effect. The order is a plan's default algorithm order.
+# double) takes effect. fixed simulates the relay set its plan names.
 STRATEGIES = {
     "crns": lambda topo, plan, seed: crns_select(topo),
     "all": lambda topo, plan, seed: all_relays(topo),
     "random": lambda topo, plan, seed: random_relays(topo, relay_budget(plan, topo), seed=seed),
     "knn": lambda topo, plan, seed: knn_relays(topo, relay_budget(plan, topo), seed=seed),
+    "fixed": lambda topo, plan, seed: fixed_relays(plan),
 }
-ALGORITHMS = tuple(STRATEGIES)
 
 # The most runs (algorithms x rates x seeds) a plan may make: the paper
 # matrix at 10,000 seeds. run_matrix makes one job per run before the first
@@ -82,7 +82,8 @@ class ExperimentPlan:
     replaced, it checks its values by the rules of the library that uses them."""
 
     layout: LayoutSpec
-    algorithms: tuple[str, ...] = ALGORITHMS
+    # the paper's four strategies
+    algorithms: tuple[str, ...] = ("crns", "all", "random", "knn")
     rates_pps: tuple[float, ...] = (1.0, 4.0)
     n_seeds: int = 20
     base_seed: int = 1000
@@ -99,6 +100,8 @@ class ExperimentPlan:
     # relay budget for the random and knn baselines; None matches whatever
     # size the connectivity-ranked strategy produces on this layout
     relay_budget: Optional[int] = None
+    # the relay set fixed simulates, ascending barrel ids of the layout
+    relays: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         # an empty matrix runs nothing, and checks no rate's config
@@ -126,6 +129,19 @@ class ExperimentPlan:
         if self.relay_budget is not None:
             barrels = len(barrel_chainages(self.layout))
             check_count("relay_budget", self.relay_budget, least=0, most=barrels)
+        if self.relays is not None:
+            check_relays(self.relays, len(barrel_chainages(self.layout)))
+            if "fixed" not in self.algorithms:
+                raise ValueError("only fixed simulates plan.relays, and algorithms does not list it")
+        if "fixed" in self.algorithms:
+            fixed_relays(self)
+
+
+def fixed_relays(plan: ExperimentPlan) -> tuple[int, ...]:
+    """The relay set fixed simulates: plan.relays, which must be set."""
+    if plan.relays is None:
+        raise ValueError("fixed simulates plan.relays, and the plan sets none")
+    return plan.relays
 
 
 def parse_length(text: str) -> float:
@@ -202,8 +218,18 @@ PLAN_KEYS = {
     "plan": {
         "copies": ("plan", "copies", _auto_or_int),
         "relay_budget": ("plan", "relay_budget", _auto_or_int),
+        # an empty value is the empty set
+        "relays": ("plan", "relays", lambda text: (
+            tuple(map(int, text.split(","))) if text.strip() else ()
+        )),
     },
 }
+
+# Keys whose rules read each other's values: the runs bound counts the
+# matrix keys, and fixed in algorithms needs relays that fit the layout.
+JOINT_KEYS = (
+    ("scenario", "algorithms"), ("scenario", "seeds"), ("scenario", "rates"), ("plan", "relays"),
+)
 
 
 def parse_plan(path) -> ExperimentPlan:
@@ -213,8 +239,10 @@ def parse_plan(path) -> ExperimentPlan:
     default would invalidate a whole study). Keys go one at a time onto a
     plan that checks itself, so a value it rejects is named by its
     section.key; parse_plan only converts text. Lengths accept ft/m suffixes.
-    The matrix keys (algorithms, seeds, rates) first go on together, so
-    the runs bound counts none of them at its default.
+    The layout keys and JOINT_KEYS first go on together, so the runs bound
+    counts none of the matrix keys at its default. Below, algorithms and
+    relays go on as one wherever either does, so neither is judged without
+    the other, and a refusal of the pair names both.
     """
     # no header can name the section "", so [DEFAULT] is an unknown section
     # rather than a source of defaults for the others
@@ -232,29 +260,39 @@ def parse_plan(path) -> ExperimentPlan:
         for key in parser[section]:
             if key not in PLAN_KEYS[section]:
                 raise ValueError(f"unknown key {section}.{key}")
+    given = [(section, key) for section in PLAN_KEYS for key in PLAN_KEYS[section]
+             if parser.has_option(section, key)]
     plan = ExperimentPlan(layout=FDOT_45MPH)
     try:
-        plan = replace(plan, **{
-            name: convert(parser["scenario"][key])
-            for key, (_, name, convert) in PLAN_KEYS["scenario"].items()
-            if key in ("algorithms", "seeds", "rates") and parser.has_option("scenario", key)
-        })
+        plan = _apply(plan, parser, [k for k in given if k[0] == "layout" or k in JOINT_KEYS])
     except ValueError:
         pass  # named below, where the keys go on one at a time
-    for section, keys in PLAN_KEYS.items():
-        for key, (part, name, convert) in keys.items():
-            if not parser.has_option(section, key):
-                continue
-            text = parser[section][key]
-            try:
-                value = convert(text)
-                if part != "plan":  # a field of a nested dataclass: amend that
-                    value = replace(getattr(plan, part), **{name: value})
-                    name = part
-                plan = replace(plan, **{name: value})
-            except ValueError as exc:
-                raise ValueError(f"{section}.{key} = {text!r}: bad value, {exc}") from None
+    pair = [k for k in given if k in (("scenario", "algorithms"), ("plan", "relays"))]
+    for key in given:
+        plan = _apply(plan, parser, pair if key in pair else [key])
     return plan
+
+
+def _apply(plan: ExperimentPlan, parser, keys) -> ExperimentPlan:
+    """plan with the file's value of each (section, key) of keys. A ValueError
+    names the key whose text does not convert, or else every key of keys."""
+    fields, parts = {}, {}
+    for section, key in keys:
+        part, name, convert = PLAN_KEYS[section][key]
+        text = parser[section][key]
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise ValueError(f"{section}.{key} = {text!r}: bad value, {exc}") from None
+        # a field of a nested dataclass amends that
+        (fields if part == "plan" else parts.setdefault(part, {}))[name] = value
+    try:
+        for part, values in parts.items():
+            fields[part] = replace(getattr(plan, part), **values)
+        return replace(plan, **fields)
+    except ValueError as exc:
+        named = ", ".join(f"{section}.{key} = {parser[section][key]!r}" for section, key in keys)
+        raise ValueError(f"{named}: bad value, {exc}") from None
 
 
 def relay_budget(plan: ExperimentPlan, topology: Topology) -> int:
@@ -409,7 +447,10 @@ def _cmd_run(args) -> int:
     # made before the matrix runs, so an unwritable --out fails first, and
     # taken away again, deepest first, if the matrix fails
     made = [path for path in (out, *out.parents) if not path.exists()]
-    _make_dir("--out", args.out, out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out = {args.out!r}: bad value, {exc.strerror}") from None
     started = time.perf_counter()
     try:
         results = run_matrix(plan, workers=workers, emit_events=args.emit_events)
@@ -441,14 +482,6 @@ def _flag(flag: str, read, text: str):
         raise ValueError(f"{flag} = {text!r}: bad value, {exc}") from None
 
 
-def _make_dir(flag: str, text: str, path: Path) -> None:
-    """Make directory path, which the flag's value text names; an OSError names the flag."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"{flag} = {text!r}: bad value, {exc.strerror}") from None
-
-
 def _at_least_0(name: str):
     """A reader of an integer >= 0, which its errors call name."""
     return lambda text: check_count(name, int(text), least=0)
@@ -456,37 +489,16 @@ def _at_least_0(name: str):
 
 def _cmd_select(args) -> int:
     plan = _plan(args)
-    if args.out:
-        # like run --out, never overwrite what an earlier call wrote
-        if Path(args.out).exists():
-            raise ValueError(f"--out = {args.out!r}: bad value, must be a new file")
-        _make_dir("--out", args.out, Path(args.out).parent)
     topo, relays = materialize(plan, args.algorithm, plan.base_seed)
     issues = validate_assignment(topo, relays)
     print(
         f"{args.algorithm}: {len(relays)} relays of "
         f"{topo.sink} barrels at range {topo.range_r:g}m"
     )
-    print("relays:", " ".join(str(r) for r in relays))
+    print("relays = " + ",".join(map(str, relays)))  # a line a plan's [plan] takes
     for issue in issues:
-        print("warning:", issue)
-    if args.out:
-        save_assignment_csv(topo, relays, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    topo, relays = load_assignment_csv(args.assignment)
-    issues = validate_assignment(topo, relays)
-    if issues:
-        for issue in issues:
-            print(issue)
-        return 1
-    print(
-        f"ok: {len(relays)} relays cover {topo.sink} barrels at range {topo.range_r:g}m"
-    )
-    return 0
+        print(issue)
+    return 1 if issues else 0
 
 
 def _cmd_presets(args) -> int:
@@ -527,16 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_sel = sub.add_parser("select", parents=[plan_flags], help="compute a cell's relays")
-    p_sel.add_argument(
-        "--algorithm", choices=ALGORITHMS, default="crns", help="selection strategy"
+    p_sel = sub.add_parser(
+        "select", parents=[plan_flags], help="print a cell's relays and their coverage"
     )
-    p_sel.add_argument("--out", help="write the assignment CSV here")
+    p_sel.add_argument(
+        "--algorithm", choices=STRATEGIES, default="crns", help="selection strategy"
+    )
     p_sel.set_defaults(func=_cmd_select)
-
-    p_val = sub.add_parser("validate", help="validate a saved assignment")
-    p_val.add_argument("--assignment", required=True, help="assignment CSV to check")
-    p_val.set_defaults(func=_cmd_validate)
 
     p_pre = sub.add_parser("presets", help="list shipped presets")
     p_pre.set_defaults(func=_cmd_presets)

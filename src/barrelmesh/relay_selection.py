@@ -10,21 +10,17 @@ forward:
 * random_relays: a seeded uniform sample of barrels.
 * knn_relays: barrels nearest the k-means cluster centroids of the row.
 
-A flood needs nothing else: the engine reads only which barrels relay.
-Every function here that takes a relay set applies `topology.check_relays`.
-`validate_assignment` reports the barrels a set leaves isolated, and the
-assignment file (`save_assignment_csv`, `load_assignment_csv`) stores it
-with the positions and range it was selected at.
+A flood needs nothing else: the engine reads only which barrels relay, so a
+relay set written down by hand (a plan's `relays`) is simulated like any
+strategy's. Every function here that takes a relay set applies
+`topology.check_relays`, and `validate_assignment` reports the barrels a set
+leaves isolated.
 """
 from __future__ import annotations
 
-import csv
 import random
 
-from .topology import (
-    Topology, bits, check_count, check_range, check_relays, mask_of,
-    neighbor_degrees, topology_from_positions,
-)
+from .topology import Topology, bits, check_count, check_relays, mask_of, neighbor_degrees
 
 # Scores land on exact float grids except for the distance discount, so
 # equality up to this slack is treated as a tie (broken to the lowest id).
@@ -141,67 +137,3 @@ def validate_assignment(topology: Topology, relays: tuple[int, ...]) -> list[str
     when the relay set serves every barrel; raises as isolated_nodes does."""
     return [f"node {i} is isolated: no relay path to the sink" for i in isolated_nodes(topology, relays)]
 
-
-_CSV_FIELDS = ["node", "x", "y", "role", "range_m"]
-
-
-def save_assignment_csv(topology: Topology, relays: tuple[int, ...], path) -> None:
-    """One row per node: id, position, role (sink/relay/barrel) and the radio
-    range the relays were selected at; raises unless relays passes check_relays."""
-    relay_mask = mask_of(check_relays(relays, topology.sink))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for i, (x, y) in enumerate(topology.positions):
-            if i == topology.sink:
-                role = "sink"
-            elif relay_mask >> i & 1:
-                role = "relay"
-            else:
-                role = "barrel"
-            writer.writerow([i, x, y, role, topology.range_r])
-
-
-def _field(row: dict, node: int, column: str, convert=float):
-    """convert(row[column]), or a ValueError that names the node and column."""
-    try:
-        return convert(row[column])
-    except ValueError as exc:
-        raise ValueError(f"node {node}: {column} = {row[column]!r}: bad value, {exc}") from None
-
-
-def load_assignment_csv(path) -> tuple[Topology, tuple[int, ...]]:
-    """Inverse of save_assignment_csv: the topology the relays were saved
-    on, built at the file's range_m, and the relays."""
-    positions: list[tuple[float, float]] = []
-    relays: list[int] = []
-    ranges: set[float] = set()
-    sink = None
-    with open(path, newline="") as fh:
-        # a short row reads "" for its missing fields, so at least its range_m fails
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames != _CSV_FIELDS:
-            raise ValueError(
-                f"assignment columns must be {','.join(_CSV_FIELDS)}, "
-                f"got {','.join(reader.fieldnames or ())}"
-            )
-        for row in reader:
-            i = _field(row, len(positions), "node", int)
-            if i != len(positions):
-                raise ValueError(f"node ids must be contiguous, saw {i}")
-            positions.append((_field(row, i, "x"), _field(row, i, "y")))
-            if row["role"] == "sink":
-                if sink is not None:
-                    raise ValueError(f"node {i} is a second sink, after node {sink}")
-                sink = i
-            elif row["role"] == "relay":
-                relays.append(i)
-            elif row["role"] != "barrel":
-                raise ValueError(f"unknown role {row['role']!r}")
-            ranges.add(_field(row, i, "range_m", lambda text: check_range(float(text))))
-    if sink != len(positions) - 1:
-        raise ValueError("sink must be the last node")
-    if len(ranges) > 1:
-        raise ValueError(f"range_m must be one value, saw {sorted(ranges)}")
-    topology = topology_from_positions(positions[:-1], positions[-1], ranges.pop())
-    return topology, tuple(relays)

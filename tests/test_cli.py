@@ -17,7 +17,6 @@ import barrelmesh.cli as cli
 import barrelmesh.metrics as metrics
 import barrelmesh.sim_engine as se
 from barrelmesh.cli import (
-    ALGORITHMS,
     EXPERIMENT_PRESETS,
     PLAN_KEYS,
     ExperimentPlan,
@@ -30,7 +29,7 @@ from barrelmesh.cli import (
     write_outputs,
 )
 from barrelmesh.metrics import PowerProfile
-from barrelmesh.relay_selection import load_assignment_csv, save_assignment_csv
+from barrelmesh.relay_selection import crns_select, validate_assignment
 from barrelmesh.sim_engine import ChannelConfig
 from barrelmesh.topology import (
     MAX_BARRELS, LayoutSpec, Segment, build_layout, feet,
@@ -56,6 +55,27 @@ def write_ini(tmp_path, text):
     path = tmp_path / "plan.ini"
     path.write_text(text)
     return path
+
+
+PAPER_ALGORITHMS = EXPERIMENT_PRESETS["paper"].algorithms
+# crns's relay set on the paper layout at 100 m, as a plan line
+CRNS_RELAYS = "relays = " + ",".join(map(str, range(7, 25)))
+
+
+def select_report(algorithm, topo, relays):
+    """select's exit code and printed lines for relays of algorithm on topo."""
+    issues = validate_assignment(topo, relays)
+    return 1 if issues else 0, [
+        f"{algorithm}: {len(relays)} relays of {topo.sink} barrels at range {topo.range_r:g}m",
+        "relays = " + ",".join(map(str, relays)),
+        *issues,
+    ]
+
+
+def select(capsys, argv):
+    """main's exit code for `select` with argv, and the lines it printed."""
+    code = main(["select", *argv])
+    return code, capsys.readouterr().out.splitlines()
 
 
 class TestParseLength:
@@ -203,9 +223,24 @@ class TestParsePlan:
     def test_readme_example_plans_parse(self, tmp_path):
         readme = Path(__file__).resolve().parent.parent / "README.md"
         blocks = re.findall(r"^```ini\n(.*?)^```", readme.read_text(), re.S | re.M)
-        assert len(blocks) == 2
+        assert len(blocks) == 3
         for block in blocks:
             parse_plan(write_ini(tmp_path, block))
+
+    def test_relays_parse_with_fixed(self, tmp_path):
+        # an empty value is the empty set; ids are barrels of the plan's own
+        # layout, here 91 of them, which also go on before the runs bound
+        # counts seeds = 50000 at one rate
+        path = write_ini(tmp_path, "[scenario]\nalgorithms = fixed\n[plan]\nrelays =\n")
+        assert parse_plan(path).relays == ()
+        path = write_ini(
+            tmp_path,
+            "[layout]\nsegments = row:900m:10m\n"
+            "[scenario]\nalgorithms = fixed\nrates = 1\nseeds = 50000\n"
+            "[plan]\nrelays = 50, 80\n",
+        )
+        plan = parse_plan(path)
+        assert (plan.algorithms, plan.relays, plan.n_seeds) == (("fixed",), (50, 80), 50000)
 
     def test_bad_int_reported_as_plan_error(self, tmp_path):
         path = write_ini(tmp_path, "[scenario]\nttl = many\n")
@@ -396,21 +431,25 @@ class TestWriteOutputs:
             "crns,1.0,87.5,",
         ]
 
-    def test_events_and_assignment_bytes_pinned(self, matrix, tmp_path):
-        # the golden digests cover neither the event traces nor `select --out`
-        def sha(paths):
-            return hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
-
+    def test_events_and_assignment_bytes_pinned(self, capsys, matrix, tmp_path):
+        # the golden digests cover neither the event traces nor select's sets
         plan, results = matrix
         write_outputs(plan, results, tmp_path, 1.0, workers=1)
-        assert sha(sorted((tmp_path / "runs").glob("*_events.csv"))) == (
+        events = sorted((tmp_path / "runs").glob("*_events.csv"))
+        assert hashlib.sha256(b"".join(path.read_bytes() for path in events)).hexdigest() == (
             "b82238de8ca54a5ec25f4d34a7b192924c6e81d1739400afb80b4390e349a53d"
         )
-        selected = [tmp_path / f"{name}.csv" for name in ("crns", "random", "knn", "all")]
-        for path in selected:
-            argv = ["select", "--algorithm", path.stem, "--seed", "4", "--out", str(path)]
-            assert main(argv) == 0
-        assert sha(selected) == "f2420a8a1aaf9c9faf1171ad5717adcf3b96c5af833d84ed4e4a8218c8805b87"
+        # the relay rows of the assignment files that select wrote at seed 4
+        # (sha256 f2420a8a... for the four), so no selection moved
+        pinned = {
+            "crns": CRNS_RELAYS,
+            "random": "relays = 0,1,2,3,4,5,7,8,9,12,14,15,17,22,23,25,28,29",
+            "knn": "relays = 0,1,2,3,4,5,6,8,9,12,14,15,18,20,23,25,27,29",
+            "all": "relays = " + ",".join(map(str, range(30))),
+        }
+        for algorithm, line in pinned.items():
+            _, lines = select(capsys, ["--algorithm", algorithm, "--seed", "4"])
+            assert lines[1] == line, algorithm
 
     def test_metadata_fields(self, matrix, tmp_path):
         plan, results = matrix
@@ -461,6 +500,11 @@ BAD_ENTRIES = [
     ("plan", "copies = always", "copies"),
     ("plan", "copies = 0", "copies"),
     ("plan", "relay_budget = 99", "relay_budget"),  # fdot_45mph has 30 barrels
+    ("plan", "relays = 30", "relays"),  # fdot_45mph's barrels are 0 to 29
+    ("plan", "relays = 18,9", "relays"),
+    ("plan", "relays = 9.5", "relays"),
+    ("plan", "relays = 9", "relays"),  # only fixed simulates them
+    ("scenario", "algorithms = fixed", "algorithms"),  # with no relays to simulate
     ("layout", "segments = row:270:0", "segments"),
     ("layout", "segments = row:inf:90", "segments"),
     ("layout", "segments = ,", "segments"),
@@ -480,7 +524,7 @@ BAD_ENTRIES = [
     ("DEFAULT", "ttl = 3\n[plan]\ncopies = 2", None),
 ]
 
-# (argv, flag): a run, select or validate call that must fail naming the flag
+# (argv, flag): a run or select call that must fail naming the flag
 BAD_FLAGS = [
     (["run", "--seed", "-1"], "--seed"),
     (["select", "--algorithm", "random", "--seed", "-1"], "--seed"),
@@ -578,6 +622,81 @@ def test_plan_counts_its_runs_at_its_own_rate_count(tmp_path):
     assert len(plan.algorithms) * len(plan.rates_pps) * plan.n_seeds == 50_000
 
 
+FIXED = "[scenario]\nalgorithms = fixed\n"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (
+            FIXED + "[plan]\nrelays = 30\n",
+            "scenario.algorithms = 'fixed', plan.relays = '30': bad value, "
+            "relay 30 is not a barrel id in [0, 30)",
+        ),
+        (
+            FIXED + "[plan]\nrelays = 18,9\n",
+            "scenario.algorithms = 'fixed', plan.relays = '18,9': bad value, "
+            "relays must ascend, each id once: 9 follows 18",
+        ),
+        (
+            FIXED + "[plan]\nrelays = 9.5\n",
+            "plan.relays = '9.5': bad value, invalid literal for int() with base 10: '9.5'",
+        ),
+        (
+            "[plan]\nrelays = 9\n",
+            "plan.relays = '9': bad value, only fixed simulates plan.relays, "
+            "and algorithms does not list it",
+        ),
+        (
+            "[scenario]\nalgorithms = crns\n[plan]\nrelays =\n",
+            "scenario.algorithms = 'crns', plan.relays = '': bad value, "
+            "only fixed simulates plan.relays, and algorithms does not list it",
+        ),
+        (
+            FIXED,
+            "scenario.algorithms = 'fixed': bad value, fixed simulates plan.relays, "
+            "and the plan sets none",
+        ),
+        # a partner of algorithms that is bad itself is named alone
+        (
+            FIXED + "seeds = -1\n[plan]\nrelays = 9\n",
+            "scenario.seeds = '-1': bad value, n_seeds must be an integer >= 1",
+        ),
+    ],
+    ids=["past-the-row", "descending", "non-integer", "without-fixed", "empty-without-fixed",
+         "fixed-without-relays", "bad-partner"],
+)
+def test_plan_relays_refusals_name_their_keys(capsys, tmp_path, text, err):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(write_ini(tmp_path, text)), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not out_dir.exists()
+
+
+def test_select_fixed_needs_plan_relays(capsys):
+    assert main(["select", "--algorithm", "fixed"]) == 2
+    assert capsys.readouterr() == ("", "error: fixed simulates plan.relays, and the plan sets none\n")
+
+
+def test_fixed_runs_exactly_what_crns_runs(tmp_path):
+    # the relay set is the engine's whole input: fixed on crns's set writes
+    # crns's rows and run files, but for the algorithm label and file names
+    ini = write_ini(
+        tmp_path,
+        "[scenario]\nalgorithms = crns, fixed\nrates = 4\nseeds = 2\nsim_time_s = 2\n"
+        f"[plan]\n{CRNS_RELAYS}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["crns", "crns", "fixed", "fixed"]
+    assert [row.replace("fixed,", "crns,", 1) for row in rows[2:]] == rows[:2]
+    for seed in (1000, 1001):
+        crns, fixed = (out / "runs" / f"{algorithm}_4_{seed}.csv" for algorithm in ("crns", "fixed"))
+        assert crns.read_bytes() == fixed.read_bytes()
+    assert len(list((out / "runs").iterdir())) == 4
+
+
 def cheap_plan_text(**sections):
     """A plan file of one short crns run, with the given {key: text} of each
     section laid over it."""
@@ -664,41 +783,36 @@ class TestVerbs:
             "over 347.5m (taper 146.3m @ 9.14m, buffer 146.3m @ 14.63m, work 54.9m @ 18.29m)\n"
         )
 
-    def test_select_reports_relay_set(self, capsys, tmp_path):
-        out_csv = tmp_path / "assign.csv"
-        assert main(["select", "--algorithm", "crns", "--out", str(out_csv)]) == 0
-        out = capsys.readouterr().out
-        assert "18 relays of 30 barrels" in out
-        topo, relays = load_assignment_csv(out_csv)
-        assert topo.sink == 30
-        assert relays == tuple(range(7, 25))
-        assert topo.range_r == 100.0
+    def test_select_reports_relay_set(self, capsys):
+        # as a line a plan takes, and with no barrel isolated, exit 0
+        assert select(capsys, ["--algorithm", "crns"]) == (
+            0, ["crns: 18 relays of 30 barrels at range 100m", CRNS_RELAYS]
+        )
 
     @pytest.mark.parametrize(
         "range_args, range_m", [([], 100.0), (["range = 130m", "all_relays_range = 130m"], 130.0)]
     )
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
     def test_select_writes_materialized_assignment(
-        self, algorithm, range_args, range_m, tmp_path
+        self, capsys, algorithm, range_args, range_m, tmp_path
     ):
         # range_args are the [scenario] lines of the plan, which set both ranges
-        got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
         ini = write_ini(tmp_path, "[scenario]\n" + "".join(f"{line}\n" for line in range_args))
-        argv = ["select", "--algorithm", algorithm, "--config", str(ini), "--seed", "4"]
-        assert main(argv + ["--out", str(got)]) == 0
+        got = select(capsys, ["--algorithm", algorithm, "--config", str(ini), "--seed", "4"])
         plan = replace(EXPERIMENT_PRESETS["paper"], base_seed=4, range_r_m=range_m)
         if range_args:
             plan = replace(plan, all_relays_range_m=range_m)
-        save_assignment_csv(*materialize(plan, algorithm, plan.base_seed), want)
-        assert got.read_bytes() == want.read_bytes()
+        assert got == select_report(algorithm, *materialize(plan, algorithm, plan.base_seed))
 
     @pytest.mark.parametrize("overrides", [[], ["--seed", "4"]], ids=["plan", "overrides"])
     @pytest.mark.parametrize("source", ["preset", "config"])
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_select_writes_the_cell_of_its_plan(self, algorithm, source, overrides, tmp_path):
-        # the assignment a run of the plan simulates for the algorithm at its
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+    def test_select_writes_the_cell_of_its_plan(
+        self, capsys, algorithm, source, overrides, tmp_path
+    ):
+        # the relay set a run of the plan simulates for the algorithm at its
         # base seed: `all` at its own range, random and knn sampled at the seed
-        plan, argv = EXPERIMENT_PRESETS["paper"], ["select", "--algorithm", algorithm]
+        plan, argv = EXPERIMENT_PRESETS["paper"], ["--algorithm", algorithm]
         if source == "config":
             ini = write_ini(
                 tmp_path,
@@ -708,10 +822,8 @@ class TestVerbs:
             plan, argv = parse_plan(ini), argv + ["--config", str(ini)]
         if overrides:
             plan = replace(plan, base_seed=4)
-        got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
-        assert main(argv + overrides + ["--out", str(got)]) == 0
-        save_assignment_csv(*materialize(plan, algorithm, plan.base_seed), want)
-        assert got.read_bytes() == want.read_bytes()
+        got = select(capsys, argv + overrides)
+        assert got == select_report(algorithm, *materialize(plan, algorithm, plan.base_seed))
 
     def test_readme_cli_lines_parse(self):
         # a flag that is gone must not live on in the docs
@@ -723,55 +835,41 @@ class TestVerbs:
             cli.build_parser().parse_args(words[1:])
 
     @pytest.mark.parametrize(
-        "plan, flags, err",
+        "plan, argv, err",
         [
-            ("[layout]\npreset = fdot_45mph\n", [], "error: unknown key layout.preset\n"),
-            ("[layout]\nsink_standoff = 10m\n", [], "error: unknown key layout.sink_standoff\n"),
-            (None, ["--range", "130m"], "error: unrecognized arguments: --range 130m\n"),
-            (None, ["--count", "5"], "error: unrecognized arguments: --count 5\n"),
+            ("[layout]\npreset = fdot_45mph\n", ["select"], "error: unknown key layout.preset\n"),
+            (
+                "[layout]\nsink_standoff = 10m\n", ["select"],
+                "error: unknown key layout.sink_standoff\n",
+            ),
+            (None, ["select", "--range", "130m"], "error: unrecognized arguments: --range 130m\n"),
+            (None, ["select", "--count", "5"], "error: unrecognized arguments: --count 5\n"),
+            (
+                None, ["validate", "--assignment", "a.csv"],
+                "error: argument command: invalid choice: 'validate' "
+                "(choose from 'run', 'select', 'presets')\n",
+            ),
+            (None, ["select", "--out", "a.csv"], "error: unrecognized arguments: --out a.csv\n"),
         ],
-        ids=["layout.preset", "layout.sink_standoff", "--range", "--count"],
+        ids=["layout.preset", "layout.sink_standoff", "--range", "--count", "validate", "--out"],
     )
-    def test_removed_spellings_exit_2(self, capsys, tmp_path, plan, flags, err):
+    def test_removed_spellings_exit_2(self, capsys, tmp_path, monkeypatch, plan, argv, err):
         # each named a value a plan key names too: the layout, the sink's
-        # position, or a range or relay budget of select's plan
-        out_csv = tmp_path / "assign.csv"
-        argv = ["select", "--out", str(out_csv)] + flags
+        # position, a range or relay budget of select's plan, or a relay set
+        # that a file held and plan.relays now holds
+        monkeypatch.chdir(tmp_path)
         if plan:
-            argv += ["--config", str(write_ini(tmp_path, plan))]
+            argv = argv + ["--config", str(write_ini(tmp_path, plan))]
         try:
             code = main(argv)
         except SystemExit as exit_:  # argparse's own usage error
             code = exit_.code
         assert code == 2
         assert capsys.readouterr().err.endswith(err)
-        assert not out_csv.exists()
-
-    def test_validate_takes_no_range(self, capsys, tmp_path):
-        # the file records the range it was selected at, and validate
-        # checks it there
-        out_csv = tmp_path / "assign.csv"
-        assert main(["select", "--out", str(out_csv)]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exit_:
-            main(["validate", "--assignment", str(out_csv), "--range", "100m"])
-        assert exit_.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "error: unrecognized arguments: --range 100m\n"
-        )
-
-    def test_select_refuses_an_existing_out(self, capsys, tmp_path):
-        out_csv = tmp_path / "assign.csv"
-        out_csv.write_text("precious")
-        assert main(["select", "--out", str(out_csv)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: --out = {str(out_csv)!r}: bad value, must be a new file\n"
-        )
-        assert out_csv.read_text() == "precious"
+        assert list(tmp_path.iterdir()) == ([tmp_path / "plan.ini"] if plan else [])
 
     @pytest.mark.parametrize("verb, out, step, reason", [
         ("run", "afile/r", "run_matrix", "Not a directory"),
-        ("select", "afile/a.csv", "materialize", "File exists"),
     ])
     def test_out_under_a_plain_file_exits_2_first(
         self, capsys, tmp_path, monkeypatch, verb, out, step, reason
@@ -786,14 +884,6 @@ class TestVerbs:
         assert calls == []
         assert capsys.readouterr() == ("", f"error: --out = {out!r}: bad value, {reason}\n")
         assert (tmp_path / "afile").read_text() == "precious"
-
-    def test_select_out_makes_its_directory(self, capsys, tmp_path):
-        # as run --out does
-        out_csv = tmp_path / "nodir" / "sub" / "assign.csv"
-        assert main(["select", "--out", str(out_csv)]) == 0
-        assert capsys.readouterr().out.endswith(f"wrote {out_csv}\n")
-        assert main(["select", "--out", str(tmp_path / "assign.csv")]) == 0
-        assert out_csv.read_bytes() == (tmp_path / "assign.csv").read_bytes()
 
     def test_select_refuses_a_row_past_the_barrel_bound(self, capsys, tmp_path):
         ini = write_ini(tmp_path, "[layout]\nsegments = work:1e12m:1m\n")
@@ -816,17 +906,10 @@ class TestVerbs:
         )
         assert not out_dir.exists()
 
-    def test_validate_accepts_good_assignment(self, capsys, tmp_path):
-        out_csv = tmp_path / "assign.csv"
-        main(["select", "--out", str(out_csv)])
-        capsys.readouterr()
-        assert main(["validate", "--assignment", str(out_csv)]) == 0
-        assert "ok:" in capsys.readouterr().out
-
     @pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
     def test_bad_flag_exits_2(self, capsys, tmp_path, argv, flag):
         path = tmp_path / "out"
-        assert main(argv + ["--out", str(path)]) == 2
+        assert main(argv + (["--out", str(path)] if argv[0] == "run" else [])) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} = ")
         assert err.count("\n") == 1
@@ -835,115 +918,25 @@ class TestVerbs:
     @pytest.mark.parametrize("verb, preset", [("run", "paper"), ("select", "fdot_45mph")])
     def test_config_and_preset_conflict(self, capsys, tmp_path, verb, preset):
         ini = write_ini(tmp_path, "[scenario]\nseeds = 1\n")
+        out = ["--out", str(tmp_path / "o")] if verb == "run" else []
         with pytest.raises(SystemExit) as exit_:
-            main([verb, "--config", str(ini), "--preset", preset, "--out", str(tmp_path / "o")])
+            main([verb, "--config", str(ini), "--preset", preset, *out])
         assert exit_.value.code == 2
         assert "--preset: not allowed with argument --config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_validate_refuses_a_file_past_the_barrel_bound(self, capsys, tmp_path):
-        # each barrel 200 m from the next, out of range, so the build stays cheap
-        path = tmp_path / "assign.csv"
-        for barrels, code in ((MAX_BARRELS, 1), (MAX_BARRELS + 1, 2)):
-            rows = [f"{i},{200.0 * i},0.0,barrel,100.0\n" for i in range(barrels)]
-            path.write_text(
-                "node,x,y,role,range_m\n"
-                + "".join(rows) + f"{barrels},-200.0,0.0,sink,100.0\n"
-            )
-            assert main(["validate", "--assignment", str(path)]) == code
-        assert capsys.readouterr().err == (
-            f"error: {MAX_BARRELS + 1} barrels exceed the bound of {MAX_BARRELS}\n"
-        )
-
-    def test_validate_uses_the_range_selected_at(self, capsys, tmp_path):
-        # the relays crns picks at 200 m leave node 24 with no relay path
-        # to the sink at the default 100 m
-        out_csv = tmp_path / "assign.csv"
-        ini = write_ini(tmp_path, "[scenario]\nrange = 200m\n")
-        assert main(["select", "--config", str(ini), "--out", str(out_csv)]) == 0
-        capsys.readouterr()
-        assert main(["validate", "--assignment", str(out_csv)]) == 0
-        assert "at range 200m" in capsys.readouterr().out
-        # a check at another range is an edit of the range_m column
-        header, *rows = out_csv.read_text().splitlines()
-        out_csv.write_text(
-            header + "\n" + "".join(row.rsplit(",", 1)[0] + ",100.0\n" for row in rows)
-        )
-        assert main(["validate", "--assignment", str(out_csv)]) == 1
-        assert "node 24 is isolated: no relay path to the sink" in capsys.readouterr().out
-
-    def test_validate_refuses_a_file_without_range(self, capsys, tmp_path):
-        # range_m is a required column
-        out_csv = tmp_path / "assign.csv"
-        assert main(["select", "--out", str(out_csv)]) == 0
-        lines = out_csv.read_text().splitlines()
-        assert lines[0].endswith(",range_m")
-        out_csv.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
-        written = out_csv.read_bytes()
-        capsys.readouterr()
-        assert main(["validate", "--assignment", str(out_csv)]) == 2
-        assert capsys.readouterr().err == (
-            "error: assignment columns must be node,x,y,role,range_m, got node,x,y,role\n"
-        )
-        assert out_csv.read_bytes() == written
-
-    def test_validate_refuses_a_file_with_attachment_columns(self, capsys, tmp_path):
-        # the file format before relay sets stood alone: cut the two columns,
-        # or rerun select
-        path = tmp_path / "assign.csv"
-        path.write_text(
-            "node,x,y,role,chosen_relay,score,range_m\n"
-            "0,90.0,0.0,relay,,2.0,100.0\n1,0.0,0.0,sink,,1.0,100.0\n"
-        )
-        assert main(["validate", "--assignment", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: assignment columns must be node,x,y,role,range_m, "
-            "got node,x,y,role,chosen_relay,score,range_m\n"
-        )
-
-    def test_validate_flags_bad_assignment(self, capsys, tmp_path):
-        out_csv = tmp_path / "assign.csv"
-        ini = write_ini(tmp_path, "[plan]\nrelay_budget = 0\n")
-        main(["select", "--algorithm", "random", "--config", str(ini), "--out", str(out_csv)])
-        capsys.readouterr()
-        assert main(["validate", "--assignment", str(out_csv)]) == 1
-        assert "isolated" in capsys.readouterr().out
-        # a non-finite coordinate used to read as an isolated node, exit 1
-        assert main(["select", "--out", str(tmp_path / "good.csv")]) == 0
-        capsys.readouterr()
-        rows = list(csv.DictReader((tmp_path / "good.csv").read_text().splitlines()))
-        for x in ("nan", "inf"):
-            rows[2]["x"] = x
-            with open(out_csv, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
-            assert main(["validate", "--assignment", str(out_csv)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: node 2 ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("column, text, reason", [
-        ("y", "", "could not convert string to float: ''"),  # the row cut after x
-        ("x", "abc", "could not convert string to float: 'abc'"),
-    ])
-    def test_validate_names_the_node_and_column_of_a_bad_field(
-        self, capsys, tmp_path, column, text, reason
-    ):
-        out_csv = tmp_path / "assign.csv"
-        assert main(["select", "--out", str(out_csv)]) == 0
-        capsys.readouterr()
-        lines = out_csv.read_text().splitlines()
-        fields = lines[3].split(",")  # node 2
-        if column == "y":
-            fields = fields[:2]
-        else:
-            fields[lines[0].split(",").index(column)] = text
-        lines[3] = ",".join(fields)
-        out_csv.write_text("\n".join(lines) + "\n")
-        assert main(["validate", "--assignment", str(out_csv)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: node 2: {column} = {text!r}: bad value, {reason}\n"
-        )
+    def test_select_fixed_checks_coverage_at_the_plan_range(self, capsys, tmp_path):
+        # crns's relays at 200 m, barrels 15 to 20, reach no barrel in the
+        # sink's range at 100 m: fixed on them exits 0 at 200 m, and at
+        # 100 m exits 1 naming each barrel past the sink's range
+        relays = crns_select(build_layout(EXPERIMENT_PRESETS["paper"].layout, 200.0))
+        line = "relays = " + ",".join(map(str, relays))
+        for range_m, code in ((200, 0), (100, 1)):
+            ini = write_ini(tmp_path, f"{FIXED}range = {range_m}m\n[plan]\n{line}\n")
+            got = select(capsys, ["--config", str(ini), "--algorithm", "fixed"])
+            assert got[0] == code
+            assert got[1][:2] == [f"fixed: 6 relays of 30 barrels at range {range_m}m", line]
+        assert got[1][2:] == [f"node {i} is isolated: no relay path to the sink" for i in range(10, 30)]
 
     def test_run_with_config(self, capsys, tmp_path):
         ini = write_ini(
@@ -1015,9 +1008,11 @@ class TestVerbs:
         assert [(row["algorithm"], row["n_relays"]) for row in rows] == [("random", "0"), ("knn", "0")]
 
     def test_select_knn_accepts_a_zero_count(self, capsys, tmp_path):
+        # and reports the barrels out of the sink's range as isolated
         ini = write_ini(tmp_path, "[plan]\nrelay_budget = 0\n")
-        assert main(["select", "--algorithm", "knn", "--config", str(ini)]) == 0
-        assert "knn: 0 relays of 30 barrels" in capsys.readouterr().out
+        code, lines = select(capsys, ["--algorithm", "knn", "--config", str(ini)])
+        assert (code, lines[:2]) == (1, ["knn: 0 relays of 30 barrels at range 100m", "relays = "])
+        assert lines[2] == "node 10 is isolated: no relay path to the sink"
 
     def test_run_refuses_a_used_out_dir(self, capsys, monkeypatch, tmp_path):
         # a second experiment into one directory used to overwrite the first's
@@ -1220,17 +1215,14 @@ class TestVerbs:
         assert [tuple(row.split(",")[:2]) for row in comparison] == cells
 
     @pytest.mark.parametrize("algorithm", ["random", "all"])
-    def test_select_config_honors_budget_and_all_range(self, algorithm, tmp_path):
+    def test_select_config_honors_budget_and_all_range(self, capsys, algorithm, tmp_path):
         ini = write_ini(
             tmp_path,
             "[scenario]\nrange = 80m\nall_relays_range = 170\n[plan]\nrelay_budget = 3\n",
         )
-        got, want = tmp_path / "select.csv", tmp_path / "materialize.csv"
-        argv = ["select", "--config", str(ini), "--algorithm", algorithm, "--seed", "4"]
-        assert main(argv + ["--out", str(got)]) == 0
+        got = select(capsys, ["--config", str(ini), "--algorithm", algorithm, "--seed", "4"])
         topo, relays = materialize(parse_plan(ini), algorithm, seed=4)
-        save_assignment_csv(topo, relays, want)
-        assert got.read_bytes() == want.read_bytes()
+        assert got == select_report(algorithm, topo, relays)
         assert topo.range_r == (170.0 if algorithm == "all" else 80.0)
         if algorithm == "random":
             assert len(relays) == 3

@@ -1,22 +1,21 @@
-import csv
 import random
-import re
 
 import pytest
 
 from oracles import crns_oracle, kmeans_oracle
+from barrelmesh.cli import ExperimentPlan
 from barrelmesh.relay_selection import (
     all_relays,
     crns_select,
     isolated_nodes,
     knn_relays,
-    load_assignment_csv,
     random_relays,
-    save_assignment_csv,
     validate_assignment,
 )
 from barrelmesh.sim_engine import ScenarioConfig, run
-from barrelmesh.topology import FDOT_45MPH, build_layout, mask_of, topology_from_positions
+from barrelmesh.topology import (
+    FDOT_45MPH, LayoutSpec, Segment, build_layout, mask_of, topology_from_positions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +152,7 @@ class TestCoverage:
             assert validate_assignment(preset, a) == []
 
     @pytest.mark.parametrize(
-        "taker", ["run", "isolated_nodes", "validate_assignment", "save_assignment_csv"]
+        "taker", ["run", "isolated_nodes", "validate_assignment", "ExperimentPlan"]
     )
     @pytest.mark.parametrize(
         "on_preset, relays, message",
@@ -183,22 +182,20 @@ class TestCoverage:
                          id="preset-sink"),
         ],
     )
-    def test_every_taker_refuses_a_bad_relay_set(
-        self, tmp_path, preset, taker, on_preset, relays, message
-    ):
+    def test_every_taker_refuses_a_bad_relay_set(self, preset, taker, on_preset, relays, message):
         # topology.check_relays: a tuple of int ids, not bools, each a barrel
-        # of the row, ascending, each once; anything else is a one-line error
+        # of the row, ascending, each once; anything else is a one-line error.
+        # A plan holds its relays for fixed on a layout of as many barrels.
         topo = preset if on_preset else line_topology(90.0, 180.0, 270.0)
-        out = tmp_path / "assignment.csv"
+        layout = FDOT_45MPH if on_preset else LayoutSpec(segments=(Segment("row", 180.0, 90.0),))
         call = {
             "run": lambda: run(topo, relays, ScenarioConfig(app_rate_pps=4.0, seed=1000)),
             "isolated_nodes": lambda: isolated_nodes(topo, relays),
             "validate_assignment": lambda: validate_assignment(topo, relays),
-            "save_assignment_csv": lambda: save_assignment_csv(topo, relays, out),
+            "ExperimentPlan": lambda: ExperimentPlan(layout, algorithms=("fixed",), relays=relays),
         }[taker]
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
-        assert not out.exists()
 
     def test_validate_flags_isolation(self):
         topo = line_topology(90.0, 180.0, 380.0)
@@ -206,77 +203,3 @@ class TestCoverage:
         issues = validate_assignment(topo, a)
         assert any("isolated" in msg for msg in issues)
 
-
-class TestAssignmentFile:
-    def test_roundtrip(self, tmp_path, preset):
-        a = crns_select(preset)
-        path = tmp_path / "assignment.csv"
-        save_assignment_csv(preset, a, path)
-        assert load_assignment_csv(path) == (preset, a)
-
-    @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-5", "mixed", "two"])
-    def test_rejects_bad_range(self, tmp_path, preset, bad):
-        # "mixed" holds a range per row, and "two" just two distinct ranges;
-        # a bad range names its first row, even where every row holds it
-        # (NaN never equals NaN, so all-NaN rows used to read as mixed)
-        if bad == "mixed":
-            error = f"range_m must be one value, saw {[100.0 + i for i in range(preset.node_count)]}"
-        elif bad == "two":
-            error = "range_m must be one value, saw [100.0, 101.0]"
-        else:
-            error = f"node 0: range_m = {bad!r}: bad value, range must be finite and > 0, got {float(bad)}"
-        path = tmp_path / "assignment.csv"
-        save_assignment_csv(preset, crns_select(preset), path)
-        lines = path.read_text().splitlines()
-        ranges = {"mixed": lambda i: str(100.0 + i), "two": lambda i: str(100.0 + i % 2)}
-        body = [
-            line.rsplit(",", 1)[0] + "," + ranges.get(bad, lambda i: bad)(i)
-            for i, line in enumerate(lines[1:])
-        ]
-        path.write_text("\n".join([lines[0], *body]) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            load_assignment_csv(path)
-
-    @pytest.mark.parametrize(
-        "edits, error",
-        [
-            ({3: ("node", "7")}, "contiguous"),
-            ({3: ("role", "gateway")}, "unknown role 'gateway'"),
-            ({0: ("role", "sink"), 3: ("role", "barrel")}, "sink must be the last node"),
-            ({0: ("role", "sink")}, "node 3 is a second sink, after node 0"),
-        ],
-        ids=["ids-not-contiguous", "unknown-role", "sink-not-last", "two-sinks"],
-    )
-    def test_rejects_malformed_rows(self, tmp_path, edits, error):
-        # a sound file with the given (column, text) edits by row
-        topo = line_topology(90.0, 180.0, 270.0)
-        path = tmp_path / "assignment.csv"
-        save_assignment_csv(topo, crns_select(topo), path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        for row, (column, text) in edits.items():
-            rows[row][column] = text
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        with pytest.raises(ValueError, match=error):
-            load_assignment_csv(path)
-
-    @pytest.mark.parametrize("keep", [1, 2, 4])
-    def test_rejects_a_short_row(self, tmp_path, keep):
-        # a missing field used to read as None, and float(None) raised a TypeError
-        topo = line_topology(90.0, 180.0, 270.0)
-        path = tmp_path / "assignment.csv"
-        save_assignment_csv(topo, crns_select(topo), path)
-        lines = path.read_text().splitlines()
-        lines[2] = ",".join(lines[2].split(",")[:keep])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            load_assignment_csv(path)
-
-    def test_rejects_unknown_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            load_assignment_csv(path)
