@@ -15,7 +15,7 @@ from .topology import (
     Segment,
     Topology,
     build_layout,
-    topology_from_positions,
+    topology_from_chainages,
 )
 from .relay_selection import (
     all_relays,
@@ -23,7 +23,6 @@ from .relay_selection import (
     isolated_nodes,
     knn_relays,
     random_relays,
-    validate_assignment,
 )
 from .sim_engine import (
     ChannelConfig,
@@ -48,13 +47,12 @@ __all__ = [
     "Segment",
     "Topology",
     "build_layout",
-    "topology_from_positions",
+    "topology_from_chainages",
     "all_relays",
     "crns_select",
     "isolated_nodes",
     "knn_relays",
     "random_relays",
-    "validate_assignment",
     "ChannelConfig",
     "ScenarioConfig",
     "SimResult",

@@ -12,9 +12,8 @@ forward:
 
 A flood needs nothing else: the engine reads only which barrels relay, so a
 relay set written down by hand (a plan's `relays`) is simulated like any
-strategy's. Every function here that takes a relay set applies
-`topology.check_relays`, and `validate_assignment` reports the barrels a set
-leaves isolated.
+strategy's. isolated_nodes, which applies `topology.check_relays`, names
+the barrels a set leaves without a path to the sink.
 """
 from __future__ import annotations
 
@@ -74,43 +73,34 @@ def random_relays(topology: Topology, count: int, seed: int) -> tuple[int, ...]:
 
 
 def knn_relays(topology: Topology, k: int, seed: int) -> tuple[int, ...]:
-    """Cluster-head relays: k-means over barrel positions, one head per
+    """Cluster-head relays: k-means over barrel chainages, one head per
     centroid (the nearest barrel, ties to the lowest id), deduplicated.
 
-    Lloyd iteration runs from a seeded sample of k distinct barrel positions
-    until assignments stop moving or 100 rounds pass. A cluster that empties
-    keeps its previous centroid. Assignment ties go to the lowest centroid
-    index. Duplicate heads collapse, so the relay count can come out below k.
-    k = 0 has no centroid and so no relay.
+    Lloyd iteration runs from a seeded sample of k distinct barrel chainages
+    until assignments stop moving or 100 rounds pass. A barrel joins the
+    centroid of least squared distance, ties to the lowest centroid index. A
+    cluster that empties keeps its previous centroid. Duplicate heads
+    collapse, so the relay count can come out below k. k = 0 has no centroid
+    and so no relay.
     """
     check_count("k", k, least=0, most=topology.sink)
     n_barrels = topology.sink
-    points = topology.positions[:n_barrels]
+    xs = topology.chainages[:n_barrels]
     rng = random.Random(seed)
-    centroids = [points[i] for i in rng.sample(range(n_barrels), k)]
+    centroids = [xs[i] for i in rng.sample(range(n_barrels), k)]
     for _ in range(KMEANS_MAX_ROUNDS if k else 0):
-        clusters: list[list[tuple[float, float]]] = [[] for _ in range(k)]
-        for x, y in points:
-            best = min(
-                range(k),
-                key=lambda ci: ((x - centroids[ci][0]) ** 2 + (y - centroids[ci][1]) ** 2, ci),
-            )
-            clusters[best].append((x, y))
+        clusters: list[list[float]] = [[] for _ in range(k)]
+        for x in xs:
+            best = min(range(k), key=lambda ci: ((x - centroids[ci]) ** 2, ci))
+            clusters[best].append(x)
         new_centroids = [
-            (sum(x for x, _ in members) / len(members), sum(y for _, y in members) / len(members))
-            if members else old
+            sum(members) / len(members) if members else old
             for members, old in zip(clusters, centroids)
         ]
         if new_centroids == centroids:
             break
         centroids = new_centroids
-    heads = set()
-    for cx, cy in centroids:
-        head = min(
-            range(n_barrels),
-            key=lambda i: ((points[i][0] - cx) ** 2 + (points[i][1] - cy) ** 2, i),
-        )
-        heads.add(head)
+    heads = {min(range(n_barrels), key=lambda i: ((xs[i] - c) ** 2, i)) for c in centroids}
     return tuple(sorted(heads))
 
 
@@ -130,10 +120,3 @@ def isolated_nodes(topology: Topology, relays: tuple[int, ...]) -> list[int]:
         reachable |= fresh
         frontier.extend(bits(fresh))
     return [i for i in topology.barrels if topology.adjacency[i] & reachable == 0]
-
-
-def validate_assignment(topology: Topology, relays: tuple[int, ...]) -> list[str]:
-    """Coverage report: one line per barrel that isolated_nodes finds, empty
-    when the relay set serves every barrel; raises as isolated_nodes does."""
-    return [f"node {i} is isolated: no relay path to the sink" for i in isolated_nodes(topology, relays)]
-

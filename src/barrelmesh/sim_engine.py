@@ -92,19 +92,20 @@ frames, and loss draws are made only for the listeners left. At
 loss_p = 0, it skips the jam scan when every listener in range already
 holds the packet.
 
-Frames on air are indexed by zone along x. The x extent is cut into the
-most equal zones that are each at least 2 * range wide, and every frame
+Frames on air are indexed by zone along the row. Its extent is cut into
+the most equal zones that are each at least 2 * range wide, and every frame
 joins the lane of its transmitter's zone and channel. A jammer must be in
-range of a listener that is in range of the transmitter, so it lies within
-2 * range of the transmitter and, as |dx| never exceeds the distance, in
-its zone or a neighbouring one. A frame end scans its own lane and the
-lanes that the adjacency masks name for its zone, never every frame on
-air. A layout shorter than 4 * range (the shipped one) is one zone, whose
-frame ends scan the one lane of their channel. Which frames are scanned
-changes no result, only the cost: the scan clears jammed listeners and
-stops when none is left, before the side lanes if its own lane jams them
-all. A side is pruned before it is scanned, and a lane at the end of each
-of its live frames and the start of each of its dead ones.
+range of a listener that is in range of the transmitter. The distance
+between two nodes is |dx|, the difference of their chainages, so the
+jammer lies within 2 * range of the transmitter along the row: in its zone
+or a neighbouring one. A frame end scans its own lane and the lanes that
+the adjacency masks name for its zone, never every frame on air. A layout
+shorter than 4 * range (the shipped one) is one zone, whose frame ends
+scan the one lane of their channel. Which frames are scanned changes no
+result, only the cost: the scan clears jammed listeners and stops when
+none is left, before the side lanes if its own lane jams them all. A side
+is pruned before it is scanned, and a lane at the end of each of its live
+frames and the start of each of its dead ones.
 
 Dissemination: a source transmits each packet as one or more identical
 copies (plan_transmissions), each copy independently jittered. A relay
@@ -259,12 +260,12 @@ def _zone_lanes(topology: Topology, reach_of: list[int], nch: int) -> list[list[
     join; the deques of that channel in other zones that a frame end from
     it must also scan for jammers; and the channel number.
 
-    Zones are the most equal stretches of the x extent that are each at
+    Zones are the most equal stretches of the row's extent that are each at
     least 2 * range_r wide, and no more than there are nodes (see the module
     docstring). The sides of a lane come from the adjacency masks, not from
     that bound, so float rounding at a zone edge cannot drop a jammer.
     """
-    xs = [x for x, _ in topology.positions]
+    xs = topology.chainages
     x0 = min(xs)
     extent = max(xs) - x0
     # each float is clamped before int: a tiny range or a far sink makes it inf,

@@ -1,11 +1,12 @@
 """Exact cost counters for one function's work, free of timing noise.
 
-    count_opcodes(run, topo, assignment, config) -> (result, opcodes)
-    count_heap_pushes(run, topo, assignment, config) -> (result, pushes)
-    count_heap_calls(run, topo, assignment, config) -> (result, calls)
-    count_events_taken(run, topo, assignment, config) -> (result, taken)
-    count_deque_appends(run, topo, assignment, config) -> (result, appends)
-    count_calls(build_layout, math, "hypot", spec) -> (result, calls)
+    count_opcodes(run, topo, relays, config) -> (result, opcodes)
+    count_heap_pushes(run, topo, relays, config) -> (result, pushes)
+    count_heap_calls(run, topo, relays, config) -> (result, calls)
+    count_events_taken(run, topo, relays, config) -> (result, taken)
+    count_deque_appends(run, topo, relays, config) -> (result, appends)
+    count_calls(write_outputs, metrics, "network_pdr", plan, results, out, 1.0, 1)
+        -> (result, calls)
 
 count_opcodes counts the opcodes that the function's own frames execute.
 Only frames of the function's code object are traced, so callees, nested
@@ -36,9 +37,9 @@ module makes during it, in any of its functions, is counted.
 
 count_calls swaps one attribute of a module, module.name, for a wrapper
 that counts its calls, for the one call of fn, which may be any callable.
-Code that looks the attribute up at call time, as `math.hypot(...)` does
-through the math module, sees the wrapper; a name bound by `from module
-import name` before the swap does not.
+Code that looks the attribute up at call time sees the wrapper, as
+`metrics.summarize` does when it calls `network_pdr`, a name of its own
+module; a name bound by `from module import name` before the swap does not.
 """
 from __future__ import annotations
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -31,15 +30,14 @@ from barrelmesh.topology import check_relays
 TIE_EPS = 1e-9
 
 
-def _dist(positions, i, j):
-    (xi, yi), (xj, yj) = positions[i], positions[j]
-    return math.hypot(xi - xj, yi - yj)
+def _dist(chainages, i, j):
+    return abs(chainages[i] - chainages[j])
 
 
-def crns_oracle(positions, sink, range_r):
+def crns_oracle(chainages, sink, range_r):
     """Step-by-step connectivity-ranked relay pass.
 
-    positions includes the sink. Returns (is_relay, chosen, final_score) over
+    chainages includes the sink. Returns (is_relay, chosen, final_score) over
     all node ids. Seed score is the in-range neighbor count (sink counts as a
     neighbor like any node). Nodes already within range of the sink do not
     pick a relay. Every other node, in ascending id order, rates each of its
@@ -47,9 +45,9 @@ def crns_oracle(positions, sink, range_r):
     lowest id, marks that neighbor a relay, and permanently decrements the
     winner's score by 1. The distance term is recomputed fresh per chooser.
     """
-    n = len(positions)
+    n = len(chainages)
     neigh = [
-        [j for j in range(n) if j != i and 0.0 < _dist(positions, i, j) < range_r]
+        [j for j in range(n) if j != i and 0.0 < _dist(chainages, i, j) < range_r]
         for i in range(n)
     ]
     score = [float(len(neigh[i])) for i in range(n)]
@@ -58,11 +56,11 @@ def crns_oracle(positions, sink, range_r):
     for i in range(n):
         if i == sink:
             continue
-        if 0.0 < _dist(positions, i, sink) < range_r:
+        if 0.0 < _dist(chainages, i, sink) < range_r:
             continue
         if not neigh[i]:
             continue
-        adjusted = {j: score[j] - _dist(positions, i, j) / range_r for j in neigh[i]}
+        adjusted = {j: score[j] - _dist(chainages, i, j) / range_r for j in neigh[i]}
         best_value = max(adjusted.values())
         best = min(j for j, v in adjusted.items() if v >= best_value - TIE_EPS)
         is_relay[best] = True
@@ -74,8 +72,8 @@ def crns_oracle(positions, sink, range_r):
 def kmeans_oracle(xs, k, seed):
     """1-d Lloyd iteration matching the package's k-means relay picker.
 
-    xs are barrel x coordinates (id = index). Initial centroids are a seeded
-    sample of k distinct barrel positions. Assignment ties go to the lowest
+    xs are barrel chainages (id = index). Initial centroids are a seeded
+    sample of k distinct barrel chainages. Assignment ties go to the lowest
     centroid index; an emptied cluster keeps its previous centroid. Runs to
     convergence or 100 rounds, then returns the relay ids: per centroid, the
     barrel nearest it (ties to the lowest id), deduplicated, sorted.

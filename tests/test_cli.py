@@ -29,7 +29,7 @@ from barrelmesh.cli import (
     write_outputs,
 )
 from barrelmesh.metrics import PowerProfile
-from barrelmesh.relay_selection import crns_select, validate_assignment
+from barrelmesh.relay_selection import crns_select, isolated_nodes
 from barrelmesh.sim_engine import ChannelConfig
 from barrelmesh.topology import (
     MAX_BARRELS, LayoutSpec, Segment, build_layout, feet,
@@ -64,11 +64,11 @@ CRNS_RELAYS = "relays = " + ",".join(map(str, range(7, 25)))
 
 def select_report(algorithm, topo, relays):
     """select's exit code and printed lines for relays of algorithm on topo."""
-    issues = validate_assignment(topo, relays)
-    return 1 if issues else 0, [
+    isolated = isolated_nodes(topo, relays)
+    return 1 if isolated else 0, [
         f"{algorithm}: {len(relays)} relays of {topo.sink} barrels at range {topo.range_r:g}m",
         "relays = " + ",".join(map(str, relays)),
-        *issues,
+        *(f"node {i} is isolated: no relay path to the sink" for i in isolated),
     ]
 
 
@@ -157,7 +157,7 @@ class TestParsePlan:
         assert parse_plan(path).layout.sink_placement == pytest.approx(feet(50.0))
         path = write_ini(tmp_path, "[layout]\nsink_placement = -25m\n")
         topo = build_layout(parse_plan(path).layout)
-        assert topo.positions[topo.sink] == (-25.0, 0.0)
+        assert topo.chainages[topo.sink] == -25.0
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         path = write_ini(tmp_path, "[scenario]\nalgorithms = crns,best\n")

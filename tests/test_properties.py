@@ -34,7 +34,6 @@ from barrelmesh.relay_selection import (
     isolated_nodes,
     knn_relays,
     random_relays,
-    validate_assignment,
 )
 from barrelmesh.sim_engine import (
     ChannelConfig,
@@ -53,7 +52,7 @@ from barrelmesh.topology import (
     barrel_chainages,
     build_layout,
     neighbor_degrees,
-    topology_from_positions,
+    topology_from_chainages,
 )
 
 EXAMPLES = {
@@ -94,10 +93,9 @@ def suite_start():
 # ---------------------------------------------------------------------------
 # input generators
 
-# Coordinates land on a 12 m grid, ranges on round integers: squared
-# distances are then 144 * (integer), which never equals any R**2 below,
-# so no generated pair ever sits exactly on the range boundary where a
-# one-ulp disagreement between two distance computations could flip an edge.
+# Chainages land on a 12 m grid, ranges on round integers that are no
+# multiple of 12, so no pair of these rows sits exactly on the range
+# boundary; the sweep law's rows put pairs there on purpose.
 GRID_M = 12.0
 RANGES = (30.0, 50.0, 80.0, 130.0)
 
@@ -105,17 +103,10 @@ RANGES = (30.0, 50.0, 80.0, 130.0)
 @st.composite
 def small_topologies(draw, min_barrels=1, max_barrels=7):
     n = draw(st.integers(min_barrels, max_barrels)) + 1  # plus sink
-    cells = draw(
-        st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 4)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    pts = [(GRID_M * x, GRID_M * y) for x, y in cells]
+    cells = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    xs = [GRID_M * x for x in cells]
     r = draw(st.sampled_from(RANGES))
-    return topology_from_positions(pts[:-1], pts[-1], r)
+    return topology_from_chainages(xs[:-1], xs[-1], r)
 
 
 @st.composite
@@ -128,53 +119,33 @@ def chain_topologies(draw, max_barrels=5):
     xs = [0.0]
     for g in gaps:
         xs.append(xs[-1] + g)
-    return topology_from_positions(
-        [(x, 0.0) for x in xs], (-float(standoff), 0.0), 100.0
-    )
+    return topology_from_chainages(xs, -float(standoff), 100.0)
 
 
 @st.composite
 def wide_topologies(draw):
-    """2-D scatter on the grid over two to five 2R zones along x, with the
-    sink at the start or the end of the row, mid-row or off the row."""
+    """An unsorted row on the grid over two to five 2R zones, with the sink
+    at the start or the end of the row, or mid-row."""
     r = draw(st.sampled_from(RANGES[:2]))
     span = math.ceil(draw(st.integers(2, 5)) * 2 * r / GRID_M)
     n = draw(st.integers(5, 12))
-    cells = draw(
-        st.lists(
-            st.tuples(st.integers(0, span), st.integers(0, 2)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    xs = [x for x, _ in cells]
-    where = draw(st.sampled_from(["start", "end", "mid", "off"]))
-    if where == "start":
-        sink = (min(xs) - 1, 0)
-    elif where == "end":
-        sink = (max(xs) + 1, 0)
-    elif where == "mid":
-        x = (min(xs) + max(xs)) // 2
-        sink = (x, min({0, 1, 2, 3} - {y for cx, y in cells if cx == x}))
-    else:
-        sink = (draw(st.integers(min(xs), max(xs))), draw(st.integers(4, 6)))
-    pts = [(GRID_M * x, GRID_M * y) for x, y in cells + [sink]]
-    return topology_from_positions(pts[:-1], pts[-1], r)
+    cells = draw(st.lists(st.integers(0, span), min_size=n + 1, max_size=n + 1, unique=True))
+    where = draw(st.sampled_from([0, n // 2, n]))  # start, mid-row, end
+    sink = sorted(cells)[where]
+    xs = [GRID_M * x for x in cells if x != sink]
+    return topology_from_chainages(xs, GRID_M * sink, r)
 
 
 @st.composite
-def scatters(draw):
-    """(points, range): a 2-D scatter, sink last, for topology_from_positions.
-    Many x values sit on a grid of range/2, so several nodes share one x
-    and many pairs are exactly range apart on x; negative x is common."""
+def rows(draw):
+    """(chainages, range): an unsorted row, sink last, for
+    topology_from_chainages. Many chainages sit on a grid of range/2, so
+    many pairs are exactly range apart; negative chainages are common."""
     r = draw(st.sampled_from(RANGES))
     xs = st.one_of(
         st.integers(-8, 8).map(lambda k: k * r / 2), st.floats(-4 * r, 4 * r)
     )
-    ys = st.one_of(st.sampled_from((0.0, -6.0, 6.0, 12.0)), st.floats(-r, r))
-    points = draw(st.lists(st.tuples(xs, ys), min_size=2, max_size=14, unique=True))
-    return points, r
+    return draw(st.lists(xs, min_size=2, max_size=14, unique=True)), r
 
 
 @st.composite
@@ -230,60 +201,73 @@ def test_adjacency_laws(topo, growth):
             assert (topo.adjacency[i] >> j & 1) == (topo.adjacency[j] >> i & 1)
             if topo.adjacency[i] >> j & 1:
                 assert topo.distance(i, j) < topo.range_r
-    wider = topology_from_positions(
-        topo.positions[:-1], topo.positions[-1], topo.range_r * growth
+    wider = topology_from_chainages(
+        topo.chainages[:-1], topo.chainages[-1], topo.range_r * growth
     )
     for a, b in zip(topo.adjacency, wider.adjacency):
         assert a & ~b == 0, "growing the range must never remove an edge"
     assert neighbor_degrees(topo) == [m.bit_count() for m in topo.adjacency]
 
 
-def all_pairs_rebuild(points, r):
+def all_pairs_rebuild(xs, r):
     """The unit-disk masks and the lowest coincident pair (None if there is
     none), by testing every pair in id order."""
-    n = len(points)
+    n = len(xs)
     masks = [0] * n
     coincident = None
     for a in range(n):
         for b in range(a + 1, n):
-            (xa, ya), (xb, yb) = points[a], points[b]
-            if coincident is None and abs(xa - xb) <= COORD_EPS and abs(ya - yb) <= COORD_EPS:
+            if coincident is None and abs(xs[a] - xs[b]) <= COORD_EPS:
                 coincident = (a, b)
-            if 0.0 < math.hypot(xa - xb, ya - yb) < r:
+            if 0.0 < abs(xs[a] - xs[b]) < r:
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
     return tuple(masks), coincident
 
 
 @settings(max_examples=EXAMPLES["sweep_matches_all_pairs"])
-@given(scatters())
-@example(([(-50.0, 0.0), (0.0, 0.0), (50.0, 0.0), (0.0, 6.0), (-100.0, 0.0)], 50.0))
-def test_sweep_matches_all_pairs(scatter):
-    # the graph is built by a sweep along x; every edge and every non-edge
-    # must match testing all pairs, on shared x and on gaps of exactly r
-    points, r = scatter
-    masks, coincident = all_pairs_rebuild(points, r)
+@given(rows())
+# pairs exactly range_r apart, out of order
+@example(([50.0, -50.0, 0.0, 100.0, -100.0], 50.0))
+# the sink between barrels, in range of some on either side
+@example(([0.0, 90.0, 30.0, 120.0, 60.0], 50.0))
+def test_sweep_matches_all_pairs(row):
+    # the graph is built by a sweep along the sorted row; every edge and
+    # every non-edge of an unsorted row must match 0 < |a - b| < r over all
+    # pairs, on gaps of exactly r too
+    xs, r = row
+    masks, coincident = all_pairs_rebuild(xs, r)
     if coincident is not None:
         with pytest.raises(ValueError, match=f"nodes {coincident[0]} and {coincident[1]} "):
-            topology_from_positions(points[:-1], points[-1], r)
+            topology_from_chainages(xs[:-1], xs[-1], r)
     else:
-        assert topology_from_positions(points[:-1], points[-1], r).adjacency == masks
+        assert topology_from_chainages(xs[:-1], xs[-1], r).adjacency == masks
 
 
 @settings(max_examples=EXAMPLES["coincident_pair_named"])
-@given(scatters(), st.data())
-def test_coincident_pair_named(scatter, data):
-    # copy two nodes onto two others: the error names the lowest coincident
-    # pair, lowest first id, then lowest second id
-    points, r = list(scatter[0]), scatter[1]
-    n = len(points)
-    for _ in range(2):
-        src = data.draw(st.integers(0, n - 1))
-        dst = (src + data.draw(st.integers(1, n - 1))) % n
-        points[dst] = points[src]
-    a, b = all_pairs_rebuild(points, r)[1]
+@given(
+    rows(),
+    st.lists(
+        st.tuples(st.integers(0, 13), st.integers(0, 12), st.sampled_from((0.0, COORD_EPS / 2))),
+        min_size=1,
+        max_size=3,
+    ),
+)
+# three nodes within COORD_EPS, in sorted order 1, 2, 0: the lowest pair,
+# (0, 1), is not a pair of neighbours in that order
+@example(([COORD_EPS, 0.0, COORD_EPS / 2, 40.0], 50.0), [])
+def test_coincident_pair_named(row, copies):
+    # copy nodes onto, or half of COORD_EPS past, others: the error names
+    # the lowest of all pairs within COORD_EPS, lowest first id, then
+    # lowest second id
+    xs, r = list(row[0]), row[1]
+    n = len(xs)
+    for src, step, shift in copies:
+        src %= n
+        xs[(src + 1 + step % (n - 1)) % n] = xs[src] + shift
+    a, b = all_pairs_rebuild(xs, r)[1]
     with pytest.raises(ValueError, match=f"nodes {a} and {b} "):
-        topology_from_positions(points[:-1], points[-1], r)
+        topology_from_chainages(xs[:-1], xs[-1], r)
 
 
 @settings(max_examples=EXAMPLES["barrel_count_law"])
@@ -331,7 +315,7 @@ def test_layout_determinism(seg_params, placement):
 @settings(max_examples=EXAMPLES["crns_matches_reference"])
 @given(small_topologies())
 def test_crns_matches_reference(topo):
-    is_relay, _, _ = crns_oracle(list(topo.positions), topo.sink, topo.range_r)
+    is_relay, _, _ = crns_oracle(topo.chainages, topo.sink, topo.range_r)
     assert crns_select(topo) == tuple(i for i, f in enumerate(is_relay) if f)
 
 
@@ -356,7 +340,6 @@ def test_chain_connectivity(topo):
     """Flooding over every barrel spans any gap-connected row."""
     got = all_relays(topo)
     assert isolated_nodes(topo, got) == []
-    assert validate_assignment(topo, got) == []
 
 
 def reference_isolated(topo, relays):
@@ -589,7 +572,7 @@ def tie_case(
 ):
     """A congested row with short frames and little or no jitter, where
     frame starts land on the microsecond another frame ends."""
-    topo = topology_from_positions([(x, 0.0) for x in xs], (-20.0, 0.0), 100.0)
+    topo = topology_from_chainages(xs, -20.0, 100.0)
     config = ScenarioConfig(
         app_rate_pps=rate,
         sim_time_s=horizon,
@@ -730,7 +713,7 @@ def horizon_case(horizon, seed):
     1000 pkt/s and 0.5 ms of jitter: at horizons of 1 to 3 ms, about one
     run in 700 has a frame start due exactly at T, and as many a frame end
     exactly at T."""
-    topo = topology_from_positions([(0.0, 0.0), (30.0, 0.0), (60.0, 0.0)], (-10.0, 0.0), 50.0)
+    topo = topology_from_chainages([0.0, 30.0, 60.0], -10.0, 50.0)
     config = ScenarioConfig(
         app_rate_pps=1000.0,
         sim_time_s=horizon,
@@ -787,7 +770,7 @@ def zone_case(barrels, sink, range_r, seed, loss_p=0.0):
     """A busy single-channel run on an explicit layout at a short range,
     every barrel a relay, so frames collide across zone edges; loss_p > 0
     adds the loss draw."""
-    topo = topology_from_positions(barrels, sink, range_r)
+    topo = topology_from_chainages(barrels, sink, range_r)
     config = ScenarioConfig(
         app_rate_pps=256.0,
         sim_time_s=0.1,
@@ -803,32 +786,19 @@ def zone_case(barrels, sink, range_r, seed, loss_p=0.0):
 @settings(max_examples=EXAMPLES["engine_vs_reference_wide"])
 @given(congested_cases(wide_topologies()))
 # four zones 60 m wide, with barrels on the edges at 60, 120 and 180 m
-@example(
-    zone_case(
-        [(x, 0.0) for x in (12, 36, 60, 84, 108, 120, 144, 168, 180, 204, 228, 240)],
-        (0.0, 0.0),
-        30.0,
-        5,
-    )
-)
-# every node at one x: zero extent, one zone
-@example(zone_case([(0.0, 12.0 * k) for k in range(1, 7)], (0.0, 0.0), 30.0, 6))
+@example(zone_case([12, 36, 60, 84, 108, 120, 144, 168, 180, 204, 228, 240], 0.0, 30.0, 5))
+# a lone sink: zero extent, one zone
+@example(zone_case([], 0.0, 30.0, 6))
 # three zones, the middle one holding only the sink
-@example(
-    zone_case([(x, 0.0) for x in (0, 24, 48, 132, 156, 180)], (66.0, 0.0), 30.0, 7)
-)
+@example(zone_case([0, 24, 48, 132, 156, 180], 66.0, 30.0, 7))
 # extents just below and just above 4R: one zone, then two
-@example(
-    zone_case([(x, 0.0) for x in (0, 20, 40, 60, 80, 100, 119.5)], (50.0, 10.0), 30.0, 8)
-)
-@example(
-    zone_case([(x, 0.0) for x in (0, 20, 40, 60, 80, 100, 120.5)], (50.0, 10.0), 30.0, 8)
-)
+@example(zone_case([0, 20, 40, 60, 80, 100, 119.5], 50.0, 30.0, 8))
+@example(zone_case([0, 20, 40, 60, 80, 100, 120.5], 50.0, 30.0, 8))
 # four zones under loss, where a frame end's scan starts from every listener
 # in reach, holders included: a frame end whose own lane jams them all stops
 # there and leaves its side lanes unpruned, and later frame ends scan those
 # sides while they still hold frames that ended before their own started
-@example(zone_case([(12.0 * k, 0.0) for k in range(1, 21)], (0.0, 0.0), 30.0, 2, 0.3))
+@example(zone_case([12.0 * k for k in range(1, 21)], 0.0, 30.0, 2, 0.3))
 def test_engine_vs_reference_wide(case):
     """As test_engine_vs_reference, on layouts several 2R zones wide, where
     a frame end scans the frames on air in its own zone and its neighbours'."""
@@ -854,7 +824,7 @@ def test_lanes_cover_every_jammer(topo):
                 if topo.adjacency[g] & topo.adjacency[tx]:
                     assert any(lanes[g][c][0] is d for d in scanned)
                     assert lanes[g][c][2] == c
-    xs = [x for x, _ in topo.positions]
+    xs = topo.chainages
     if max(xs) - min(xs) < 4 * topo.range_r:
         assert all(lanes[node] is lanes[0] for node in range(topo.node_count))
         assert all(sides == () for _, sides, _ in lanes[0])
@@ -869,7 +839,7 @@ def test_lanes_cover_every_jammer(topo):
 )
 def test_sole_source_delivery(standoff, seed, dur, copies):
     """One barrel, no contention: every frame that fits the horizon lands."""
-    topo = topology_from_positions([(0.0, 0.0)], (-float(standoff), 0.0), 100.0)
+    topo = topology_from_chainages([0.0], -float(standoff), 100.0)
     config = ScenarioConfig(
         app_rate_pps=1.0,
         sim_time_s=2.0,
@@ -890,7 +860,7 @@ def test_sole_source_delivery(standoff, seed, dur, copies):
     assert safe <= result.delivered_by_source[0] <= result.app_sent[0]
     assert result.max_hops <= 1
 
-    adrift = topology_from_positions([(0.0, 0.0)], (-150.0, 0.0), 100.0)
+    adrift = topology_from_chainages([0.0], -150.0, 100.0)
     out = run(adrift, crns_select(adrift), config)
     assert isolated_nodes(adrift, ()) == [0]
     assert out.delivered_by_source[0] == 0
@@ -904,9 +874,7 @@ def test_two_hop_delivery(gap, seed, dur):
     whenever the event log shows its frames met no concurrent airtime."""
     # sink -60, relay 0, source at gap: the source is 105..150 m from the
     # sink (out of range) but within range of the relay
-    topo = topology_from_positions(
-        [(0.0, 0.0), (float(gap), 0.0)], (-60.0, 0.0), 100.0
-    )
+    topo = topology_from_chainages([0.0, float(gap)], -60.0, 100.0)
     relays = crns_select(topo)
     assert relays == (0,)
     config = ScenarioConfig(

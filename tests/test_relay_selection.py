@@ -10,11 +10,10 @@ from barrelmesh.relay_selection import (
     isolated_nodes,
     knn_relays,
     random_relays,
-    validate_assignment,
 )
 from barrelmesh.sim_engine import ScenarioConfig, run
 from barrelmesh.topology import (
-    FDOT_45MPH, LayoutSpec, Segment, build_layout, mask_of, topology_from_positions,
+    FDOT_45MPH, LayoutSpec, Segment, build_layout, mask_of, topology_from_chainages,
 )
 
 
@@ -24,9 +23,7 @@ def preset():
 
 
 def line_topology(*barrel_xs, sink_x=0.0, range_r=100.0):
-    return topology_from_positions(
-        [(x, 0.0) for x in barrel_xs], (sink_x, 0.0), range_r
-    )
+    return topology_from_chainages(barrel_xs, sink_x, range_r)
 
 
 class TestCrns:
@@ -38,7 +35,7 @@ class TestCrns:
         assert crns_select(topo) == (0, 1)
 
     def test_shipped_layout_matches_reference(self, preset):
-        is_relay, _, _ = crns_oracle(preset.positions, preset.sink, preset.range_r)
+        is_relay, _, _ = crns_oracle(preset.chainages, preset.sink, preset.range_r)
         assert list(crns_select(preset)) == [i for i, v in enumerate(is_relay) if v]
 
     def test_shipped_layout_relay_set_frozen(self, preset):
@@ -49,13 +46,10 @@ class TestCrns:
     def test_random_topologies_match_reference(self):
         rng = random.Random(1234)
         for _ in range(25):
-            n = rng.randint(1, 8)
-            pts = set()
-            while len(pts) < n + 1:
-                pts.add((rng.uniform(0, 400), rng.uniform(0, 30)))
-            pts = sorted(pts)
-            topo = topology_from_positions(pts[:-1], pts[-1], 100.0)
-            is_relay, _, _ = crns_oracle(topo.positions, topo.sink, topo.range_r)
+            # unsorted rows: ids need not follow the chainage
+            xs = [rng.uniform(0, 400) for _ in range(rng.randint(1, 8) + 1)]
+            topo = topology_from_chainages(xs[:-1], xs[-1], 100.0)
+            is_relay, _, _ = crns_oracle(xs, topo.sink, topo.range_r)
             assert list(crns_select(topo)) == [i for i, v in enumerate(is_relay) if v]
 
     def test_everyone_in_sink_range_yields_no_relays(self):
@@ -75,9 +69,7 @@ class TestBaselines:
     def test_unreachable_barrel_attaches_nowhere(self):
         # barrel 1 is 510 m from every other node: no relay can carry it
         topo = line_topology(90.0, 600.0)
-        assert validate_assignment(topo, all_relays(topo)) == [
-            "node 1 is isolated: no relay path to the sink"
-        ]
+        assert isolated_nodes(topo, all_relays(topo)) == [1]
 
     def test_random_is_seed_deterministic(self, preset):
         a = random_relays(preset, 7, seed=42)
@@ -104,7 +96,7 @@ class TestBaselines:
                 random_relays(preset, count, seed=1)
 
     def test_knn_matches_reference_on_a_line(self, preset):
-        xs = [p[0] for p in preset.positions[: preset.sink]]
+        xs = preset.chainages[: preset.sink]
         for k, seed in [(3, 0), (7, 1), (16, 2), (1, 3)]:
             assert list(knn_relays(preset, k, seed=seed)) == kmeans_oracle(xs, k, seed)
 
@@ -112,15 +104,13 @@ class TestBaselines:
         assert knn_relays(preset, 30, seed=9) == tuple(range(30))
 
     def test_knn_duplicate_heads_collapse(self):
-        # the tight clump around x=245 attracts two centroids whose nearest
-        # barrel coincides, so 6 clusters yield 5 distinct heads
-        pts = [
-            (55.5, 6.9), (106.4, 23.3), (149.9, 14.5), (182.3, 37.1),
-            (243.5, 0.4), (246.6, 15.7), (249.4, 12.4), (262.1, 37.6),
-            (289.7, 14.4),
-        ]
-        topo = topology_from_positions(pts, (297.2, 0.7), 100.0)
-        assert knn_relays(topo, 6, seed=5) == (0, 3, 6, 7, 8)
+        # the centroids start at 80, 35, 270 and 280 m and settle at 125,
+        # 60, 187.5 and 275 m. The first one's cluster empties on the way,
+        # so it keeps 125 m, where 80 m (barrel 4) and 170 m (barrel 1) are
+        # nearest; barrel 1 heads it, and heads the cluster at 187.5 m too,
+        # tied with 205 m (barrel 6): 4 clusters yield 3 distinct heads
+        topo = line_topology(280.0, 170.0, 35.0, 65.0, 80.0, 270.0, 205.0, sink_x=-10.0)
+        assert knn_relays(topo, 4, seed=5) == (0, 1, 3)
 
     def test_knn_rejects_bad_k(self, preset):
         for k in (-1, 31, True, 2.5):
@@ -149,10 +139,10 @@ class TestCoverage:
             random_relays(preset, budget, seed=3),
             knn_relays(preset, budget, seed=3),
         ):
-            assert validate_assignment(preset, a) == []
+            assert isolated_nodes(preset, a) == []
 
     @pytest.mark.parametrize(
-        "taker", ["run", "isolated_nodes", "validate_assignment", "ExperimentPlan"]
+        "taker", ["run", "isolated_nodes", "ExperimentPlan"]
     )
     @pytest.mark.parametrize(
         "on_preset, relays, message",
@@ -191,7 +181,6 @@ class TestCoverage:
         call = {
             "run": lambda: run(topo, relays, ScenarioConfig(app_rate_pps=4.0, seed=1000)),
             "isolated_nodes": lambda: isolated_nodes(topo, relays),
-            "validate_assignment": lambda: validate_assignment(topo, relays),
             "ExperimentPlan": lambda: ExperimentPlan(layout, algorithms=("fixed",), relays=relays),
         }[taker]
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -200,6 +189,5 @@ class TestCoverage:
     def test_validate_flags_isolation(self):
         topo = line_topology(90.0, 180.0, 380.0)
         a = crns_select(topo)
-        issues = validate_assignment(topo, a)
-        assert any("isolated" in msg for msg in issues)
+        assert isolated_nodes(topo, a) == [2]
 

@@ -27,7 +27,7 @@ from barrelmesh.topology import (
     LayoutSpec,
     Segment,
     build_layout,
-    topology_from_positions,
+    topology_from_chainages,
 )
 from opcodes import (
     count_calls, count_deque_appends, count_heap_calls, count_heap_pushes, count_opcodes,
@@ -36,9 +36,7 @@ from oracles import Frame, pair_loss_probability, reference_run, resolve_recepti
 
 
 def line_topology(*barrel_xs, sink_x=0.0, range_r=100.0):
-    return topology_from_positions(
-        [(x, 0.0) for x in barrel_xs], (sink_x, 0.0), range_r
-    )
+    return topology_from_chainages(barrel_xs, sink_x, range_r)
 
 
 def scenario(**kw):
@@ -735,11 +733,10 @@ class TestCollisions:
     def test_aligned_copies_jam_the_shared_relay(self):
         # interval 2 us forces every source phase to exactly 1 us, so the
         # two sources transmit in lockstep on the single channel with zero
-        # jitter: the relay between them is jammed on every frame and never
-        # forwards, and neither source can reach the sink directly.
-        topo = topology_from_positions(
-            [(110.0, 60.0), (110.0, -60.0), (90.0, 0.0)], (0.0, 0.0), 100.0
-        )
+        # jitter: the relay that hears both is jammed on every frame and
+        # never forwards, and neither source can reach the sink directly.
+        # The sources hear each other, but neither relays.
+        topo = line_topology(110.0, 150.0, 90.0)
         a = (2,)
         cfg = scenario(
             seed=6,
@@ -760,9 +757,7 @@ class TestCollisions:
     def test_second_channel_lets_copies_through(self):
         # same geometry, but copies hop over two channels: whenever the two
         # sources draw different channels the relay hears one of them
-        topo = topology_from_positions(
-            [(110.0, 60.0), (110.0, -60.0), (90.0, 0.0)], (0.0, 0.0), 100.0
-        )
+        topo = line_topology(110.0, 150.0, 90.0)
         a = (2,)
         cfg = scenario(
             seed=6,
@@ -773,7 +768,8 @@ class TestCollisions:
             ),
         )
         result = run(topo, a, cfg)
-        assert sum(result.delivered_by_source) > 0
+        assert result.relayed_count[2] > 0
+        assert sum(result.delivered_by_source[:2]) > 0
 
     def test_two_sources_lose_what_the_closed_form_predicts(self):
         # Two barrels 120 m apart, each 60 m from the sink, hear only the
