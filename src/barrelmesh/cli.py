@@ -63,9 +63,9 @@ STRATEGIES = {
     "fixed": lambda topo, plan, seed: fixed_relays(plan),
 }
 
-# The most runs (algorithms x rates x seeds) a plan may make: the paper
-# matrix at 10,000 seeds. run_matrix makes one job per run before the first
-# run starts and write_outputs holds every result, about 7 KiB a run on the
+# The most runs (algorithms x rates x seeds) run_matrix makes: the paper
+# matrix at 10,000 seeds. It makes one job per run before the first run
+# starts and write_outputs holds every result, about 7 KiB a run on the
 # paper layout, so the matrix must fit in memory whole.
 MAX_RUNS = 80_000
 
@@ -109,9 +109,6 @@ class ExperimentPlan:
             if self.algorithms.count(a) > 1:
                 raise ValueError(f"lists {a!r} twice")
         check_count("n_seeds", self.n_seeds, least=1)
-        runs = len(self.algorithms) * len(self.rates_pps) * self.n_seeds
-        if runs > MAX_RUNS:
-            raise ValueError(f"{runs} runs (algorithms x rates x seeds) exceed the bound of {MAX_RUNS}")
         labels = Counter(map(_rate_label, self.rates_pps))
         for rate in self.rates_pps:
             check_config(scenario_for(self, rate, self.base_seed))
@@ -219,30 +216,23 @@ PLAN_KEYS = {
     },
 }
 
-# Keys whose rules read each other's values: the runs bound counts the
-# matrix keys, and fixed in algorithms needs relays that fit the layout.
-JOINT_KEYS = (
-    ("scenario", "algorithms"), ("scenario", "seeds"), ("scenario", "rates"), ("plan", "relays"),
-)
-
-
 def parse_plan(path) -> ExperimentPlan:
     """Read an experiment plan from an INI file.
 
     Unknown sections or keys are errors (a typo silently falling back to a
-    default would invalidate a whole study). Keys go one at a time onto a
-    plan that checks itself, so a value it rejects is named by its
-    section.key; parse_plan only converts text. Lengths accept ft/m suffixes.
-    The layout keys and JOINT_KEYS first go on together, so the runs bound
-    counts none of the matrix keys at its default. Below, algorithms and
-    relays go on as one wherever either does, so neither is judged without
-    the other, and a refusal of the pair names both.
+    default would invalidate a whole study). Keys go one at a time, in
+    PLAN_KEYS order, onto a plan that checks itself, so a value it rejects
+    is named by its section.key, and a budget or relay id is judged on the
+    file's own row; parse_plan only converts text. Lengths accept ft/m
+    suffixes. algorithms and relays go on as one wherever either does, so
+    neither is judged without the other, and a refusal of the pair names both.
     """
     # no header can name the section "", so [DEFAULT] is an unknown section
     # rather than a source of defaults for the others
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        if not parser.read(path, encoding="utf-8"):
+        # utf-8-sig also reads a file that opens with a byte-order mark
+        if not parser.read(path, encoding="utf-8-sig"):
             raise ValueError(f"cannot read plan file {path}")
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read plan file {path}: {exc}") from None
@@ -257,10 +247,6 @@ def parse_plan(path) -> ExperimentPlan:
     given = [(section, key) for section in PLAN_KEYS for key in PLAN_KEYS[section]
              if parser.has_option(section, key)]
     plan = ExperimentPlan(layout=FDOT_45MPH)
-    try:
-        plan = _apply(plan, parser, [k for k in given if k[0] == "layout" or k in JOINT_KEYS])
-    except ValueError:
-        pass  # named below, where the keys go on one at a time
     pair = [k for k in given if k in (("scenario", "algorithms"), ("plan", "relays"))]
     for key in given:
         plan = _apply(plan, parser, pair if key in pair else [key])
@@ -334,6 +320,9 @@ def run_matrix(
 ) -> list[tuple[str, float, int, SimResult]]:
     """All runs of the plan in plan order: algorithm, then rate, then seed, each
     as the plan lists them."""
+    runs = len(plan.algorithms) * len(plan.rates_pps) * plan.n_seeds
+    if runs > MAX_RUNS:
+        raise ValueError(f"{runs} runs (algorithms x rates x seeds) exceed the bound of {MAX_RUNS}")
     jobs = [
         (plan, algorithm, rate, plan.base_seed + i, emit_events)
         for algorithm in plan.algorithms

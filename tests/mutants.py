@@ -11,7 +11,8 @@ site is one of:
 - a comparison operator, whose boundary it flips (< and <=, > and >=,
   == and !=) or whose test it negates (in and not in, is and is not);
 - an integer constant, to which it adds 1;
-- a bitwise & or |, which it swaps for the other.
+- a bitwise & or |, or a boolean and or or, which it swaps for the other;
+- a `not`, which it drops, leaving its operand.
 
 Sites are numbered in source order over the function or value, nested
 functions included. Each mutant changes one site in a copy of `src/` under a
@@ -47,10 +48,10 @@ DEFAULT_TESTS = ("tests/test_sim_engine.py", "tests/test_properties.py")
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
          ast.Is: ast.IsNot, ast.IsNot: ast.Is}
-SWAPS = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd}
+SWAPS = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.And: ast.Or, ast.Or: ast.And}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
           ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is",
-          ast.IsNot: "is not", ast.BitAnd: "&", ast.BitOr: "|"}
+          ast.IsNot: "is not", ast.BitAnd: "&", ast.BitOr: "|", ast.And: "and", ast.Or: "or"}
 
 
 def sites(tree: ast.Module, name: str) -> list[tuple]:
@@ -69,7 +70,9 @@ def sites(tree: ast.Module, name: str) -> list[tuple]:
             found += [(node, i) for i, op in enumerate(node.ops) if type(op) in FLIPS]
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             found.append((node, None))
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
+            found.append((node, None))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             found.append((node, None))
     return sorted(found, key=lambda site: (site[0].lineno, site[0].col_offset, site[1] or 0))
 
@@ -86,12 +89,29 @@ def mutate(source: str, name: str, k: int) -> tuple[str, str]:
     elif isinstance(node, ast.Constant):
         change = f"{node.value} -> {node.value + 1}"
         node.value += 1
+    elif isinstance(node, ast.UnaryOp):
+        change = "not dropped"
+        _put(tree, node, node.operand)
     else:
         old = type(node.op)
         node.op = SWAPS[old]()
         change = f"{SYMBOL[old]} -> {SYMBOL[SWAPS[old]]}"
     line = source.splitlines()[node.lineno - 1].strip()
     return ast.unparse(tree), f"line {node.lineno}: {change} in `{line}`"
+
+
+def _put(tree: ast.Module, old: ast.AST, new: ast.AST) -> None:
+    """Put new where tree holds the node old."""
+    for parent in ast.walk(tree):
+        for name, value in ast.iter_fields(parent):
+            if value is old:
+                setattr(parent, name, new)
+                return
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    if item is old:
+                        value[i] = new
+                        return
 
 
 def run_tests(module: Path, module_source: str, tests: list[str], timeout: float) -> str:

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -113,6 +114,16 @@ class TestParsePlan:
             f"cannot read plan file {path}: 'utf-8' codec can't decode byte 0xff "
             "in position 0: invalid start byte"
         )
+
+    def test_byte_order_mark_is_read_past(self, capsys, tmp_path):
+        # Windows Notepad opens a UTF-8 file with one; configparser then saw
+        # no section header
+        text = "[scenario]\nrange = 60m\n"
+        plain = write_ini(tmp_path, text)
+        marked = tmp_path / "bom.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_plan(marked) == parse_plan(plain)
+        assert select(capsys, ["--config", str(marked)]) == select(capsys, ["--config", str(plain)])
 
     def test_unknown_section_named_in_error(self, tmp_path):
         path = write_ini(tmp_path, "[radio]\nx = 1\n")
@@ -229,8 +240,7 @@ class TestParsePlan:
 
     def test_relays_parse_with_fixed(self, tmp_path):
         # an empty value is the empty set; ids are barrels of the plan's own
-        # layout, here 91 of them, which also go on before the runs bound
-        # counts seeds = 50000 at one rate
+        # layout, here 91 of them
         path = write_ini(tmp_path, "[scenario]\nalgorithms = fixed\n[plan]\nrelays =\n")
         assert parse_plan(path).relays == ()
         path = write_ini(
@@ -285,7 +295,36 @@ class TestBudgetAndMaterialize:
             materialize(EXPERIMENT_PRESETS["paper"], "flood", seed=0)
 
 
+def _pid_of_cell(job):
+    """A stand-in for execute_cell that returns the id of the process that
+    ran the job; module-level so a worker process can unpickle it."""
+    return os.getpid()
+
+
 class TestRunMatrix:
+    def test_runs_bound_is_exact_and_inclusive(self, monkeypatch):
+        # the most runs run_matrix makes: the paper's 8 cells at 10,000 seeds
+        monkeypatch.setattr(cli, "execute_cell", lambda job: job)
+        paper = EXPERIMENT_PRESETS["paper"]
+        assert len(paper.algorithms) * len(paper.rates_pps) * 10_000 == cli.MAX_RUNS
+        plan = tiny_plan(algorithms=("crns",), rates_pps=(1.0,), n_seeds=80_000)
+        assert len(run_matrix(plan)) == 80_000
+        with pytest.raises(ValueError, match=(
+            r"^80008 runs \(algorithms x rates x seeds\) exceed the bound of 80000$"
+        )):
+            run_matrix(replace(paper, n_seeds=10_001))
+        # a plan holds any seed count; run_matrix refuses one past the bound
+        # before it lists a job, which 80,001 of would take megabytes
+        assert replace(paper, n_seeds=10**9).n_seeds == 10**9
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^80001 runs "):
+                run_matrix(replace(plan, n_seeds=80_001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_results_ordered_and_complete(self):
         plan = tiny_plan(algorithms=("knn", "crns"), rates_pps=(4.0, 1.0))
         results = run_matrix(plan)
@@ -304,6 +343,14 @@ class TestRunMatrix:
     def test_worker_pool_matches_serial(self):
         plan = tiny_plan(algorithms=("crns", "all"))
         assert run_matrix(plan, workers=2) == run_matrix(plan, workers=1)
+
+    def test_two_workers_run_the_cells_in_a_pool(self, monkeypatch):
+        # only one worker runs the cells in this process
+        monkeypatch.setattr(cli, "execute_cell", _pid_of_cell)
+        plan = tiny_plan(algorithms=("crns",))
+        assert run_matrix(plan, workers=1) == [os.getpid()] * 2
+        pids = run_matrix(plan, workers=2)
+        assert len(pids) == 2 and os.getpid() not in pids
 
     def test_cli_import_leaves_the_pool_module_unloaded(self):
         # a serial run never pays for importing the process pool
@@ -480,8 +527,6 @@ BAD_ENTRIES = [
     ("scenario", "sim_time_s = 0", "sim_time_s"),
     ("scenario", "sim_time_s = 1e-7", "sim_time_s"),  # rounds to a 0 us horizon
     ("scenario", "sim_time_s = 5%", "sim_time_s"),
-    # run_matrix used to end in a MemoryError building one job per run
-    ("scenario", "seeds = 1000000000", "seeds"),
     ("scenario", "ttl = 0", "ttl"),
     ("scenario", "ttl = many", "ttl"),
     ("scenario", "base_seed = 1.5", "base_seed"),
@@ -596,30 +641,29 @@ def test_plan_rejects_an_unknown_sink_placement():
 
 
 def test_plan_bounds_are_inclusive():
-    # the most runs and the largest relay budget a plan may hold; the
-    # paper's 8 cells make MAX_RUNS runs at 10,000 seeds
-    paper = EXPERIMENT_PRESETS["paper"]
-    assert replace(paper, n_seeds=10_000).n_seeds * 8 == cli.MAX_RUNS
-    bound = r"^80008 runs \(algorithms x rates x seeds\) exceed the bound of 80000$"
-    with pytest.raises(ValueError, match=bound):
-        replace(paper, n_seeds=10_001)
-    assert replace(paper, relay_budget=30).relay_budget == 30
+    # the largest relay budget a plan may hold: the paper's 30 barrels; the
+    # runs bound is run_matrix's (TestRunMatrix)
+    assert replace(EXPERIMENT_PRESETS["paper"], relay_budget=30).relay_budget == 30
 
 
-def test_plan_counts_its_runs_at_its_own_seed_count(tmp_path):
-    # 1,001 rates are judged at 10 seeds, not at the default 20, which would
-    # make 80,080 runs
+def test_plan_counts_its_runs_at_its_own_seed_count(monkeypatch, tmp_path):
+    # 4 algorithms x 1,001 rates make 40,040 runs at the file's 10 seeds;
+    # at the default 20 they would make 80,080, past the bound
+    monkeypatch.setattr(cli, "execute_cell", lambda job: job)
     rates = ", ".join(map(str, range(1, 1002)))
     plan = parse_plan(write_ini(tmp_path, f"[scenario]\nrates = {rates}\nseeds = 10\n"))
     assert (len(plan.rates_pps), plan.n_seeds) == (1001, 10)
+    assert len(run_matrix(plan)) == 40_040
 
 
-def test_plan_counts_its_runs_at_its_own_rate_count(tmp_path):
-    # 50,000 seeds are judged at one rate, not at the default two, which
-    # would make 100,000 runs
+def test_plan_counts_its_runs_at_its_own_rate_count(monkeypatch, tmp_path):
+    # 50,000 seeds make 50,000 runs at the file's one algorithm and one rate;
+    # at the default four and two they would make 400,000, past the bound
+    monkeypatch.setattr(cli, "execute_cell", lambda job: job)
     text = "[scenario]\nalgorithms = crns\nrates = 1\nseeds = 50000\n"
     plan = parse_plan(write_ini(tmp_path, text))
     assert len(plan.algorithms) * len(plan.rates_pps) * plan.n_seeds == 50_000
+    assert len(run_matrix(plan)) == 50_000
 
 
 FIXED = "[scenario]\nalgorithms = fixed\n"
@@ -1095,14 +1139,14 @@ class TestVerbs:
         assert asked[-1] == 1
 
     def test_run_refuses_a_seed_count_past_the_bound(self, capsys, tmp_path):
+        # run_matrix used to end in a MemoryError building one job per run
         ini = write_ini(tmp_path, "[scenario]\nseeds = 1000000000\n")
         out_dir = tmp_path / "out"
         start = time.perf_counter()
         assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            "error: scenario.seeds = '1000000000': bad value, "
-            "8000000000 runs (algorithms x rates x seeds) exceed the bound of 80000\n"
+            "error: 8000000000 runs (algorithms x rates x seeds) exceed the bound of 80000\n"
         )
         assert not out_dir.exists()
 
@@ -1110,16 +1154,58 @@ class TestVerbs:
         # 4 algorithms x 1,001 rates x 20 seeds; such a plan used to be read
         # whole, and 100,000 rates ended in a MemoryError as run_matrix
         # listed its jobs
-        monkeypatch.setattr(cli, "run_matrix", lambda *args, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "execute_cell", lambda job: pytest.fail("ran"))
         rates = ", ".join(map(str, range(1, 1002)))
         ini = write_ini(tmp_path, f"[scenario]\nrates = {rates}\n")
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(ini), "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err == (
-            f"error: scenario.rates = {rates!r}: bad value, "
-            "80080 runs (algorithms x rates x seeds) exceed the bound of 80000\n"
+            "error: 80080 runs (algorithms x rates x seeds) exceed the bound of 80000\n"
         )
         assert not out_dir.exists()
+
+    def test_select_runs_one_cell_of_a_matrix_past_the_bound(self, capsys, tmp_path):
+        # the runs bound guards run_matrix's memory; select runs no matrix
+        ini = write_ini(tmp_path, "[scenario]\nseeds = 1000000000\n")
+        assert select(capsys, ["--config", str(ini)]) == (
+            0, ["crns: 18 relays of 30 barrels at range 100m", CRNS_RELAYS]
+        )
+
+    @pytest.mark.parametrize("verb", ["run", "select"])
+    def test_repeated_rate_named_beside_a_large_matrix(self, capsys, tmp_path, verb):
+        # 50,000 seeds fit at one rate, so the fault is the repeated rate; a
+        # joint first step used to judge seeds at the default two rates and
+        # name it instead
+        ini = write_ini(tmp_path, "[scenario]\nalgorithms = crns\nseeds = 50000\nrates = 1, 1\n")
+        out_dir = tmp_path / "out"
+        argv = ["--out", str(out_dir)] if verb == "run" else []
+        assert main([verb, "--config", str(ini), *argv]) == 2
+        assert capsys.readouterr() == (
+            "", "error: scenario.rates = '1, 1': bad value, two rates name their runs 1\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "section, line, key",
+        [entry for entry in BAD_ENTRIES if entry[2]],
+        ids=[f"{line}-{section}.{key}" for section, line, key in BAD_ENTRIES if key],
+    )
+    def test_bad_key_named_beside_a_large_matrix(self, capsys, tmp_path, section, line, key):
+        # a matrix of 50,000 runs fits the bound only at the file's own
+        # algorithms, rates and seeds, so no other key may be judged first
+        # at a default
+        matrix = {"algorithms": "crns", "rates": "1", "seeds": "50000"}
+        scenario = [f"{k} = {v}" for k, v in matrix.items() if (section, k) != ("scenario", key)]
+        if section == "scenario":
+            scenario.append(line)
+        text = "[scenario]\n" + "\n".join(scenario) + "\n"
+        if section != "scenario":
+            text += f"[{section}]\n{line}\n"
+        assert main(["select", "--config", str(write_ini(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert f"{section}.{key} = " in err
 
     def test_run_seed_override_changes_run_names(self, tmp_path):
         ini = write_ini(
