@@ -122,8 +122,6 @@ class ExperimentPlan:
             check_count("relay_budget", self.relay_budget, least=0, most=barrels)
         if self.relays is not None:
             check_relays(self.relays, len(barrel_chainages(self.layout)))
-            if "fixed" not in self.algorithms:
-                raise ValueError("only fixed simulates plan.relays, and algorithms does not list it")
         if "fixed" in self.algorithms:
             fixed_relays(self)
 
@@ -176,13 +174,23 @@ def _segments(text: str) -> tuple[Segment, ...]:
 
 # section -> key -> (part, field, converter from text). The part is "plan"
 # for a field of ExperimentPlan, else its nested dataclass; a key left out
-# keeps the default. parse_plan applies keys in this order, segments before
-# the sink and budget keys that must fit the row.
+# keeps the default. parse_plan applies keys in this order, so a key goes
+# after those its check reads: segments before the sink placement and the
+# budget and relay ids that must fit the row, and relays before the
+# algorithms that list fixed.
 PLAN_KEYS = {
     "layout": {
         "segments": ("layout", "segments", _segments),
         "sink_placement": ("layout", "sink_placement", lambda text: (
             text if text in ("start", "end") else parse_length(text)
+        )),
+    },
+    "plan": {
+        "copies": ("plan", "copies", _auto_or_int),
+        "relay_budget": ("plan", "relay_budget", _auto_or_int),
+        # an empty value is the empty set
+        "relays": ("plan", "relays", lambda text: (
+            tuple(map(int, text.split(","))) if text.strip() else ()
         )),
     },
     "scenario": {
@@ -206,14 +214,6 @@ PLAN_KEYS = {
         "i_listen_ma": ("power", "i_listen_ma", float),
         "i_sleep_ma": ("power", "i_sleep_ma", float),
     },
-    "plan": {
-        "copies": ("plan", "copies", _auto_or_int),
-        "relay_budget": ("plan", "relay_budget", _auto_or_int),
-        # an empty value is the empty set
-        "relays": ("plan", "relays", lambda text: (
-            tuple(map(int, text.split(","))) if text.strip() else ()
-        )),
-    },
 }
 
 def parse_plan(path) -> ExperimentPlan:
@@ -224,8 +224,7 @@ def parse_plan(path) -> ExperimentPlan:
     PLAN_KEYS order, onto a plan that checks itself, so a value it rejects
     is named by its section.key, and a budget or relay id is judged on the
     file's own row; parse_plan only converts text. Lengths accept ft/m
-    suffixes. algorithms and relays go on as one wherever either does, so
-    neither is judged without the other, and a refusal of the pair names both.
+    suffixes.
     """
     # no header can name the section "", so [DEFAULT] is an unknown section
     # rather than a source of defaults for the others
@@ -244,35 +243,20 @@ def parse_plan(path) -> ExperimentPlan:
         for key in parser[section]:
             if key not in PLAN_KEYS[section]:
                 raise ValueError(f"unknown key {section}.{key}")
-    given = [(section, key) for section in PLAN_KEYS for key in PLAN_KEYS[section]
-             if parser.has_option(section, key)]
     plan = ExperimentPlan(layout=FDOT_45MPH)
-    pair = [k for k in given if k in (("scenario", "algorithms"), ("plan", "relays"))]
-    for key in given:
-        plan = _apply(plan, parser, pair if key in pair else [key])
+    for section, keys in PLAN_KEYS.items():
+        for key, (part, name, convert) in keys.items():
+            if parser.has_option(section, key):
+                read = lambda text: _amend(plan, part, name, convert(text))
+                plan = _flag(f"{section}.{key}", read, parser[section][key])
     return plan
 
 
-def _apply(plan: ExperimentPlan, parser, keys) -> ExperimentPlan:
-    """plan with the file's value of each (section, key) of keys. A ValueError
-    names the key whose text does not convert, or else every key of keys."""
-    fields, parts = {}, {}
-    for section, key in keys:
-        part, name, convert = PLAN_KEYS[section][key]
-        text = parser[section][key]
-        try:
-            value = convert(text)
-        except ValueError as exc:
-            raise ValueError(f"{section}.{key} = {text!r}: bad value, {exc}") from None
-        # a field of a nested dataclass amends that
-        (fields if part == "plan" else parts.setdefault(part, {}))[name] = value
-    try:
-        for part, values in parts.items():
-            fields[part] = replace(getattr(plan, part), **values)
-        return replace(plan, **fields)
-    except ValueError as exc:
-        named = ", ".join(f"{section}.{key} = {parser[section][key]!r}" for section, key in keys)
-        raise ValueError(f"{named}: bad value, {exc}") from None
+def _amend(plan: ExperimentPlan, part: str, name: str, value) -> ExperimentPlan:
+    """plan with the field name of part (a PLAN_KEYS part) set to value."""
+    if part != "plan":  # a field of a nested dataclass amends that
+        name, value = part, replace(getattr(plan, part), **{name: value})
+    return replace(plan, **{name: value})
 
 
 def relay_budget(plan: ExperimentPlan, topology: Topology) -> int:
@@ -408,10 +392,11 @@ def write_outputs(plan: ExperimentPlan, results, out_dir, elapsed_s: float, work
 
 def _plan(args) -> ExperimentPlan:
     """The plan --config or --preset names, at the --seed base seed when given."""
-    if args.config:
+    if args.config is not None:
         plan = parse_plan(args.config)
     else:
-        plan = _flag("--preset", _one_of(EXPERIMENT_PRESETS), args.preset or "paper")
+        preset = "paper" if args.preset is None else args.preset
+        plan = _flag("--preset", _one_of(EXPERIMENT_PRESETS), preset)
     if args.seed is not None:
         plan = replace(plan, base_seed=_flag("--seed", _at_least_0("seed"), args.seed))
     return plan
@@ -424,16 +409,10 @@ def _cmd_run(args) -> int:
     cpus = os.cpu_count() or 1
     workers = min(workers or cpus, cpus)
     out = Path(args.out)
-    # every file in the directory must come from this one experiment
-    if out.exists() and (not out.is_dir() or any(out.iterdir())):
-        raise ValueError(f"--out = {args.out!r}: bad value, must be a new or empty directory")
     # made before the matrix runs, so an unwritable --out fails first, and
     # taken away again, deepest first, if the matrix fails
     made = [path for path in (out, *out.parents) if not path.exists()]
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"--out = {args.out!r}: bad value, {exc.strerror}") from None
+    _flag("--out", _make_empty_dir, args.out)
     started = time.perf_counter()
     try:
         results = run_matrix(plan, workers=workers, emit_events=args.emit_events)
@@ -457,12 +436,25 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _flag(flag: str, read, text: str):
-    """A flag's value through read; a ValueError it raises names the flag."""
+def _flag(name: str, read, text: str):
+    """The value of a flag or plan key through read; a ValueError it raises
+    names the flag or key."""
     try:
         return read(text)
     except ValueError as exc:
-        raise ValueError(f"{flag} = {text!r}: bad value, {exc}") from None
+        raise ValueError(f"{name} = {text!r}: bad value, {exc}") from None
+
+
+def _make_empty_dir(text: str) -> None:
+    """Make the directory text names, which must be new or empty: every file
+    in it must come from one experiment."""
+    out = Path(text)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ValueError("must be a new or empty directory")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(exc.strerror) from None
 
 
 def _at_least_0(name: str):

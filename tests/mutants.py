@@ -12,6 +12,8 @@ site is one of:
   == and !=) or whose test it negates (in and not in, is and is not);
 - an integer constant, to which it adds 1;
 - a bitwise & or |, or a boolean and or or, which it swaps for the other;
+- an arithmetic + or -, or * or /, alone or in an augmented assignment
+  (-= and +=), which it swaps for the other;
 - a `not`, which it drops, leaving its operand.
 
 Sites are numbered in source order over the function or value, nested
@@ -48,10 +50,12 @@ DEFAULT_TESTS = ("tests/test_sim_engine.py", "tests/test_properties.py")
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
          ast.Is: ast.IsNot, ast.IsNot: ast.Is}
-SWAPS = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.And: ast.Or, ast.Or: ast.And}
+SWAPS = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.And: ast.Or, ast.Or: ast.And,
+         ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
           ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is",
-          ast.IsNot: "is not", ast.BitAnd: "&", ast.BitOr: "|", ast.And: "and", ast.Or: "or"}
+          ast.IsNot: "is not", ast.BitAnd: "&", ast.BitOr: "|", ast.And: "and", ast.Or: "or",
+          ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 def sites(tree: ast.Module, name: str) -> list[tuple]:

@@ -548,7 +548,6 @@ BAD_ENTRIES = [
     ("plan", "relays = 30", "relays"),  # fdot_45mph's barrels are 0 to 29
     ("plan", "relays = 18,9", "relays"),
     ("plan", "relays = 9.5", "relays"),
-    ("plan", "relays = 9", "relays"),  # only fixed simulates them
     ("scenario", "algorithms = fixed", "algorithms"),  # with no relays to simulate
     ("layout", "segments = row:270:0", "segments"),
     ("layout", "segments = row:inf:90", "segments"),
@@ -674,27 +673,15 @@ FIXED = "[scenario]\nalgorithms = fixed\n"
     [
         (
             FIXED + "[plan]\nrelays = 30\n",
-            "scenario.algorithms = 'fixed', plan.relays = '30': bad value, "
-            "relay 30 is not a barrel id in [0, 30)",
+            "plan.relays = '30': bad value, relay 30 is not a barrel id in [0, 30)",
         ),
         (
             FIXED + "[plan]\nrelays = 18,9\n",
-            "scenario.algorithms = 'fixed', plan.relays = '18,9': bad value, "
-            "relays must ascend, each id once: 9 follows 18",
+            "plan.relays = '18,9': bad value, relays must ascend, each id once: 9 follows 18",
         ),
         (
             FIXED + "[plan]\nrelays = 9.5\n",
             "plan.relays = '9.5': bad value, invalid literal for int() with base 10: '9.5'",
-        ),
-        (
-            "[plan]\nrelays = 9\n",
-            "plan.relays = '9': bad value, only fixed simulates plan.relays, "
-            "and algorithms does not list it",
-        ),
-        (
-            "[scenario]\nalgorithms = crns\n[plan]\nrelays =\n",
-            "scenario.algorithms = 'crns', plan.relays = '': bad value, "
-            "only fixed simulates plan.relays, and algorithms does not list it",
         ),
         (
             FIXED,
@@ -707,14 +694,60 @@ FIXED = "[scenario]\nalgorithms = fixed\n"
             "scenario.seeds = '-1': bad value, n_seeds must be an integer >= 1",
         ),
     ],
-    ids=["past-the-row", "descending", "non-integer", "without-fixed", "empty-without-fixed",
-         "fixed-without-relays", "bad-partner"],
+    ids=["past-the-row", "descending", "non-integer", "fixed-without-relays", "bad-partner"],
 )
 def test_plan_relays_refusals_name_their_keys(capsys, tmp_path, text, err):
+    ini = str(write_ini(tmp_path, text))
     out_dir = tmp_path / "out"
-    assert main(["run", "--config", str(write_ini(tmp_path, text)), "--out", str(out_dir)]) == 2
+    assert main(["run", "--config", ini, "--out", str(out_dir)]) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
     assert not out_dir.exists()
+    assert main(["select", "--config", ini]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "text, relays, code",
+    [
+        ("[plan]\nrelays = 9,18,24\n", (9, 18, 24), 0),
+        ("[plan]\nrelays = 9\n", (9,), 1),
+        ("[scenario]\nalgorithms = crns\n[plan]\nrelays =\n", (), 1),
+    ],
+    ids=["relays-only", "without-fixed", "empty-without-fixed"],
+)
+def test_plan_relays_need_no_listed_fixed(capsys, tmp_path, text, relays, code):
+    # like relay_budget, relays is judged on the layout whatever algorithms
+    # lists, and select --algorithm fixed reads it
+    ini = write_ini(tmp_path, text)
+    topo = build_layout(EXPERIMENT_PRESETS["paper"].layout, 100.0)
+    got = select(capsys, ["--config", str(ini), "--algorithm", "fixed"])
+    assert got == select_report("fixed", topo, relays)
+    assert got[0] == code
+
+
+def test_select_line_pasted_alone_is_a_plan(capsys, tmp_path):
+    # the line select prints, under a bare [plan], is the set fixed selects
+    code, lines = select(capsys, ["--algorithm", "crns"])
+    assert (code, lines[1]) == (0, CRNS_RELAYS)
+    ini = write_ini(tmp_path, f"[plan]\n{lines[1]}\n")
+    assert select(capsys, ["--config", str(ini), "--algorithm", "fixed"]) == (
+        0, ["fixed: 18 relays of 30 barrels at range 100m", CRNS_RELAYS]
+    )
+
+
+def test_unread_plan_relays_change_no_output(tmp_path):
+    # run reads relays only for fixed, which this matrix does not list
+    scenario = "[scenario]\nseeds = 1\nsim_time_s = 1\n"
+    trees = []
+    for name, text in (("without", scenario), ("with", scenario + "[plan]\nrelays = 9,18,24\n")):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(text)
+        out = tmp_path / name
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+        trees.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*.csv")})
+    # summary, comparison, 3 plotdata files and the 8 runs' node files
+    assert len(trees[0]) == 13
+    assert trees[0] == trees[1]
 
 
 def test_select_fixed_needs_plan_relays(capsys):
@@ -1080,6 +1113,15 @@ class TestVerbs:
             )
         assert {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()} == written
 
+    def test_run_records_its_wall_time(self, capsys, tmp_path):
+        # metadata.json's elapsed_s is the wall time of the matrix alone
+        ini = write_ini(tmp_path, cheap_plan_text())
+        started = time.perf_counter()
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+        took = time.perf_counter() - started
+        elapsed = json.loads((tmp_path / "out" / "metadata.json").read_text())["elapsed_s"]
+        assert 0 <= elapsed <= took + 0.001
+
     def test_run_workers_flag(self, capsys, monkeypatch, tmp_path):
         # --workers 0 takes one process per CPU, and metadata.json records
         # the count used; a pool writes the same CSV bytes as a serial run
@@ -1235,6 +1277,21 @@ class TestVerbs:
         assert capsys.readouterr().err == (
             f"error: --preset = {preset!r}: bad value, must be one of paper\n"
         )
+
+    @pytest.mark.parametrize("verb", ["run", "select"])
+    @pytest.mark.parametrize(
+        "flag, err",
+        [("--config", "cannot read plan file "),
+         ("--preset", "--preset = '': bad value, must be one of paper")],
+        ids=["config", "preset"],
+    )
+    def test_empty_plan_flag_exits_2(self, capsys, tmp_path, verb, flag, err):
+        # --config "$PLAN" with PLAN unset ran the paper preset
+        out_dir = tmp_path / "out"
+        argv = ["--out", str(out_dir)] if verb == "run" else []
+        assert main([verb, flag, "", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not out_dir.exists()
 
     def test_zero_seeds_exits_2(self, capsys, tmp_path):
         ini = write_ini(tmp_path, "[scenario]\nseeds = 0\n")

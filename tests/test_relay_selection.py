@@ -5,6 +5,7 @@ import pytest
 from oracles import crns_oracle, kmeans_oracle
 from barrelmesh.cli import ExperimentPlan
 from barrelmesh.relay_selection import (
+    TIE_EPS,
     all_relays,
     crns_select,
     isolated_nodes,
@@ -51,6 +52,20 @@ class TestCrns:
             topo = topology_from_chainages(xs[:-1], xs[-1], 100.0)
             is_relay, _, _ = crns_oracle(xs, topo.sink, topo.range_r)
             assert list(crns_select(topo)) == [i for i, v in enumerate(is_relay) if v]
+
+    def test_rating_exactly_tie_eps_short_is_a_tie(self):
+        # barrel 2 at 0 m hears barrels 0 (5.00000001 m) and 1 (-5 m), each
+        # of score 2 and not nominated yet, at range 10: 0 rates exactly
+        # TIE_EPS below 1's 1.5, so both tie and the lower id, 0, wins. The
+        # others' picks: 0 and 1 nominate 2 and 3 (in the sink's range at
+        # -20 m), 4 nominates 5, and 5 and 6 nominate 4 and 5.
+        topo = line_topology(
+            5.00000001, -5.0, 0.0, -12.0, 13.0, 16.0, 24.0, sink_x=-20.0, range_r=10.0
+        )
+        assert 2.0 - 0.5 - TIE_EPS == 2.0 - topo.distance(2, 0) / topo.range_r
+        assert crns_select(topo) == (0, 2, 3, 4, 5)
+        is_relay, _, _ = crns_oracle(topo.chainages, topo.sink, topo.range_r)
+        assert [i for i, v in enumerate(is_relay) if v] == [0, 2, 3, 4, 5]
 
     def test_everyone_in_sink_range_yields_no_relays(self):
         topo = line_topology(30.0, 60.0, 90.0)
